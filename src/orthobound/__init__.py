@@ -36,12 +36,14 @@ from .errors import (
     BadEpsilon,
     BadExponent,
     BadLambda,
+    ChainViolated,
     DimensionMismatch,
     EmptyFamily,
     GramResidualExceeded,
     HypothesisFailed,
     IdentityViolation,
     InstanceFormatError,
+    NonfiniteCorridor,
     NonpositiveReSum,
     OrthoboundError,
     RankDeficient,

@@ -20,17 +20,47 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, IdentityViolation
+from .errors import DimensionMismatch, IdentityViolation, NonfiniteCorridor
 from .family import OrthonormalFamily
 from .space import Vector, abs2, tree_sum
 
 DEFAULT_HYPOTHESIS_TOL = 1e-10
 
 RngLike = Union[np.random.Generator, int, None]
+
+
+class Corridors(NamedTuple):
+    """Corridor sides and their aggregates along leading batch axes.
+
+    The batched counterpart of :class:`ScalarCorridor`, with the same
+    attribute names so the kernels accept either; sides are (..., count) and
+    the aggregates ``re_sum`` and ``radius`` have the leading shape.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    midpoints: np.ndarray
+    re_sum: np.ndarray
+    radius: np.ndarray
+
+    @classmethod
+    def build(cls, lo, hi) -> "Corridors":
+        lo = np.asarray(lo, dtype=np.complex128)
+        hi = np.asarray(hi, dtype=np.complex128)
+        re_sum = tree_sum(np.multiply(hi, np.conj(lo)).real)
+        radius = 0.5 * np.sqrt(tree_sum(abs2(hi - lo)))
+        return cls(lo, hi, 0.5 * (lo + hi), re_sum, radius)
+
+    @property
+    def finite(self) -> np.ndarray:
+        return np.isfinite(self.re_sum) & np.isfinite(self.radius)
+
+    def take(self, rows) -> "Corridors":
+        return Corridors(*(part[rows] for part in self))
 
 
 @dataclass(frozen=True)
@@ -57,20 +87,20 @@ class ScalarCorridor:
                 f"corridor sides must be nonempty and equal length, got {lo.size} and {hi.size}"
             )
         for name, arr in (("lo", lo), ("hi", hi)):
-            if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"corridor {name} must be finite")
-            if self.real_mode and np.any(arr.imag != 0.0):
+            if self.real_mode and arr.imag.any():
                 raise ValueError(f"real_mode corridor {name} has imaginary parts")
-        mid = 0.5 * (lo + hi)
-        for arr in (lo, hi, mid):
+        agg = Corridors.build(lo, hi)
+        if not agg.finite:
+            raise NonfiniteCorridor(float(agg.re_sum), float(agg.radius))
+        for arr in (lo, hi, agg.midpoints):
             arr.flags.writeable = False
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "midpoints", mid)
-        object.__setattr__(self, "re_sum", float(tree_sum((hi * np.conj(lo)).real)))
-        object.__setattr__(
-            self, "radius", 0.5 * math.sqrt(float(tree_sum(abs2(hi - lo))))
-        )
+        object.__setattr__(self, "midpoints", agg.midpoints)
+        object.__setattr__(self, "re_sum", float(agg.re_sum))
+        object.__setattr__(self, "radius", float(agg.radius))
 
     @property
     def size(self) -> int:
@@ -110,22 +140,33 @@ def check_hypothesis(
         )
     if x.dim != fam.dim:
         raise DimensionMismatch(f"vector dim {x.dim} != family dim {fam.dim}")
-    stacked = np.stack([corridor.hi, corridor.lo, corridor.midpoints])
-    upper, lower, center = stacked @ fam.matrix
-    xc = x.coords
-    cond_i = float(tree_sum(((upper - xc) * np.conj(xc - lower)).real))
-    residual = math.sqrt(float(tree_sum(abs2(xc - center))))
-    radius = corridor.radius
-    scale = max(1.0, radius * radius)
-    gap = cond_i - (radius * radius - residual * residual)
-    if abs(gap) > tol * scale:
-        raise IdentityViolation(gap, tol * scale, fam.gram_residual)
+    cond_i, residual, gap, band = _hypothesis(x.coords, fam.matrix, corridor, tol)
+    if abs(gap) > band:
+        raise IdentityViolation(float(gap), float(band), fam.gram_residual)
     return HypothesisReport(
-        cond_i_value=cond_i,
-        cond_ii_residual=residual,
-        radius=radius,
-        holds=cond_i >= -tol * scale,
+        cond_i_value=float(cond_i),
+        cond_ii_residual=float(residual),
+        radius=corridor.radius,
+        holds=bool(cond_i >= -band),
     )
+
+
+def _hypothesis(x, matrix, corridor, tol: float):
+    """Kernel of :func:`check_hypothesis` for vectors (..., dim) and families
+    (..., count, dim) under ``corridor`` (a :class:`ScalarCorridor` or
+    :class:`Corridors`).
+
+    Returns the sign-form value, the ball-form residual, the identity gap
+    and the band tol * max(1, r^2) that the gap and the sign test use.
+    """
+    stacked = np.stack([corridor.hi, corridor.lo, corridor.midpoints], axis=-2)
+    ends = stacked @ matrix
+    upper, lower, center = ends[..., 0, :], ends[..., 1, :], ends[..., 2, :]
+    cond_i = tree_sum(np.multiply(upper - x, np.conj(x - lower)).real)
+    residual = np.sqrt(tree_sum(abs2(x - center)))
+    r2 = corridor.radius * corridor.radius
+    gap = cond_i - (r2 - residual * residual)
+    return cond_i, residual, gap, tol * np.maximum(1.0, r2)
 
 
 @dataclass(frozen=True)
@@ -151,18 +192,31 @@ class CorridorSpec:
             raise ValueError("width_high must be nonnegative")
 
     def sample(self, count: int, rng: RngLike = None) -> ScalarCorridor:
-        rng = np.random.default_rng(rng)
+        lo, hi = self._sides(self._draw(np.random.default_rng(rng), count))
+        return ScalarCorridor(lo, hi, real_mode=self.mode == "real")
+
+    def _draw(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
+        """The raw uniforms of one sample, in the order the generator makes them."""
         if self.mode == "real":
-            centers = rng.uniform(self.center_low, self.center_high, count)
-            widths = rng.uniform(0.0, self.width_high, count)
-            return ScalarCorridor(centers - widths, centers + widths, real_mode=True)
-        centers = rng.uniform(self.center_low, self.center_high, count) * np.exp(
-            1j * rng.uniform(0.0, 2.0 * math.pi, count)
+            return (
+                rng.uniform(self.center_low, self.center_high, count),
+                rng.uniform(0.0, self.width_high, count),
+            )
+        return (
+            rng.uniform(self.center_low, self.center_high, count),
+            rng.uniform(0.0, 2.0 * math.pi, count),
+            rng.uniform(0.0, self.width_high, count),
+            rng.uniform(0.0, 2.0 * math.pi, count),
         )
-        widths = rng.uniform(0.0, self.width_high, count) * np.exp(
-            1j * rng.uniform(0.0, 2.0 * math.pi, count)
-        )
-        return ScalarCorridor(centers - widths, centers + widths)
+
+    def _sides(self, draws) -> tuple[np.ndarray, np.ndarray]:
+        """Corridor sides (lo, hi) from raw uniforms with any leading shape."""
+        if self.mode == "real":
+            centers, widths = draws
+        else:
+            centers = draws[0] * np.exp(1j * draws[1])
+            widths = draws[2] * np.exp(1j * draws[3])
+        return centers - widths, centers + widths
 
 
 def admissible_point(
@@ -179,17 +233,22 @@ def admissible_point(
     if not 0.0 <= slack <= 1.0:
         raise ValueError("slack must lie in [0, 1]")
     rng = np.random.default_rng(rng)
-    center = corridor.midpoints @ fam.matrix
     real = fam.real_mode and corridor.real_mode
     u = rng.standard_normal(fam.dim)
     if not real:
         u = u + 1j * rng.standard_normal(fam.dim)
-    u_norm = math.sqrt(float(tree_sum(abs2(u))))
-    if u_norm > 0.0 and corridor.radius > 0.0:
-        offset = (slack * corridor.radius / u_norm) * u
-    else:
-        offset = np.zeros(fam.dim, dtype=np.complex128)
-    return Vector(center + offset, real_mode=real)
+    return Vector(_admissible_points(fam.matrix, corridor, u, slack), real_mode=real)
+
+
+def _admissible_points(matrix, corridor, u, slack):
+    """Kernel of :func:`admissible_point`: the corridor center plus the
+    direction ``u`` (..., dim) rescaled to norm slack * radius."""
+    center = (corridor.midpoints[..., None, :] @ matrix)[..., 0, :]
+    u_norm = np.sqrt(tree_sum(abs2(u)))
+    radius = corridor.radius
+    moves = (u_norm > 0.0) & (radius > 0.0)
+    scale = np.where(moves, slack * radius / np.where(moves, u_norm, 1.0), 0.0)
+    return center + scale[..., None] * u
 
 
 def random_admissible(

@@ -14,6 +14,12 @@ The corridor width factor M implemented by :func:`m_factor` uses the
 difference form (|hi| - |lo|)^2 in its numerator; this is the form for which
 the quadratic norm bound and the projection-defect bound are equivalent, and
 the identity (1/4) M^2 + 1 == (1/4) sum (|hi|+|lo|)^2 / re_sum pins it down.
+
+Each chain's values come from one rank-polymorphic kernel (the ``_*_values``
+functions, over arrays with any leading batch shape). The public functions
+validate their inputs, check the hypothesis and wrap the kernel's
+batch-of-one result in a :class:`BoundChain`; fuzz campaigns run the same
+kernels over a whole campaign at once.
 """
 
 from __future__ import annotations
@@ -37,11 +43,30 @@ from .errors import (
     ZeroVector,
 )
 from .family import OrthonormalFamily, validate_family
-from .space import Vector, abs2, inner, norm, norm_sq, tree_sum
+from .space import Vector, abs2, inner, norm_sq, tree_sum
 
 # Single tolerance policy for every chain assertion.
 CHAIN_REL_TOL = 1e-9
 CHAIN_ABS_TOL = 1e-12
+
+
+def _chain_slacks(values: np.ndarray) -> np.ndarray:
+    """Consecutive differences of chain values (..., length)."""
+    return values[..., 1:] - values[..., :-1]
+
+
+def _chain_tolerance(values: np.ndarray) -> np.ndarray:
+    """The tolerance policy for each chain (..., length)."""
+    return np.maximum(CHAIN_ABS_TOL, CHAIN_REL_TOL * np.abs(values).max(axis=-1))
+
+
+def _chain_holds(values: np.ndarray, lhs_first: bool = True) -> np.ndarray:
+    """Whether each chain (..., length) holds at the tolerance policy."""
+    tol = _chain_tolerance(values)
+    slacks = _chain_slacks(values)
+    if not lhs_first:
+        return np.all(slacks <= tol[..., None], axis=-1)
+    return np.all(slacks >= -tol[..., None], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -63,19 +88,15 @@ class BoundChain:
 
     @property
     def tolerance(self) -> float:
-        return max(CHAIN_ABS_TOL, CHAIN_REL_TOL * max(abs(v) for v in self.values))
+        return float(_chain_tolerance(np.array(self.values)))
 
     @property
     def slacks(self) -> tuple[float, ...]:
-        return tuple(
-            self.values[k + 1] - self.values[k] for k in range(len(self.values) - 1)
-        )
+        return tuple(float(s) for s in _chain_slacks(np.array(self.values)))
 
     @property
     def all_hold(self) -> bool:
-        if not self.lhs_first:
-            return all(s <= self.tolerance for s in self.slacks)
-        return all(s >= -self.tolerance for s in self.slacks)
+        return bool(_chain_holds(np.array(self.values), self.lhs_first))
 
     @property
     def min_slack(self) -> float:
@@ -105,20 +126,30 @@ def _require(
     return report
 
 
-def _coeff_power_sum(coeffs: np.ndarray) -> float:
-    return float(tree_sum(abs2(coeffs)))
+def _coeff_power_sum(coeffs: np.ndarray) -> np.ndarray:
+    return tree_sum(abs2(coeffs))
+
+
+def _float_pow(base, exponent: float) -> np.ndarray:
+    """Elementwise Python float ``**`` (the C library ``pow``), which
+    ``np.power`` does not reproduce bit for bit."""
+    b = np.asarray(base, dtype=np.float64)
+    return np.array([v**exponent for v in b.ravel().tolist()]).reshape(b.shape)
 
 
 def bessel_defect(x: Vector, fam: OrthonormalFamily) -> float:
     """||x||^2 - sum_i |<x, e_i>|^2; nonnegative for any x, no corridor needed."""
-    return norm_sq(x) - _coeff_power_sum(fam.coefficients(x))
+    return float(norm_sq(x) - _coeff_power_sum(fam.coefficients(x)))
 
 
 def gruss_defect(x: Vector, y: Vector, fam: OrthonormalFamily) -> complex:
     """<x, y> - sum_i <x, e_i><e_i, y>, the truncated-expansion defect."""
-    a = fam.coefficients(x)
-    b = fam.coefficients(y)
-    return inner(x, y) - complex(tree_sum(a * np.conj(b)))
+    return complex(_gruss_defect(inner(x, y), fam.coefficients(x), fam.coefficients(y)))
+
+
+def _gruss_defect(p, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kernel of :func:`gruss_defect` from <x, y> and the coefficients of x, y."""
+    return p - tree_sum(np.multiply(a, np.conj(b)))
 
 
 def m_factor(corridor: ScalarCorridor) -> MFactor:
@@ -131,14 +162,19 @@ def m_factor(corridor: ScalarCorridor) -> MFactor:
     """
     if not corridor.re_sum > 0.0:
         raise NonpositiveReSum(corridor.re_sum)
-    hi_abs = np.abs(corridor.hi)
-    lo_abs = np.abs(corridor.lo)
-    cross = corridor.hi * np.conj(corridor.lo)
+    value, terms = _m_factor(corridor)
+    return MFactor(float(value), tuple(float(t) for t in terms), corridor.re_sum)
+
+
+def _m_factor(c) -> tuple[np.ndarray, np.ndarray]:
+    """Kernel of :func:`m_factor`: the value M and its numerator terms."""
+    hi_abs = np.abs(c.hi)
+    lo_abs = np.abs(c.lo)
+    cross = np.multiply(c.hi, np.conj(c.lo))
     # |hi||lo| - Re(hi conj(lo)) is nonnegative; clamp away rounding dust.
     gap = np.maximum(hi_abs * lo_abs - cross.real, 0.0)
     terms = (hi_abs - lo_abs) ** 2 + 4.0 * gap
-    value = math.sqrt(float(tree_sum(terms)) / corridor.re_sum)
-    return MFactor(value, tuple(float(t) for t in terms), corridor.re_sum)
+    return np.sqrt(tree_sum(terms) / c.re_sum), terms
 
 
 def norm_bound_linear(
@@ -155,16 +191,29 @@ def norm_bound_linear(
     if not corridor.re_sum > 0.0:
         raise NonpositiveReSum(corridor.re_sum)
     report = _require(x, fam, corridor, tol, force, "x")
-    a = fam.coefficients(x)
-    numerator = float(
-        tree_sum((corridor.hi * np.conj(a) + np.conj(corridor.lo) * a).real)
-    )
-    bound = 0.5 * numerator / math.sqrt(corridor.re_sum)
     return BoundChain(
         labels=("||x||", "corridor linear bound"),
-        values=(norm(x), bound),
+        values=_linear_values(norm_sq(x), fam.coefficients(x), corridor),
         verified=report.holds,
     )
+
+
+def _linear_values(nsq, a: np.ndarray, c) -> tuple:
+    numerator = tree_sum(
+        (np.multiply(c.hi, np.conj(a)) + np.multiply(np.conj(c.lo), a)).real
+    )
+    return np.sqrt(nsq), 0.5 * numerator / np.sqrt(c.re_sum)
+
+
+_SPLIT_LABELS = {
+    "max_sum": "corridor bound (max widths * sum coeffs)",
+    "sum_max": "corridor bound (sum widths * max coeff)",
+}
+
+
+def _check_exponent(p: float | None) -> None:
+    if p is None or not (p > 1.0) or math.isinf(p):
+        raise BadExponent(f"holder variant needs finite p > 1, got {p}")
 
 
 def norm_bound_quadratic(
@@ -187,43 +236,37 @@ def norm_bound_quadratic(
     if not corridor.re_sum > 0.0:
         raise NonpositiveReSum(corridor.re_sum)
     report = _require(x, fam, corridor, tol, force, "x")
-    a = fam.coefficients(x)
-    widths = np.abs(corridor.hi) + np.abs(corridor.lo)
-    a_abs = np.abs(a)
     if variant == "cbs":
-        bound = (
-            0.25
-            * float(tree_sum(widths**2))
-            / corridor.re_sum
-            * _coeff_power_sum(a)
-        )
-        return BoundChain(
-            labels=("||x||^2", "corridor quadratic bound (cbs)"),
-            values=(norm_sq(x), bound),
-            verified=report.holds,
-        )
-    root = math.sqrt(corridor.re_sum)
-    if variant == "max_sum":
-        split = float(np.max(widths)) * float(tree_sum(a_abs))
-        label = "corridor bound (max widths * sum coeffs)"
+        labels = ("||x||^2", "corridor quadratic bound (cbs)")
     elif variant == "holder":
-        if p is None or not (p > 1.0) or math.isinf(p):
-            raise BadExponent(f"holder variant needs finite p > 1, got {p}")
-        q = p / (p - 1.0)
-        split = float(tree_sum(widths**p)) ** (1.0 / p) * float(
-            tree_sum(a_abs**q)
-        ) ** (1.0 / q)
-        label = f"corridor bound (holder p={p:g})"
-    elif variant == "sum_max":
-        split = float(np.max(a_abs)) * float(tree_sum(widths))
-        label = "corridor bound (sum widths * max coeff)"
+        _check_exponent(p)
+        labels = ("||x||", f"corridor bound (holder p={p:g})")
+    elif variant in _SPLIT_LABELS:
+        labels = ("||x||", _SPLIT_LABELS[variant])
     else:
         raise ValueError(f"unknown variant {variant!r}")
     return BoundChain(
-        labels=("||x||", label),
-        values=(norm(x), 0.5 * split / root),
+        labels=labels,
+        values=_quadratic_values(norm_sq(x), fam.coefficients(x), corridor, variant, p),
         verified=report.holds,
     )
+
+
+def _quadratic_values(nsq, a: np.ndarray, c, variant: str, p: float | None) -> tuple:
+    widths = np.abs(c.hi) + np.abs(c.lo)
+    if variant == "cbs":
+        return nsq, 0.25 * tree_sum(widths**2) / c.re_sum * _coeff_power_sum(a)
+    a_abs = np.abs(a)
+    if variant == "max_sum":
+        split = widths.max(axis=-1) * tree_sum(a_abs)
+    elif variant == "holder":
+        q = p / (p - 1.0)
+        split = _float_pow(tree_sum(widths**p), 1.0 / p) * _float_pow(
+            tree_sum(a_abs**q), 1.0 / q
+        )
+    else:  # "sum_max"
+        split = a_abs.max(axis=-1) * tree_sum(widths)
+    return np.sqrt(nsq), 0.5 * split / np.sqrt(c.re_sum)
 
 
 def bessel_counterpart(
@@ -243,9 +286,13 @@ def bessel_counterpart(
     s = _coeff_power_sum(fam.coefficients(x))
     return BoundChain(
         labels=("0", "projection defect", "corridor defect bound"),
-        values=(0.0, bessel_defect(x, fam), 0.25 * mf.value**2 * s),
+        values=_counterpart_values(norm_sq(x), s, mf.value),
         verified=report.holds,
     )
+
+
+def _counterpart_values(nsq, s, m) -> tuple:
+    return 0.0, nsq - s, 0.25 * (m * m) * s
 
 
 @dataclass(frozen=True)
@@ -265,6 +312,14 @@ class SchwarzCounterparts:
             "norm_product_sq": self.norm_product_sq,
             "norm_product_sq_gap": self.norm_product_sq_gap,
         }
+
+
+_SCHWARZ_LABELS = (
+    ("||x|| ||y||", "midrange bound", "modulus bound"),
+    ("0", "||x|| ||y|| - |<x,y>|", "corridor gap bound"),
+    ("||x||^2 ||y||^2", "squared corridor bound"),
+    ("0", "||x||^2 ||y||^2 - |<x,y>|^2", "squared corridor gap bound"),
+)
 
 
 def schwarz_counterparts(
@@ -288,7 +343,7 @@ def schwarz_counterparts(
     ny2 = norm_sq(y)
     if ny2 == 0.0:
         raise ZeroVector("y must be nonzero")
-    re_dd = (Delta * delta.conjugate()).real
+    re_dd = float(np.multiply(Delta, np.conj(delta)).real)
     if not re_dd > 0.0:
         raise NonpositiveReSum(re_dd)
     ny = math.sqrt(ny2)
@@ -299,42 +354,38 @@ def schwarz_counterparts(
     )
     corridor = ScalarCorridor([delta * ny], [Delta * ny], real_mode=real_pair)
     report = _require(x, fam, corridor, tol, force, "x")
-
-    p = inner(x, y)
-    p_abs = abs(p)
-    nx = norm(x)
-    root_re = math.sqrt(re_dd)
-    abs_dd = abs(Delta) * abs(delta)
-    mid = 0.5 * (Delta * p.conjugate() + delta.conjugate() * p).real / root_re
-    width = abs(Delta) + abs(delta)
-    verified = report.holds
-
-    c_norm = BoundChain(
-        labels=("||x|| ||y||", "midrange bound", "modulus bound"),
-        values=(nx * ny, mid, 0.5 * width * p_abs / root_re),
-        verified=verified,
+    values = _schwarz_values(norm_sq(x), ny2, inner(x, y), delta, Delta)
+    chains = (
+        BoundChain(labels, v, verified=report.holds)
+        for labels, v in zip(_SCHWARZ_LABELS, values)
     )
+    return SchwarzCounterparts(*chains, report)
+
+
+def _schwarz_values(nsq_x, ny2, p, delta, Delta) -> tuple:
+    """The four reverse-Schwarz chains from ||x||^2, ||y||^2, <x, y> and the
+    corridor ends (delta, Delta)."""
+    re_dd = np.multiply(Delta, np.conj(delta)).real
+    root_re = np.sqrt(re_dd)
+    nx = np.sqrt(nsq_x)
+    ny = np.sqrt(ny2)
+    p_abs = np.abs(p)
+    p_sq = p_abs * p_abs
+    big = np.abs(Delta)
+    small = np.abs(delta)
+    abs_dd = big * small
+    mid = 0.5 * (np.multiply(Delta, np.conj(p)) + np.multiply(np.conj(delta), p)).real / root_re
+    width = big + small
     gap_factor = (
-        (math.sqrt(abs(Delta)) - math.sqrt(abs(delta))) ** 2
-        + 2.0 * (math.sqrt(abs_dd) - root_re)
+        np.square(np.sqrt(big) - np.sqrt(small)) + 2.0 * (np.sqrt(abs_dd) - root_re)
     ) / root_re
-    c_gap = BoundChain(
-        labels=("0", "||x|| ||y|| - |<x,y>|", "corridor gap bound"),
-        values=(0.0, nx * ny - p_abs, 0.5 * gap_factor * p_abs),
-        verified=verified,
+    sq_gap_factor = (np.square(big - small) + 4.0 * (abs_dd - re_dd)) / re_dd
+    return (
+        (nx * ny, mid, 0.5 * width * p_abs / root_re),
+        (0.0, nx * ny - p_abs, 0.5 * gap_factor * p_abs),
+        (nx * nx * ny2, 0.25 * (width * width) / re_dd * p_sq),
+        (0.0, nx * nx * ny2 - p_sq, 0.25 * sq_gap_factor * p_sq),
     )
-    c_sq = BoundChain(
-        labels=("||x||^2 ||y||^2", "squared corridor bound"),
-        values=(nx * nx * ny2, 0.25 * width**2 / re_dd * p_abs**2),
-        verified=verified,
-    )
-    sq_gap_factor = ((abs(Delta) - abs(delta)) ** 2 + 4.0 * (abs_dd - re_dd)) / re_dd
-    c_sq_gap = BoundChain(
-        labels=("0", "||x||^2 ||y||^2 - |<x,y>|^2", "squared corridor gap bound"),
-        values=(0.0, nx * nx * ny2 - p_abs**2, 0.25 * sq_gap_factor * p_abs**2),
-        verified=verified,
-    )
-    return SchwarzCounterparts(c_norm, c_gap, c_sq, c_sq_gap, report)
 
 
 def gruss_refined_sqrt(
@@ -353,15 +404,23 @@ def gruss_refined_sqrt(
     """
     rep_x = _require(x, fam, cx, tol, force, "x")
     rep_y = _require(y, fam, cy, tol, force, "y")
-    outer = cx.radius * cy.radius
-    correction = math.sqrt(max(rep_x.cond_i_value, 0.0)) * math.sqrt(
-        max(rep_y.cond_i_value, 0.0)
-    )
     return BoundChain(
         labels=("|defect|", "sign-form refined bound", "radius product"),
-        values=(abs(gruss_defect(x, y, fam)), outer - correction, outer),
+        values=_refined_sqrt_values(
+            np.abs(gruss_defect(x, y, fam)),
+            cx.radius,
+            cy.radius,
+            rep_x.cond_i_value,
+            rep_y.cond_i_value,
+        ),
         verified=rep_x.holds and rep_y.holds,
     )
+
+
+def _refined_sqrt_values(d_abs, rx, ry, sign_x, sign_y) -> tuple:
+    outer = rx * ry
+    correction = np.sqrt(np.maximum(sign_x, 0.0)) * np.sqrt(np.maximum(sign_y, 0.0))
+    return d_abs, outer - correction, outer
 
 
 def gruss_refined_midpoint(
@@ -376,26 +435,38 @@ def gruss_refined_midpoint(
     """|defect| <= r_x r_y - sum_i |mid_x,i - a_i| |mid_y,i - b_i| <= r_x r_y."""
     rep_x = _require(x, fam, cx, tol, force, "x")
     rep_y = _require(y, fam, cy, tol, force, "y")
-    a = fam.coefficients(x)
-    b = fam.coefficients(y)
-    correction = float(
-        tree_sum(np.abs(cx.midpoints - a) * np.abs(cy.midpoints - b))
-    )
-    outer = cx.radius * cy.radius
     return BoundChain(
         labels=("|defect|", "midpoint refined bound", "radius product"),
-        values=(abs(gruss_defect(x, y, fam)), outer - correction, outer),
+        values=_refined_midpoint_values(
+            np.abs(gruss_defect(x, y, fam)),
+            fam.coefficients(x),
+            fam.coefficients(y),
+            cx,
+            cy,
+        ),
         verified=rep_x.holds and rep_y.holds,
     )
 
 
+def _refined_midpoint_values(d_abs, a: np.ndarray, b: np.ndarray, cx, cy) -> tuple:
+    correction = tree_sum(np.abs(cx.midpoints - a) * np.abs(cy.midpoints - b))
+    outer = cx.radius * cy.radius
+    return d_abs, outer - correction, outer
+
+
 def schwarz_step(x: Vector, y: Vector, fam: OrthonormalFamily) -> BoundChain:
     """|defect(x, y)|^2 <= defect(x, x) * defect(y, y), valid for any inputs."""
-    d = gruss_defect(x, y, fam)
     return BoundChain(
         labels=("|defect|^2", "projection defect product"),
-        values=(abs(d) ** 2, bessel_defect(x, fam) * bessel_defect(y, fam)),
+        values=_schwarz_step_values(
+            gruss_defect(x, y, fam), bessel_defect(x, fam), bessel_defect(y, fam)
+        ),
     )
+
+
+def _schwarz_step_values(d, defect_x, defect_y) -> tuple:
+    d_abs = np.abs(d)
+    return d_abs * d_abs, defect_x * defect_y
 
 
 def gruss_bound(
@@ -410,16 +481,21 @@ def gruss_bound(
     """0 <= |defect| <= (1/4) M(cx) M(cy) (sum |a_i|^2)^(1/2) (sum |b_i|^2)^(1/2)."""
     rep_x = _require(x, fam, cx, tol, force, "x")
     rep_y = _require(y, fam, cy, tol, force, "y")
-    mx = m_factor(cx)
-    my = m_factor(cy)
-    sx = _coeff_power_sum(fam.coefficients(x))
-    sy = _coeff_power_sum(fam.coefficients(y))
-    bound = 0.25 * mx.value * my.value * math.sqrt(sx) * math.sqrt(sy)
     return BoundChain(
         labels=("0", "|defect|", "corridor width bound"),
-        values=(0.0, abs(gruss_defect(x, y, fam)), bound),
+        values=_gruss_values(
+            np.abs(gruss_defect(x, y, fam)),
+            m_factor(cx).value,
+            m_factor(cy).value,
+            _coeff_power_sum(fam.coefficients(x)),
+            _coeff_power_sum(fam.coefficients(y)),
+        ),
         verified=rep_x.holds and rep_y.holds,
     )
+
+
+def _gruss_values(d_abs, mx, my, sx, sy) -> tuple:
+    return 0.0, d_abs, 0.25 * mx * my * np.sqrt(sx) * np.sqrt(sy)
 
 
 def single_vector_ratio_chain(
@@ -439,18 +515,18 @@ def single_vector_ratio_chain(
         raise ValueError("ratio form needs a single-member family")
     rep_x = _require(x, fam, cx, tol, force, "x")
     rep_y = _require(y, fam, cy, tol, force, "y")
-    a = complex(fam.coefficients(x)[0])
-    b = complex(fam.coefficients(y)[0])
-    denom = a * b.conjugate()
+    denom = np.multiply(fam.coefficients(x)[0], np.conj(fam.coefficients(y)[0]))
     if denom == 0.0:
         raise ZeroVector("coefficients <x,e>, <y,e> must be nonzero")
-    ratio = abs(inner(x, y) / denom - 1.0)
-    bound = 0.25 * m_factor(cx).value * m_factor(cy).value
     return BoundChain(
         labels=("|<x,y>/(<x,e><e,y>) - 1|", "corridor width bound"),
-        values=(ratio, bound),
+        values=_ratio_values(inner(x, y), denom, m_factor(cx).value, m_factor(cy).value),
         verified=rep_x.holds and rep_y.holds,
     )
+
+
+def _ratio_values(p, denom, mx, my) -> tuple:
+    return np.abs(np.divide(p, denom) - 1.0), 0.25 * mx * my
 
 
 def companion_bound(
@@ -468,16 +544,25 @@ def companion_bound(
     """
     if not 0.0 < lam < 1.0:
         raise BadLambda(f"lambda must lie strictly in (0, 1), got {lam}")
-    z = Vector(
-        lam * x.coords + (1.0 - lam) * y.coords,
-        real_mode=x.real_mode and y.real_mode,
-    )
+    z = Vector(_mix(x.coords, y.coords, lam), real_mode=x.real_mode and y.real_mode)
     report = _require(z, fam, corridor, tol, force, "lam*x + (1-lam)*y")
     mf = m_factor(corridor)
-    sz = _coeff_power_sum(fam.coefficients(z))
-    bound = mf.value**2 * sz / (16.0 * lam * (1.0 - lam))
     return BoundChain(
         labels=("Re(defect)", "companion bound"),
-        values=(gruss_defect(x, y, fam).real, bound),
+        values=_companion_values(
+            gruss_defect(x, y, fam).real,
+            mf.value,
+            _coeff_power_sum(fam.coefficients(z)),
+            lam,
+        ),
         verified=report.holds,
     )
+
+
+def _mix(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
+    """The combination lam*x + (1-lam)*y whose admissibility Theorem 4.1 needs."""
+    return lam * x + (1.0 - lam) * y
+
+
+def _companion_values(d_re, m, s, lam: float) -> tuple:
+    return d_re, m * m * s / (16.0 * lam * (1.0 - lam))

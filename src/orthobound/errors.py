@@ -78,6 +78,33 @@ class NonpositiveReSum(OrthoboundError):
         super().__init__(f"corridor has nonpositive Re-sum {value:.6g}")
 
 
+class NonfiniteCorridor(OrthoboundError, ValueError):
+    """A corridor's cached re_sum or radius overflowed to inf or NaN.
+
+    Finite sides can still overflow the aggregates (at magnitudes near
+    1e155), so the check runs on the aggregates themselves. Also a
+    ``ValueError``, which callers catching invalid input already handle.
+    """
+
+    def __init__(self, re_sum: float, radius: float):
+        self.re_sum = re_sum
+        self.radius = radius
+        super().__init__(
+            f"corridor aggregates are not finite: re_sum {re_sum!r}, radius {radius!r}"
+        )
+
+
+class ChainViolated(OrthoboundError):
+    """An inequality chain that must hold on a known construction does not."""
+
+    def __init__(self, where: str, chain):
+        self.where = where
+        self.chain = chain
+        super().__init__(
+            f"chain fails on {where}: values {chain.values}, slacks {chain.slacks}"
+        )
+
+
 class BadExponent(OrthoboundError):
     """Holder exponent must satisfy p > 1."""
 

@@ -24,7 +24,7 @@ from .bounds import (
     gruss_refined_sqrt,
     norm_bound_quadratic,
 )
-from .errors import BadEpsilon, WitnessNotFound
+from .errors import BadEpsilon, ChainViolated, WitnessNotFound
 from .family import OrthonormalFamily, random_family, validate_family
 from .space import Vector
 
@@ -78,13 +78,15 @@ def sharpness_sweep(target: str, eps_grid: Sequence[float]) -> list[SweepRow]:
             corridor = ScalarCorridor([lo], [hi], real_mode=True)
             x = Vector([lo], real_mode=True)
             chain = norm_bound_quadratic(x, fam, corridor)
-            assert chain.all_hold
+            if not chain.all_hold:
+                raise ChainViolated(f"the thm21 construction at eps={eps!r}", chain)
             ratio = chain.values[0] / chain.values[1]
             rows.append(SweepRow(eps, ratio, chain.values[1], chain.values[0]))
             continue
         fam, corridor, x, lo, hi = _r2_construction(eps)
         chain = bessel_counterpart(x, fam, corridor)
-        assert chain.all_hold
+        if not chain.all_hold:
+            raise ChainViolated(f"the {target} construction at eps={eps!r}", chain)
         defect = 0.25 * (hi - lo) ** 2  # exact defect of this construction
         bound = chain.values[2]
         if target == "cor23":

@@ -31,14 +31,34 @@ QUADRATURE_TOLERANCE = 1e-8
 _PHASE_SIGNIFICANCE = 1e-8
 
 
-def _gram_residual(matrix: np.ndarray) -> tuple[float, tuple[int, int]]:
-    """Max |G - I| over the pairwise-summed Gram matrix, with its argmax pair."""
-    products = matrix[:, None, :] * np.conj(matrix)[None, :, :]
-    gram = tree_sum(products, axis=2)
-    deviation = np.abs(gram - np.eye(matrix.shape[0]))
-    flat = int(np.argmax(deviation))
-    pair = np.unravel_index(flat, deviation.shape)
-    return float(deviation[pair]), (int(pair[0]), int(pair[1]))
+def _gram_residual(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max |G - I| of each pairwise-summed Gram matrix, with its flat argmax.
+
+    ``matrix`` holds the members as rows, (..., count, dim); both results
+    have the leading shape, and ``divmod(argmax, count)`` is the worst pair.
+    """
+    products = np.multiply(matrix[..., :, None, :], np.conj(matrix)[..., None, :, :])
+    deviation = np.abs(tree_sum(products) - np.eye(matrix.shape[-2]))
+    flat = deviation.reshape(deviation.shape[:-2] + (-1,))
+    return flat.max(axis=-1), flat.argmax(axis=-1)
+
+
+def _orthonormal_rows(a: np.ndarray) -> np.ndarray:
+    """Rows of Q from the QR factorization of each (dim x count) matrix in ``a``."""
+    q, _ = np.linalg.qr(a)
+    return np.ascontiguousarray(np.swapaxes(q, -1, -2))
+
+
+def _coefficients(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """<x, e_i> for every row e_i of ``matrix`` (..., count, dim), pairwise-summed."""
+    return tree_sum(np.multiply(np.conj(matrix), x[..., None, :]))
+
+
+def _validated(matrix: np.ndarray, tolerance: float, real_mode: bool) -> "OrthonormalFamily":
+    residual, flat = _gram_residual(matrix)
+    if residual > tolerance:
+        raise GramResidualExceeded(float(residual), divmod(int(flat), len(matrix)), tolerance)
+    return OrthonormalFamily(matrix, float(residual), tolerance, real_mode)
 
 
 @dataclass(frozen=True)
@@ -79,7 +99,7 @@ class OrthonormalFamily:
         """Per-member coefficients <x, e_i>, pairwise-summed."""
         if x.dim != self.dim:
             raise DimensionMismatch(f"vector dim {x.dim} != family dim {self.dim}")
-        return tree_sum(np.conj(self.matrix) * x.coords[None, :], axis=1)
+        return _coefficients(self.matrix, x.coords)
 
     def combine(self, coeffs: Sequence[complex]) -> Vector:
         """Linear combination sum_i c_i e_i."""
@@ -111,11 +131,7 @@ def validate_family(
         if v.dim != dim:
             raise DimensionMismatch(f"member {k} has dim {v.dim}, expected {dim}")
     matrix = np.stack([v.coords for v in members])
-    residual, pair = _gram_residual(matrix)
-    if residual > tolerance:
-        raise GramResidualExceeded(residual, pair, tolerance)
-    real_mode = all(v.real_mode for v in members)
-    return OrthonormalFamily(matrix, residual, tolerance, real_mode)
+    return _validated(matrix, tolerance, all(v.real_mode for v in members))
 
 
 def _fix_phase(w: np.ndarray) -> np.ndarray:
@@ -163,6 +179,11 @@ def gram_schmidt(
     )
 
 
+def _check_size(dim: int, count: int) -> None:
+    if count < 1 or count > dim:
+        raise ValueError(f"need 1 <= count <= dim, got count={count}, dim={dim}")
+
+
 def random_family(
     dim: int,
     count: int,
@@ -171,18 +192,12 @@ def random_family(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> OrthonormalFamily:
     """Random orthonormal family via QR of a Gaussian matrix (fuzzing helper)."""
-    if count < 1 or count > dim:
-        raise ValueError(f"need 1 <= count <= dim, got count={count}, dim={dim}")
+    _check_size(dim, count)
     rng = np.random.default_rng(rng)
     a = rng.standard_normal((dim, count))
     if not real:
         a = a + 1j * rng.standard_normal((dim, count))
-    q, _ = np.linalg.qr(a)
-    matrix = np.ascontiguousarray(q.T)
-    residual, pair = _gram_residual(matrix)
-    if residual > tolerance:
-        raise GramResidualExceeded(residual, pair, tolerance)
-    return OrthonormalFamily(matrix, residual, tolerance, real_mode=real)
+    return _validated(_orthonormal_rows(a), tolerance, real)
 
 
 def trig_samples(count: int, grid: QuadratureGrid) -> list[SampledFunction]:

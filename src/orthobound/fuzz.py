@@ -1,9 +1,40 @@
 """Seeded fuzz campaigns running every bound on random admissible instances.
 
-One "bundle" draws a family plus admissible vectors/corridors for each kind
-of bound and evaluates the selected chains. Corridors whose re_sum fails to
-be positive are rejected and counted, never silently repaired. Disjoint
-seeds give independent shards; a fixed seed reproduces a campaign exactly.
+One "bundle" (trial) draws a family plus admissible vectors and corridors for
+each kind of bound and evaluates the selected chains. Corridors whose re_sum
+fails to be positive are rejected and counted, never silently repaired.
+Disjoint seeds give independent shards.
+
+A bundle makes its generator calls in this order: the family's Gaussians;
+the x and y corridors; if both are accepted, the slack and direction of x,
+then of y; per selected thm4.1 lambda, a corridor and, if it is accepted,
+the slack and direction of z and a free vector; for cor2.5, a free y and a
+one-member corridor and, if accepted, a point; for cor3.3, a one-member
+family, two corridors and, if both are accepted, two points; for
+bessel-defect and schwarz-step, two free vectors.
+
+A campaign runs in chunks of ``CHUNK`` bundles, each in two phases
+(:mod:`orthobound.campaign`):
+
+* Draw. A tight loop makes every generator call of the chunk in that order
+  and keeps the raw Gaussians and uniforms; it builds no vector, corridor or
+  chain. (Adjacent ``standard_normal`` calls are merged into one: the
+  generator fills arrays element by element, so the values are the same.)
+  The loop first assumes that no corridor is rejected. If the chunk's
+  corridors prove otherwise, the chunk is drawn again from the same
+  generator state with the rejection test inside the loop, computed by the
+  same expression as :class:`ScalarCorridor`, because a rejection changes
+  which draws follow.
+* Evaluate. Families (one stacked QR), corridors, admissible points,
+  admissibility reports and every selected chain are computed over the
+  leading bundle axis by the kernels the scalar API runs on a batch of one.
+  Each (vector, corridor) hypothesis is evaluated once per bundle.
+
+Contract: a fixed seed fixes the generator stream, call for call, and with
+it every draw, every chain value (bitwise equal to what the public scalar
+functions give on the same instance) and the summary, including the order
+of its violations and keys. A campaign that fails raises the error that
+evaluating its bundles one at a time, in order, would raise first.
 """
 
 from __future__ import annotations
@@ -12,23 +43,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .admissibility import CorridorSpec, ScalarCorridor, admissible_point
-from .bounds import (
-    BoundChain,
-    bessel_defect,
-    companion_bound,
-    gruss_bound,
-    gruss_refined_midpoint,
-    gruss_refined_sqrt,
-    norm_bound_linear,
-    norm_bound_quadratic,
-    bessel_counterpart,
-    schwarz_counterparts,
-    schwarz_step,
-    single_vector_ratio_chain,
-)
-from .family import random_family, validate_family
-from .space import Vector, norm_sq
+from .admissibility import CorridorSpec
+from .bounds import _chain_holds, _chain_slacks
+from .family import _check_size
 
 ALL_SELECTORS = (
     "thm1.1",
@@ -48,6 +65,9 @@ ALL_SELECTORS = (
     "bessel-defect",
     "schwarz-step",
 )
+
+# Trials drawn and evaluated together; bounds the memory of a campaign.
+CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -79,142 +99,62 @@ class FuzzSummary:
     def ok(self) -> bool:
         return not self.violations
 
-    def record(self, selector: str, chain: BoundChain, trial: int) -> None:
-        self.checked[selector] = self.checked.get(selector, 0) + 1
-        slack = chain.min_slack
-        if selector not in self.min_slack or slack < self.min_slack[selector]:
-            self.min_slack[selector] = slack
-        if not chain.all_hold:
-            self.violations.append(
-                {"selector": selector, "trial": trial, "values": list(chain.values)}
-            )
-
-
-def _random_vector(dim: int, rng: np.random.Generator, real: bool) -> Vector:
-    u = rng.standard_normal(dim)
-    if not real:
-        u = u + 1j * rng.standard_normal(dim)
-    return Vector(u, real_mode=real)
-
 
 def run_fuzz(config: FuzzConfig) -> FuzzSummary:
     """Run ``config.count`` bundles; returns per-selector minimum slacks."""
-    rng = np.random.default_rng(config.seed)
-    spec = config.spec()
-    real = config.mode == "real"
     summary = FuzzSummary()
-    want = set(config.selectors)
-
-    def sample_corridor(count: int):
-        corr = spec.sample(count, rng)
-        if corr.re_sum <= 0.0:
-            summary.rejected += 1
-            return None
-        return corr
-
-    for trial in range(config.count):
-        fam = random_family(config.dim, config.family_size, rng, real=real)
-        cx = sample_corridor(fam.count)
-        cy = sample_corridor(fam.count)
-        if cx is None or cy is None:
-            continue
-        summary.evaluated += 1
-        x = admissible_point(fam, cx, rng, rng.uniform())
-        y = admissible_point(fam, cy, rng, rng.uniform())
-
-        if "thm2.1" in want:
-            summary.record("thm2.1", norm_bound_quadratic(x, fam, cx), trial)
-        if "eq2.6" in want:
-            summary.record("eq2.6", norm_bound_linear(x, fam, cx), trial)
-        if "eq2.11:max" in want:
-            summary.record(
-                "eq2.11:max", norm_bound_quadratic(x, fam, cx, "max_sum"), trial
-            )
-        if "eq2.11:holder:3" in want:
-            summary.record(
-                "eq2.11:holder:3",
-                norm_bound_quadratic(x, fam, cx, "holder", config.holder_p),
-                trial,
-            )
-        if "eq2.11:sum" in want:
-            summary.record(
-                "eq2.11:sum", norm_bound_quadratic(x, fam, cx, "sum_max"), trial
-            )
-        if "cor2.3" in want:
-            summary.record("cor2.3", bessel_counterpart(x, fam, cx), trial)
-        if "thm1.1" in want:
-            summary.record("thm1.1", gruss_refined_sqrt(x, y, fam, cx, cy), trial)
-        if "thm2" in want:
-            summary.record("thm2", gruss_refined_midpoint(x, y, fam, cx, cy), trial)
-        if "thm3.1" in want:
-            summary.record("thm3.1", gruss_bound(x, y, fam, cx, cy), trial)
-
-        for lam in (0.1, 0.5, 0.9):
-            key = f"thm4.1:{lam}"
-            if key not in want:
-                continue
-            corr_z = sample_corridor(fam.count)
-            if corr_z is None:
-                continue
-            z = admissible_point(fam, corr_z, rng, rng.uniform())
-            xa = _random_vector(config.dim, rng, real)
-            yb = Vector(
-                (z.coords - lam * xa.coords) / (1.0 - lam),
-                real_mode=z.real_mode and xa.real_mode,
-            )
-            summary.record(key, companion_bound(xa, yb, fam, corr_z, lam), trial)
-
-        if "cor2.5" in want:
-            yv = _random_vector(config.dim, rng, real)
-            corr1 = sample_corridor(1)
-            if corr1 is not None:
-                ny = norm_sq(yv) ** 0.5
-                unit = Vector(yv.coords / ny, real_mode=yv.real_mode)
-                fam1 = validate_family([unit], tolerance=1e-12)
-                delta = complex(corr1.lo[0])
-                big_delta = complex(corr1.hi[0])
-                # Corridor for x over {y/||y||} is (delta*||y||, Delta*||y||).
-                corr_x = ScalarCorridor(
-                    [delta * ny],
-                    [big_delta * ny],
-                    real_mode=corr1.real_mode and yv.real_mode,
-                )
-                xs = admissible_point(fam1, corr_x, rng, rng.uniform())
-                pack = schwarz_counterparts(xs, yv, delta, big_delta)
-                for name, chain in pack.chains().items():
-                    summary.record(f"cor2.5:{name}", chain, trial)
-
-        if "cor3.3" in want:
-            fam_single = random_family(config.dim, 1, rng, real=real)
-            c1 = sample_corridor(1)
-            c2 = sample_corridor(1)
-            if c1 is not None and c2 is not None:
-                xs = admissible_point(fam_single, c1, rng, rng.uniform())
-                ys = admissible_point(fam_single, c2, rng, rng.uniform())
-                summary.record(
-                    "cor3.3", gruss_bound(xs, ys, fam_single, c1, c2), trial
-                )
-                a = fam_single.coefficients(xs)[0]
-                b = fam_single.coefficients(ys)[0]
-                if abs(a) > 1e-9 and abs(b) > 1e-9:
-                    summary.record(
-                        "cor3.3:ratio",
-                        single_vector_ratio_chain(xs, ys, fam_single, c1, c2),
-                        trial,
-                    )
-
-        if "bessel-defect" in want or "schwarz-step" in want:
-            xr = _random_vector(config.dim, rng, real)
-            yr = _random_vector(config.dim, rng, real)
-            if "bessel-defect" in want:
-                defect = bessel_defect(xr, fam)
-                floor = -1e-10 * norm_sq(xr)
-                summary.record(
-                    "bessel-defect",
-                    BoundChain(("floor", "projection defect"), (floor, defect)),
-                    trial,
-                )
-            if "schwarz-step" in want:
-                summary.record("schwarz-step", schwarz_step(xr, yr, fam), trial)
-
+    for chunk in _chunks(config):
+        _fold(summary, *chunk)
     return summary
+
+
+def _chunks(config: FuzzConfig):
+    """Draw and evaluate the campaign chunk by chunk; yields what
+    :func:`~orthobound.campaign.evaluate` returns for each."""
+    # The engine is the package's largest module; importing it here keeps it
+    # out of every process that never runs a campaign.
+    from .campaign import draw, evaluate
+
+    config.spec()  # an unknown corridor mode fails even a campaign of no bundles
+    if config.count > 0:
+        _check_size(config.dim, config.family_size)
+    rng = np.random.default_rng(config.seed)
+    for start in range(0, config.count, CHUNK):
+        trials = range(start, min(start + CHUNK, config.count))
+        state = rng.bit_generator.state
+        # A failing chunk also evaluates the rows behind its first error, so
+        # their overflow would warn about values the error already reports.
+        with np.errstate(all="ignore"):
+            chunk = evaluate(config, trials, *draw(config, rng, trials, exact=False), False)
+            if chunk is None:
+                rng.bit_generator.state = state
+                chunk = evaluate(config, trials, *draw(config, rng, trials, exact=True), True)
+        yield chunk
+
+
+def _fold(summary: FuzzSummary, evaluated: int, rejected: int, records: list) -> None:
+    """Add one chunk to the summary in the order of evaluating its bundles one
+    at a time: trial by trial, and within a trial in record order."""
+    summary.evaluated += evaluated
+    summary.rejected += rejected
+    new_keys = []
+    violations = []
+    for pos, (key, trials, values) in enumerate(records):
+        if not trials.size:
+            continue
+        slacks = _chain_slacks(values)
+        least = float(slacks.flat[np.argmin(slacks)])
+        if key not in summary.checked:
+            new_keys.append((int(trials[0]), pos, key, least))
+        elif least < summary.min_slack[key]:
+            summary.min_slack[key] = least
+        summary.checked[key] = summary.checked.get(key, 0) + int(trials.size)
+        for row in np.flatnonzero(~_chain_holds(values)):
+            violations.append(
+                (int(trials[row]), pos, {"selector": key, "trial": int(trials[row]),
+                                         "values": [float(v) for v in values[row]]})
+            )
+    for _, _, key, least in sorted(new_keys):
+        summary.checked[key] = summary.checked.pop(key)
+        summary.min_slack[key] = least
+    summary.violations.extend(v for _, _, v in sorted(violations, key=lambda t: t[:2]))

@@ -11,6 +11,17 @@ inner product is, by construction, an ordinary one.
 All reductions go through :func:`tree_sum`, a balanced pairwise summation,
 so rounding drift stays bounded and results are reproducible. The tolerance
 constants used elsewhere in the package assume this summation scheme.
+
+The numeric kernels of the package (the private functions the public API
+wraps) are rank-polymorphic: they take arrays with any leading batch shape,
+reduce along the last axis, and give every instance of a batch the same bits
+as a call on that instance alone. The scalar API is the batch-of-one case
+(an empty batch shape) and the fuzz campaigns the batch-of-many case. Two
+rules keep that promise: elementwise ufuncs round each element the same way
+whatever the array length, and complex products are written
+``np.multiply(a, b)``, never ``a * b`` on a temporary, because numpy may run
+the operator in place on a large temporary through a complex loop that
+rounds differently.
 """
 
 from __future__ import annotations
@@ -62,7 +73,7 @@ def _frozen_complex(values, *, name: str) -> np.ndarray:
     arr = np.array(values, dtype=np.complex128, copy=True).reshape(-1)
     if arr.size == 0:
         raise ValueError(f"{name} must be nonempty")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite (no NaN/Inf)")
     arr.flags.writeable = False
     return arr
@@ -133,7 +144,12 @@ def inner(x: Vector, y: Vector) -> complex:
         raise DimensionMismatch(f"dim {x.dim} != dim {y.dim}")
     if x is y:
         return complex(float(tree_sum(abs2(x.coords))))
-    return complex(tree_sum(x.coords * np.conj(y.coords)))
+    return complex(_inner(x.coords, y.coords))
+
+
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Kernel of :func:`inner` over coordinate arrays (..., dim)."""
+    return tree_sum(np.multiply(x, np.conj(y)))
 
 
 def norm_sq(x: Vector) -> float:

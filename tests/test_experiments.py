@@ -2,11 +2,14 @@ import pytest
 
 from orthobound import (
     BadEpsilon,
+    BoundChain,
+    ChainViolated,
     WitnessNotFound,
     bound_comparison_search,
     equality_cases,
     sharpness_sweep,
 )
+from orthobound import experiments
 from orthobound.experiments import sweep_rows_to_csv
 
 
@@ -81,3 +84,16 @@ def test_equality_catalog_passes():
     names = {c.name for c in report.cases}
     assert "plane construction" in names
     assert "centered zero-width corridor" in names
+
+
+@pytest.mark.parametrize(
+    "target, bound", [("thm21", "norm_bound_quadratic"), ("cor23", "bessel_counterpart"),
+                      ("cor32", "bessel_counterpart")]
+)
+def test_sweep_raises_on_failing_chain(monkeypatch, target, bound):
+    # a raised error, not an assert, so the check survives python -O
+    failing = BoundChain(("lhs", "bound"), (2.0, 1.0))
+    monkeypatch.setattr(experiments, bound, lambda *args, **kw: failing)
+    with pytest.raises(ChainViolated) as exc:
+        sharpness_sweep(target, [0.1])
+    assert exc.value.chain is failing

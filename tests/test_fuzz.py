@@ -1,0 +1,298 @@
+"""The batched fuzz campaign against a sequential reference loop.
+
+``reference_fuzz`` evaluates one bundle at a time through the public scalar
+functions, drawing from the generator in the order ``run_fuzz`` promises to
+keep. ``run_fuzz`` draws a whole chunk first and evaluates it over a leading
+trial axis; the two must agree bit for bit: same draws, same chain values,
+same summary (key order included), same first error.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from orthobound import (
+    BoundChain,
+    CorridorSpec,
+    FuzzConfig,
+    FuzzSummary,
+    HypothesisFailed,
+    NonfiniteCorridor,
+    OrthoboundError,
+    ScalarCorridor,
+    Vector,
+    admissibility,
+    admissible_point,
+    bessel_counterpart,
+    bessel_defect,
+    campaign,
+    companion_bound,
+    fuzz,
+    gruss_bound,
+    gruss_refined_midpoint,
+    gruss_refined_sqrt,
+    norm,
+    norm_bound_linear,
+    norm_bound_quadratic,
+    norm_sq,
+    random_family,
+    run_fuzz,
+    schwarz_counterparts,
+    schwarz_step,
+    single_vector_ratio_chain,
+    validate_family,
+)
+
+
+def _random_vector(dim, rng, real):
+    u = rng.standard_normal(dim)
+    if not real:
+        u = u + 1j * rng.standard_normal(dim)
+    return Vector(u, real_mode=real)
+
+
+def reference_fuzz(config, chains=None):
+    """One bundle at a time through the public API; appends every recorded
+    (selector, trial, values) to ``chains`` when given."""
+    rng = np.random.default_rng(config.seed)
+    spec = config.spec()
+    real = config.mode == "real"
+    summary = FuzzSummary()
+    want = set(config.selectors)
+
+    def record(selector, chain, trial):
+        summary.checked[selector] = summary.checked.get(selector, 0) + 1
+        slack = chain.min_slack
+        if selector not in summary.min_slack or slack < summary.min_slack[selector]:
+            summary.min_slack[selector] = slack
+        if not chain.all_hold:
+            summary.violations.append(
+                {"selector": selector, "trial": trial, "values": list(chain.values)}
+            )
+        if chains is not None:
+            chains.append((selector, trial, chain.values))
+
+    def sample_corridor(count):
+        corr = spec.sample(count, rng)
+        if corr.re_sum <= 0.0:
+            summary.rejected += 1
+            return None
+        return corr
+
+    for trial in range(config.count):
+        fam = random_family(config.dim, config.family_size, rng, real=real)
+        cx = sample_corridor(fam.count)
+        cy = sample_corridor(fam.count)
+        if cx is None or cy is None:
+            continue
+        summary.evaluated += 1
+        x = admissible_point(fam, cx, rng, rng.uniform())
+        y = admissible_point(fam, cy, rng, rng.uniform())
+
+        if "thm2.1" in want:
+            record("thm2.1", norm_bound_quadratic(x, fam, cx), trial)
+        if "eq2.6" in want:
+            record("eq2.6", norm_bound_linear(x, fam, cx), trial)
+        if "eq2.11:max" in want:
+            record("eq2.11:max", norm_bound_quadratic(x, fam, cx, "max_sum"), trial)
+        if "eq2.11:holder:3" in want:
+            record(
+                "eq2.11:holder:3",
+                norm_bound_quadratic(x, fam, cx, "holder", config.holder_p),
+                trial,
+            )
+        if "eq2.11:sum" in want:
+            record("eq2.11:sum", norm_bound_quadratic(x, fam, cx, "sum_max"), trial)
+        if "cor2.3" in want:
+            record("cor2.3", bessel_counterpart(x, fam, cx), trial)
+        if "thm1.1" in want:
+            record("thm1.1", gruss_refined_sqrt(x, y, fam, cx, cy), trial)
+        if "thm2" in want:
+            record("thm2", gruss_refined_midpoint(x, y, fam, cx, cy), trial)
+        if "thm3.1" in want:
+            record("thm3.1", gruss_bound(x, y, fam, cx, cy), trial)
+
+        for lam in (0.1, 0.5, 0.9):
+            key = f"thm4.1:{lam}"
+            if key not in want:
+                continue
+            corr_z = sample_corridor(fam.count)
+            if corr_z is None:
+                continue
+            z = admissible_point(fam, corr_z, rng, rng.uniform())
+            xa = _random_vector(config.dim, rng, real)
+            yb = Vector(
+                (z.coords - lam * xa.coords) / (1.0 - lam),
+                real_mode=z.real_mode and xa.real_mode,
+            )
+            record(key, companion_bound(xa, yb, fam, corr_z, lam), trial)
+
+        if "cor2.5" in want:
+            yv = _random_vector(config.dim, rng, real)
+            corr1 = sample_corridor(1)
+            if corr1 is not None:
+                ny = norm(yv)
+                unit = Vector(yv.coords / ny, real_mode=yv.real_mode)
+                fam1 = validate_family([unit], tolerance=1e-12)
+                delta = complex(corr1.lo[0])
+                big_delta = complex(corr1.hi[0])
+                corr_x = ScalarCorridor(
+                    [delta * ny], [big_delta * ny], real_mode=corr1.real_mode and yv.real_mode
+                )
+                xs = admissible_point(fam1, corr_x, rng, rng.uniform())
+                pack = schwarz_counterparts(xs, yv, delta, big_delta)
+                for name, chain in pack.chains().items():
+                    record(f"cor2.5:{name}", chain, trial)
+
+        if "cor3.3" in want:
+            fam_single = random_family(config.dim, 1, rng, real=real)
+            c1 = sample_corridor(1)
+            c2 = sample_corridor(1)
+            if c1 is not None and c2 is not None:
+                xs = admissible_point(fam_single, c1, rng, rng.uniform())
+                ys = admissible_point(fam_single, c2, rng, rng.uniform())
+                record("cor3.3", gruss_bound(xs, ys, fam_single, c1, c2), trial)
+                a = fam_single.coefficients(xs)[0]
+                b = fam_single.coefficients(ys)[0]
+                if abs(a) > 1e-9 and abs(b) > 1e-9:
+                    record(
+                        "cor3.3:ratio",
+                        single_vector_ratio_chain(xs, ys, fam_single, c1, c2),
+                        trial,
+                    )
+
+        if "bessel-defect" in want or "schwarz-step" in want:
+            xr = _random_vector(config.dim, rng, real)
+            yr = _random_vector(config.dim, rng, real)
+            if "bessel-defect" in want:
+                chain = BoundChain(
+                    ("floor", "projection defect"),
+                    (-1e-10 * norm_sq(xr), bessel_defect(xr, fam)),
+                )
+                record("bessel-defect", chain, trial)
+            if "schwarz-step" in want:
+                record("schwarz-step", schwarz_step(xr, yr, fam), trial)
+
+    return summary
+
+
+def _bits(values):
+    return tuple(float(v).hex() for v in values)
+
+
+def _summary_bits(s):
+    """Everything a summary holds, floats as exact bit patterns, dicts in order."""
+    return (
+        s.evaluated,
+        s.rejected,
+        [(v["selector"], v["trial"], _bits(v["values"])) for v in s.violations],
+        [(k, float(v).hex()) for k, v in s.min_slack.items()],
+        list(s.checked.items()),
+    )
+
+
+def _batched_chains(config):
+    out = {}
+    for _, _, records in fuzz._chunks(config):
+        for key, trials, values in records:
+            for trial, row in zip(trials.tolist(), values):
+                out[(key, trial)] = _bits(row)
+    return out
+
+
+CONFIGS = {
+    "complex-all": FuzzConfig(seed=202, count=300),
+    "real-cor2.3": FuzzConfig(seed=203, count=300, mode="real", selectors=("cor2.3",)),
+    # the CLI's rejecting spec: four-member corridors are all rejected, and
+    # single-member ones mix rejection and acceptance within a bundle
+    "real-rejecting": FuzzConfig(
+        seed=7, count=40, mode="real", corridor=CorridorSpec("real", -0.5, 0.5)
+    ),
+    "real-rejecting-single": FuzzConfig(
+        seed=7, count=400, family_size=1, mode="real", corridor=CorridorSpec("real", -0.5, 0.5)
+    ),
+    "complex-rejecting": FuzzConfig(
+        seed=8, count=80, corridor=CorridorSpec("complex", 0.2, 1.0, 0.9)
+    ),
+    "real-all": FuzzConfig(seed=9, count=100, mode="real"),
+    "thm4.1:0.5": FuzzConfig(seed=10, count=100, selectors=("thm4.1:0.5",)),
+    "cor2.5": FuzzConfig(seed=11, count=100, selectors=("cor2.5",)),
+    "cor3.3": FuzzConfig(seed=12, count=100, selectors=("cor3.3",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_batched_matches_sequential_reference(name):
+    config = CONFIGS[name]
+    chains = []
+    reference = reference_fuzz(config, chains)
+    batched = run_fuzz(config)
+    assert _summary_bits(batched) == _summary_bits(reference)
+    assert _batched_chains(config) == {(k, t): _bits(v) for k, t, v in chains}
+
+
+def test_rejecting_specs_really_reject():
+    assert run_fuzz(CONFIGS["real-rejecting"]).evaluated == 0
+    for name in ("real-rejecting-single", "complex-rejecting"):
+        summary = run_fuzz(CONFIGS[name])
+        assert 0 < summary.evaluated < CONFIGS[name].count
+        assert summary.rejected > CONFIGS[name].count - summary.evaluated
+
+
+def test_chunk_boundaries_do_not_change_the_campaign(monkeypatch):
+    config = FuzzConfig(seed=13, count=90, mode="real", corridor=CorridorSpec("real", -0.3, 1.0))
+    whole = _summary_bits(run_fuzz(config))
+    monkeypatch.setattr(fuzz, "CHUNK", 16)
+    assert _summary_bits(run_fuzz(config)) == whole
+
+
+def test_planted_inadmissible_draw_raises_the_reference_error(monkeypatch):
+    kernel = admissibility._admissible_points
+
+    def planted(matrix, corridor, u, slack):
+        # points drawn with slack above 0.97 land at three times the radius
+        return kernel(matrix, corridor, u, np.where(slack > 0.97, 3.0 * slack, slack))
+
+    monkeypatch.setattr(admissibility, "_admissible_points", planted)
+    monkeypatch.setattr(campaign, "_admissible_points", planted)
+    config = FuzzConfig(seed=202, count=200)
+    with pytest.raises(OrthoboundError) as ref:
+        reference_fuzz(config)
+    with pytest.raises(OrthoboundError) as got:
+        run_fuzz(config)
+    assert isinstance(ref.value, HypothesisFailed)
+    assert type(got.value) is type(ref.value)
+    assert str(got.value) == str(ref.value)
+    assert got.value.which == ref.value.which
+    assert got.value.report == ref.value.report
+
+
+def test_nonfinite_corridor_aggregates_raise_typed_error():
+    corr = ScalarCorridor([1.0 + 0.5j, 2.0], [1.5 - 0.2j, 2.5])
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonfiniteCorridor) as exc:
+        corr.scaled(1e155)
+    assert isinstance(exc.value, ValueError)
+    assert not math.isfinite(exc.value.re_sum)
+    assert corr.scaled(1e150).re_sum == pytest.approx(corr.re_sum * 1e300)
+
+
+def test_nonfinite_corridor_in_campaign_matches_reference():
+    config = FuzzConfig(seed=5, count=20, corridor=CorridorSpec("complex", 1e155, 2e155, 0.9))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonfiniteCorridor) as ref:
+        reference_fuzz(config)
+    with pytest.raises(NonfiniteCorridor) as got:
+        run_fuzz(config)
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [FuzzConfig(count=3, dim=2, family_size=4), FuzzConfig(count=0, mode="quaternion")],
+)
+def test_invalid_config_raises_the_reference_error(config):
+    with pytest.raises(ValueError) as ref:
+        reference_fuzz(config)
+    with pytest.raises(ValueError) as got:
+        run_fuzz(config)
+    assert str(got.value) == str(ref.value)
