@@ -7,8 +7,9 @@ the largest magnitude in the chain with an absolute floor of 1e-12.
 
 Conditional bounds verify admissibility first and raise
 :class:`HypothesisFailed` otherwise; evaluating them on inadmissible inputs
-is a caller bug. Passing ``force=True`` evaluates anyway and marks the chain
-unverified.
+is a caller bug. Passing ``force=True`` evaluates anyway; each chain keeps
+the hypothesis reports it was checked under, and is verified when they all
+hold.
 
 The corridor width factor M implemented by :func:`m_factor` uses the
 difference form (|hi| - |lo|)^2 in its numerator; this is the form for which
@@ -60,23 +61,21 @@ def _chain_tolerance(values: np.ndarray) -> np.ndarray:
     return np.maximum(CHAIN_ABS_TOL, CHAIN_REL_TOL * np.abs(values).max(axis=-1))
 
 
-def _chain_holds(values: np.ndarray, lhs_first: bool = True) -> np.ndarray:
+def _chain_holds(values: np.ndarray) -> np.ndarray:
     """Whether each chain (..., length) holds at the tolerance policy."""
     tol = _chain_tolerance(values)
     slacks = _chain_slacks(values)
-    if not lhs_first:
-        return np.all(slacks <= tol[..., None], axis=-1)
     return np.all(slacks >= -tol[..., None], axis=-1)
 
 
 @dataclass(frozen=True)
 class BoundChain:
-    """Ordered labeled inequality chain; holds iff values are nondecreasing."""
+    """Ordered labeled inequality chain; holds iff values are nondecreasing.
+    ``reports`` are the hypothesis reports it was evaluated under, in order."""
 
     labels: tuple[str, ...]
     values: tuple[float, ...]
-    lhs_first: bool = True
-    verified: bool = True
+    reports: tuple[HypothesisReport, ...] = ()
 
     def __post_init__(self):
         labels = tuple(str(s) for s in self.labels)
@@ -96,7 +95,12 @@ class BoundChain:
 
     @property
     def all_hold(self) -> bool:
-        return bool(_chain_holds(np.array(self.values), self.lhs_first))
+        return bool(_chain_holds(np.array(self.values)))
+
+    @property
+    def verified(self) -> bool:
+        """Whether every hypothesis the chain was evaluated under holds."""
+        return all(r.holds for r in self.reports)
 
     @property
     def min_slack(self) -> float:
@@ -119,8 +123,13 @@ def _require(
     tol: float,
     force: bool,
     which: str,
+    positive_re_sum: bool = False,
 ) -> HypothesisReport:
+    """Check the hypothesis. ``positive_re_sum`` rejects re_sum <= 0 after the
+    report's own errors (dimension, identity) and before HypothesisFailed."""
     report = check_hypothesis(x, fam, corridor, tol)
+    if positive_re_sum and not corridor.re_sum > 0.0:
+        raise NonpositiveReSum(corridor.re_sum)
     if not report.holds and not force:
         raise HypothesisFailed(which, report)
     return report
@@ -188,13 +197,11 @@ def norm_bound_linear(
 
     where a_i = <x, e_i>.
     """
-    if not corridor.re_sum > 0.0:
-        raise NonpositiveReSum(corridor.re_sum)
-    report = _require(x, fam, corridor, tol, force, "x")
+    report = _require(x, fam, corridor, tol, force, "x", positive_re_sum=True)
     return BoundChain(
         labels=("||x||", "corridor linear bound"),
         values=_linear_values(norm_sq(x), fam.coefficients(x), corridor),
-        verified=report.holds,
+        reports=(report,),
     )
 
 
@@ -233,9 +240,7 @@ def norm_bound_quadratic(
     by (1/2) / sqrt(re_sum) times the corresponding split of
     sum (|hi_i|+|lo_i|) |a_i|. Labels state which level is used.
     """
-    if not corridor.re_sum > 0.0:
-        raise NonpositiveReSum(corridor.re_sum)
-    report = _require(x, fam, corridor, tol, force, "x")
+    report = _require(x, fam, corridor, tol, force, "x", positive_re_sum=True)
     if variant == "cbs":
         labels = ("||x||^2", "corridor quadratic bound (cbs)")
     elif variant == "holder":
@@ -248,7 +253,7 @@ def norm_bound_quadratic(
     return BoundChain(
         labels=labels,
         values=_quadratic_values(norm_sq(x), fam.coefficients(x), corridor, variant, p),
-        verified=report.holds,
+        reports=(report,),
     )
 
 
@@ -287,7 +292,7 @@ def bessel_counterpart(
     return BoundChain(
         labels=("0", "projection defect", "corridor defect bound"),
         values=_counterpart_values(norm_sq(x), s, mf.value),
-        verified=report.holds,
+        reports=(report,),
     )
 
 
@@ -356,7 +361,7 @@ def schwarz_counterparts(
     report = _require(x, fam, corridor, tol, force, "x")
     values = _schwarz_values(norm_sq(x), ny2, inner(x, y), delta, Delta)
     chains = (
-        BoundChain(labels, v, verified=report.holds)
+        BoundChain(labels, v, (report,))
         for labels, v in zip(_SCHWARZ_LABELS, values)
     )
     return SchwarzCounterparts(*chains, report)
@@ -413,7 +418,7 @@ def gruss_refined_sqrt(
             rep_x.cond_i_value,
             rep_y.cond_i_value,
         ),
-        verified=rep_x.holds and rep_y.holds,
+        reports=(rep_x, rep_y),
     )
 
 
@@ -444,7 +449,7 @@ def gruss_refined_midpoint(
             cx,
             cy,
         ),
-        verified=rep_x.holds and rep_y.holds,
+        reports=(rep_x, rep_y),
     )
 
 
@@ -490,7 +495,7 @@ def gruss_bound(
             _coeff_power_sum(fam.coefficients(x)),
             _coeff_power_sum(fam.coefficients(y)),
         ),
-        verified=rep_x.holds and rep_y.holds,
+        reports=(rep_x, rep_y),
     )
 
 
@@ -521,7 +526,7 @@ def single_vector_ratio_chain(
     return BoundChain(
         labels=("|<x,y>/(<x,e><e,y>) - 1|", "corridor width bound"),
         values=_ratio_values(inner(x, y), denom, m_factor(cx).value, m_factor(cy).value),
-        verified=rep_x.holds and rep_y.holds,
+        reports=(rep_x, rep_y),
     )
 
 
@@ -555,7 +560,7 @@ def companion_bound(
             _coeff_power_sum(fam.coefficients(z)),
             lam,
         ),
-        verified=report.holds,
+        reports=(report,),
     )
 
 

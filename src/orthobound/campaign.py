@@ -23,7 +23,6 @@ from .admissibility import (
     _hypothesis,
 )
 from .bounds import (
-    _check_exponent,
     _coeff_power_sum,
     _companion_values,
     _counterpart_values,
@@ -40,7 +39,6 @@ from .bounds import (
     _schwarz_values,
 )
 from .errors import (
-    BadExponent,
     GramResidualExceeded,
     HypothesisFailed,
     IdentityViolation,
@@ -55,6 +53,7 @@ if TYPE_CHECKING:
 _X_CHAINS = ("thm2.1", "eq2.6", "eq2.11:max", "eq2.11:holder:3", "eq2.11:sum", "cor2.3")
 _PAIR_CHAINS = ("thm1.1", "thm2", "thm3.1")
 _LAMBDAS = (0.1, 0.5, 0.9)
+_HOLDER_P = 3.0  # the exponent of the "eq2.11:holder:3" selector
 _UNIT_TOLERANCE = 1e-12  # the tolerance schwarz_counterparts validates {y/||y||} at
 _SCHWARZ_CHAINS = ("norm_product", "norm_product_gap", "norm_product_sq", "norm_product_sq_gap")
 
@@ -283,7 +282,7 @@ class _Evaluation:
 
     def main(self, ev, fam, gres, cx, cy) -> None:
         """The admissible pair (x, y): single-vector and pair chains."""
-        want, p = self.want, self.config.holder_p
+        want = self.want
         x = self.point(ev, fam, cx, *self.sites["x"].rows())
         y = self.point(ev, fam, cy, *self.sites["y"].rows())
         if not want.intersection(_X_CHAINS + _PAIR_CHAINS):
@@ -291,13 +290,6 @@ class _Evaluation:
         sign_x = self.hypothesis(ev, x, fam, cx, gres, "x")
         a, nsq_x = _coefficients(fam, x), tree_sum(abs2(x))
         s_x, m_x = _coeff_power_sum(a), _m_factor(cx)[0]
-        holder = "eq2.11:holder:3" in want
-        if holder:
-            try:
-                _check_exponent(p)
-            except BadExponent as exc:  # the first bundle's holder chain raises it
-                holder = False
-                self.check(ev, np.ones(ev.size, bool), lambda i: exc)
         if want.intersection(_PAIR_CHAINS):
             sign_y = self.hypothesis(ev, y, fam, cy, gres, "y")
             b = _coefficients(fam, y)
@@ -308,8 +300,8 @@ class _Evaluation:
             self.record("eq2.6", ev, _linear_values(nsq_x, a, cx))
         if "eq2.11:max" in want:
             self.record("eq2.11:max", ev, _quadratic_values(nsq_x, a, cx, "max_sum", None))
-        if holder:
-            self.record("eq2.11:holder:3", ev, _quadratic_values(nsq_x, a, cx, "holder", p))
+        if "eq2.11:holder:3" in want:
+            self.record("eq2.11:holder:3", ev, _quadratic_values(nsq_x, a, cx, "holder", _HOLDER_P))
         if "eq2.11:sum" in want:
             self.record("eq2.11:sum", ev, _quadratic_values(nsq_x, a, cx, "sum_max", None))
         if "cor2.3" in want:

@@ -1,5 +1,9 @@
 """Command-line front end: single-instance checks, fuzz campaigns, sweeps,
-and the weighted-quadrature demo.
+the refinement incomparability witnesses and the weighted-quadrature demo.
+
+``check`` runs one entry of :data:`SELECTORS`, the catalog of bound
+selectors: each entry names the instance fields it needs and the public
+:mod:`orthobound.bounds` functions it calls.
 
 Exit codes: 0 when every requested hypothesis and chain holds, 2 when an
 instance is inadmissible for the requested bound, 1 for I/O or validation
@@ -16,31 +20,25 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import bounds, jsonio
-from .admissibility import (
-    DEFAULT_HYPOTHESIS_TOL,
-    CorridorSpec,
-    ScalarCorridor,
-    check_hypothesis,
+from .admissibility import DEFAULT_HYPOTHESIS_TOL, CorridorSpec
+from .errors import HypothesisFailed, InstanceFormatError, OrthoboundError
+from .experiments import (
+    SWEEP_TARGETS,
+    bound_comparison_search,
+    sharpness_sweep,
+    sweep_rows_to_csv,
 )
-from .errors import (
-    BadEpsilon,
-    HypothesisFailed,
-    InstanceFormatError,
-    OrthoboundError,
-)
-from .experiments import SWEEP_TARGETS, sharpness_sweep, sweep_rows_to_csv
-from .family import OrthonormalFamily, trig_samples, legendre_samples
+from .family import trig_samples, legendre_samples
 from .fuzz import FuzzConfig, run_fuzz
 from .integral import integral_instance, sandwich_check
-from .space import SampledFunction, Vector, gauss_legendre_grid
+from .space import SampledFunction, gauss_legendre_grid
 
-PAIR_SELECTORS = ("thm1.1", "thm2", "thm3.1", "cor3.3")
+SWEEP_EPS = "0.5,0.3,0.1,0.05,0.01,0.005,0.001"
 
 
 def _default_tol() -> float:
@@ -65,18 +63,16 @@ def _fail(message: str) -> int:
     return 1
 
 
-@dataclass
-class Instance:
-    family: OrthonormalFamily | None
-    x: Vector
-    cx: ScalarCorridor | None
-    y: Vector | None
-    cy: ScalarCorridor | None
-    delta: complex | None
-    big_delta: complex | None
+def _corridor(data: dict, lo: str, hi: str, path: str = ""):
+    if lo not in data and hi not in data:
+        return None
+    if lo not in data or hi not in data:
+        raise InstanceFormatError(f"{lo}/{hi}", "both corridor sides are required")
+    return jsonio.corridor_from_json(data[lo], data[hi], path)
 
 
-def _load_instance(path: str) -> Instance:
+def _load_instance(path: str) -> dict:
+    """The instance file's values by field name; absent fields are None."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -88,162 +84,145 @@ def _load_instance(path: str) -> Instance:
         raise InstanceFormatError("$", "instance must be a JSON object")
     if "x" not in data:
         raise InstanceFormatError("x", "missing required field")
-    family = jsonio.family_from_json(data["family"]) if "family" in data else None
-    x = jsonio.vector_from_json(data["x"], "x")
-    cx = None
-    if "phi" in data or "Phi" in data:
-        if "phi" not in data or "Phi" not in data:
-            raise InstanceFormatError("phi/Phi", "both corridor sides are required")
-        cx = jsonio.corridor_from_json(data["phi"], data["Phi"])
-    y = jsonio.vector_from_json(data["y"], "y") if "y" in data else None
-    cy = None
-    if "gamma" in data or "Gamma" in data:
-        if "gamma" not in data or "Gamma" not in data:
-            raise InstanceFormatError("gamma/Gamma", "both corridor sides are required")
-        cy = jsonio.corridor_from_json(data["gamma"], data["Gamma"], "y corridor ")
-    delta = jsonio.scalar_from_json(data["delta"], "delta") if "delta" in data else None
-    big_delta = (
-        jsonio.scalar_from_json(data["Delta"], "Delta") if "Delta" in data else None
-    )
-    return Instance(family, x, cx, y, cy, delta, big_delta)
+
+    def field(key, decode):
+        return decode(data[key], key) if key in data else None
+
+    return {
+        "family": field("family", jsonio.family_from_json),
+        "x": jsonio.vector_from_json(data["x"], "x"),
+        "phi/Phi": _corridor(data, "phi", "Phi"),
+        "y": field("y", jsonio.vector_from_json),
+        "gamma/Gamma": _corridor(data, "gamma", "Gamma", "y corridor "),
+        "delta": field("delta", jsonio.scalar_from_json),
+        "Delta": field("Delta", jsonio.scalar_from_json),
+    }
 
 
-def _parse_selector(raw: str) -> tuple[str, dict]:
-    if raw in ("thm1.1", "thm2", "thm2.1", "eq2.6", "cor2.3", "cor2.5", "thm3.1", "cor3.3"):
-        return raw, {}
-    if raw.startswith("eq2.11:"):
-        tail = raw.split(":", 1)[1]
-        if tail == "max":
-            return "eq2.11", {"variant": "max_sum"}
-        if tail == "sum":
-            return "eq2.11", {"variant": "sum_max"}
-        if tail.startswith("holder:"):
-            try:
-                p = float(tail.split(":", 1)[1])
-            except ValueError as exc:
-                raise InstanceFormatError("--bound", f"bad holder exponent in {raw!r}") from exc
-            return "eq2.11", {"variant": "holder", "p": p}
-        raise InstanceFormatError("--bound", f"unknown eq2.11 variant {raw!r}")
-    if raw.startswith("thm4.1:"):
-        try:
-            lam = float(raw.split(":", 1)[1])
-        except ValueError as exc:
-            raise InstanceFormatError("--bound", f"bad lambda in {raw!r}") from exc
-        return "thm4.1", {"lam": lam}
-    raise InstanceFormatError("--bound", f"unknown bound selector {raw!r}")
+def _number(raw: str, text: str, what: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise InstanceFormatError("--bound", f"bad {what} in {raw!r}") from exc
 
 
-def _require_fields(inst: Instance, selector: str) -> None:
-    if selector == "cor2.5":
-        missing = [
-            name
-            for name, val in (("y", inst.y), ("delta", inst.delta), ("Delta", inst.big_delta))
-            if val is None
-        ]
-    else:
-        missing = [] if inst.family is not None else ["family"]
-        if inst.cx is None:
-            missing.append("phi/Phi")
-        if selector in PAIR_SELECTORS or selector == "thm4.1":
-            if inst.y is None:
-                missing.append("y")
-        if selector in ("thm1.1", "thm2", "thm3.1", "cor3.3") and inst.cy is None:
-            missing.append("gamma/Gamma")
-    if missing:
-        raise InstanceFormatError(
-            ",".join(missing), f"required by bound selector {selector!r}"
-        )
+def _split_params(raw: str, tail: str) -> dict:
+    """eq2.11's split of the corridor bound: ``max``, ``sum`` or ``holder:p``."""
+    if tail == "max":
+        return {"variant": "max_sum"}
+    if tail == "sum":
+        return {"variant": "sum_max"}
+    if tail.startswith("holder:"):
+        return {"variant": "holder", "p": _number(raw, tail[len("holder:"):], "holder exponent")}
+    raise InstanceFormatError("--bound", f"unknown eq2.11 variant {raw!r}")
+
+
+def _lambda_params(raw: str, tail: str) -> dict:
+    """thm4.1's mixing weight lambda."""
+    return {"lam": _number(raw, tail, "lambda")}
+
+
+def _ratio_form_defined(inst: dict) -> bool:
+    """cor3.3's ratio form needs one member and nonzero <x, e>, <y, e>."""
+    fam = inst["family"]
+    return fam.count == 1 and all(abs(fam.coefficients(inst[v])[0]) > 0.0 for v in ("x", "y"))
+
+
+class Call(NamedTuple):
+    """One public function of :mod:`orthobound.bounds` that a selector runs."""
+
+    chain: str | None  # JSON chain name; None when the function returns named chains
+    function: str
+    when: Callable[[dict], bool] | None = None  # runs only on instances where this holds
+
+
+class Selector(NamedTuple):
+    """One entry of the bound catalog behind ``orthobound check``.
+
+    ``fields`` are the instance fields the calls need besides x, in the order
+    an error lists the missing ones. Every call takes x, y if needed, then the
+    other fields in that order. ``params`` parses the tail of "name:tail" into
+    keyword arguments; ``hypotheses`` are the JSON names of the reports the
+    chains were checked under, in the order the bound checked them.
+    """
+
+    fields: tuple[str, ...]
+    calls: tuple[Call, ...]
+    params: Callable[[str, str], dict] | None = None
+    hypotheses: tuple[str, ...] = ("x", "y")
+
+
+_X = ("family", "phi/Phi")
+_PAIR = ("family", "phi/Phi", "y", "gamma/Gamma")
+
+SELECTORS: dict[str, Selector] = {
+    "thm2.1": Selector(_X, (Call("main", "norm_bound_quadratic"),)),
+    "eq2.6": Selector(_X, (Call("main", "norm_bound_linear"),)),
+    "eq2.11": Selector(_X, (Call("main", "norm_bound_quadratic"),), _split_params),
+    "cor2.3": Selector(_X, (Call("main", "bessel_counterpart"),)),
+    "cor2.5": Selector(("y", "delta", "Delta"), (Call(None, "schwarz_counterparts"),)),
+    "thm1.1": Selector(_PAIR, (Call("main", "gruss_refined_sqrt"),)),
+    "thm2": Selector(_PAIR, (Call("main", "gruss_refined_midpoint"),)),
+    "thm3.1": Selector(_PAIR, (Call("main", "gruss_bound"),)),
+    "cor3.3": Selector(
+        _PAIR,
+        (
+            Call("main", "gruss_bound"),
+            Call("ratio_form", "single_vector_ratio_chain", _ratio_form_defined),
+        ),
+    ),
+    "thm4.1": Selector(
+        ("family", "phi/Phi", "y"), (Call("main", "companion_bound"),), _lambda_params, ("combined",)
+    ),
+}
+
+
+def _parse_selector(raw: str) -> tuple[str, Selector, dict]:
+    """A ``--bound`` value: its catalog name, entry and keyword arguments."""
+    name, colon, tail = raw.partition(":")
+    entry = SELECTORS.get(name)
+    if entry is None or bool(colon) != (entry.params is not None):
+        raise InstanceFormatError("--bound", f"unknown bound selector {raw!r}")
+    return name, entry, entry.params(raw, tail) if colon else {}
+
+
+def _evaluate(entry: Selector, inst: dict, params: dict, tol: float, force: bool) -> dict:
+    """The chains of a selector by JSON name, in call order."""
+    vectors = ["x"] + [f for f in entry.fields if f == "y"]
+    args = [inst[f] for f in vectors + [f for f in entry.fields if f != "y"]]
+    chains: dict[str, bounds.BoundChain] = {}
+    for call in entry.calls:
+        if call.when is None or call.when(inst):
+            # looked up at call time, so a patched bounds function takes effect
+            result = getattr(bounds, call.function)(*args, **params, tol=tol, force=force)
+            chains.update(result.chains() if call.chain is None else {call.chain: result})
+    return chains
 
 
 def cmd_check(args) -> int:
     tol = args.tolerance if args.tolerance is not None else _default_tol()
-    selector, extra = _parse_selector(args.bound)
+    name, entry, params = _parse_selector(args.bound)
     inst = _load_instance(args.instance)
-    _require_fields(inst, selector)
-    force = args.force
+    missing = [field for field in entry.fields if inst[field] is None]
+    if missing:
+        raise InstanceFormatError(",".join(missing), f"required by bound selector {name!r}")
     payload: dict = {"bound": args.bound}
-    chains: dict[str, bounds.BoundChain] = {}
-    reports = {}
     try:
-        if selector == "cor2.5":
-            pack = bounds.schwarz_counterparts(
-                inst.x, inst.y, inst.delta, inst.big_delta, tol=tol, force=force
-            )
-            chains.update(pack.chains())
-            reports["x"] = pack.report
-        else:
-            fam = inst.family
-            if selector in ("thm2.1", "eq2.6", "eq2.11", "cor2.3"):
-                reports["x"] = check_hypothesis(inst.x, fam, inst.cx, tol)
-            if selector == "thm2.1":
-                chains["main"] = bounds.norm_bound_quadratic(
-                    inst.x, fam, inst.cx, tol=tol, force=force
-                )
-            elif selector == "eq2.6":
-                chains["main"] = bounds.norm_bound_linear(
-                    inst.x, fam, inst.cx, tol=tol, force=force
-                )
-            elif selector == "eq2.11":
-                chains["main"] = bounds.norm_bound_quadratic(
-                    inst.x,
-                    fam,
-                    inst.cx,
-                    variant=extra["variant"],
-                    p=extra.get("p"),
-                    tol=tol,
-                    force=force,
-                )
-            elif selector == "cor2.3":
-                chains["main"] = bounds.bessel_counterpart(
-                    inst.x, fam, inst.cx, tol=tol, force=force
-                )
-            elif selector == "thm1.1":
-                chains["main"] = bounds.gruss_refined_sqrt(
-                    inst.x, inst.y, fam, inst.cx, inst.cy, tol=tol, force=force
-                )
-                reports["x"] = check_hypothesis(inst.x, fam, inst.cx, tol)
-                reports["y"] = check_hypothesis(inst.y, fam, inst.cy, tol)
-            elif selector == "thm2":
-                chains["main"] = bounds.gruss_refined_midpoint(
-                    inst.x, inst.y, fam, inst.cx, inst.cy, tol=tol, force=force
-                )
-                reports["x"] = check_hypothesis(inst.x, fam, inst.cx, tol)
-                reports["y"] = check_hypothesis(inst.y, fam, inst.cy, tol)
-            elif selector in ("thm3.1", "cor3.3"):
-                chains["main"] = bounds.gruss_bound(
-                    inst.x, inst.y, fam, inst.cx, inst.cy, tol=tol, force=force
-                )
-                reports["x"] = check_hypothesis(inst.x, fam, inst.cx, tol)
-                reports["y"] = check_hypothesis(inst.y, fam, inst.cy, tol)
-                if selector == "cor3.3" and fam.count == 1:
-                    a = fam.coefficients(inst.x)[0]
-                    b = fam.coefficients(inst.y)[0]
-                    if abs(a) > 0.0 and abs(b) > 0.0:
-                        chains["ratio_form"] = bounds.single_vector_ratio_chain(
-                            inst.x, inst.y, fam, inst.cx, inst.cy, tol=tol, force=force
-                        )
-            elif selector == "thm4.1":
-                chains["main"] = bounds.companion_bound(
-                    inst.x, inst.y, fam, inst.cx, extra["lam"], tol=tol, force=force
-                )
-                z = Vector(
-                    extra["lam"] * inst.x.coords + (1 - extra["lam"]) * inst.y.coords,
-                    real_mode=inst.x.real_mode and inst.y.real_mode,
-                )
-                reports["combined"] = check_hypothesis(z, fam, inst.cx, tol)
+        chains = _evaluate(entry, inst, params, tol, args.force)
     except HypothesisFailed as exc:
         payload["hypothesis_failed"] = exc.which
         payload["report"] = jsonio.report_to_json(exc.report)
         _emit(payload)
         return 2
 
+    reports = dict(zip(entry.hypotheses, next(iter(chains.values())).reports))
     payload["hypothesis"] = {k: jsonio.report_to_json(r) for k, r in reports.items()}
     payload["chains"] = {}
-    for name, chain in chains.items():
-        entry = jsonio.chain_to_json(chain)
+    for chain_name, chain in chains.items():
+        encoded = jsonio.chain_to_json(chain)
         if chain.values[-1] != 0.0:
-            entry["ratio"] = chain.values[-2] / chain.values[-1]
-        payload["chains"][name] = entry
+            encoded["ratio"] = chain.values[-2] / chain.values[-1]
+        payload["chains"][chain_name] = encoded
     hyps_hold = all(r.holds for r in reports.values())
     chains_hold = all(c.all_hold for c in chains.values())
     payload["holds"] = hyps_hold and chains_hold
@@ -292,6 +271,41 @@ def cmd_sweep(args) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(csv_text)
     _emit({"target": args.target, "rows": len(rows), "out": args.out})
+    return 0
+
+
+def _witness_to_json(w) -> dict:
+    """A :class:`~orthobound.experiments.ComparisonWitness` with its instance
+    in the instance-file format that ``check`` reads."""
+    cy = jsonio.corridor_to_json(w.cy)
+    return {
+        "direction": w.direction,
+        "trial": w.trial,
+        "refined_sqrt": w.refined_sqrt,
+        "refined_midpoint": w.refined_midpoint,
+        "margin": w.margin,
+        "instance": {
+            "family": jsonio.family_to_json(w.family),
+            "x": jsonio.vector_to_json(w.x),
+            "y": jsonio.vector_to_json(w.y),
+            **jsonio.corridor_to_json(w.cx),
+            "gamma": cy["phi"],
+            "Gamma": cy["Phi"],
+        },
+    }
+
+
+def cmd_witnesses(args) -> int:
+    result = bound_comparison_search(args.seed, args.trials)
+    witnesses = {
+        "seed": args.seed,
+        "trials_used": result.trials_used,
+        "sqrt_tighter": _witness_to_json(result.sqrt_tighter),
+        "midpoint_tighter": _witness_to_json(result.midpoint_tighter),
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(witnesses, fh, indent=2, sort_keys=True)
+    _emit({"seed": args.seed, "trials_used": result.trials_used, "out": args.out})
     return 0
 
 
@@ -366,9 +380,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sharpness sweep along the extremal family")
     p_sweep.add_argument("--target", choices=SWEEP_TARGETS, required=True)
-    p_sweep.add_argument("--eps", required=True, help="comma-separated values in (0,1)")
+    p_sweep.add_argument("--eps", default=SWEEP_EPS,
+                         help="comma-separated values in (0,1) (default: %(default)s)")
     p_sweep.add_argument("--out", required=True, help="CSV output path")
     p_sweep.set_defaults(func=cmd_sweep)
+
+    p_wit = sub.add_parser("witnesses",
+                           help="instances on which each pair refinement beats the other")
+    p_wit.add_argument("--seed", type=int, default=7)
+    p_wit.add_argument("--trials", type=int, default=10_000, help="search budget")
+    p_wit.add_argument("--out", default="witnesses.json", help="JSON output path")
+    p_wit.set_defaults(func=cmd_witnesses)
 
     p_demo = sub.add_parser("integral-demo", help="weighted-quadrature demonstration")
     p_demo.add_argument("--family", choices=("trig", "legendre"), required=True)
@@ -390,16 +412,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InstanceFormatError as exc:
-        return _fail(str(exc))
-    except BadEpsilon as exc:
-        return _fail(str(exc))
     except HypothesisFailed as exc:
         sys.stderr.write(f"inadmissible: {exc}\n")
         return 2
-    except OrthoboundError as exc:
-        return _fail(str(exc))
-    except (OSError, ValueError) as exc:
+    except (OrthoboundError, OSError, ValueError) as exc:
         return _fail(str(exc))
 
 

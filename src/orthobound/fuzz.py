@@ -79,7 +79,11 @@ class FuzzConfig:
     mode: str = "complex"
     corridor: CorridorSpec | None = None
     selectors: tuple[str, ...] = ALL_SELECTORS
-    holder_p: float = 3.0
+
+    def __post_init__(self):
+        unknown = [s for s in self.selectors if s not in ALL_SELECTORS]
+        if unknown:
+            raise ValueError(f"unknown fuzz selectors: {', '.join(map(repr, unknown))}")
 
     def spec(self) -> CorridorSpec:
         if self.corridor is not None:
@@ -97,7 +101,8 @@ class FuzzSummary:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        """No violations, and some bundle was evaluated unless none was drawn."""
+        return not self.violations and not (self.rejected > 0 and self.evaluated == 0)
 
 
 def run_fuzz(config: FuzzConfig) -> FuzzSummary:

@@ -1,12 +1,33 @@
 import json
 import math
+import re
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from orthobound.cli import main
+from orthobound import (
+    CorridorSpec,
+    Vector,
+    admissible_point,
+    bessel_counterpart,
+    check_hypothesis,
+    companion_bound,
+    gruss_bound,
+    gruss_refined_midpoint,
+    gruss_refined_sqrt,
+    jsonio,
+    norm_bound_linear,
+    norm_bound_quadratic,
+    random_family,
+    schwarz_counterparts,
+    single_vector_ratio_chain,
+)
+from orthobound.cli import SELECTORS, SWEEP_EPS, main
 
-DATA = Path(__file__).resolve().parents[1] / "data"
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "data"
 
 
 def run(capsys, *argv):
@@ -197,7 +218,7 @@ def test_fuzz_real_mode_negative_spec_counts_rejects(capsys):
         capsys, "fuzz", "--seed", "3", "--count", "40", "--mode", "real",
         "--center-range=-0.5,0.5",
     )
-    assert rc == 0
+    assert rc == 1  # every corridor rejected: the campaign checked nothing
     summary = json.loads(out)
     assert summary["rejected"] > 0
 
@@ -281,3 +302,166 @@ def test_env_tolerance_override(capsys, inadmissible, monkeypatch):
     rc, _, err = run(capsys, "check", "--instance", inadmissible, "--bound", "cor2.3")
     assert rc == 1
     assert "ORTHOBOUND_TOL" in err
+
+
+def test_sweep_default_eps_grid(capsys, tmp_path):
+    out_csv = tmp_path / "sweep.csv"
+    rc, _, _ = run(capsys, "sweep", "--target", "cor23", "--out", str(out_csv))
+    assert rc == 0
+    rows = out_csv.read_text().strip().split("\n")[1:]
+    assert len(rows) == 7
+    assert [float(r.split(",")[0]) for r in rows] == [float(e) for e in SWEEP_EPS.split(",")]
+
+
+def test_witnesses_writes_both_directions(capsys, tmp_path):
+    out_json = tmp_path / "witnesses.json"
+    rc, out, _ = run(capsys, "witnesses", "--seed", "7", "--trials", "10000",
+                     "--out", str(out_json))
+    assert rc == 0
+    written = json.loads(out_json.read_text())
+    assert json.loads(out)["trials_used"] == written["trials_used"] <= 10000
+    sqrt_w, mid_w = written["sqrt_tighter"], written["midpoint_tighter"]
+    assert sqrt_w["direction"] == "sqrt_tighter"
+    assert sqrt_w["refined_sqrt"] < sqrt_w["refined_midpoint"]
+    assert mid_w["direction"] == "midpoint_tighter"
+    assert mid_w["refined_midpoint"] < mid_w["refined_sqrt"]
+    # the witness instance is a check instance file on which its bound holds
+    path = write_instance(tmp_path, sqrt_w["instance"])
+    rc, out, _ = run(capsys, "check", "--instance", path, "--bound", "thm1.1")
+    assert rc == 0
+    assert json.loads(out)["chains"]["main"]["values"][1] == sqrt_w["refined_sqrt"]
+
+
+def test_witnesses_budget_too_small(capsys, tmp_path):
+    rc, _, err = run(capsys, "witnesses", "--trials", "1", "--out", str(tmp_path / "w.json"))
+    assert rc == 1
+    assert "error" in err
+
+
+def _plane_instance():
+    """One real member in R^2: cor3.3's ratio form applies."""
+    c = 1 / math.sqrt(2)
+    return {
+        "family": {"members": [[[c, 0.0], [c, 0.0]]]},
+        "x": [[1.0 * c, 0.0], [3.0 * c, 0.0]],
+        "y": [[2.0 * c, 0.0], [2.0 * c, 0.0]],
+        "phi": [[1.0, 0.0]],
+        "Phi": [[3.0, 0.0]],
+        "gamma": [[1.5, 0.0]],
+        "Gamma": [[2.5, 0.0]],
+        "delta": [0.25, 0.0],
+        "Delta": [1.5, 0.0],
+    }
+
+
+def _complex_instance():
+    """Three complex members in C^5; x and y share the corridor, so their
+    midpoint is admissible, and (delta, Delta) is centred on <x,y>/||y||^2."""
+    rng = np.random.default_rng(31)
+    fam = random_family(5, 3, rng)
+    corr = CorridorSpec().sample(3, rng)
+    x = admissible_point(fam, corr, rng, 0.2)
+    y = admissible_point(fam, corr, rng, 0.2)
+    t = np.vdot(y.coords, x.coords) / np.vdot(y.coords, y.coords)
+    s = 1.1 * np.linalg.norm(x.coords - t * y.coords) / np.linalg.norm(y.coords)
+    corridor = jsonio.corridor_to_json(corr)
+    return {
+        "family": jsonio.family_to_json(fam),
+        "x": jsonio.vector_to_json(x),
+        "y": jsonio.vector_to_json(y),
+        **corridor,
+        "gamma": corridor["phi"],
+        "Gamma": corridor["Phi"],
+        "delta": jsonio.scalar_to_json(t - s),
+        "Delta": jsonio.scalar_to_json(t + s),
+    }
+
+
+def _decode(data):
+    return SimpleNamespace(
+        fam=jsonio.family_from_json(data["family"]),
+        x=jsonio.vector_from_json(data["x"], "x"),
+        y=jsonio.vector_from_json(data["y"], "y"),
+        cx=jsonio.corridor_from_json(data["phi"], data["Phi"]),
+        cy=jsonio.corridor_from_json(data["gamma"], data["Gamma"]),
+        delta=jsonio.scalar_from_json(data["delta"], "delta"),
+        Delta=jsonio.scalar_from_json(data["Delta"], "Delta"),
+    )
+
+
+def _pair(v):
+    return v.x, v.y, v.fam, v.cx, v.cy
+
+
+def _ratio_form(v):
+    if v.fam.count != 1:
+        return {}
+    return {"ratio_form": single_vector_ratio_chain(*_pair(v))}
+
+
+# each selector's chains and hypothesis reports, written out against the public API
+REFERENCE = {
+    "thm2.1": lambda v: {"main": norm_bound_quadratic(v.x, v.fam, v.cx)},
+    "eq2.6": lambda v: {"main": norm_bound_linear(v.x, v.fam, v.cx)},
+    "eq2.11:max": lambda v: {"main": norm_bound_quadratic(v.x, v.fam, v.cx, "max_sum")},
+    "eq2.11:sum": lambda v: {"main": norm_bound_quadratic(v.x, v.fam, v.cx, "sum_max")},
+    "eq2.11:holder:3": lambda v: {
+        "main": norm_bound_quadratic(v.x, v.fam, v.cx, "holder", 3.0)
+    },
+    "cor2.3": lambda v: {"main": bessel_counterpart(v.x, v.fam, v.cx)},
+    "cor2.5": lambda v: schwarz_counterparts(v.x, v.y, v.delta, v.Delta).chains(),
+    "thm1.1": lambda v: {"main": gruss_refined_sqrt(*_pair(v))},
+    "thm2": lambda v: {"main": gruss_refined_midpoint(*_pair(v))},
+    "thm3.1": lambda v: {"main": gruss_bound(*_pair(v))},
+    "cor3.3": lambda v: {"main": gruss_bound(*_pair(v)), **_ratio_form(v)},
+    "thm4.1:0.5": lambda v: {"main": companion_bound(v.x, v.y, v.fam, v.cx, 0.5)},
+}
+
+
+def _reference_reports(bound, v):
+    if bound == "cor2.5":
+        return {"x": schwarz_counterparts(v.x, v.y, v.delta, v.Delta).report}
+    if bound == "thm4.1:0.5":
+        z = Vector(0.5 * v.x.coords + 0.5 * v.y.coords, real_mode=v.x.real_mode and v.y.real_mode)
+        return {"combined": check_hypothesis(z, v.fam, v.cx)}
+    reports = {"x": check_hypothesis(v.x, v.fam, v.cx)}
+    if bound in ("thm1.1", "thm2", "thm3.1", "cor3.3"):
+        reports["y"] = check_hypothesis(v.y, v.fam, v.cy)
+    return reports
+
+
+@pytest.mark.parametrize("make", [_plane_instance, _complex_instance])
+@pytest.mark.parametrize("bound", sorted(REFERENCE))
+def test_check_equals_public_api(capsys, tmp_path, bound, make):
+    data = make()
+    v = _decode(data)
+    chains = REFERENCE[bound](v)
+    reports = _reference_reports(bound, v)
+    encoded = {}
+    for name, chain in chains.items():
+        encoded[name] = jsonio.chain_to_json(chain)
+        if chain.values[-1] != 0.0:
+            encoded[name]["ratio"] = chain.values[-2] / chain.values[-1]
+    expected = {
+        "bound": bound,
+        "hypothesis": {k: jsonio.report_to_json(r) for k, r in reports.items()},
+        "chains": encoded,
+        "holds": True,
+    }
+    assert all(r.holds for r in reports.values())
+    assert all(c.all_hold and c.verified for c in chains.values())
+    rc, out, _ = run(capsys, "check", "--instance", write_instance(tmp_path, data),
+                     "--bound", bound)
+    assert (rc, json.loads(out)) == (0, expected)
+    assert ("ratio_form" in chains) == (bound == "cor3.3" and make is _plane_instance)
+
+
+def test_readme_selector_table_matches_the_catalog():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("### Bound selectors", 1)[1].split("\n### ", 1)[0]
+    listed = re.findall(r"^\| `([^`]+)`", section, flags=re.MULTILINE)
+    names = {sel.partition(":")[0] for sel in listed}
+    assert names == set(SELECTORS)
+    for sel in listed:
+        name, colon, _ = sel.partition(":")
+        assert bool(colon) == (SELECTORS[name].params is not None), sel

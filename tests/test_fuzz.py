@@ -99,7 +99,7 @@ def reference_fuzz(config, chains=None):
         if "eq2.11:holder:3" in want:
             record(
                 "eq2.11:holder:3",
-                norm_bound_quadratic(x, fam, cx, "holder", config.holder_p),
+                norm_bound_quadratic(x, fam, cx, "holder", 3.0),
                 trial,
             )
         if "eq2.11:sum" in want:
@@ -296,3 +296,15 @@ def test_invalid_config_raises_the_reference_error(config):
     with pytest.raises(ValueError) as got:
         run_fuzz(config)
     assert str(got.value) == str(ref.value)
+
+
+def test_unknown_selectors_are_rejected():
+    with pytest.raises(ValueError, match=r"'thm2\.1 '.*'thm9'"):
+        FuzzConfig(seed=1, count=50, selectors=("thm2.1 ", "cor2.3", "thm9"))
+
+
+def test_campaign_that_evaluated_nothing_is_not_ok():
+    summary = run_fuzz(CONFIGS["real-rejecting"])
+    assert (summary.evaluated, summary.violations) == (0, [])
+    assert summary.rejected > 0 and not summary.ok
+    assert run_fuzz(FuzzConfig(count=0)).ok
