@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -188,34 +189,48 @@ class CorridorSpec:
     def __post_init__(self):
         if self.mode not in ("real", "complex"):
             raise ValueError(f"unknown corridor mode {self.mode!r}")
+        for name in ("center_low", "center_high", "width_high"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not self.center_low <= self.center_high:
+            raise ValueError("center_low must not exceed center_high")
+        if not math.isfinite(self.center_high - self.center_low):
+            raise ValueError("center_high - center_low must be finite")
         if self.width_high < 0.0:
             raise ValueError("width_high must be nonnegative")
 
+    @cached_property
+    def _ranges(self) -> tuple[np.ndarray, np.ndarray]:
+        """(low, high - low) per part of a draw, as a column each: centers,
+        widths, and in complex mode a phase after each."""
+        ranges = [(self.center_low, self.center_high), (0.0, self.width_high)]
+        if self.mode == "complex":
+            ranges = [ranges[0], (0.0, 2.0 * math.pi), ranges[1], (0.0, 2.0 * math.pi)]
+        return np.array([[lo] for lo, _ in ranges]), np.array([[hi - lo] for lo, hi in ranges])
+
+    @property
+    def _parts(self) -> int:
+        """Rows of unit uniforms one corridor draws: 2 in real mode, 4 in complex."""
+        return 2 if self.mode == "real" else 4
+
     def sample(self, count: int, rng: RngLike = None) -> ScalarCorridor:
-        lo, hi = self._sides(self._draw(np.random.default_rng(rng), count))
+        lo, hi = self._sides(np.random.default_rng(rng).random((self._parts, count)))
         return ScalarCorridor(lo, hi, real_mode=self.mode == "real")
 
-    def _draw(self, rng: np.random.Generator, count: int) -> tuple[np.ndarray, ...]:
-        """The raw uniforms of one sample, in the order the generator makes them."""
-        if self.mode == "real":
-            return (
-                rng.uniform(self.center_low, self.center_high, count),
-                rng.uniform(0.0, self.width_high, count),
-            )
-        return (
-            rng.uniform(self.center_low, self.center_high, count),
-            rng.uniform(0.0, 2.0 * math.pi, count),
-            rng.uniform(0.0, self.width_high, count),
-            rng.uniform(0.0, 2.0 * math.pi, count),
-        )
+    def _sides(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Corridor sides (lo, hi) from unit uniforms ``u`` (..., parts, count).
 
-    def _sides(self, draws) -> tuple[np.ndarray, np.ndarray]:
-        """Corridor sides (lo, hi) from raw uniforms with any leading shape."""
+        Part j of a draw is low_j + (high_j - low_j) * u, element by element
+        the arithmetic of ``Generator.uniform(low_j, high_j)``, so the sides
+        equal those of drawing each part with ``uniform`` from the same stream.
+        """
+        low, scale = self._ranges
+        v = low + scale * u
         if self.mode == "real":
-            centers, widths = draws
+            centers, widths = v[..., 0, :], v[..., 1, :]
         else:
-            centers = draws[0] * np.exp(1j * draws[1])
-            widths = draws[2] * np.exp(1j * draws[3])
+            centers = v[..., 0, :] * np.exp(1j * v[..., 1, :])
+            widths = v[..., 2, :] * np.exp(1j * v[..., 3, :])
         return centers - widths, centers + widths
 
 

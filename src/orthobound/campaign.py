@@ -1,7 +1,7 @@
 """One chunk of a fuzz campaign, drawn and then evaluated as a batch.
 
 :func:`draw` replays the generator calls of a run of trials and keeps the
-raw draws, per draw site, in preallocated arrays; :func:`evaluate` builds
+raw draws in two buffers, one per kind of draw; :func:`evaluate` builds
 every family, corridor, admissible point and admissibility report of the
 chunk at once and evaluates the selected chains over the leading trial axis
 with the kernels of the scalar API. Both follow the block structure of one
@@ -11,6 +11,7 @@ the draw sites.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -57,27 +58,21 @@ _HOLDER_P = 3.0  # the exponent of the "eq2.11:holder:3" selector
 _UNIT_TOLERANCE = 1e-12  # the tolerance schwarz_counterparts validates {y/||y||} at
 _SCHWARZ_CHAINS = ("norm_product", "norm_product_gap", "norm_product_sq", "norm_product_sq_gap")
 
-class _Site:
-    """Preallocated draws of one site: a row per trial that drew there."""
-
-    def __init__(self, trials: int, shape: tuple, slack: bool = False):
-        self.data = np.empty((trials,) + shape)
-        self.slack = np.empty(trials) if slack else None
-        self.n = 0
-
-    def rows(self):
-        """The filled rows: the data, or (slack, data) for a point site."""
-        if self.slack is None:
-            return self.data[: self.n]
-        return self.slack[: self.n], self.data[: self.n]
+_GAUSS, _UNIT = 0, 1  # the two kinds of draws, a buffer each
 
 
 def draw(config: FuzzConfig, rng: np.random.Generator, trials: range, exact: bool):
     """Make the generator calls of ``trials`` in bundle order (see :mod:`orthobound.fuzz`).
 
-    Returns the point and vector sites and the corridor sites, by name.
-    Without ``exact`` every corridor counts as accepted; :func:`evaluate`
-    checks that assumption.
+    Adjacent draws of one kind (Gaussians, or uniforms kept raw in [0, 1))
+    form a run, drawn by one call into a contiguous slice of that kind's
+    buffer: a row per trial, columns in draw order. Returns the sites and
+    the corridor sites by name, with a row per trial that drew there:
+    normals, (slack, normals) for a point, unit uniforms (parts, count) for
+    a corridor. Without ``exact`` runs span the acceptance guards and every
+    corridor counts as accepted; :func:`evaluate` checks that assumption.
+    With ``exact`` runs are split at the guards, and each corridor is
+    tested once drawn, by the same expression as :class:`ScalarCorridor`.
     """
     spec = config.spec()
     want = set(config.selectors)
@@ -85,69 +80,75 @@ def draw(config: FuzzConfig, rng: np.random.Generator, trials: range, exact: boo
     real = config.mode == "real"
     vec = d if real else 2 * d  # random vectors
     pt = d if real and spec.mode == "real" else 2 * d  # admissible-point directions
-    normal, uniform, sample = rng.standard_normal, rng.uniform, spec._draw
-    sites, cors = {}, {}
+    sites, cors, views, cols = {}, {}, [], [0, 0]
+    runs = []  # [kind, start, stop, guard, corridors completed by the run]
 
-    def site(name, shape, slack=False, store=sites):
-        store[name] = _Site(len(trials), shape, slack)
-        return store[name]
+    def site(name, guard, *pieces, store=sites):
+        """Place the (kind, shape) draws of a site that is drawn when the
+        corridors in ``guard`` are accepted."""
+        placed = []
+        for kind, shape in pieces:
+            start = cols[kind]
+            cols[kind] += math.prod(shape)
+            placed.append((kind, start, cols[kind], shape))
+            if runs and runs[-1][0] == kind and (not exact or runs[-1][3] == guard):
+                runs[-1][2] = cols[kind]
+            else:
+                runs.append([kind, start, cols[kind], guard, []])
+            if store is cors:
+                runs[-1][4].append((name, start, cols[kind], shape))
+        views.append((store, name, guard, placed))
 
-    def corridor_site(name, count):
-        return site(name, (2 if spec.mode == "real" else 4, count), store=cors)
+    def corridor(name, guard, count):
+        site(name, guard, (_UNIT, (spec._parts, count)), store=cors)
 
-    def normals(s: _Site) -> None:
-        normal(out=s.data[s.n])
-        s.n += 1
-
-    def point(s: _Site) -> None:
-        s.slack[s.n] = uniform()
-        normals(s)
-
-    def corridor(s: _Site) -> bool:
-        draws = s.data[s.n] = sample(rng, s.data.shape[-1])
-        s.n += 1
-        return not (exact and Corridors.build(*spec._sides(draws)).re_sum <= 0.0)
-
-    fam = site("fam", (d, k) if real else (2, d, k))
-    cx, cy = corridor_site("cx", k), corridor_site("cy", k)
-    x, y = site("x", (pt,), True), site("y", (pt,), True)
-    # per lambda: the corridor, then the point's direction and the free vector x
-    lams = [
-        (corridor_site(lam, k), site(lam, (pt + vec,), True))
-        for lam in _LAMBDAS
-        if f"thm4.1:{lam}" in want
-    ]
+    ok, slack = ("cx", "cy"), (_UNIT, ())
+    site("fam", (), (_GAUSS, (d, k) if real else (2, d, k)))
+    corridor("cx", (), k)
+    corridor("cy", (), k)
+    site("x", ok, slack, (_GAUSS, (pt,)))
+    site("y", ok, slack, (_GAUSS, (pt,)))
+    for lam in _LAMBDAS:
+        if f"thm4.1:{lam}" in want:
+            corridor(lam, ok, k)
+            site(lam, ok + (lam,), slack, (_GAUSS, (pt + vec,)))  # the direction, then x
     if "cor2.5" in want:
-        yv, c25, xs = site("yv", (vec,)), corridor_site("c25", 1), site("xs", (pt,), True)
+        site("yv", ok, (_GAUSS, (vec,)))
+        corridor("c25", ok, 1)
+        site("xs", ok + ("c25",), slack, (_GAUSS, (pt,)))
     if "cor3.3" in want:
-        f1 = site("f1", (d, 1) if real else (2, d, 1))
-        c1, c2 = corridor_site("c1", 1), corridor_site("c2", 1)
-        p1, p2 = site("p1", (pt,), True), site("p2", (pt,), True)
+        site("f1", ok, (_GAUSS, (d, 1) if real else (2, d, 1)))
+        corridor("c1", ok, 1)
+        corridor("c2", ok, 1)
+        site("p1", ok + ("c1", "c2"), slack, (_GAUSS, (pt,)))
+        site("p2", ok + ("c1", "c2"), slack, (_GAUSS, (pt,)))
     if "bessel-defect" in want or "schwarz-step" in want:
-        xr = site("xr", (2 * vec,))
+        site("xr", ok, (_GAUSS, (2 * vec,)))
 
-    for _ in trials:
-        normals(fam)
-        cx_ok = corridor(cx)
-        if not (corridor(cy) and cx_ok):
-            continue
-        point(x)
-        point(y)
-        for cz, z in lams:
-            if corridor(cz):
-                point(z)
-        if "cor2.5" in want:
-            normals(yv)
-            if corridor(c25):
-                point(xs)
-        if "cor3.3" in want:
-            normals(f1)
-            c1_ok = corridor(c1)
-            if corridor(c2) and c1_ok:
-                point(p1)
-                point(p2)
-        if "xr" in sites:
-            normals(xr)
+    n = len(trials)
+    bufs = (np.empty((n, cols[_GAUSS])), np.empty((n, cols[_UNIT])))
+    fills = (rng.standard_normal, rng.random)
+    calls = [(fills[kind], bufs[kind][:, a:b]) for kind, a, b, *_ in runs]
+    if not exact:
+        for i in range(n):
+            for fill, run in calls:
+                fill(out=run[i])
+    else:
+        accepted = [set() for _ in range(n)]
+        for i, acc in enumerate(accepted):
+            for (fill, run), (*_, guard, tests) in zip(calls, runs):
+                if acc.issuperset(guard):
+                    fill(out=run[i])
+                    for name, lo, hi, shape in tests:
+                        u = bufs[_UNIT][i, lo:hi].reshape(shape)
+                        if not Corridors.build(*spec._sides(u)).re_sum <= 0.0:
+                            acc.add(name)
+    for store, name, guard, pieces in views:
+        drew = np.array([acc.issuperset(guard) for acc in accepted], bool) if exact else slice(None)
+        arrays = tuple(
+            bufs[kind][:, a:b].reshape((n,) + shape)[drew] for kind, a, b, shape in pieces
+        )
+        store[name] = arrays if len(arrays) > 1 else arrays[0]
     return sites, cors
 
 
@@ -161,11 +162,8 @@ def evaluate(config: FuzzConfig, trials: range, sites: dict, cors: dict, exact: 
     """
     e = _Evaluation(config, sites)
     trials = np.asarray(trials)
-    mats, gres = e.families(sites["fam"].rows(), trials)
-    e.cors = {
-        name: Corridors.build(*e.spec._sides(site.rows().swapaxes(0, 1)))
-        for name, site in cors.items()
-    }
+    mats, gres = e.families(sites["fam"], trials)
+    e.cors = {name: Corridors.build(*e.spec._sides(u)) for name, u in cors.items()}
     e.rejected = {name: c.re_sum <= 0.0 for name, c in e.cors.items()}
     if not exact and any(r.any() for r in e.rejected.values()):
         return None
@@ -283,8 +281,8 @@ class _Evaluation:
     def main(self, ev, fam, gres, cx, cy) -> None:
         """The admissible pair (x, y): single-vector and pair chains."""
         want = self.want
-        x = self.point(ev, fam, cx, *self.sites["x"].rows())
-        y = self.point(ev, fam, cy, *self.sites["y"].rows())
+        x = self.point(ev, fam, cx, *self.sites["x"])
+        y = self.point(ev, fam, cy, *self.sites["y"])
         if not want.intersection(_X_CHAINS + _PAIR_CHAINS):
             return
         sign_x = self.hypothesis(ev, x, fam, cx, gres, "x")
@@ -322,7 +320,7 @@ class _Evaluation:
         if not rows.size:
             return
         fam, gres, cz = _keep(z_ok, fam, gres, cz)
-        slack, w = self.sites[lam].rows()
+        slack, w = self.sites[lam]
         pt = w.shape[1] - (self.d if self.real else 2 * self.d)
         z = self.point(rows, fam, cz, slack, w[:, :pt])
         xa = self.vectors(w[:, pt:])
@@ -336,7 +334,7 @@ class _Evaluation:
 
     def schwarz(self, ev) -> None:
         """Corollary 2.5: x admissible for {y/||y||} under (delta ||y||, Delta ||y||)."""
-        yv = self.vectors(self.sites["yv"].rows())
+        yv = self.vectors(self.sites["yv"])
         c1, c1_ok = self.corridor("c25", ev)
         rows = ev[c1_ok]
         if not rows.size:
@@ -353,7 +351,7 @@ class _Evaluation:
         )
         corr_x = Corridors.build(c1.lo * ny[:, None], c1.hi * ny[:, None])
         self.check(rows, ~corr_x.finite, lambda i: _corridor_error(corr_x, i))
-        xs = self.point(rows, unit, corr_x, *self.sites["xs"].rows())
+        xs = self.point(rows, unit, corr_x, *self.sites["xs"])
         self.hypothesis(rows, xs, unit, corr_x, res, "x")
         chains = _schwarz_values(tree_sum(abs2(xs)), ny2, _inner(xs, yv), c1.lo[:, 0], c1.hi[:, 0])
         for name, values in zip(_SCHWARZ_CHAINS, chains):
@@ -361,7 +359,7 @@ class _Evaluation:
 
     def single(self, ev) -> None:
         """Corollary 3.3: a pair over a one-member family, and its ratio form."""
-        fam, gres = self.families(self.sites["f1"].rows(), ev)
+        fam, gres = self.families(self.sites["f1"], ev)
         c1, c1_ok = self.corridor("c1", ev)
         c2, c2_ok = self.corridor("c2", ev)
         both = c1_ok & c2_ok
@@ -369,8 +367,8 @@ class _Evaluation:
         if not rows.size:
             return
         fam, gres, c1, c2 = _keep(both, fam, gres, c1, c2)
-        xs = self.point(rows, fam, c1, *self.sites["p1"].rows())
-        ys = self.point(rows, fam, c2, *self.sites["p2"].rows())
+        xs = self.point(rows, fam, c1, *self.sites["p1"])
+        ys = self.point(rows, fam, c2, *self.sites["p2"])
         self.hypothesis(rows, xs, fam, c1, gres, "x")
         self.hypothesis(rows, ys, fam, c2, gres, "y")
         a, b = _coefficients(fam, xs), _coefficients(fam, ys)
@@ -389,7 +387,7 @@ class _Evaluation:
 
     def free_pair(self, ev, fam) -> None:
         """The projection defect and the Schwarz step on two unconstrained vectors."""
-        w = self.sites["xr"].rows()
+        w = self.sites["xr"]
         xr, yr = self.vectors(w[:, : w.shape[1] // 2]), self.vectors(w[:, w.shape[1] // 2 :])
         ar, br = _coefficients(fam, xr), _coefficients(fam, yr)
         nsq_r = tree_sum(abs2(xr))

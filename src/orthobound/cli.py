@@ -11,13 +11,14 @@ problems. The split lets CI tell "bound violated" (a library bug) apart from
 "instance inadmissible" (a user input problem).
 
 The environment variable ORTHOBOUND_TOL overrides the default admissibility
-tolerance.
+tolerance, and ``check --tolerance`` overrides both.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Callable, NamedTuple, Sequence
@@ -41,16 +42,20 @@ from .space import SampledFunction, gauss_legendre_grid
 SWEEP_EPS = "0.5,0.3,0.1,0.05,0.01,0.005,0.001"
 
 
-def _default_tol() -> float:
-    raw = os.environ.get("ORTHOBOUND_TOL")
+def _tolerance(cli_value: float | None) -> float:
+    """The admissibility tolerance: ``--tolerance``, else ORTHOBOUND_TOL, else
+    the default; either source must give a positive finite number."""
+    source, raw = "--tolerance", cli_value
     if raw is None:
-        return DEFAULT_HYPOTHESIS_TOL
+        source, raw = "ORTHOBOUND_TOL", os.environ.get("ORTHOBOUND_TOL")
+        if raw is None:
+            return DEFAULT_HYPOTHESIS_TOL
     try:
         tol = float(raw)
     except ValueError as exc:
-        raise InstanceFormatError("ORTHOBOUND_TOL", f"not a number: {raw!r}") from exc
-    if not tol > 0.0:
-        raise InstanceFormatError("ORTHOBOUND_TOL", "tolerance must be positive")
+        raise InstanceFormatError(source, f"not a number: {raw!r}") from exc
+    if not 0.0 < tol < math.inf:
+        raise InstanceFormatError(source, "tolerance must be positive and finite")
     return tol
 
 
@@ -200,7 +205,7 @@ def _evaluate(entry: Selector, inst: dict, params: dict, tol: float, force: bool
 
 
 def cmd_check(args) -> int:
-    tol = args.tolerance if args.tolerance is not None else _default_tol()
+    tol = _tolerance(args.tolerance)
     name, entry, params = _parse_selector(args.bound)
     inst = _load_instance(args.instance)
     missing = [field for field in entry.fields if inst[field] is None]

@@ -16,16 +16,26 @@ bessel-defect and schwarz-step, two free vectors.
 A campaign runs in chunks of ``CHUNK`` bundles, each in two phases
 (:mod:`orthobound.campaign`):
 
-* Draw. A tight loop makes every generator call of the chunk in that order
-  and keeps the raw Gaussians and uniforms; it builds no vector, corridor or
-  chain. (Adjacent ``standard_normal`` calls are merged into one: the
-  generator fills arrays element by element, so the values are the same.)
-  The loop first assumes that no corridor is rejected. If the chunk's
-  corridors prove otherwise, the chunk is drawn again from the same
-  generator state with the rejection test inside the loop, computed by the
-  same expression as :class:`ScalarCorridor`, because a rejection changes
-  which draws follow.
-* Evaluate. Families (one stacked QR), corridors, admissible points,
+* Draw. A tight loop makes the chunk's draws in that order and keeps them
+  raw; it builds no vector, corridor or chain. Adjacent draws of one kind
+  form a run that one generator call fills: ``standard_normal(out=...)``
+  for Gaussians, ``random(out=...)`` for uniforms. The generator fills
+  arrays element by element, so merged calls give the same values. Each
+  run lands in a contiguous slice of one of two buffers, Gaussians and
+  uniforms, a row per bundle with columns in draw order. Uniforms stay in
+  [0, 1); a slack is one of them as drawn (``uniform()`` is ``random()``),
+  and corridor parts are mapped to their ranges in the evaluate phase.
+  Without rejections the draw order does not branch, so the loop first
+  assumes that no corridor is rejected, and a bundle with every selector
+  in complex mode takes 17 calls. If the chunk's corridors prove
+  otherwise, the chunk is drawn again from the same generator state with
+  runs split at each acceptance test, which sits inside the loop and uses
+  the same expression as :class:`ScalarCorridor`, because a rejection
+  changes which draws follow.
+* Evaluate. Corridor parts are mapped from their unit uniforms with
+  ``low + (high - low) * u``, the arithmetic ``Generator.uniform`` does per
+  element, so every side equals the side drawn with ``uniform``.
+  Families (one stacked QR), corridors, admissible points,
   admissibility reports and every selected chain are computed over the
   leading bundle axis by the kernels the scalar API runs on a batch of one.
   Each (vector, corridor) hypothesis is evaluated once per bundle.
@@ -81,6 +91,8 @@ class FuzzConfig:
     selectors: tuple[str, ...] = ALL_SELECTORS
 
     def __post_init__(self):
+        if self.count < 0:
+            raise ValueError(f"fuzz count must be nonnegative, got {self.count}")
         unknown = [s for s in self.selectors if s not in ALL_SELECTORS]
         if unknown:
             raise ValueError(f"unknown fuzz selectors: {', '.join(map(repr, unknown))}")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -173,3 +174,49 @@ def test_spec_rejection_possible():
 def test_corridor_spec_default_positive(rng):
     spec = CorridorSpec()
     assert all(spec.sample(4, rng).re_sum > 0.0 for _ in range(100))
+
+
+def _sample_reference(spec, count, rng):
+    """Sides of one corridor drawn part by part with ``Generator.uniform``:
+    centers, their phases, half-widths, their phases (no phases in real mode)."""
+    centers = rng.uniform(spec.center_low, spec.center_high, count)
+    if spec.mode == "complex":
+        centers = centers * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, count))
+    widths = rng.uniform(0.0, spec.width_high, count)
+    if spec.mode == "complex":
+        widths = widths * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, count))
+    return centers - widths, centers + widths
+
+
+@pytest.mark.parametrize("mode", ["real", "complex"])
+@pytest.mark.parametrize(
+    "ranges", [(1.0, 2.0, 0.9), (-3.5, -0.25, 1.7), (-0.5, 0.5, 0.0), (0.75, 0.75, 0.4)]
+)
+def test_sample_keeps_the_uniform_stream(mode, ranges):
+    spec = CorridorSpec(mode, *ranges)
+    for seed in (0, 1, 202, 2**40 + 3):
+        for count in range(1, 9):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = spec.sample(count, rng)
+            lo, hi = _sample_reference(spec, count, ref_rng)
+            assert got.lo.tobytes() == np.asarray(lo, dtype=complex).tobytes()
+            assert got.hi.tobytes() == np.asarray(hi, dtype=complex).tobytes()
+            assert rng.random() == ref_rng.random()  # the same number of draws
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"center_low": 2.0, "center_high": 1.0}, "center_low must not exceed center_high"),
+        ({"center_high": math.inf}, "center_high must be finite"),
+        ({"center_low": math.nan}, "center_low must be finite"),
+        ({"center_low": -1e308, "center_high": 1e308}, "center_high - center_low must be finite"),
+        ({"width_high": math.inf}, "width_high must be finite"),
+        ({"width_high": math.nan}, "width_high must be finite"),
+        ({"width_high": -0.1}, "width_high must be nonnegative"),
+    ],
+)
+def test_corridor_spec_rejects_bad_ranges(kwargs, message):
+    for mode in ("real", "complex"):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CorridorSpec(mode, **kwargs)

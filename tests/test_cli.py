@@ -9,6 +9,7 @@ import pytest
 
 from orthobound import (
     CorridorSpec,
+    FuzzConfig,
     Vector,
     admissible_point,
     bessel_counterpart,
@@ -213,6 +214,20 @@ def test_fuzz_count_zero(capsys):
     assert json.loads(out)["evaluated"] == 0
 
 
+def test_fuzz_rejects_negative_count(capsys):
+    rc, out, err = run(capsys, "fuzz", "--count", "-5")
+    assert (rc, out) == (1, "")
+    assert "fuzz count must be nonnegative, got -5" in err
+    with pytest.raises(ValueError):
+        FuzzConfig(count=-1)
+
+
+def test_fuzz_rejects_infinite_center_range(capsys):
+    rc, out, err = run(capsys, "fuzz", "--seed", "1", "--count", "3", "--center-range=1,inf")
+    assert (rc, out) == (1, "")
+    assert "center_high must be finite" in err
+
+
 def test_fuzz_real_mode_negative_spec_counts_rejects(capsys):
     rc, out, _ = run(
         capsys, "fuzz", "--seed", "3", "--count", "40", "--mode", "real",
@@ -302,6 +317,21 @@ def test_env_tolerance_override(capsys, inadmissible, monkeypatch):
     rc, _, err = run(capsys, "check", "--instance", inadmissible, "--bound", "cor2.3")
     assert rc == 1
     assert "ORTHOBOUND_TOL" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+def test_tolerance_must_be_positive_and_finite(capsys, monkeypatch, value):
+    check = ("check", "--instance", str(DATA / "cor23_construction.json"), "--bound", "cor2.3")
+    rc, out, err = run(capsys, *check, f"--tolerance={value}")
+    assert (rc, out) == (1, "")
+    assert "--tolerance: tolerance must be positive and finite" in err
+    monkeypatch.setenv("ORTHOBOUND_TOL", value)
+    rc, out, err = run(capsys, *check)
+    assert (rc, out) == (1, "")
+    assert "ORTHOBOUND_TOL: tolerance must be positive and finite" in err
+    # an explicit --tolerance takes precedence over the environment
+    rc, _, _ = run(capsys, *check, "--tolerance=1e-10")
+    assert rc == 0
 
 
 def test_sweep_default_eps_grid(capsys, tmp_path):
