@@ -303,6 +303,18 @@ def test_integral_demo(capsys, family, nodes):
     assert all(c["all_hold"] for c in report["chains"].values())
 
 
+@pytest.mark.parametrize("family", ["trig", "legendre"])
+def test_integral_demo_benchmark_scale(capsys, family):
+    rc, out, _ = run(
+        capsys, "integral-demo", "--family", family, "--nodes", "2048", "--count", "16",
+    )
+    assert rc == 0
+    report = json.loads(out)
+    assert report["gram_residual"] <= 1e-8
+    assert report["hypothesis"]["holds"]
+    assert all(c["all_hold"] for c in report["chains"].values())
+
+
 def test_integral_demo_coarse_grid_fails(capsys):
     rc, _, err = run(capsys, "integral-demo", "--family", "trig", "--nodes", "3")
     assert rc == 1

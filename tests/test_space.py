@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +164,84 @@ def test_gauss_legendre_grid_integrates_polynomials():
     cubic = SampledFunction(grid.nodes**3, True)
     one = SampledFunction(np.ones(grid.size), True)
     assert grid_inner(cubic, one, grid) == pytest.approx(4.0)
+
+
+def _oracle_root(n, start):
+    """Root of P_n near ``start`` and its Gauss weight, to 50 digits."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(start)
+        while True:
+            p_prev, p = mpmath.mpf(1), x
+            for k in range(1, n):
+                p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+            dp = n * (p_prev - x * p) / (1 - x * x)
+            step = p / dp
+            x -= step
+            if abs(step) < mpmath.mpf(10) ** -40:
+                return x, 2 / ((1 - x * x) * dp * dp)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 64, 2048])
+def test_gauss_legendre_grid_matches_oracle(n):
+    grid = gauss_legendre_grid(n)
+    t, w = grid.nodes, grid.weights
+    sampled = range(n) if n <= 64 else (0, 1, n // 4, n // 2 - 1, n // 2, 3 * n // 4, n - 2, n - 1)
+    w_tol = 1e-13 if n <= 64 else 1e-9  # leggauss misses the n = 2048 bound at 6.3e-8
+    for i in sampled:
+        x, wx = _oracle_root(n, t[i])
+        assert abs(float(x - t[i])) <= 2e-16
+        assert abs(float((w[i] - wx) / wx)) <= w_tol
+    assert np.all(np.diff(t) > 0.0)
+    assert np.array_equal(t, -t[::-1])
+    assert np.array_equal(w, w[::-1])
+    assert abs(math.fsum(w) - 2.0) <= 1e-15
+    m = min(n, 16)  # P_j P_k has degree <= 2n - 2, integrated exactly
+    v = np.polynomial.legendre.legvander(t, m - 1)
+    gram = v.T @ (w[:, None] * v)
+    assert np.allclose(gram, np.diag(2.0 / (2.0 * np.arange(m) + 1.0)), rtol=0.0, atol=1e-14)
+
+
+def test_gauss_legendre_grid_memory_is_linear():
+    tracemalloc.start()
+    try:
+        gauss_legendre_grid(2048)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20  # one 2048 x 2048 companion matrix is 32 MiB
+
+
+def test_gauss_legendre_grid_wide_interval():
+    # b - a overflows; the half-length 0.5*b - 0.5*a does not
+    unit = gauss_legendre_grid(4)
+    grid = gauss_legendre_grid(4, -1e308, 1e308)
+    assert np.array_equal(grid.nodes, 1e308 * unit.nodes)
+    assert np.array_equal(grid.weights, 1e308 * unit.weights)
+
+
+def test_gauss_legendre_grid_affine_map():
+    unit = gauss_legendre_grid(7)
+    grid = gauss_legendre_grid(np.int64(7), 0.25, 3.0)
+    assert np.array_equal(grid.nodes, 0.5 * (3.0 - 0.25) * unit.nodes + 0.5 * (3.0 + 0.25))
+    assert np.array_equal(grid.weights, 0.5 * (3.0 - 0.25) * unit.weights)
+
+
+@pytest.mark.parametrize(
+    "n,a,b,error",
+    [
+        (0, -1.0, 1.0, ValueError),
+        (-3, -1.0, 1.0, ValueError),
+        (4, 1.0, 1.0, ValueError),
+        (4, 1.0, -1.0, ValueError),
+        (2.5, -1.0, 1.0, TypeError),
+        (4.0, -1.0, 1.0, TypeError),
+        (True, -1.0, 1.0, TypeError),
+        (np.True_, -1.0, 1.0, TypeError),
+    ],
+)
+def test_gauss_legendre_grid_rejects(n, a, b, error):
+    with pytest.raises(error):
+        gauss_legendre_grid(n, a, b)
 
 
 def test_norm_examples():
