@@ -1,12 +1,12 @@
 """One chunk of a fuzz campaign, drawn and then evaluated as a batch.
 
-:func:`draw` replays the generator calls of a run of trials and keeps the
-raw draws in two buffers, one per kind of draw; :func:`evaluate` builds
-every family, corridor, admissible point and admissibility report of the
-chunk at once and evaluates the selected chains over the leading trial axis
-with the kernels of the scalar API. Both follow the block structure of one
-bundle, which :mod:`orthobound.fuzz` describes; only the two of them know
-the draw sites.
+:func:`layout` places every draw site of a bundle at fixed columns of a row
+of uniforms; :func:`draw` fills a row per trial with one generator call and
+cuts it into the sites; :func:`evaluate` builds every family, corridor,
+admissible point and admissibility report of the chunk at once and
+evaluates the selected chains over the leading trial axis with the kernels
+of the scalar API, on the rows whose corridors were accepted. Only these
+functions know the draw sites; :mod:`orthobound.fuzz` describes the stream.
 """
 
 from __future__ import annotations
@@ -58,122 +58,113 @@ _HOLDER_P = 3.0  # the exponent of the "eq2.11:holder:3" selector
 _UNIT_TOLERANCE = 1e-12  # the tolerance schwarz_counterparts validates {y/||y||} at
 _SCHWARZ_CHAINS = ("norm_product", "norm_product_gap", "norm_product_sq", "norm_product_sq_gap")
 
-_GAUSS, _UNIT = 0, 1  # the two kinds of draws, a buffer each
+_GAUSS, _UNIT = 0, 1  # the two kinds of draws
 
 
-def draw(config: FuzzConfig, rng: np.random.Generator, trials: range, exact: bool):
-    """Make the generator calls of ``trials`` in bundle order (see :mod:`orthobound.fuzz`).
-
-    Adjacent draws of one kind (Gaussians, or uniforms kept raw in [0, 1))
-    form a run, drawn by one call into a contiguous slice of that kind's
-    buffer: a row per trial, columns in draw order. Returns the sites and
-    the corridor sites by name, with a row per trial that drew there:
-    normals, (slack, normals) for a point, unit uniforms (parts, count) for
-    a corridor. Without ``exact`` runs span the acceptance guards and every
-    corridor counts as accepted; :func:`evaluate` checks that assumption.
-    With ``exact`` runs are split at the guards, and each corridor is
-    tested once drawn, by the same expression as :class:`ScalarCorridor`.
-    """
+def _sites(config: FuzzConfig):
+    """The draw sites of a bundle in bundle order: a name, then its pieces
+    as (kind, shape). A point draws a slack, then a direction."""
     spec = config.spec()
-    want = set(config.selectors)
     d, k = config.dim, config.family_size
     real = config.mode == "real"
-    vec = d if real else 2 * d  # random vectors
-    pt = d if real and spec.mode == "real" else 2 * d  # admissible-point directions
-    sites, cors, views, cols = {}, {}, [], [0, 0]
-    runs = []  # [kind, start, stop, guard, corridors completed by the run]
+    vec = (_GAUSS, (d,) if real else (2 * d,))  # a random vector
+    pt = (_GAUSS, (d,) if real and spec.mode == "real" else (2 * d,))  # a point's direction
+    slack = (_UNIT, ())
 
-    def site(name, guard, *pieces, store=sites):
-        """Place the (kind, shape) draws of a site that is drawn when the
-        corridors in ``guard`` are accepted."""
-        placed = []
+    def family(count):
+        return (_GAUSS, (d, count) if real else (2, d, count))
+
+    def corridor(count):
+        return (_UNIT, (spec._parts, count))
+
+    yield "fam", family(k)
+    yield "cx", corridor(k)
+    yield "cy", corridor(k)
+    yield "x", slack, pt
+    yield "y", slack, pt
+    for lam in _LAMBDAS:
+        yield f"cz{lam}", corridor(k)
+        yield f"z{lam}", slack, pt, vec  # z, then the free x
+    yield "yv", vec
+    yield "c25", corridor(1)
+    yield "xs", slack, pt
+    yield "f1", family(1)
+    yield "c1", corridor(1)
+    yield "c2", corridor(1)
+    yield "p1", slack, pt
+    yield "p2", slack, pt
+    yield "xr", vec, vec
+
+
+def layout(config: FuzzConfig) -> tuple[dict, int, int]:
+    """Where each site of a bundle lies in its row of uniforms.
+
+    Returns the sites by name, each a list of (kind, start, stop, shape)
+    column ranges into its kind's block; the Gaussian block's width G,
+    rounded up to even for Box-Muller; and the stride S = G + the uniform
+    block's width. Every site is placed whatever the selectors and whatever
+    is rejected, so bundle k owns outputs [kS, (k+1)S) of the stream.
+    """
+    cols, table = [0, 0], {}
+    for name, *pieces in _sites(config):
+        placed = table[name] = []
         for kind, shape in pieces:
             start = cols[kind]
             cols[kind] += math.prod(shape)
             placed.append((kind, start, cols[kind], shape))
-            if runs and runs[-1][0] == kind and (not exact or runs[-1][3] == guard):
-                runs[-1][2] = cols[kind]
-            else:
-                runs.append([kind, start, cols[kind], guard, []])
-            if store is cors:
-                runs[-1][4].append((name, start, cols[kind], shape))
-        views.append((store, name, guard, placed))
-
-    def corridor(name, guard, count):
-        site(name, guard, (_UNIT, (spec._parts, count)), store=cors)
-
-    ok, slack = ("cx", "cy"), (_UNIT, ())
-    site("fam", (), (_GAUSS, (d, k) if real else (2, d, k)))
-    corridor("cx", (), k)
-    corridor("cy", (), k)
-    site("x", ok, slack, (_GAUSS, (pt,)))
-    site("y", ok, slack, (_GAUSS, (pt,)))
-    for lam in _LAMBDAS:
-        if f"thm4.1:{lam}" in want:
-            corridor(lam, ok, k)
-            site(lam, ok + (lam,), slack, (_GAUSS, (pt + vec,)))  # the direction, then x
-    if "cor2.5" in want:
-        site("yv", ok, (_GAUSS, (vec,)))
-        corridor("c25", ok, 1)
-        site("xs", ok + ("c25",), slack, (_GAUSS, (pt,)))
-    if "cor3.3" in want:
-        site("f1", ok, (_GAUSS, (d, 1) if real else (2, d, 1)))
-        corridor("c1", ok, 1)
-        corridor("c2", ok, 1)
-        site("p1", ok + ("c1", "c2"), slack, (_GAUSS, (pt,)))
-        site("p2", ok + ("c1", "c2"), slack, (_GAUSS, (pt,)))
-    if "bessel-defect" in want or "schwarz-step" in want:
-        site("xr", ok, (_GAUSS, (2 * vec,)))
-
-    n = len(trials)
-    bufs = (np.empty((n, cols[_GAUSS])), np.empty((n, cols[_UNIT])))
-    fills = (rng.standard_normal, rng.random)
-    calls = [(fills[kind], bufs[kind][:, a:b]) for kind, a, b, *_ in runs]
-    if not exact:
-        for i in range(n):
-            for fill, run in calls:
-                fill(out=run[i])
-    else:
-        accepted = [set() for _ in range(n)]
-        for i, acc in enumerate(accepted):
-            for (fill, run), (*_, guard, tests) in zip(calls, runs):
-                if acc.issuperset(guard):
-                    fill(out=run[i])
-                    for name, lo, hi, shape in tests:
-                        u = bufs[_UNIT][i, lo:hi].reshape(shape)
-                        if not Corridors.build(*spec._sides(u)).re_sum <= 0.0:
-                            acc.add(name)
-    for store, name, guard, pieces in views:
-        drew = np.array([acc.issuperset(guard) for acc in accepted], bool) if exact else slice(None)
-        arrays = tuple(
-            bufs[kind][:, a:b].reshape((n,) + shape)[drew] for kind, a, b, shape in pieces
-        )
-        store[name] = arrays if len(arrays) > 1 else arrays[0]
-    return sites, cors
+    gauss = cols[_GAUSS] + cols[_GAUSS] % 2
+    return table, gauss, gauss + cols[_UNIT]
 
 
-def evaluate(config: FuzzConfig, trials: range, sites: dict, cors: dict, exact: bool):
+def draw(config: FuzzConfig, rng: np.random.Generator, n: int) -> dict:
+    """Draw ``n`` bundles by one generator call: a row of S uniforms each.
+
+    Returns every site by name as a tuple of arrays, one per piece, with a
+    row per bundle. :func:`_box_muller` turns the row's first G uniforms into
+    Gaussians; corridor parts and slacks stay raw in [0, 1).
+    """
+    table, gauss, stride = layout(config)
+    u = rng.random((n, stride))
+    _box_muller(u[:, :gauss])
+    blocks = (u[:, :gauss], u[:, gauss:])
+    return {
+        name: tuple(blocks[kind][:, a:b].reshape((n,) + shape) for kind, a, b, shape in pieces)
+        for name, pieces in table.items()
+    }
+
+
+def _box_muller(u: np.ndarray) -> None:
+    """Turn an even number of uniforms in [0, 1) per row into as many
+    standard normals, in place: the first half give the radii
+    sqrt(-2 log(1 - u)), the second half the angles 2 pi u, and each pair
+    gives its cosine normal, then its sine normal."""
+    half = u.shape[-1] // 2
+    r = np.sqrt(-2.0 * np.log1p(-u[..., :half]))
+    t = 2.0 * np.pi * u[..., half:]
+    np.multiply(r, np.cos(t), out=u[..., :half])
+    np.multiply(r, np.sin(t), out=u[..., half:])
+
+
+def evaluate(config: FuzzConfig, trials: range, sites: dict):
     """Evaluate one chunk of draws.
 
     Returns (evaluated, rejected, records) with one record (selector, trials,
-    values) per selected chain, in the order a bundle records them, or None
-    when the draws assumed no rejection and a corridor is rejected. Raises
-    the chunk's first error.
+    values) per selected chain, in the order a bundle records them. A
+    corridor counts as rejected where a bundle evaluated alone would draw
+    it: the x and y corridors always, the others of the selected chains
+    only when those two are accepted. Raises the chunk's first error.
     """
-    e = _Evaluation(config, sites)
+    e = _Evaluation(config)
     trials = np.asarray(trials)
-    mats, gres = e.families(sites["fam"], trials)
-    e.cors = {name: Corridors.build(*e.spec._sides(u)) for name, u in cors.items()}
-    e.rejected = {name: c.re_sum <= 0.0 for name, c in e.cors.items()}
-    if not exact and any(r.any() for r in e.rejected.values()):
-        return None
-    cx, cx_ok = e.corridor("cx", trials)
-    cy, cy_ok = e.corridor("cy", trials)
+    mats, gres = e.families(*sites["fam"], trials)
+    cx, cx_ok = e.corridor(*sites["cx"], trials)
+    cy, cy_ok = e.corridor(*sites["cy"], trials)
     ok = cx_ok & cy_ok
     ev = trials[ok]
     if ev.size:
         fam, gres, cx, cy = _keep(ok, mats, gres, cx, cy)
         del mats
+        e.sites = {name: _keep(ok, *pieces) for name, pieces in sites.items()}
         # one group per block of a bundle; their arrays die with them
         e.main(ev, fam, gres, cx, cy)
         for lam in _LAMBDAS:
@@ -187,25 +178,23 @@ def evaluate(config: FuzzConfig, trials: range, sites: dict, cors: dict, exact: 
             e.free_pair(ev, fam)
     if e.first is not None:
         raise e.first[1]
-    rejected = sum(int(r.sum()) for r in e.rejected.values())
-    return int(ev.size), rejected, e.records
+    return int(ev.size), e.rejected, e.records
 
 
 class _Evaluation:
-    """What the evaluation of one chunk shares: its draws and corridors, its
-    chain records, and its first failed check in bundle order (by trial,
-    then by the order in which checks are registered)."""
+    """What the evaluation of one chunk shares: the draws of its evaluated
+    bundles, its rejected corridors, its chain records, and its first failed
+    check in bundle order (by trial, then by the order in which checks are
+    registered)."""
 
-    def __init__(self, config: FuzzConfig, sites: dict):
-        self.config = config
+    def __init__(self, config: FuzzConfig):
         self.spec = config.spec()
         self.want = set(config.selectors)
         self.d = config.dim
         self.real = config.mode == "real"
         self.real_pt = self.real and self.spec.mode == "real"
-        self.sites = sites
-        self.cors: dict = {}
-        self.rejected: dict = {}
+        self.sites: dict = {}
+        self.rejected = 0
         self.records: list = []
         self.step = 0
         self.first = None
@@ -244,11 +233,14 @@ class _Evaluation:
         )
         return np.asarray(mats, dtype=np.complex128), res
 
-    def corridor(self, name, trials: np.ndarray):
-        """The corridors of a site, checked, with the mask of accepted ones."""
-        c = self.cors[name]
+    def corridor(self, u: np.ndarray, trials: np.ndarray):
+        """The corridors drawn as unit uniforms ``u``, checked and counted,
+        with the mask of accepted ones."""
+        c = Corridors.build(*self.spec._sides(u))
         self.check(trials, ~c.finite, lambda i: _corridor_error(c, i))
-        return c, ~self.rejected[name]
+        rejected = c.re_sum <= 0.0
+        self.rejected += int(rejected.sum())
+        return c, ~rejected
 
     def finite(self, trials: np.ndarray, v: np.ndarray) -> np.ndarray:
         self.check(
@@ -315,15 +307,14 @@ class _Evaluation:
 
     def companion(self, ev, fam, gres, lam: float) -> None:
         """Theorem 4.1 at ``lam``: z admissible, x free, y solved from z."""
-        cz, z_ok = self.corridor(lam, ev)
+        cz, z_ok = self.corridor(*self.sites[f"cz{lam}"], ev)
         rows = ev[z_ok]
         if not rows.size:
             return
         fam, gres, cz = _keep(z_ok, fam, gres, cz)
-        slack, w = self.sites[lam]
-        pt = w.shape[1] - (self.d if self.real else 2 * self.d)
-        z = self.point(rows, fam, cz, slack, w[:, :pt])
-        xa = self.vectors(w[:, pt:])
+        slack, w, xw = _keep(z_ok, *self.sites[f"z{lam}"])
+        z = self.point(rows, fam, cz, slack, w)
+        xa = self.vectors(xw)
         yb = self.finite(rows, (z - lam * xa) / (1.0 - lam))
         z2 = _mix(xa, yb, lam)
         self.hypothesis(rows, z2, fam, cz, gres, "lam*x + (1-lam)*y")
@@ -334,8 +325,8 @@ class _Evaluation:
 
     def schwarz(self, ev) -> None:
         """Corollary 2.5: x admissible for {y/||y||} under (delta ||y||, Delta ||y||)."""
-        yv = self.vectors(self.sites["yv"])
-        c1, c1_ok = self.corridor("c25", ev)
+        yv = self.vectors(*self.sites["yv"])
+        c1, c1_ok = self.corridor(*self.sites["c25"], ev)
         rows = ev[c1_ok]
         if not rows.size:
             return
@@ -351,7 +342,7 @@ class _Evaluation:
         )
         corr_x = Corridors.build(c1.lo * ny[:, None], c1.hi * ny[:, None])
         self.check(rows, ~corr_x.finite, lambda i: _corridor_error(corr_x, i))
-        xs = self.point(rows, unit, corr_x, *self.sites["xs"])
+        xs = self.point(rows, unit, corr_x, *_keep(c1_ok, *self.sites["xs"]))
         self.hypothesis(rows, xs, unit, corr_x, res, "x")
         chains = _schwarz_values(tree_sum(abs2(xs)), ny2, _inner(xs, yv), c1.lo[:, 0], c1.hi[:, 0])
         for name, values in zip(_SCHWARZ_CHAINS, chains):
@@ -359,16 +350,16 @@ class _Evaluation:
 
     def single(self, ev) -> None:
         """Corollary 3.3: a pair over a one-member family, and its ratio form."""
-        fam, gres = self.families(self.sites["f1"], ev)
-        c1, c1_ok = self.corridor("c1", ev)
-        c2, c2_ok = self.corridor("c2", ev)
+        fam, gres = self.families(*self.sites["f1"], ev)
+        c1, c1_ok = self.corridor(*self.sites["c1"], ev)
+        c2, c2_ok = self.corridor(*self.sites["c2"], ev)
         both = c1_ok & c2_ok
         rows = ev[both]
         if not rows.size:
             return
         fam, gres, c1, c2 = _keep(both, fam, gres, c1, c2)
-        xs = self.point(rows, fam, c1, *self.sites["p1"])
-        ys = self.point(rows, fam, c2, *self.sites["p2"])
+        xs = self.point(rows, fam, c1, *_keep(both, *self.sites["p1"]))
+        ys = self.point(rows, fam, c2, *_keep(both, *self.sites["p2"]))
         self.hypothesis(rows, xs, fam, c1, gres, "x")
         self.hypothesis(rows, ys, fam, c2, gres, "y")
         a, b = _coefficients(fam, xs), _coefficients(fam, ys)
@@ -387,8 +378,7 @@ class _Evaluation:
 
     def free_pair(self, ev, fam) -> None:
         """The projection defect and the Schwarz step on two unconstrained vectors."""
-        w = self.sites["xr"]
-        xr, yr = self.vectors(w[:, : w.shape[1] // 2]), self.vectors(w[:, w.shape[1] // 2 :])
+        xr, yr = map(self.vectors, self.sites["xr"])
         ar, br = _coefficients(fam, xr), _coefficients(fam, yr)
         nsq_r = tree_sum(abs2(xr))
         defect_x = nsq_r - _coeff_power_sum(ar)

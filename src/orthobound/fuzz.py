@@ -5,46 +5,42 @@ each kind of bound and evaluates the selected chains. Corridors whose re_sum
 fails to be positive are rejected and counted, never silently repaired.
 Disjoint seeds give independent shards.
 
-A bundle makes its generator calls in this order: the family's Gaussians;
-the x and y corridors; if both are accepted, the slack and direction of x,
-then of y; per selected thm4.1 lambda, a corridor and, if it is accepted,
-the slack and direction of z and a free vector; for cor2.5, a free y and a
-one-member corridor and, if accepted, a point; for cor3.3, a one-member
-family, two corridors and, if both are accepted, two points; for
-bessel-defect and schwarz-step, two free vectors.
+The stream. A campaign draws from one ``PCG64(seed)`` stream, as
+``np.random.default_rng(seed)`` makes it, and only uniforms in [0, 1):
+``Generator.random`` takes exactly one 64-bit output per double. Every
+bundle takes a fixed stride of S of them, so bundle k owns outputs
+[kS, (k+1)S), and its draws are those of ``PCG64(seed).advance(k * S)``.
+A static layout (:func:`orthobound.campaign.layout`) gives each draw site
+of a bundle (families, corridors, slacks, point directions, free vectors)
+its columns of the row. It depends only on ``mode``, ``dim``,
+``family_size`` and the corridor mode, never on the selectors or on a
+rejection: a site that is not used leaves its columns unread. With the
+defaults S = 404, 304 of them for Gaussians. Those come first, their count
+rounded up to even, and give as many standard normals by Box-Muller: the
+first half are radii sqrt(-2 log1p(-u)), the second half angles 2 pi u,
+and each pair gives its cosine normal and its sine normal. A slack is one
+uniform as drawn; corridor parts are mapped to their ranges by the
+arithmetic of :meth:`CorridorSpec.sample`.
 
 A campaign runs in chunks of ``CHUNK`` bundles, each in two phases
 (:mod:`orthobound.campaign`):
 
-* Draw. A tight loop makes the chunk's draws in that order and keeps them
-  raw; it builds no vector, corridor or chain. Adjacent draws of one kind
-  form a run that one generator call fills: ``standard_normal(out=...)``
-  for Gaussians, ``random(out=...)`` for uniforms. The generator fills
-  arrays element by element, so merged calls give the same values. Each
-  run lands in a contiguous slice of one of two buffers, Gaussians and
-  uniforms, a row per bundle with columns in draw order. Uniforms stay in
-  [0, 1); a slack is one of them as drawn (``uniform()`` is ``random()``),
-  and corridor parts are mapped to their ranges in the evaluate phase.
-  Without rejections the draw order does not branch, so the loop first
-  assumes that no corridor is rejected, and a bundle with every selector
-  in complex mode takes 17 calls. If the chunk's corridors prove
-  otherwise, the chunk is drawn again from the same generator state with
-  runs split at each acceptance test, which sits inside the loop and uses
-  the same expression as :class:`ScalarCorridor`, because a rejection
-  changes which draws follow.
-* Evaluate. Corridor parts are mapped from their unit uniforms with
-  ``low + (high - low) * u``, the arithmetic ``Generator.uniform`` does per
-  element, so every side equals the side drawn with ``uniform``.
-  Families (one stacked QR), corridors, admissible points,
+* Draw. One ``rng.random((n, S))`` call fills a row per bundle, and
+  Box-Muller turns its Gaussian columns into normals.
+* Evaluate. Families (one stacked QR), corridors, admissible points,
   admissibility reports and every selected chain are computed over the
-  leading bundle axis by the kernels the scalar API runs on a batch of one.
-  Each (vector, corridor) hypothesis is evaluated once per bundle.
+  leading bundle axis by the kernels the scalar API runs on a batch of one,
+  on the rows whose corridors were accepted. Each (vector, corridor)
+  hypothesis is evaluated once per bundle.
 
-Contract: a fixed seed fixes the generator stream, call for call, and with
-it every draw, every chain value (bitwise equal to what the public scalar
-functions give on the same instance) and the summary, including the order
-of its violations and keys. A campaign that fails raises the error that
-evaluating its bundles one at a time, in order, would raise first.
+Contract: a fixed seed fixes every draw, every chain value (bitwise equal
+to what the public scalar functions give on the same instance) and the
+summary, including the order of its violations and keys; a bundle replayed
+alone from (seed, trial) gives the values it gives within its campaign. A
+campaign that fails raises the error that evaluating its bundles one at a
+time, in order, would raise first. The bits hold within one numpy build
+and CPU dispatch: Box-Muller uses numpy's SIMD ``log1p``, ``cos`` and
+``sin``, which may round differently on another instruction set.
 """
 
 from __future__ import annotations
@@ -93,14 +89,15 @@ class FuzzConfig:
     def __post_init__(self):
         if self.count < 0:
             raise ValueError(f"fuzz count must be nonnegative, got {self.count}")
+        if not self.selectors:
+            raise ValueError("fuzz selectors must not be empty")
         unknown = [s for s in self.selectors if s not in ALL_SELECTORS]
         if unknown:
             raise ValueError(f"unknown fuzz selectors: {', '.join(map(repr, unknown))}")
 
     def spec(self) -> CorridorSpec:
-        if self.corridor is not None:
-            return self.corridor
-        return CorridorSpec(mode=self.mode)
+        default = CorridorSpec(mode=self.mode)  # rejects an unknown mode
+        return default if self.corridor is None else self.corridor
 
 
 @dataclass
@@ -127,26 +124,26 @@ def run_fuzz(config: FuzzConfig) -> FuzzSummary:
 
 def _chunks(config: FuzzConfig):
     """Draw and evaluate the campaign chunk by chunk; yields what
-    :func:`~orthobound.campaign.evaluate` returns for each."""
-    # The engine is the package's largest module; importing it here keeps it
-    # out of every process that never runs a campaign.
-    from .campaign import draw, evaluate
-
+    :func:`_chunk` returns for each."""
     config.spec()  # an unknown corridor mode fails even a campaign of no bundles
     if config.count > 0:
         _check_size(config.dim, config.family_size)
     rng = np.random.default_rng(config.seed)
     for start in range(0, config.count, CHUNK):
-        trials = range(start, min(start + CHUNK, config.count))
-        state = rng.bit_generator.state
-        # A failing chunk also evaluates the rows behind its first error, so
-        # their overflow would warn about values the error already reports.
-        with np.errstate(all="ignore"):
-            chunk = evaluate(config, trials, *draw(config, rng, trials, exact=False), False)
-            if chunk is None:
-                rng.bit_generator.state = state
-                chunk = evaluate(config, trials, *draw(config, rng, trials, exact=True), True)
-        yield chunk
+        yield _chunk(config, rng, range(start, min(start + CHUNK, config.count)))
+
+
+def _chunk(config: FuzzConfig, rng: np.random.Generator, trials: range):
+    """Draw ``trials`` from ``rng``, positioned at the first trial's row, and
+    evaluate them; returns what :func:`~orthobound.campaign.evaluate` returns."""
+    # The engine is the package's largest module; importing it here keeps it
+    # out of every process that never runs a campaign.
+    from .campaign import draw, evaluate
+
+    # A failing chunk also evaluates the rows behind its first error, so
+    # their overflow would warn about values the error already reports.
+    with np.errstate(all="ignore"):
+        return evaluate(config, trials, draw(config, rng, len(trials)))
 
 
 def _fold(summary: FuzzSummary, evaluated: int, rejected: int, records: list) -> None:

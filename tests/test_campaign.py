@@ -1,50 +1,53 @@
-"""The draw phase of a fuzz campaign: the generator calls it makes."""
+"""The draw phase of a fuzz campaign: its generator calls, and the lazy
+import that keeps the engine out of processes that run no campaign."""
+
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 
-from orthobound import FuzzConfig, campaign
+import orthobound
+from orthobound import FuzzConfig, fuzz, run_fuzz
 
 
 class CountingGenerator:
     """A ``Generator`` stand-in that counts calls to its methods."""
 
-    def __init__(self, seed):
-        self.rng = np.random.default_rng(seed)
-        self.calls = 0
+    def __init__(self, seed, calls):
+        self.rng = np.random.Generator(np.random.PCG64(seed))
+        self.calls = calls
 
     def __getattr__(self, name):
         method = getattr(self.rng, name)
 
         def counted(*args, **kwargs):
-            self.calls += 1
+            self.calls.append(name)
             return method(*args, **kwargs)
 
         return counted
 
 
-def _flat(draws):
-    """Every drawn array of (sites, corridor sites), by name."""
-    return {
-        (store, name, i): part
-        for store, named in enumerate(draws)
-        for name, site in named.items()
-        for i, part in enumerate(site if isinstance(site, tuple) else (site,))
-    }
+def test_draw_makes_one_generator_call_per_chunk(monkeypatch):
+    calls = []
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: CountingGenerator(seed, calls))
+    monkeypatch.setattr(fuzz, "CHUNK", 16)
+    summary = run_fuzz(FuzzConfig(seed=5, count=50))  # complex, all selectors: four chunks
+    assert summary.evaluated == 50
+    assert calls == ["random"] * 4
 
 
-def test_draw_makes_at_most_17_generator_calls_per_bundle():
-    config = FuzzConfig(seed=5, count=200)  # complex, all selectors, nothing rejected
-    rng = CountingGenerator(config.seed)
-    campaign.draw(config, rng, range(config.count), exact=False)
-    assert rng.calls <= 17 * config.count
-
-
-def test_exact_draw_splits_runs_but_keeps_the_stream():
-    config = FuzzConfig(seed=6, count=50)
-    fast_rng, exact_rng = CountingGenerator(6), CountingGenerator(6)
-    fast = _flat(campaign.draw(config, fast_rng, range(config.count), exact=False))
-    exact = _flat(campaign.draw(config, exact_rng, range(config.count), exact=True))
-    assert exact_rng.calls > fast_rng.calls
-    assert fast.keys() == exact.keys()
-    assert all(fast[key].tobytes() == exact[key].tobytes() for key in fast)
-    assert fast_rng.rng.bit_generator.state == exact_rng.rng.bit_generator.state
+def test_importing_the_package_leaves_the_engine_out():
+    code = (
+        "import sys, orthobound\n"
+        "before = 'orthobound.campaign' in sys.modules\n"
+        "orthobound.run_fuzz(orthobound.FuzzConfig(count=1))\n"
+        "print(before, 'orthobound.campaign' in sys.modules)\n"
+    )
+    src = pathlib.Path(orthobound.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False", "True"]

@@ -1,12 +1,15 @@
 """The batched fuzz campaign against a sequential reference loop.
 
 ``reference_fuzz`` evaluates one bundle at a time through the public scalar
-functions, drawing from the generator in the order ``run_fuzz`` promises to
-keep. ``run_fuzz`` draws a whole chunk first and evaluates it over a leading
-trial axis; the two must agree bit for bit: same draws, same chain values,
-same summary (key order included), same first error.
+functions, each rebuilt from its own row of the stream that ``run_fuzz``
+promises: trial k reads outputs [kS, (k+1)S) of ``PCG64(seed)``, laid out
+by the reference's own count of the draw sites. ``run_fuzz`` draws a whole
+chunk first and evaluates it over a leading trial axis; the two must agree
+bit for bit: same draws, same chain values, same summary (key order
+included), same first error.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +26,6 @@ from orthobound import (
     ScalarCorridor,
     Vector,
     admissibility,
-    admissible_point,
     bessel_counterpart,
     bessel_defect,
     campaign,
@@ -44,20 +46,63 @@ from orthobound import (
     validate_family,
 )
 
+LAMBDAS = (0.1, 0.5, 0.9)
 
-def _random_vector(dim, rng, real):
-    u = rng.standard_normal(dim)
-    if not real:
-        u = u + 1j * rng.standard_normal(dim)
-    return Vector(u, real_mode=real)
+
+def _stream(seed, start):
+    """A generator whose next output is output ``start`` of ``PCG64(seed)``."""
+    return np.random.Generator(np.random.PCG64(seed).advance(start))
+
+
+def _row_layout(config):
+    """Where a bundle's draws lie in its row: slices of its normals and of
+    its row by site, the row's Gaussian width and its stride. Gaussian
+    uniforms come first, rounded up to even; every site has its columns."""
+    d, k = config.dim, config.family_size
+    real = config.mode == "real"
+    spec = config.spec()
+    parts = 2 if spec.mode == "real" else 4
+    vec = d if real else 2 * d
+    pt = d if real and spec.mode == "real" else 2 * d
+    normals = [("fam", k * vec), ("x", pt), ("y", pt)]
+    uniforms = [("cx", parts * k), ("cy", parts * k), ("x", 1), ("y", 1)]
+    for lam in LAMBDAS:
+        normals += [(f"z{lam}", pt), (f"xa{lam}", vec)]
+        uniforms += [(f"cz{lam}", parts * k), (f"z{lam}", 1)]
+    normals += [("yv", vec), ("xs", pt), ("f1", vec), ("p1", pt), ("p2", pt)]
+    normals += [("xr", vec), ("yr", vec)]
+    uniforms += [("c25", parts), ("xs", 1), ("c1", parts), ("c2", parts), ("p1", 1), ("p2", 1)]
+
+    def slices(sites, at):
+        out = {}
+        for name, size in sites:
+            out[name] = slice(at, at + size)
+            at += size
+        return out, at
+
+    normal_at, gauss = slices(normals, 0)
+    gauss += gauss % 2
+    uniform_at, stride = slices(uniforms, gauss)
+    return normal_at, uniform_at, gauss, stride
+
+
+def _box_muller(u):
+    """Normals from an even number of uniforms: radii from the first half,
+    angles from the second, each pair's cosine normal then its sine normal."""
+    r = np.sqrt(-2.0 * np.log1p(-u[: u.size // 2]))
+    t = 2.0 * np.pi * u[u.size // 2 :]
+    return np.concatenate([r * np.cos(t), r * np.sin(t)])
 
 
 def reference_fuzz(config, chains=None):
     """One bundle at a time through the public API; appends every recorded
     (selector, trial, values) to ``chains`` when given."""
-    rng = np.random.default_rng(config.seed)
     spec = config.spec()
+    if config.count:
+        random_family(config.dim, config.family_size, 0)  # the campaign's size check
     real = config.mode == "real"
+    d = config.dim
+    normal_at, uniform_at, gauss, stride = _row_layout(config)
     summary = FuzzSummary()
     want = set(config.selectors)
 
@@ -73,22 +118,49 @@ def reference_fuzz(config, chains=None):
         if chains is not None:
             chains.append((selector, trial, chain.values))
 
-    def sample_corridor(count):
-        corr = spec.sample(count, rng)
-        if corr.re_sum <= 0.0:
-            summary.rejected += 1
-            return None
-        return corr
-
     for trial in range(config.count):
-        fam = random_family(config.dim, config.family_size, rng, real=real)
-        cx = sample_corridor(fam.count)
-        cy = sample_corridor(fam.count)
+        row = _stream(config.seed, trial * stride).random(stride)
+        normals = _box_muller(row[:gauss])
+
+        def family(name, count):
+            # what random_family makes of these normals: the Q of their QR
+            a = normals[normal_at[name]]
+            if not real:
+                a = a[: d * count] + 1j * a[d * count :]
+            q = np.linalg.qr(a.reshape(d, count))[0]
+            return validate_family([Vector(e, real_mode=real) for e in q.T])
+
+        def direction(name, real=real):
+            w = normals[normal_at[name]]
+            return w if real else w[:d] + 1j * w[d:]
+
+        def vector(name):
+            return Vector(direction(name), real_mode=real)
+
+        def corridor(name, count):
+            # CorridorSpec.sample on the stream at the corridor's first column
+            corr = spec.sample(count, _stream(config.seed, trial * stride + uniform_at[name].start))
+            if corr.re_sum <= 0.0:
+                summary.rejected += 1
+                return None
+            return corr
+
+        def point(name, fam, corr):
+            # admissible_point with this direction and slack
+            real_point = fam.real_mode and corr.real_mode
+            u = direction(name, real_point)
+            slack = float(row[uniform_at[name]][0])
+            coords = admissibility._admissible_points(fam.matrix, corr, u, slack)
+            return Vector(coords, real_mode=real_point)
+
+        fam = family("fam", config.family_size)
+        cx = corridor("cx", fam.count)
+        cy = corridor("cy", fam.count)
         if cx is None or cy is None:
             continue
         summary.evaluated += 1
-        x = admissible_point(fam, cx, rng, rng.uniform())
-        y = admissible_point(fam, cy, rng, rng.uniform())
+        x = point("x", fam, cx)
+        y = point("y", fam, cy)
 
         if "thm2.1" in want:
             record("thm2.1", norm_bound_quadratic(x, fam, cx), trial)
@@ -113,15 +185,15 @@ def reference_fuzz(config, chains=None):
         if "thm3.1" in want:
             record("thm3.1", gruss_bound(x, y, fam, cx, cy), trial)
 
-        for lam in (0.1, 0.5, 0.9):
+        for lam in LAMBDAS:
             key = f"thm4.1:{lam}"
             if key not in want:
                 continue
-            corr_z = sample_corridor(fam.count)
+            corr_z = corridor(f"cz{lam}", fam.count)
             if corr_z is None:
                 continue
-            z = admissible_point(fam, corr_z, rng, rng.uniform())
-            xa = _random_vector(config.dim, rng, real)
+            z = point(f"z{lam}", fam, corr_z)
+            xa = vector(f"xa{lam}")
             yb = Vector(
                 (z.coords - lam * xa.coords) / (1.0 - lam),
                 real_mode=z.real_mode and xa.real_mode,
@@ -129,8 +201,8 @@ def reference_fuzz(config, chains=None):
             record(key, companion_bound(xa, yb, fam, corr_z, lam), trial)
 
         if "cor2.5" in want:
-            yv = _random_vector(config.dim, rng, real)
-            corr1 = sample_corridor(1)
+            yv = vector("yv")
+            corr1 = corridor("c25", 1)
             if corr1 is not None:
                 ny = norm(yv)
                 unit = Vector(yv.coords / ny, real_mode=yv.real_mode)
@@ -140,18 +212,18 @@ def reference_fuzz(config, chains=None):
                 corr_x = ScalarCorridor(
                     [delta * ny], [big_delta * ny], real_mode=corr1.real_mode and yv.real_mode
                 )
-                xs = admissible_point(fam1, corr_x, rng, rng.uniform())
+                xs = point("xs", fam1, corr_x)
                 pack = schwarz_counterparts(xs, yv, delta, big_delta)
                 for name, chain in pack.chains().items():
                     record(f"cor2.5:{name}", chain, trial)
 
         if "cor3.3" in want:
-            fam_single = random_family(config.dim, 1, rng, real=real)
-            c1 = sample_corridor(1)
-            c2 = sample_corridor(1)
+            fam_single = family("f1", 1)
+            c1 = corridor("c1", 1)
+            c2 = corridor("c2", 1)
             if c1 is not None and c2 is not None:
-                xs = admissible_point(fam_single, c1, rng, rng.uniform())
-                ys = admissible_point(fam_single, c2, rng, rng.uniform())
+                xs = point("p1", fam_single, c1)
+                ys = point("p2", fam_single, c2)
                 record("cor3.3", gruss_bound(xs, ys, fam_single, c1, c2), trial)
                 a = fam_single.coefficients(xs)[0]
                 b = fam_single.coefficients(ys)[0]
@@ -163,8 +235,8 @@ def reference_fuzz(config, chains=None):
                     )
 
         if "bessel-defect" in want or "schwarz-step" in want:
-            xr = _random_vector(config.dim, rng, real)
-            yr = _random_vector(config.dim, rng, real)
+            xr = vector("xr")
+            yr = vector("yr")
             if "bessel-defect" in want:
                 chain = BoundChain(
                     ("floor", "projection defect"),
@@ -232,6 +304,40 @@ def test_batched_matches_sequential_reference(name):
     assert _batched_chains(config) == {(k, t): _bits(v) for k, t, v in chains}
 
 
+@pytest.mark.parametrize("name", ["complex-all", "real-rejecting-single"])
+def test_each_trial_replays_alone_from_its_offset(name, monkeypatch):
+    config = CONFIGS[name]
+    monkeypatch.setattr(fuzz, "CHUNK", 16)
+    stride = campaign.layout(config)[2]
+    assert stride == _row_layout(config)[3]
+    alone = [
+        fuzz._chunk(config, _stream(config.seed, k * stride), range(k, k + 1))
+        for k in range(config.count)
+    ]
+    chains = {}
+    for _, _, records in alone:
+        for key, trials, values in records:
+            chains[(key, int(trials[0]))] = _bits(values[0])
+    # every trial: the first, each chunk boundary and the last among them
+    assert chains == _batched_chains(config)
+    summary = FuzzSummary()
+    for chunk in alone:
+        fuzz._fold(summary, *chunk)
+    assert _summary_bits(summary) == _summary_bits(run_fuzz(config))
+
+
+def test_stride_at_the_defaults():
+    assert campaign.layout(FuzzConfig())[1:] == (304, 404)
+
+
+def test_layout_does_not_depend_on_the_selectors():
+    config = CONFIGS["complex-all"]
+    alone = _batched_chains(dataclasses.replace(config, selectors=("cor2.3",)))
+    everything = _batched_chains(config)
+    assert alone == {kt: v for kt, v in everything.items() if kt[0] == "cor2.3"}
+    assert len(alone) == config.count
+
+
 def test_rejecting_specs_really_reject():
     assert run_fuzz(CONFIGS["real-rejecting"]).evaluated == 0
     for name in ("real-rejecting-single", "complex-rejecting"):
@@ -288,7 +394,11 @@ def test_nonfinite_corridor_in_campaign_matches_reference():
 
 @pytest.mark.parametrize(
     "config",
-    [FuzzConfig(count=3, dim=2, family_size=4), FuzzConfig(count=0, mode="quaternion")],
+    [
+        FuzzConfig(count=3, dim=2, family_size=4),
+        FuzzConfig(count=0, mode="quaternion"),
+        FuzzConfig(seed=1, count=5, mode="quaternion", corridor=CorridorSpec("complex")),
+    ],
 )
 def test_invalid_config_raises_the_reference_error(config):
     with pytest.raises(ValueError) as ref:
@@ -301,6 +411,11 @@ def test_invalid_config_raises_the_reference_error(config):
 def test_unknown_selectors_are_rejected():
     with pytest.raises(ValueError, match=r"'thm2\.1 '.*'thm9'"):
         FuzzConfig(seed=1, count=50, selectors=("thm2.1 ", "cor2.3", "thm9"))
+
+
+def test_empty_selectors_are_rejected():
+    with pytest.raises(ValueError, match="fuzz selectors must not be empty"):
+        FuzzConfig(seed=1, count=5, selectors=())
 
 
 def test_campaign_that_evaluated_nothing_is_not_ok():
