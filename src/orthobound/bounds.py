@@ -17,21 +17,25 @@ the quadratic norm bound and the projection-defect bound are equivalent, and
 the identity (1/4) M^2 + 1 == (1/4) sum (|hi|+|lo|)^2 / re_sum pins it down.
 
 Each chain's values come from one rank-polymorphic kernel (the ``_*_values``
-functions, over arrays with any leading batch shape). The public functions
-validate their inputs, check the hypothesis and wrap the kernel's
-batch-of-one result in a :class:`BoundChain`; fuzz campaigns run the same
-kernels over a whole campaign at once.
+functions), which reads its arguments from a :class:`Slot` (a vector with
+its family and corridor) or a :class:`Pair` of slots, over any leading batch
+shape. The public functions validate their inputs, check the hypothesis, run
+the kernel on a batch of one and wrap the result in a :class:`BoundChain`;
+fuzz campaigns build the same slots over a chunk of bundles and run the same
+kernels, which :mod:`orthobound.catalog` names for each selector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .admissibility import (
     DEFAULT_HYPOTHESIS_TOL,
+    Corridors,
     HypothesisReport,
     ScalarCorridor,
     check_hypothesis,
@@ -43,12 +47,15 @@ from .errors import (
     NonpositiveReSum,
     ZeroVector,
 )
-from .family import OrthonormalFamily, validate_family
-from .space import Vector, abs2, inner, norm_sq, tree_sum
+from .family import OrthonormalFamily, _coefficients, validate_family
+from .space import Vector, _inner, abs2, inner, norm_sq, tree_sum
 
 # Single tolerance policy for every chain assertion.
 CHAIN_REL_TOL = 1e-9
 CHAIN_ABS_TOL = 1e-12
+
+# The tolerance Corollary 2.5's one-member family {y/||y||} is validated at.
+UNIT_TOLERANCE = 1e-12
 
 
 def _chain_slacks(values: np.ndarray) -> np.ndarray:
@@ -116,6 +123,90 @@ class MFactor:
     denominator: float
 
 
+class Slot:
+    """A vector with the family and the corridor it is checked under, and its
+    sign-form value, over any leading batch shape: coordinates (..., dim),
+    family rows (..., count, dim), a :class:`ScalarCorridor` or
+    :class:`Corridors`. The kernels read their arguments from slots, and each
+    argument is computed once however many chains read it."""
+
+    def __init__(self, coords, matrix, corridor=None, sign=None, a=None):
+        self.coords = coords
+        self.matrix = matrix
+        self.corridor = corridor
+        self.sign = sign
+        if a is not None:
+            self.a = a  # computed by a public call, which checks the dimensions
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        """The coefficients <x, e_i>."""
+        return _coefficients(self.matrix, self.coords)
+
+    @cached_property
+    def nsq(self) -> np.ndarray:
+        """||x||^2."""
+        return tree_sum(abs2(self.coords))
+
+    @cached_property
+    def s(self) -> np.ndarray:
+        """sum_i |<x, e_i>|^2."""
+        return tree_sum(abs2(self.a))
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        """The corridor width factor M."""
+        return _m_factor(self.corridor)[0]
+
+    @property
+    def defect(self) -> np.ndarray:
+        """The projection defect ||x||^2 - sum_i |<x, e_i>|^2."""
+        return self.nsq - self.s
+
+
+class Pair:
+    """Two slots over one family and their inner product <x, y>; ``z`` is
+    Theorem 4.1's combination lam*x + (1-lam)*y where there is one."""
+
+    def __init__(self, x: Slot, y: Slot, p=None, z: Slot | None = None):
+        self.x = x
+        self.y = y
+        self.z = z
+        if p is not None:
+            self.p = p  # a public call's inner(x, y), exactly real when x is y
+
+    @cached_property
+    def p(self) -> np.ndarray:
+        return _inner(self.x.coords, self.y.coords)
+
+    @cached_property
+    def defect(self) -> np.ndarray:
+        """<x, y> - sum_i <x, e_i><e_i, y>."""
+        return self.p - tree_sum(np.multiply(self.x.a, np.conj(self.y.a)))
+
+
+def _slot(
+    x: Vector, fam: OrthonormalFamily, corridor=None, report: HypothesisReport | None = None
+) -> Slot:
+    """The batch of one of a public call."""
+    sign = None if report is None else report.cond_i_value
+    return Slot(x.coords, fam.matrix, corridor, sign, fam.coefficients(x))
+
+
+def _pair(x: Vector, y: Vector, fam: OrthonormalFamily, cx=None, cy=None, reports=(None, None)):
+    """The batch of one of a public call on a pair."""
+    p = inner(x, y)
+    return Pair(_slot(x, fam, cx, reports[0]), _slot(y, fam, cy, reports[1]), p)
+
+
+def _positive(*corridors) -> None:
+    """Raise :class:`NonpositiveReSum` for the first corridor whose re_sum is
+    not positive."""
+    for c in corridors:
+        if not c.re_sum > 0.0:
+            raise NonpositiveReSum(float(c.re_sum))
+
+
 def _require(
     x: Vector,
     fam: OrthonormalFamily,
@@ -128,15 +219,17 @@ def _require(
     """Check the hypothesis. ``positive_re_sum`` rejects re_sum <= 0 after the
     report's own errors (dimension, identity) and before HypothesisFailed."""
     report = check_hypothesis(x, fam, corridor, tol)
-    if positive_re_sum and not corridor.re_sum > 0.0:
-        raise NonpositiveReSum(corridor.re_sum)
+    if positive_re_sum:
+        _positive(corridor)
     if not report.holds and not force:
         raise HypothesisFailed(which, report)
     return report
 
 
-def _coeff_power_sum(coeffs: np.ndarray) -> np.ndarray:
-    return tree_sum(abs2(coeffs))
+def _require_pair(x, y, fam, cx, cy, tol, force) -> tuple[Pair, tuple[HypothesisReport, ...]]:
+    """Check the hypotheses of x, then of y; the pair and the two reports."""
+    reports = (_require(x, fam, cx, tol, force, "x"), _require(y, fam, cy, tol, force, "y"))
+    return _pair(x, y, fam, cx, cy, reports), reports
 
 
 def _float_pow(base, exponent: float) -> np.ndarray:
@@ -148,17 +241,12 @@ def _float_pow(base, exponent: float) -> np.ndarray:
 
 def bessel_defect(x: Vector, fam: OrthonormalFamily) -> float:
     """||x||^2 - sum_i |<x, e_i>|^2; nonnegative for any x, no corridor needed."""
-    return float(norm_sq(x) - _coeff_power_sum(fam.coefficients(x)))
+    return float(_slot(x, fam).defect)
 
 
 def gruss_defect(x: Vector, y: Vector, fam: OrthonormalFamily) -> complex:
     """<x, y> - sum_i <x, e_i><e_i, y>, the truncated-expansion defect."""
-    return complex(_gruss_defect(inner(x, y), fam.coefficients(x), fam.coefficients(y)))
-
-
-def _gruss_defect(p, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kernel of :func:`gruss_defect` from <x, y> and the coefficients of x, y."""
-    return p - tree_sum(np.multiply(a, np.conj(b)))
+    return complex(_pair(x, y, fam).defect)
 
 
 def m_factor(corridor: ScalarCorridor) -> MFactor:
@@ -169,8 +257,7 @@ def m_factor(corridor: ScalarCorridor) -> MFactor:
     Requires re_sum > 0. For a real corridor 0 < m <= M this reduces to
     (M - m) / sqrt(m M).
     """
-    if not corridor.re_sum > 0.0:
-        raise NonpositiveReSum(corridor.re_sum)
+    _positive(corridor)
     value, terms = _m_factor(corridor)
     return MFactor(float(value), tuple(float(t) for t in terms), corridor.re_sum)
 
@@ -198,18 +285,16 @@ def norm_bound_linear(
     where a_i = <x, e_i>.
     """
     report = _require(x, fam, corridor, tol, force, "x", positive_re_sum=True)
-    return BoundChain(
-        labels=("||x||", "corridor linear bound"),
-        values=_linear_values(norm_sq(x), fam.coefficients(x), corridor),
-        reports=(report,),
-    )
+    labels = ("||x||", "corridor linear bound")
+    return BoundChain(labels, _linear_values(_slot(x, fam, corridor)), (report,))
 
 
-def _linear_values(nsq, a: np.ndarray, c) -> tuple:
+def _linear_values(x: Slot) -> tuple:
+    c = x.corridor
     numerator = tree_sum(
-        (np.multiply(c.hi, np.conj(a)) + np.multiply(np.conj(c.lo), a)).real
+        (np.multiply(c.hi, np.conj(x.a)) + np.multiply(np.conj(c.lo), x.a)).real
     )
-    return np.sqrt(nsq), 0.5 * numerator / np.sqrt(c.re_sum)
+    return np.sqrt(x.nsq), 0.5 * numerator / np.sqrt(c.re_sum)
 
 
 _SPLIT_LABELS = {
@@ -250,18 +335,15 @@ def norm_bound_quadratic(
         labels = ("||x||", _SPLIT_LABELS[variant])
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return BoundChain(
-        labels=labels,
-        values=_quadratic_values(norm_sq(x), fam.coefficients(x), corridor, variant, p),
-        reports=(report,),
-    )
+    return BoundChain(labels, _quadratic_values(_slot(x, fam, corridor), variant, p), (report,))
 
 
-def _quadratic_values(nsq, a: np.ndarray, c, variant: str, p: float | None) -> tuple:
+def _quadratic_values(x: Slot, variant: str = "cbs", p: float | None = None) -> tuple:
+    c = x.corridor
     widths = np.abs(c.hi) + np.abs(c.lo)
     if variant == "cbs":
-        return nsq, 0.25 * tree_sum(widths**2) / c.re_sum * _coeff_power_sum(a)
-    a_abs = np.abs(a)
+        return x.nsq, 0.25 * tree_sum(widths**2) / c.re_sum * x.s
+    a_abs = np.abs(x.a)
     if variant == "max_sum":
         split = widths.max(axis=-1) * tree_sum(a_abs)
     elif variant == "holder":
@@ -271,7 +353,7 @@ def _quadratic_values(nsq, a: np.ndarray, c, variant: str, p: float | None) -> t
         )
     else:  # "sum_max"
         split = a_abs.max(axis=-1) * tree_sum(widths)
-    return np.sqrt(nsq), 0.5 * split / np.sqrt(c.re_sum)
+    return np.sqrt(x.nsq), 0.5 * split / np.sqrt(c.re_sum)
 
 
 def bessel_counterpart(
@@ -287,17 +369,13 @@ def bessel_counterpart(
     sum (M_i - m_i)^2 / sum M_i m_i.
     """
     report = _require(x, fam, corridor, tol, force, "x")
-    mf = m_factor(corridor)
-    s = _coeff_power_sum(fam.coefficients(x))
-    return BoundChain(
-        labels=("0", "projection defect", "corridor defect bound"),
-        values=_counterpart_values(norm_sq(x), s, mf.value),
-        reports=(report,),
-    )
+    _positive(corridor)
+    labels = ("0", "projection defect", "corridor defect bound")
+    return BoundChain(labels, _counterpart_values(_slot(x, fam, corridor)), (report,))
 
 
-def _counterpart_values(nsq, s, m) -> tuple:
-    return 0.0, nsq - s, 0.25 * (m * m) * s
+def _counterpart_values(x: Slot) -> tuple:
+    return 0.0, x.defect, 0.25 * (x.m * x.m) * x.s
 
 
 @dataclass(frozen=True)
@@ -311,20 +389,15 @@ class SchwarzCounterparts:
     report: HypothesisReport
 
     def chains(self) -> dict[str, BoundChain]:
-        return {
-            "norm_product": self.norm_product,
-            "norm_product_gap": self.norm_product_gap,
-            "norm_product_sq": self.norm_product_sq,
-            "norm_product_sq_gap": self.norm_product_sq_gap,
-        }
+        return {name: getattr(self, name) for name in _SCHWARZ_LABELS}
 
 
-_SCHWARZ_LABELS = (
-    ("||x|| ||y||", "midrange bound", "modulus bound"),
-    ("0", "||x|| ||y|| - |<x,y>|", "corridor gap bound"),
-    ("||x||^2 ||y||^2", "squared corridor bound"),
-    ("0", "||x||^2 ||y||^2 - |<x,y>|^2", "squared corridor gap bound"),
-)
+_SCHWARZ_LABELS = {
+    "norm_product": ("||x|| ||y||", "midrange bound", "modulus bound"),
+    "norm_product_gap": ("0", "||x|| ||y|| - |<x,y>|", "corridor gap bound"),
+    "norm_product_sq": ("||x||^2 ||y||^2", "squared corridor bound"),
+    "norm_product_sq_gap": ("0", "||x||^2 ||y||^2 - |<x,y>|^2", "squared corridor gap bound"),
+}
 
 
 def schwarz_counterparts(
@@ -345,31 +418,36 @@ def schwarz_counterparts(
     """
     delta = complex(delta)
     Delta = complex(Delta)
-    ny2 = norm_sq(y)
-    if ny2 == 0.0:
+    if norm_sq(y) == 0.0:
         raise ZeroVector("y must be nonzero")
-    re_dd = float(np.multiply(Delta, np.conj(delta)).real)
-    if not re_dd > 0.0:
-        raise NonpositiveReSum(re_dd)
-    ny = math.sqrt(ny2)
-    unit = Vector(y.coords / ny, real_mode=y.real_mode)
-    fam = validate_family([unit], tolerance=1e-12)
+    ends = Corridors.build([delta], [Delta])
+    _positive(ends)
+    ys = Slot(y.coords, None, ends)
+    unit, lo, hi = _schwarz_frame(ys)
+    fam = validate_family([Vector(unit[0], real_mode=y.real_mode)], tolerance=UNIT_TOLERANCE)
     real_pair = (
         x.real_mode and y.real_mode and delta.imag == 0.0 and Delta.imag == 0.0
     )
-    corridor = ScalarCorridor([delta * ny], [Delta * ny], real_mode=real_pair)
+    corridor = ScalarCorridor(lo, hi, real_mode=real_pair)
     report = _require(x, fam, corridor, tol, force, "x")
-    values = _schwarz_values(norm_sq(x), ny2, inner(x, y), delta, Delta)
-    chains = (
-        BoundChain(labels, v, (report,))
-        for labels, v in zip(_SCHWARZ_LABELS, values)
-    )
+    values = _schwarz_values(Pair(_slot(x, fam, corridor), ys, inner(x, y)))
+    chains = (BoundChain(_SCHWARZ_LABELS[name], v, (report,)) for name, v in values.items())
     return SchwarzCounterparts(*chains, report)
 
 
-def _schwarz_values(nsq_x, ny2, p, delta, Delta) -> tuple:
-    """The four reverse-Schwarz chains from ||x||^2, ||y||^2, <x, y> and the
-    corridor ends (delta, Delta)."""
+def _schwarz_frame(y: Slot) -> tuple:
+    """Corollary 2.5's family {y/||y||} and corridor (delta ||y||, Delta ||y||)
+    from y and its corridor (delta, Delta): the member rows (..., 1, dim),
+    then the two sides (..., 1)."""
+    ny = np.sqrt(y.nsq)[..., None]
+    return (y.coords / ny)[..., None, :], y.corridor.lo * ny, y.corridor.hi * ny
+
+
+def _schwarz_values(pair: Pair) -> dict:
+    """The four reverse-Schwarz chains by name, from x admissible for
+    {y/||y||} and y with its corridor (delta, Delta)."""
+    nsq_x, ny2, p = pair.x.nsq, pair.y.nsq, pair.p
+    delta, Delta = pair.y.corridor.lo[..., 0], pair.y.corridor.hi[..., 0]
     re_dd = np.multiply(Delta, np.conj(delta)).real
     root_re = np.sqrt(re_dd)
     nx = np.sqrt(nsq_x)
@@ -385,12 +463,13 @@ def _schwarz_values(nsq_x, ny2, p, delta, Delta) -> tuple:
         np.square(np.sqrt(big) - np.sqrt(small)) + 2.0 * (np.sqrt(abs_dd) - root_re)
     ) / root_re
     sq_gap_factor = (np.square(big - small) + 4.0 * (abs_dd - re_dd)) / re_dd
-    return (
+    chains = (
         (nx * ny, mid, 0.5 * width * p_abs / root_re),
         (0.0, nx * ny - p_abs, 0.5 * gap_factor * p_abs),
         (nx * nx * ny2, 0.25 * (width * width) / re_dd * p_sq),
         (0.0, nx * nx * ny2 - p_sq, 0.25 * sq_gap_factor * p_sq),
     )
+    return dict(zip(_SCHWARZ_LABELS, chains))
 
 
 def gruss_refined_sqrt(
@@ -407,25 +486,16 @@ def gruss_refined_sqrt(
     where sign_x, sign_y are the sign-form values of the two admissibility
     conditions and r_x, r_y the corridor radii.
     """
-    rep_x = _require(x, fam, cx, tol, force, "x")
-    rep_y = _require(y, fam, cy, tol, force, "y")
-    return BoundChain(
-        labels=("|defect|", "sign-form refined bound", "radius product"),
-        values=_refined_sqrt_values(
-            np.abs(gruss_defect(x, y, fam)),
-            cx.radius,
-            cy.radius,
-            rep_x.cond_i_value,
-            rep_y.cond_i_value,
-        ),
-        reports=(rep_x, rep_y),
-    )
+    pair, reports = _require_pair(x, y, fam, cx, cy, tol, force)
+    labels = ("|defect|", "sign-form refined bound", "radius product")
+    return BoundChain(labels, _refined_sqrt_values(pair), reports)
 
 
-def _refined_sqrt_values(d_abs, rx, ry, sign_x, sign_y) -> tuple:
-    outer = rx * ry
-    correction = np.sqrt(np.maximum(sign_x, 0.0)) * np.sqrt(np.maximum(sign_y, 0.0))
-    return d_abs, outer - correction, outer
+def _refined_sqrt_values(pair: Pair) -> tuple:
+    x, y = pair.x, pair.y
+    outer = x.corridor.radius * y.corridor.radius
+    correction = np.sqrt(np.maximum(x.sign, 0.0)) * np.sqrt(np.maximum(y.sign, 0.0))
+    return np.abs(pair.defect), outer - correction, outer
 
 
 def gruss_refined_midpoint(
@@ -438,40 +508,27 @@ def gruss_refined_midpoint(
     force: bool = False,
 ) -> BoundChain:
     """|defect| <= r_x r_y - sum_i |mid_x,i - a_i| |mid_y,i - b_i| <= r_x r_y."""
-    rep_x = _require(x, fam, cx, tol, force, "x")
-    rep_y = _require(y, fam, cy, tol, force, "y")
-    return BoundChain(
-        labels=("|defect|", "midpoint refined bound", "radius product"),
-        values=_refined_midpoint_values(
-            np.abs(gruss_defect(x, y, fam)),
-            fam.coefficients(x),
-            fam.coefficients(y),
-            cx,
-            cy,
-        ),
-        reports=(rep_x, rep_y),
-    )
+    pair, reports = _require_pair(x, y, fam, cx, cy, tol, force)
+    labels = ("|defect|", "midpoint refined bound", "radius product")
+    return BoundChain(labels, _refined_midpoint_values(pair), reports)
 
 
-def _refined_midpoint_values(d_abs, a: np.ndarray, b: np.ndarray, cx, cy) -> tuple:
-    correction = tree_sum(np.abs(cx.midpoints - a) * np.abs(cy.midpoints - b))
+def _refined_midpoint_values(pair: Pair) -> tuple:
+    cx, cy = pair.x.corridor, pair.y.corridor
+    correction = tree_sum(np.abs(cx.midpoints - pair.x.a) * np.abs(cy.midpoints - pair.y.a))
     outer = cx.radius * cy.radius
-    return d_abs, outer - correction, outer
+    return np.abs(pair.defect), outer - correction, outer
 
 
 def schwarz_step(x: Vector, y: Vector, fam: OrthonormalFamily) -> BoundChain:
     """|defect(x, y)|^2 <= defect(x, x) * defect(y, y), valid for any inputs."""
-    return BoundChain(
-        labels=("|defect|^2", "projection defect product"),
-        values=_schwarz_step_values(
-            gruss_defect(x, y, fam), bessel_defect(x, fam), bessel_defect(y, fam)
-        ),
-    )
+    labels = ("|defect|^2", "projection defect product")
+    return BoundChain(labels, _schwarz_step_values(_pair(x, y, fam)))
 
 
-def _schwarz_step_values(d, defect_x, defect_y) -> tuple:
-    d_abs = np.abs(d)
-    return d_abs * d_abs, defect_x * defect_y
+def _schwarz_step_values(pair: Pair) -> tuple:
+    d_abs = np.abs(pair.defect)
+    return d_abs * d_abs, pair.x.defect * pair.y.defect
 
 
 def gruss_bound(
@@ -484,23 +541,14 @@ def gruss_bound(
     force: bool = False,
 ) -> BoundChain:
     """0 <= |defect| <= (1/4) M(cx) M(cy) (sum |a_i|^2)^(1/2) (sum |b_i|^2)^(1/2)."""
-    rep_x = _require(x, fam, cx, tol, force, "x")
-    rep_y = _require(y, fam, cy, tol, force, "y")
-    return BoundChain(
-        labels=("0", "|defect|", "corridor width bound"),
-        values=_gruss_values(
-            np.abs(gruss_defect(x, y, fam)),
-            m_factor(cx).value,
-            m_factor(cy).value,
-            _coeff_power_sum(fam.coefficients(x)),
-            _coeff_power_sum(fam.coefficients(y)),
-        ),
-        reports=(rep_x, rep_y),
-    )
+    pair, reports = _require_pair(x, y, fam, cx, cy, tol, force)
+    _positive(cx, cy)
+    return BoundChain(("0", "|defect|", "corridor width bound"), _gruss_values(pair), reports)
 
 
-def _gruss_values(d_abs, mx, my, sx, sy) -> tuple:
-    return 0.0, d_abs, 0.25 * mx * my * np.sqrt(sx) * np.sqrt(sy)
+def _gruss_values(pair: Pair) -> tuple:
+    x, y = pair.x, pair.y
+    return 0.0, np.abs(pair.defect), 0.25 * x.m * y.m * np.sqrt(x.s) * np.sqrt(y.s)
 
 
 def single_vector_ratio_chain(
@@ -514,24 +562,31 @@ def single_vector_ratio_chain(
 ) -> BoundChain:
     """|<x,y> / (<x,e><e,y>) - 1| <= (1/4) M(cx) M(cy) for a one-member family.
 
-    Requires both coefficients to be nonzero.
+    Requires <x,e> conj(<y,e>) to be nonzero.
     """
     if fam.count != 1:
         raise ValueError("ratio form needs a single-member family")
-    rep_x = _require(x, fam, cx, tol, force, "x")
-    rep_y = _require(y, fam, cy, tol, force, "y")
-    denom = np.multiply(fam.coefficients(x)[0], np.conj(fam.coefficients(y)[0]))
-    if denom == 0.0:
+    pair, reports = _require_pair(x, y, fam, cx, cy, tol, force)
+    if not _ratio_defined(pair):
         raise ZeroVector("coefficients <x,e>, <y,e> must be nonzero")
-    return BoundChain(
-        labels=("|<x,y>/(<x,e><e,y>) - 1|", "corridor width bound"),
-        values=_ratio_values(inner(x, y), denom, m_factor(cx).value, m_factor(cy).value),
-        reports=(rep_x, rep_y),
-    )
+    _positive(cx, cy)
+    labels = ("|<x,y>/(<x,e><e,y>) - 1|", "corridor width bound")
+    return BoundChain(labels, _ratio_values(pair), reports)
 
 
-def _ratio_values(p, denom, mx, my) -> tuple:
-    return np.abs(np.divide(p, denom) - 1.0), 0.25 * mx * my
+def _ratio_denominator(pair: Pair) -> np.ndarray:
+    return np.multiply(pair.x.a[..., 0], np.conj(pair.y.a[..., 0]))
+
+
+def _ratio_defined(pair: Pair) -> np.ndarray:
+    """Where the ratio form is defined: a one-member family, and
+    <x,e> conj(<y,e>) nonzero. The form is scale-free, so this is the only
+    condition, at every scale."""
+    return (pair.x.a.shape[-1] == 1) & (_ratio_denominator(pair) != 0.0)
+
+
+def _ratio_values(pair: Pair) -> tuple:
+    return np.abs(np.divide(pair.p, _ratio_denominator(pair)) - 1.0), 0.25 * pair.x.m * pair.y.m
 
 
 def companion_bound(
@@ -551,17 +606,10 @@ def companion_bound(
         raise BadLambda(f"lambda must lie strictly in (0, 1), got {lam}")
     z = Vector(_mix(x.coords, y.coords, lam), real_mode=x.real_mode and y.real_mode)
     report = _require(z, fam, corridor, tol, force, "lam*x + (1-lam)*y")
-    mf = m_factor(corridor)
-    return BoundChain(
-        labels=("Re(defect)", "companion bound"),
-        values=_companion_values(
-            gruss_defect(x, y, fam).real,
-            mf.value,
-            _coeff_power_sum(fam.coefficients(z)),
-            lam,
-        ),
-        reports=(report,),
-    )
+    _positive(corridor)
+    pair = _pair(x, y, fam)
+    pair.z = _slot(z, fam, corridor)
+    return BoundChain(("Re(defect)", "companion bound"), _companion_values(pair, lam), (report,))
 
 
 def _mix(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
@@ -569,5 +617,6 @@ def _mix(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     return lam * x + (1.0 - lam) * y
 
 
-def _companion_values(d_re, m, s, lam: float) -> tuple:
-    return d_re, m * m * s / (16.0 * lam * (1.0 - lam))
+def _companion_values(pair: Pair, lam: float) -> tuple:
+    z = pair.z
+    return pair.defect.real, z.m * z.m * z.s / (16.0 * lam * (1.0 - lam))

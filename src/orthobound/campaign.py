@@ -3,10 +3,13 @@
 :func:`layout` places every draw site of a bundle at fixed columns of a row
 of uniforms; :func:`draw` fills a row per trial with one generator call and
 cuts it into the sites; :func:`evaluate` builds every family, corridor,
-admissible point and admissibility report of the chunk at once and
-evaluates the selected chains over the leading trial axis with the kernels
-of the scalar API, on the rows whose corridors were accepted. Only these
-functions know the draw sites; :mod:`orthobound.fuzz` describes the stream.
+admissible point and admissibility report of the chunk at once, on the rows
+whose corridors were accepted, and runs the selected chains over the
+leading trial axis. The selectors, their parameters and the kernel of each
+chain come from :mod:`orthobound.catalog`; each entry names the instance it
+reads (``x``, ``pair``, ``companion``, ``schwarz``, ``single`` or ``free``),
+which :class:`_Evaluation` draws at most once per chunk. Only this module
+knows the draw sites; :mod:`orthobound.fuzz` describes the stream.
 """
 
 from __future__ import annotations
@@ -23,40 +26,18 @@ from .admissibility import (
     _admissible_points,
     _hypothesis,
 )
-from .bounds import (
-    _coeff_power_sum,
-    _companion_values,
-    _counterpart_values,
-    _gruss_defect,
-    _gruss_values,
-    _linear_values,
-    _m_factor,
-    _mix,
-    _quadratic_values,
-    _ratio_values,
-    _refined_midpoint_values,
-    _refined_sqrt_values,
-    _schwarz_step_values,
-    _schwarz_values,
-)
+from .bounds import UNIT_TOLERANCE, Pair, Slot, _mix, _schwarz_frame
+from .catalog import SELECTORS, Selector, campaign_keys
 from .errors import (
     GramResidualExceeded,
     HypothesisFailed,
     IdentityViolation,
     NonfiniteCorridor,
 )
-from .family import DEFAULT_TOLERANCE, _coefficients, _gram_residual, _orthonormal_rows
-from .space import _inner, abs2, tree_sum
+from .family import DEFAULT_TOLERANCE, _gram_residual, _orthonormal_rows
 
 if TYPE_CHECKING:
     from .fuzz import FuzzConfig
-
-_X_CHAINS = ("thm2.1", "eq2.6", "eq2.11:max", "eq2.11:holder:3", "eq2.11:sum", "cor2.3")
-_PAIR_CHAINS = ("thm1.1", "thm2", "thm3.1")
-_LAMBDAS = (0.1, 0.5, 0.9)
-_HOLDER_P = 3.0  # the exponent of the "eq2.11:holder:3" selector
-_UNIT_TOLERANCE = 1e-12  # the tolerance schwarz_counterparts validates {y/||y||} at
-_SCHWARZ_CHAINS = ("norm_product", "norm_product_gap", "norm_product_sq", "norm_product_sq_gap")
 
 _GAUSS, _UNIT = 0, 1  # the two kinds of draws
 
@@ -82,9 +63,9 @@ def _sites(config: FuzzConfig):
     yield "cy", corridor(k)
     yield "x", slack, pt
     yield "y", slack, pt
-    for lam in _LAMBDAS:
-        yield f"cz{lam}", corridor(k)
-        yield f"z{lam}", slack, pt, vec  # z, then the free x
+    for tail in (t for e in SELECTORS.values() if e.draws == "companion" for t in e.tails):
+        yield f"cz{tail}", corridor(k)
+        yield f"z{tail}", slack, pt, vec  # z, then the free x
     yield "yv", vec
     yield "c25", corridor(1)
     yield "xs", slack, pt
@@ -148,8 +129,8 @@ def _box_muller(u: np.ndarray) -> None:
 def evaluate(config: FuzzConfig, trials: range, sites: dict):
     """Evaluate one chunk of draws.
 
-    Returns (evaluated, rejected, records) with one record (selector, trials,
-    values) per selected chain, in the order a bundle records them. A
+    Returns (evaluated, rejected, records) with one record (key, trials,
+    values) per recorded chain, in the order a bundle records them. A
     corridor counts as rejected where a bundle evaluated alone would draw
     it: the x and y corridors always, the others of the selected chains
     only when those two are accepted. Raises the chunk's first error.
@@ -160,40 +141,35 @@ def evaluate(config: FuzzConfig, trials: range, sites: dict):
     cx, cx_ok = e.corridor(*sites["cx"], trials)
     cy, cy_ok = e.corridor(*sites["cy"], trials)
     ok = cx_ok & cy_ok
-    ev = trials[ok]
-    if ev.size:
-        fam, gres, cx, cy = _keep(ok, mats, gres, cx, cy)
+    e.ev = trials[ok]
+    if e.ev.size:
+        e.fam, e.gres, cx, cy = _keep(ok, mats, gres, cx, cy)
         del mats
         e.sites = {name: _keep(ok, *pieces) for name, pieces in sites.items()}
-        # one group per block of a bundle; their arrays die with them
-        e.main(ev, fam, gres, cx, cy)
-        for lam in _LAMBDAS:
-            if f"thm4.1:{lam}" in e.want:
-                e.companion(ev, fam, gres, lam)
-        if "cor2.5" in e.want:
-            e.schwarz(ev)
-        if "cor3.3" in e.want:
-            e.single(ev)
-        if "bessel-defect" in e.want or "schwarz-step" in e.want:
-            e.free_pair(ev, fam)
+        e.xy = [(e.point(e.ev, e.fam, c, *e.sites[v]), c) for v, c in (("x", cx), ("y", cy))]
+        want = set(config.selectors)
+        for key, entry, tail in campaign_keys():
+            if key in want:
+                e.run(key, entry, tail)
     if e.first is not None:
         raise e.first[1]
-    return int(ev.size), e.rejected, e.records
+    return int(e.ev.size), e.rejected, e.records
 
 
 class _Evaluation:
     """What the evaluation of one chunk shares: the draws of its evaluated
-    bundles, its rejected corridors, its chain records, and its first failed
-    check in bundle order (by trial, then by the order in which checks are
-    registered)."""
+    bundles ``ev`` with their family and admissible pair, the instances drawn
+    from them, its rejected corridors, its chain records, and its first
+    failed check in bundle order (by trial, then by the order in which checks
+    are registered)."""
 
     def __init__(self, config: FuzzConfig):
         self.spec = config.spec()
-        self.want = set(config.selectors)
         self.d = config.dim
         self.real = config.mode == "real"
         self.real_pt = self.real and self.spec.mode == "real"
         self.sites: dict = {}
+        self.instances: dict = {}
         self.rejected = 0
         self.records: list = []
         self.step = 0
@@ -209,8 +185,32 @@ class _Evaluation:
             if self.first is None or key < self.first[0]:
                 self.first = (key, error(rows[0]))
 
-    def record(self, key: str, trials: np.ndarray, values: tuple) -> None:
-        self.records.append((key, trials, np.stack(np.broadcast_arrays(*values), axis=-1)))
+    def run(self, key: str, entry: Selector, tail: str | None) -> None:
+        """Record the chains of selector ``key`` on the instance its entry reads."""
+        params = entry.params(key, tail) if tail else {}
+        drawn = self.drawn(entry.draws, tail if entry.per_tail else None, params)
+        if drawn is None:
+            return
+        rows, inst = drawn
+        for chain in entry.chains:
+            values = chain.values(inst, **params)
+            named = values if chain.name is None else {chain.suffix: values}
+            keep = slice(None) if chain.when is None else chain.when(inst)
+            for suffix, v in named.items():
+                stacked = np.stack(np.broadcast_arrays(*v), axis=-1)
+                record_key = f"{key}:{suffix}" if suffix else key
+                self.records.append((record_key, rows[keep], stacked[keep]))
+
+    def drawn(self, kind: str, tail: str | None = None, params: dict | None = None):
+        """The instance ``kind`` of the chunk as (rows, instance), or None
+        when every row's corridors were rejected. It is drawn once; one drawn
+        for a ``tail`` serves a single key, so it is not kept."""
+        build = getattr(self, f"_{kind}")
+        if tail is not None:
+            return build(tail, **params)
+        if kind not in self.instances:
+            self.instances[kind] = build()
+        return self.instances[kind]
 
     def vectors(self, w: np.ndarray) -> np.ndarray:
         """Random vectors from their normals, stored complex as Vector stores them."""
@@ -253,8 +253,9 @@ class _Evaluation:
     def point(self, trials, mats, c, slack, w) -> np.ndarray:
         return self.finite(trials, _admissible_points(mats, c, self.directions(w), slack))
 
-    def hypothesis(self, trials, x, mats, c, gres, which: str) -> np.ndarray:
-        """Check admissibility as the bounds do; returns the sign-form values."""
+    def slot(self, trials, x, mats, c, gres, which: str) -> Slot:
+        """x with its family and corridor, its admissibility checked as the
+        bounds check it."""
         cond_i, residual, gap, band = _hypothesis(x, mats, c, DEFAULT_HYPOTHESIS_TOL)
         broken = np.abs(gap) > band
         holds = cond_i >= -band
@@ -268,126 +269,74 @@ class _Evaluation:
             return HypothesisFailed(which, report)
 
         self.check(trials, broken | ~holds, error)
-        return cond_i
+        return Slot(x, mats, c, cond_i)
 
-    def main(self, ev, fam, gres, cx, cy) -> None:
-        """The admissible pair (x, y): single-vector and pair chains."""
-        want = self.want
-        x = self.point(ev, fam, cx, *self.sites["x"])
-        y = self.point(ev, fam, cy, *self.sites["y"])
-        if not want.intersection(_X_CHAINS + _PAIR_CHAINS):
-            return
-        sign_x = self.hypothesis(ev, x, fam, cx, gres, "x")
-        a, nsq_x = _coefficients(fam, x), tree_sum(abs2(x))
-        s_x, m_x = _coeff_power_sum(a), _m_factor(cx)[0]
-        if want.intersection(_PAIR_CHAINS):
-            sign_y = self.hypothesis(ev, y, fam, cy, gres, "y")
-            b = _coefficients(fam, y)
-            d_abs = np.abs(_gruss_defect(_inner(x, y), a, b))
-        if "thm2.1" in want:
-            self.record("thm2.1", ev, _quadratic_values(nsq_x, a, cx, "cbs", None))
-        if "eq2.6" in want:
-            self.record("eq2.6", ev, _linear_values(nsq_x, a, cx))
-        if "eq2.11:max" in want:
-            self.record("eq2.11:max", ev, _quadratic_values(nsq_x, a, cx, "max_sum", None))
-        if "eq2.11:holder:3" in want:
-            self.record("eq2.11:holder:3", ev, _quadratic_values(nsq_x, a, cx, "holder", _HOLDER_P))
-        if "eq2.11:sum" in want:
-            self.record("eq2.11:sum", ev, _quadratic_values(nsq_x, a, cx, "sum_max", None))
-        if "cor2.3" in want:
-            self.record("cor2.3", ev, _counterpart_values(nsq_x, s_x, m_x))
-        if "thm1.1" in want:
-            values = _refined_sqrt_values(d_abs, cx.radius, cy.radius, sign_x, sign_y)
-            self.record("thm1.1", ev, values)
-        if "thm2" in want:
-            self.record("thm2", ev, _refined_midpoint_values(d_abs, a, b, cx, cy))
-        if "thm3.1" in want:
-            s_y, m_y = _coeff_power_sum(b), _m_factor(cy)[0]
-            self.record("thm3.1", ev, _gruss_values(d_abs, m_x, m_y, s_x, s_y))
+    def _x(self):
+        """The admissible x of the bundle's family."""
+        (x, cx), _ = self.xy
+        return self.ev, self.slot(self.ev, x, self.fam, cx, self.gres, "x")
 
-    def companion(self, ev, fam, gres, lam: float) -> None:
+    def _pair(self):
+        """The admissible pair (x, y) of the bundle's family."""
+        rows, x = self.drawn("x")
+        y, cy = self.xy[1]
+        return rows, Pair(x, self.slot(rows, y, self.fam, cy, self.gres, "y"))
+
+    def _companion(self, tail: str, lam: float):
         """Theorem 4.1 at ``lam``: z admissible, x free, y solved from z."""
-        cz, z_ok = self.corridor(*self.sites[f"cz{lam}"], ev)
-        rows = ev[z_ok]
+        cz, z_ok = self.corridor(*self.sites[f"cz{tail}"], self.ev)
+        rows = self.ev[z_ok]
         if not rows.size:
-            return
-        fam, gres, cz = _keep(z_ok, fam, gres, cz)
-        slack, w, xw = _keep(z_ok, *self.sites[f"z{lam}"])
+            return None
+        fam, gres, cz = _keep(z_ok, self.fam, self.gres, cz)
+        slack, w, xw = _keep(z_ok, *self.sites[f"z{tail}"])
         z = self.point(rows, fam, cz, slack, w)
         xa = self.vectors(xw)
         yb = self.finite(rows, (z - lam * xa) / (1.0 - lam))
-        z2 = _mix(xa, yb, lam)
-        self.hypothesis(rows, z2, fam, cz, gres, "lam*x + (1-lam)*y")
-        defect = _gruss_defect(_inner(xa, yb), _coefficients(fam, xa), _coefficients(fam, yb))
-        s_z = _coeff_power_sum(_coefficients(fam, z2))
-        values = _companion_values(defect.real, _m_factor(cz)[0], s_z, lam)
-        self.record(f"thm4.1:{lam}", rows, values)
+        z2 = self.slot(rows, _mix(xa, yb, lam), fam, cz, gres, "lam*x + (1-lam)*y")
+        return rows, Pair(Slot(xa, fam), Slot(yb, fam), z=z2)
 
-    def schwarz(self, ev) -> None:
+    def _schwarz(self):
         """Corollary 2.5: x admissible for {y/||y||} under (delta ||y||, Delta ||y||)."""
         yv = self.vectors(*self.sites["yv"])
-        c1, c1_ok = self.corridor(*self.sites["c25"], ev)
-        rows = ev[c1_ok]
+        c1, c1_ok = self.corridor(*self.sites["c25"], self.ev)
+        rows = self.ev[c1_ok]
         if not rows.size:
-            return
+            return None
         yv, c1 = _keep(c1_ok, yv, c1)
-        ny2 = tree_sum(abs2(yv))
-        ny = np.sqrt(ny2)
-        unit = self.finite(rows, yv / ny[:, None])[:, None, :]
+        y = Slot(yv, None, c1)
+        unit, lo, hi = _schwarz_frame(y)
+        self.finite(rows, unit[:, 0])
         res, _ = _gram_residual(unit)
         self.check(
             rows,
-            res > _UNIT_TOLERANCE,
-            lambda i: GramResidualExceeded(float(res[i]), (0, 0), _UNIT_TOLERANCE),
+            res > UNIT_TOLERANCE,
+            lambda i: GramResidualExceeded(float(res[i]), (0, 0), UNIT_TOLERANCE),
         )
-        corr_x = Corridors.build(c1.lo * ny[:, None], c1.hi * ny[:, None])
+        corr_x = Corridors.build(lo, hi)
         self.check(rows, ~corr_x.finite, lambda i: _corridor_error(corr_x, i))
         xs = self.point(rows, unit, corr_x, *_keep(c1_ok, *self.sites["xs"]))
-        self.hypothesis(rows, xs, unit, corr_x, res, "x")
-        chains = _schwarz_values(tree_sum(abs2(xs)), ny2, _inner(xs, yv), c1.lo[:, 0], c1.hi[:, 0])
-        for name, values in zip(_SCHWARZ_CHAINS, chains):
-            self.record(f"cor2.5:{name}", rows, values)
+        return rows, Pair(self.slot(rows, xs, unit, corr_x, res, "x"), y)
 
-    def single(self, ev) -> None:
-        """Corollary 3.3: a pair over a one-member family, and its ratio form."""
-        fam, gres = self.families(*self.sites["f1"], ev)
-        c1, c1_ok = self.corridor(*self.sites["c1"], ev)
-        c2, c2_ok = self.corridor(*self.sites["c2"], ev)
+    def _single(self):
+        """Corollary 3.3: a pair over a one-member family."""
+        fam, gres = self.families(*self.sites["f1"], self.ev)
+        c1, c1_ok = self.corridor(*self.sites["c1"], self.ev)
+        c2, c2_ok = self.corridor(*self.sites["c2"], self.ev)
         both = c1_ok & c2_ok
-        rows = ev[both]
+        rows = self.ev[both]
         if not rows.size:
-            return
+            return None
         fam, gres, c1, c2 = _keep(both, fam, gres, c1, c2)
         xs = self.point(rows, fam, c1, *_keep(both, *self.sites["p1"]))
         ys = self.point(rows, fam, c2, *_keep(both, *self.sites["p2"]))
-        self.hypothesis(rows, xs, fam, c1, gres, "x")
-        self.hypothesis(rows, ys, fam, c2, gres, "y")
-        a, b = _coefficients(fam, xs), _coefficients(fam, ys)
-        p = _inner(xs, ys)
-        m1, m2 = _m_factor(c1)[0], _m_factor(c2)[0]
-        d_abs = np.abs(_gruss_defect(p, a, b))
-        s1, s2 = _coeff_power_sum(a), _coeff_power_sum(b)
-        self.record("cor3.3", rows, _gruss_values(d_abs, m1, m2, s1, s2))
-        # Python's abs (the C hypot), as for one instance: np.abs may differ in the last bit
-        pairs = zip(a[:, 0].tolist(), b[:, 0].tolist())
-        gate = np.array([abs(u) > 1e-9 and abs(v) > 1e-9 for u, v in pairs], dtype=bool)
-        if gate.any():
-            denom = np.multiply(a[gate, 0], np.conj(b[gate, 0]))
-            ratio = _ratio_values(p[gate], denom, m1[gate], m2[gate])
-            self.record("cor3.3:ratio", rows[gate], ratio)
+        x = self.slot(rows, xs, fam, c1, gres, "x")
+        return rows, Pair(x, self.slot(rows, ys, fam, c2, gres, "y"))
 
-    def free_pair(self, ev, fam) -> None:
-        """The projection defect and the Schwarz step on two unconstrained vectors."""
+    def _free(self):
+        """Two vectors under no corridor."""
         xr, yr = map(self.vectors, self.sites["xr"])
-        ar, br = _coefficients(fam, xr), _coefficients(fam, yr)
-        nsq_r = tree_sum(abs2(xr))
-        defect_x = nsq_r - _coeff_power_sum(ar)
-        if "bessel-defect" in self.want:
-            self.record("bessel-defect", ev, (-1e-10 * nsq_r, defect_x))
-        if "schwarz-step" in self.want:
-            defect_y = tree_sum(abs2(yr)) - _coeff_power_sum(br)
-            d_r = _gruss_defect(_inner(xr, yr), ar, br)
-            self.record("schwarz-step", ev, _schwarz_step_values(d_r, defect_x, defect_y))
+        return self.ev, Pair(Slot(xr, self.fam), Slot(yr, self.fam))
 
 
 def _keep(mask: np.ndarray, *items) -> tuple:

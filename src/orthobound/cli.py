@@ -1,9 +1,9 @@
 """Command-line front end: single-instance checks, fuzz campaigns, sweeps,
 the refinement incomparability witnesses and the weighted-quadrature demo.
 
-``check`` runs one entry of :data:`SELECTORS`, the catalog of bound
-selectors: each entry names the instance fields it needs and the public
-:mod:`orthobound.bounds` functions it calls.
+``check`` runs one entry of the catalog of bound selectors,
+:data:`orthobound.catalog.SELECTORS`: each entry names the instance fields
+it needs and the public :mod:`orthobound.bounds` functions it calls.
 
 Exit codes: 0 when every requested hypothesis and chain holds, 2 when an
 instance is inadmissible for the requested bound, 1 for I/O or validation
@@ -21,12 +21,13 @@ import json
 import math
 import os
 import sys
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import bounds, jsonio
 from .admissibility import DEFAULT_HYPOTHESIS_TOL, CorridorSpec
+from .catalog import SELECTORS, Selector
 from .errors import HypothesisFailed, InstanceFormatError, OrthoboundError
 from .experiments import (
     SWEEP_TARGETS,
@@ -104,89 +105,11 @@ def _load_instance(path: str) -> dict:
     }
 
 
-def _number(raw: str, text: str, what: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise InstanceFormatError("--bound", f"bad {what} in {raw!r}") from exc
-
-
-def _split_params(raw: str, tail: str) -> dict:
-    """eq2.11's split of the corridor bound: ``max``, ``sum`` or ``holder:p``."""
-    if tail == "max":
-        return {"variant": "max_sum"}
-    if tail == "sum":
-        return {"variant": "sum_max"}
-    if tail.startswith("holder:"):
-        return {"variant": "holder", "p": _number(raw, tail[len("holder:"):], "holder exponent")}
-    raise InstanceFormatError("--bound", f"unknown eq2.11 variant {raw!r}")
-
-
-def _lambda_params(raw: str, tail: str) -> dict:
-    """thm4.1's mixing weight lambda."""
-    return {"lam": _number(raw, tail, "lambda")}
-
-
-def _ratio_form_defined(inst: dict) -> bool:
-    """cor3.3's ratio form needs one member and nonzero <x, e>, <y, e>."""
-    fam = inst["family"]
-    return fam.count == 1 and all(abs(fam.coefficients(inst[v])[0]) > 0.0 for v in ("x", "y"))
-
-
-class Call(NamedTuple):
-    """One public function of :mod:`orthobound.bounds` that a selector runs."""
-
-    chain: str | None  # JSON chain name; None when the function returns named chains
-    function: str
-    when: Callable[[dict], bool] | None = None  # runs only on instances where this holds
-
-
-class Selector(NamedTuple):
-    """One entry of the bound catalog behind ``orthobound check``.
-
-    ``fields`` are the instance fields the calls need besides x, in the order
-    an error lists the missing ones. Every call takes x, y if needed, then the
-    other fields in that order. ``params`` parses the tail of "name:tail" into
-    keyword arguments; ``hypotheses`` are the JSON names of the reports the
-    chains were checked under, in the order the bound checked them.
-    """
-
-    fields: tuple[str, ...]
-    calls: tuple[Call, ...]
-    params: Callable[[str, str], dict] | None = None
-    hypotheses: tuple[str, ...] = ("x", "y")
-
-
-_X = ("family", "phi/Phi")
-_PAIR = ("family", "phi/Phi", "y", "gamma/Gamma")
-
-SELECTORS: dict[str, Selector] = {
-    "thm2.1": Selector(_X, (Call("main", "norm_bound_quadratic"),)),
-    "eq2.6": Selector(_X, (Call("main", "norm_bound_linear"),)),
-    "eq2.11": Selector(_X, (Call("main", "norm_bound_quadratic"),), _split_params),
-    "cor2.3": Selector(_X, (Call("main", "bessel_counterpart"),)),
-    "cor2.5": Selector(("y", "delta", "Delta"), (Call(None, "schwarz_counterparts"),)),
-    "thm1.1": Selector(_PAIR, (Call("main", "gruss_refined_sqrt"),)),
-    "thm2": Selector(_PAIR, (Call("main", "gruss_refined_midpoint"),)),
-    "thm3.1": Selector(_PAIR, (Call("main", "gruss_bound"),)),
-    "cor3.3": Selector(
-        _PAIR,
-        (
-            Call("main", "gruss_bound"),
-            Call("ratio_form", "single_vector_ratio_chain", _ratio_form_defined),
-        ),
-    ),
-    "thm4.1": Selector(
-        ("family", "phi/Phi", "y"), (Call("main", "companion_bound"),), _lambda_params, ("combined",)
-    ),
-}
-
-
 def _parse_selector(raw: str) -> tuple[str, Selector, dict]:
     """A ``--bound`` value: its catalog name, entry and keyword arguments."""
     name, colon, tail = raw.partition(":")
     entry = SELECTORS.get(name)
-    if entry is None or bool(colon) != (entry.params is not None):
+    if entry is None or entry.fields is None or bool(colon) != (entry.params is not None):
         raise InstanceFormatError("--bound", f"unknown bound selector {raw!r}")
     return name, entry, entry.params(raw, tail) if colon else {}
 
@@ -196,11 +119,11 @@ def _evaluate(entry: Selector, inst: dict, params: dict, tol: float, force: bool
     vectors = ["x"] + [f for f in entry.fields if f == "y"]
     args = [inst[f] for f in vectors + [f for f in entry.fields if f != "y"]]
     chains: dict[str, bounds.BoundChain] = {}
-    for call in entry.calls:
-        if call.when is None or call.when(inst):
+    for chain in entry.chains:
+        if chain.when is None or chain.when(bounds._pair(*args)):
             # looked up at call time, so a patched bounds function takes effect
-            result = getattr(bounds, call.function)(*args, **params, tol=tol, force=force)
-            chains.update(result.chains() if call.chain is None else {call.chain: result})
+            result = getattr(bounds, chain.function)(*args, **params, tol=tol, force=force)
+            chains.update(result.chains() if chain.name is None else {chain.name: result})
     return chains
 
 
@@ -250,8 +173,6 @@ def cmd_fuzz(args) -> int:
         mode=args.mode,
         corridor=spec,
     )
-    if config.family_size > config.dim:
-        return _fail("--family must not exceed --dim")
     summary = run_fuzz(config)
     _emit(
         {

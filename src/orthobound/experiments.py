@@ -20,6 +20,7 @@ from .admissibility import CorridorSpec, ScalarCorridor, admissible_point, check
 from .bounds import (
     bessel_counterpart,
     bessel_defect,
+    gruss_bound,
     gruss_refined_midpoint,
     gruss_refined_sqrt,
     norm_bound_quadratic,
@@ -63,8 +64,11 @@ def sharpness_sweep(target: str, eps_grid: Sequence[float]) -> list[SweepRow]:
     ``cor23``  : the plane construction against the defect bound; ratio
                  approaches 1 as eps -> 0, showing the 1/4 prefactor cannot
                  shrink.
-    ``cor32``  : the same construction in both slots of the pair bound,
-                 squaring the ratio and pinning the 1/16 prefactor.
+    ``cor32``  : the same construction in both slots of the pair bound
+                 (Theorem 3.1), whose |defect|/bound is 1 - eps^2; the
+                 rows give its squared form
+                 |defect|^2 <= (1/16) M^2 M'^2 S S', whose ratio
+                 (1 - eps^2)^2 pins the 1/16 prefactor.
     """
     if target not in SWEEP_TARGETS:
         raise ValueError(f"unknown sweep target {target!r}")
@@ -84,11 +88,14 @@ def sharpness_sweep(target: str, eps_grid: Sequence[float]) -> list[SweepRow]:
             rows.append(SweepRow(eps, ratio, chain.values[1], chain.values[0]))
             continue
         fam, corridor, x, lo, hi = _r2_construction(eps)
-        chain = bessel_counterpart(x, fam, corridor)
-        if not chain.all_hold:
-            raise ChainViolated(f"the {target} construction at eps={eps!r}", chain)
+        chains = [bessel_counterpart(x, fam, corridor)]
+        if target == "cor32":
+            chains.append(gruss_bound(x, x, fam, corridor, corridor))
+        for chain in chains:
+            if not chain.all_hold:
+                raise ChainViolated(f"the {target} construction at eps={eps!r}", chain)
         defect = 0.25 * (hi - lo) ** 2  # exact defect of this construction
-        bound = chain.values[2]
+        bound = chains[0].values[2]
         if target == "cor23":
             rows.append(SweepRow(eps, defect / bound, bound, defect))
         else:  # cor32: both slots carry the same construction

@@ -1,9 +1,10 @@
 """Seeded fuzz campaigns running every bound on random admissible instances.
 
 One "bundle" (trial) draws a family plus admissible vectors and corridors for
-each kind of bound and evaluates the selected chains. Corridors whose re_sum
-fails to be positive are rejected and counted, never silently repaired.
-Disjoint seeds give independent shards.
+each kind of bound and evaluates the selected chains. The selectors and their
+campaign parameters come from the catalog, :data:`orthobound.catalog.SELECTORS`.
+Corridors whose re_sum fails to be positive are rejected and counted, never
+silently repaired. Disjoint seeds give independent shards.
 
 The stream. A campaign draws from one ``PCG64(seed)`` stream, as
 ``np.random.default_rng(seed)`` makes it, and only uniforms in [0, 1):
@@ -51,26 +52,11 @@ import numpy as np
 
 from .admissibility import CorridorSpec
 from .bounds import _chain_holds, _chain_slacks
+from .catalog import campaign_keys
 from .family import _check_size
 
-ALL_SELECTORS = (
-    "thm1.1",
-    "thm2",
-    "thm2.1",
-    "eq2.6",
-    "eq2.11:max",
-    "eq2.11:holder:3",
-    "eq2.11:sum",
-    "cor2.3",
-    "cor2.5",
-    "thm3.1",
-    "cor3.3",
-    "thm4.1:0.1",
-    "thm4.1:0.5",
-    "thm4.1:0.9",
-    "bessel-defect",
-    "schwarz-step",
-)
+# Every selector key a campaign can run, in the order a bundle records them.
+ALL_SELECTORS = tuple(key for key, _, _ in campaign_keys())
 
 # Trials drawn and evaluated together; bounds the memory of a campaign.
 CHUNK = 1024
@@ -94,6 +80,7 @@ class FuzzConfig:
         unknown = [s for s in self.selectors if s not in ALL_SELECTORS]
         if unknown:
             raise ValueError(f"unknown fuzz selectors: {', '.join(map(repr, unknown))}")
+        _check_size(self.dim, self.family_size)
 
     def spec(self) -> CorridorSpec:
         default = CorridorSpec(mode=self.mode)  # rejects an unknown mode
@@ -126,8 +113,6 @@ def _chunks(config: FuzzConfig):
     """Draw and evaluate the campaign chunk by chunk; yields what
     :func:`_chunk` returns for each."""
     config.spec()  # an unknown corridor mode fails even a campaign of no bundles
-    if config.count > 0:
-        _check_size(config.dim, config.family_size)
     rng = np.random.default_rng(config.seed)
     for start in range(0, config.count, CHUNK):
         yield _chunk(config, rng, range(start, min(start + CHUNK, config.count)))

@@ -1,5 +1,6 @@
-"""The draw phase of a fuzz campaign: its generator calls, and the lazy
-import that keeps the engine out of processes that run no campaign."""
+"""The draw phase of a fuzz campaign: its generator calls, the keys it
+records against the selector catalog, and the lazy import that keeps the
+engine out of processes that run no campaign."""
 
 import os
 import pathlib
@@ -9,7 +10,7 @@ import sys
 import numpy as np
 
 import orthobound
-from orthobound import FuzzConfig, fuzz, run_fuzz
+from orthobound import FuzzConfig, bounds, catalog, fuzz, run_fuzz
 
 
 class CountingGenerator:
@@ -36,6 +37,21 @@ def test_draw_makes_one_generator_call_per_chunk(monkeypatch):
     summary = run_fuzz(FuzzConfig(seed=5, count=50))  # complex, all selectors: four chunks
     assert summary.evaluated == 50
     assert calls == ["random"] * 4
+
+
+def test_campaign_records_the_catalog_expansion():
+    expected = []
+    for key, entry, _ in catalog.campaign_keys():
+        for chain in entry.chains:
+            if chain.name is None:  # the public function returns named chains
+                expected += [f"{key}:{name}" for name in bounds._SCHWARZ_LABELS]
+            else:
+                expected.append(f"{key}:{chain.suffix}" if chain.suffix else key)
+    assert list(fuzz.ALL_SELECTORS) == [key for key, _, _ in catalog.campaign_keys()]
+    named = ["norm_product", "norm_product_gap", "norm_product_sq", "norm_product_sq_gap"]
+    assert {f"cor2.5:{name}" for name in named} | {"cor3.3:ratio"} <= set(expected)
+    summary = run_fuzz(FuzzConfig(seed=5, count=50))  # complex, all selectors
+    assert list(summary.checked) == expected
 
 
 def test_importing_the_package_leaves_the_engine_out():

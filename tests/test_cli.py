@@ -25,7 +25,8 @@ from orthobound import (
     schwarz_counterparts,
     single_vector_ratio_chain,
 )
-from orthobound.cli import SELECTORS, SWEEP_EPS, main
+from orthobound.catalog import SELECTORS
+from orthobound.cli import SWEEP_EPS, main
 
 ROOT = Path(__file__).resolve().parents[1]
 DATA = ROOT / "data"

@@ -88,7 +88,7 @@ def test_equality_catalog_passes():
 
 @pytest.mark.parametrize(
     "target, bound", [("thm21", "norm_bound_quadratic"), ("cor23", "bessel_counterpart"),
-                      ("cor32", "bessel_counterpart")]
+                      ("cor32", "bessel_counterpart"), ("cor32", "gruss_bound")]
 )
 def test_sweep_raises_on_failing_chain(monkeypatch, target, bound):
     # a raised error, not an assert, so the check survives python -O

@@ -227,7 +227,7 @@ def reference_fuzz(config, chains=None):
                 record("cor3.3", gruss_bound(xs, ys, fam_single, c1, c2), trial)
                 a = fam_single.coefficients(xs)[0]
                 b = fam_single.coefficients(ys)[0]
-                if abs(a) > 1e-9 and abs(b) > 1e-9:
+                if a * b.conjugate() != 0.0:  # where the ratio form is defined
                     record(
                         "cor3.3:ratio",
                         single_vector_ratio_chain(xs, ys, fam_single, c1, c2),
@@ -338,6 +338,20 @@ def test_layout_does_not_depend_on_the_selectors():
     assert len(alone) == config.count
 
 
+def test_ratio_form_is_checked_at_every_scale():
+    # the ratio form is scale-free: a corridor spec scaled by 2^-40 scales
+    # every draw exactly, so it must be checked on the same bundles
+    unit = CorridorSpec()
+    t = 2.0**-40
+    tiny = CorridorSpec(unit.mode, t * unit.center_low, t * unit.center_high, t * unit.width_high)
+    counts = []
+    for spec in (unit, tiny):
+        summary = run_fuzz(FuzzConfig(seed=9, count=300, corridor=spec, selectors=("cor3.3",)))
+        counts.append((summary.checked["cor3.3:ratio"], summary.min_slack["cor3.3:ratio"]))
+    assert counts[0] == counts[1]
+    assert counts[0][0] == 300
+
+
 def test_rejecting_specs_really_reject():
     assert run_fuzz(CONFIGS["real-rejecting"]).evaluated == 0
     for name in ("real-rejecting-single", "complex-rejecting"):
@@ -395,7 +409,7 @@ def test_nonfinite_corridor_in_campaign_matches_reference():
 @pytest.mark.parametrize(
     "config",
     [
-        FuzzConfig(count=3, dim=2, family_size=4),
+        FuzzConfig(seed=2, count=5, mode="quaternion"),
         FuzzConfig(count=0, mode="quaternion"),
         FuzzConfig(seed=1, count=5, mode="quaternion", corridor=CorridorSpec("complex")),
     ],
@@ -405,6 +419,15 @@ def test_invalid_config_raises_the_reference_error(config):
         reference_fuzz(config)
     with pytest.raises(ValueError) as got:
         run_fuzz(config)
+    assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.parametrize("count, family_size", [(3, 4), (0, 5)])
+def test_family_larger_than_dim_is_rejected_at_construction(count, family_size):
+    with pytest.raises(ValueError) as ref:
+        random_family(2, family_size, 0)
+    with pytest.raises(ValueError) as got:
+        FuzzConfig(count=count, dim=2, family_size=family_size)
     assert str(got.value) == str(ref.value)
 
 
