@@ -50,15 +50,27 @@ class Corridors(NamedTuple):
 
     @classmethod
     def build(cls, lo, hi) -> "Corridors":
+        """The corridors with sides ``lo`` and ``hi``; sides too large for the
+        aggregates give non-finite ones quietly, which :meth:`nonfinite` reports."""
         lo = np.asarray(lo, dtype=np.complex128)
         hi = np.asarray(hi, dtype=np.complex128)
-        re_sum = tree_sum(np.multiply(hi, np.conj(lo)).real)
-        radius = 0.5 * np.sqrt(tree_sum(abs2(hi - lo)))
-        return cls(lo, hi, 0.5 * (lo + hi), re_sum, radius)
+        with np.errstate(over="ignore", invalid="ignore"):
+            re_sum = tree_sum(np.multiply(hi, np.conj(lo)).real)
+            radius = 0.5 * np.sqrt(tree_sum(abs2(hi - lo)))
+            return cls(lo, hi, 0.5 * (lo + hi), re_sum, radius)
 
-    @property
-    def finite(self) -> np.ndarray:
-        return np.isfinite(self.re_sum) & np.isfinite(self.radius)
+    def nonfinite(self, sides: tuple[str, str] = ("lo", "hi")) -> tuple:
+        """The finiteness rule: the mask of corridors whose re_sum or radius is
+        not finite, as they are whenever a side is not, and ``error(row)``,
+        the error of one, which names the first non-finite side by ``sides``."""
+
+        def error(row=()):
+            for name, side in zip(sides, (self.lo[row], self.hi[row])):
+                if not np.isfinite(side).all():
+                    return ValueError(f"corridor {name} must be finite")
+            return NonfiniteCorridor(float(self.re_sum[row]), float(self.radius[row]))
+
+        return np.logical_not(np.isfinite(self.re_sum) & np.isfinite(self.radius)), error
 
     def take(self, rows) -> "Corridors":
         return Corridors(*(part[rows] for part in self))
@@ -87,14 +99,13 @@ class ScalarCorridor:
             raise ValueError(
                 f"corridor sides must be nonempty and equal length, got {lo.size} and {hi.size}"
             )
+        agg = Corridors.build(lo, hi)
+        failed, error = agg.nonfinite()
+        if failed:
+            raise error()
         for name, arr in (("lo", lo), ("hi", hi)):
-            if not np.isfinite(arr).all():
-                raise ValueError(f"corridor {name} must be finite")
             if self.real_mode and arr.imag.any():
                 raise ValueError(f"real_mode corridor {name} has imaginary parts")
-        agg = Corridors.build(lo, hi)
-        if not agg.finite:
-            raise NonfiniteCorridor(float(agg.re_sum), float(agg.radius))
         for arr in (lo, hi, agg.midpoints):
             arr.flags.writeable = False
         object.__setattr__(self, "lo", lo)
@@ -141,24 +152,19 @@ def check_hypothesis(
         )
     if x.dim != fam.dim:
         raise DimensionMismatch(f"vector dim {x.dim} != family dim {fam.dim}")
-    cond_i, residual, gap, band = _hypothesis(x.coords, fam.matrix, corridor, tol)
-    if abs(gap) > band:
-        raise IdentityViolation(float(gap), float(band), fam.gram_residual)
-    return HypothesisReport(
-        cond_i_value=float(cond_i),
-        cond_ii_residual=float(residual),
-        radius=corridor.radius,
-        holds=bool(cond_i >= -band),
-    )
+    return _hypothesis(x.coords, fam.matrix, corridor, tol, fam.gram_residual)[2]()
 
 
-def _hypothesis(x, matrix, corridor, tol: float):
-    """Kernel of :func:`check_hypothesis` for vectors (..., dim) and families
-    (..., count, dim) under ``corridor`` (a :class:`ScalarCorridor` or
-    :class:`Corridors`).
+def _hypothesis(x, matrix, corridor, tol: float, gram_residual) -> tuple:
+    """Kernel of :func:`check_hypothesis` for vectors (..., dim), families
+    (..., count, dim) with their gram residuals, under ``corridor`` (a
+    :class:`ScalarCorridor` or :class:`Corridors`).
 
-    Returns the sign-form value, the ball-form residual, the identity gap
-    and the band tol * max(1, r^2) that the gap and the sign test use.
+    Both tests use the band tol * max(1, r^2): the identity gap between the
+    two forms must lie within it, and the sign form must not fall below it.
+    Returns the sign-form value, the mask of rows that fail either test, and
+    ``report(row)``, which raises the row's :class:`IdentityViolation` or
+    returns its :class:`HypothesisReport`.
     """
     stacked = np.stack([corridor.hi, corridor.lo, corridor.midpoints], axis=-2)
     ends = stacked @ matrix
@@ -167,7 +173,19 @@ def _hypothesis(x, matrix, corridor, tol: float):
     residual = np.sqrt(tree_sum(abs2(x - center)))
     r2 = corridor.radius * corridor.radius
     gap = cond_i - (r2 - residual * residual)
-    return cond_i, residual, gap, tol * np.maximum(1.0, r2)
+    band = tol * np.maximum(1.0, r2)
+    broken = abs(gap) > band
+    holds = cond_i >= -band
+
+    def report(row=()):
+        if broken[row]:
+            gram = np.asarray(gram_residual)[row]
+            raise IdentityViolation(float(gap[row]), float(band[row]), float(gram))
+        radius = np.asarray(corridor.radius)[row]
+        return HypothesisReport(float(cond_i[row]), float(residual[row]), float(radius),
+                                bool(holds[row]))
+
+    return cond_i, broken | np.logical_not(holds), report
 
 
 @dataclass(frozen=True)

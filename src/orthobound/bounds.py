@@ -421,6 +421,9 @@ def schwarz_counterparts(
     if norm_sq(y) == 0.0:
         raise ZeroVector("y must be nonzero")
     ends = Corridors.build([delta], [Delta])
+    failed, error = ends.nonfinite(("delta", "Delta"))
+    if failed:
+        raise error()
     _positive(ends)
     ys = Slot(y.coords, None, ends)
     unit, lo, hi = _schwarz_frame(ys)

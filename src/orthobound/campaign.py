@@ -8,8 +8,11 @@ whose corridors were accepted, and runs the selected chains over the
 leading trial axis. The selectors, their parameters and the kernel of each
 chain come from :mod:`orthobound.catalog`; each entry names the instance it
 reads (``x``, ``pair``, ``companion``, ``schwarz``, ``single`` or ``free``),
-which :class:`_Evaluation` draws at most once per chunk. Only this module
-knows the draw sites; :mod:`orthobound.fuzz` describes the stream.
+which :class:`_Evaluation` draws when a selected entry first reads it. Only
+this module knows the draw sites; :mod:`orthobound.fuzz` describes the
+stream. Every check on the drawn instances is the batched rule of the module
+that owns the type, the rule its scalar constructor applies to a batch of
+one; the chunk only registers each rule, in bundle order.
 """
 
 from __future__ import annotations
@@ -19,22 +22,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .admissibility import (
-    DEFAULT_HYPOTHESIS_TOL,
-    Corridors,
-    HypothesisReport,
-    _admissible_points,
-    _hypothesis,
-)
+from .admissibility import DEFAULT_HYPOTHESIS_TOL, Corridors, _admissible_points, _hypothesis
 from .bounds import UNIT_TOLERANCE, Pair, Slot, _mix, _schwarz_frame
 from .catalog import SELECTORS, Selector, campaign_keys
-from .errors import (
-    GramResidualExceeded,
-    HypothesisFailed,
-    IdentityViolation,
-    NonfiniteCorridor,
-)
-from .family import DEFAULT_TOLERANCE, _gram_residual, _orthonormal_rows
+from .errors import HypothesisFailed
+from .family import DEFAULT_TOLERANCE, _gram_check, _orthonormal_rows
+from .space import _nonfinite
 
 if TYPE_CHECKING:
     from .fuzz import FuzzConfig
@@ -152,7 +145,8 @@ def evaluate(config: FuzzConfig, trials: range, sites: dict):
             if key in want:
                 e.run(key, entry, tail)
     if e.first is not None:
-        raise e.first[1]
+        _, error, row = e.first
+        raise error(row)
     return int(e.ev.size), e.rejected, e.records
 
 
@@ -176,19 +170,20 @@ class _Evaluation:
         self.first = None
 
     def check(self, trials: np.ndarray, failed: np.ndarray, error) -> None:
-        """Register one check over rows ``trials``; ``error(row)`` builds the
-        exception of a failed row."""
+        """Register one rule over rows ``trials``, as its owner returns it:
+        the mask of failed rows and ``error(row)``, which builds (or raises)
+        the exception of one; only the chunk's first is built."""
         self.step += 1
         rows = np.flatnonzero(failed)
         if rows.size:
             key = (int(trials[rows[0]]), self.step)
             if self.first is None or key < self.first[0]:
-                self.first = (key, error(rows[0]))
+                self.first = (key, error, rows[0])
 
     def run(self, key: str, entry: Selector, tail: str | None) -> None:
         """Record the chains of selector ``key`` on the instance its entry reads."""
         params = entry.params(key, tail) if tail else {}
-        drawn = self.drawn(entry.draws, tail if entry.per_tail else None, params)
+        drawn = self.drawn(entry.draws, tail, params)
         if drawn is None:
             return
         rows, inst = drawn
@@ -203,13 +198,13 @@ class _Evaluation:
 
     def drawn(self, kind: str, tail: str | None = None, params: dict | None = None):
         """The instance ``kind`` of the chunk as (rows, instance), or None
-        when every row's corridors were rejected. It is drawn once; one drawn
-        for a ``tail`` serves a single key, so it is not kept."""
-        build = getattr(self, f"_{kind}")
-        if tail is not None:
-            return build(tail, **params)
+        when every row's corridors were rejected. It is drawn once, except
+        the companion instance: it is drawn once per tail, from that tail's
+        sites, and serves that key alone, so it is not kept."""
+        if kind == "companion":
+            return self._companion(tail, **params)
         if kind not in self.instances:
-            self.instances[kind] = build()
+            self.instances[kind] = getattr(self, f"_{kind}")()
         return self.instances[kind]
 
     def vectors(self, w: np.ndarray) -> np.ndarray:
@@ -222,32 +217,23 @@ class _Evaluation:
         d = self.d
         return w if self.real_pt else w[..., :d] + 1j * w[..., d:]
 
-    def families(self, raw: np.ndarray, trials: np.ndarray, tolerance=DEFAULT_TOLERANCE):
+    def families(self, raw: np.ndarray, trials: np.ndarray):
         mats = _orthonormal_rows(raw if self.real else raw[:, 0] + 1j * raw[:, 1])
-        res, arg = _gram_residual(mats)
-        count = mats.shape[-2]
-        self.check(
-            trials,
-            res > tolerance,
-            lambda i: GramResidualExceeded(float(res[i]), divmod(int(arg[i]), count), tolerance),
-        )
+        res, *rule = _gram_check(mats, DEFAULT_TOLERANCE)
+        self.check(trials, *rule)
         return np.asarray(mats, dtype=np.complex128), res
 
     def corridor(self, u: np.ndarray, trials: np.ndarray):
         """The corridors drawn as unit uniforms ``u``, checked and counted,
         with the mask of accepted ones."""
         c = Corridors.build(*self.spec._sides(u))
-        self.check(trials, ~c.finite, lambda i: _corridor_error(c, i))
+        self.check(trials, *c.nonfinite())
         rejected = c.re_sum <= 0.0
         self.rejected += int(rejected.sum())
         return c, ~rejected
 
     def finite(self, trials: np.ndarray, v: np.ndarray) -> np.ndarray:
-        self.check(
-            trials,
-            ~np.isfinite(v).all(axis=-1),
-            lambda i: ValueError("coords must be finite (no NaN/Inf)"),
-        )
+        self.check(trials, *_nonfinite(v))
         return v
 
     def point(self, trials, mats, c, slack, w) -> np.ndarray:
@@ -256,20 +242,9 @@ class _Evaluation:
     def slot(self, trials, x, mats, c, gres, which: str) -> Slot:
         """x with its family and corridor, its admissibility checked as the
         bounds check it."""
-        cond_i, residual, gap, band = _hypothesis(x, mats, c, DEFAULT_HYPOTHESIS_TOL)
-        broken = np.abs(gap) > band
-        holds = cond_i >= -band
-
-        def error(i):
-            if broken[i]:
-                return IdentityViolation(float(gap[i]), float(band[i]), float(gres[i]))
-            report = HypothesisReport(
-                float(cond_i[i]), float(residual[i]), float(c.radius[i]), False
-            )
-            return HypothesisFailed(which, report)
-
-        self.check(trials, broken | ~holds, error)
-        return Slot(x, mats, c, cond_i)
+        sign, failed, report = _hypothesis(x, mats, c, DEFAULT_HYPOTHESIS_TOL, gres)
+        self.check(trials, failed, lambda i: HypothesisFailed(which, report(i)))
+        return Slot(x, mats, c, sign)
 
     def _x(self):
         """The admissible x of the bundle's family."""
@@ -307,14 +282,10 @@ class _Evaluation:
         y = Slot(yv, None, c1)
         unit, lo, hi = _schwarz_frame(y)
         self.finite(rows, unit[:, 0])
-        res, _ = _gram_residual(unit)
-        self.check(
-            rows,
-            res > UNIT_TOLERANCE,
-            lambda i: GramResidualExceeded(float(res[i]), (0, 0), UNIT_TOLERANCE),
-        )
+        res, *rule = _gram_check(unit, UNIT_TOLERANCE)
+        self.check(rows, *rule)
         corr_x = Corridors.build(lo, hi)
-        self.check(rows, ~corr_x.finite, lambda i: _corridor_error(corr_x, i))
+        self.check(rows, *corr_x.nonfinite())
         xs = self.point(rows, unit, corr_x, *_keep(c1_ok, *self.sites["xs"]))
         return rows, Pair(self.slot(rows, xs, unit, corr_x, res, "x"), y)
 
@@ -346,9 +317,3 @@ def _keep(mask: np.ndarray, *items) -> tuple:
         return items
     return tuple(i.take(mask) if isinstance(i, Corridors) else i[mask] for i in items)
 
-
-def _corridor_error(c: Corridors, i: int) -> Exception:
-    for name, side in (("lo", c.lo[i]), ("hi", c.hi[i])):
-        if not np.isfinite(side).all():
-            return ValueError(f"corridor {name} must be finite")
-    return NonfiniteCorridor(float(c.re_sum[i]), float(c.radius[i]))

@@ -48,8 +48,7 @@ class Selector(NamedTuple):
     of the public function and of the kernels; ``hypotheses`` are the JSON
     names of the reports the chains were checked under, in the order the
     bound checked them. ``draws`` names the instance a campaign draws for the
-    entry, one per tail where ``per_tail`` holds; ``tails`` are the parameter
-    tails a campaign runs.
+    entry; ``tails`` are the parameter tails a campaign runs.
     """
 
     fields: tuple[str, ...] | None
@@ -58,7 +57,6 @@ class Selector(NamedTuple):
     params: Callable[[str, str], dict] | None = None
     hypotheses: tuple[str, ...] = ("x", "y")
     tails: tuple[str, ...] = ()
-    per_tail: bool = False
 
 
 def _number(raw: str, text: str, what: str) -> float:
@@ -115,7 +113,7 @@ SELECTORS: dict[str, Selector] = {
     "thm4.1": Selector(
         ("family", "phi/Phi", "y"), "companion",
         _main("companion_bound", bounds._companion_values), _lambda_params, ("combined",),
-        tails=("0.1", "0.5", "0.9"), per_tail=True,
+        tails=("0.1", "0.5", "0.9"),
     ),
     "cor2.5": Selector(("y", "delta", "Delta"), "schwarz", (
         Chain(None, "schwarz_counterparts", bounds._schwarz_values),

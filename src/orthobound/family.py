@@ -31,16 +31,18 @@ QUADRATURE_TOLERANCE = 1e-8
 _PHASE_SIGNIFICANCE = 1e-8
 
 
-def _gram_residual(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Max |G - I| of each pairwise-summed Gram matrix, with its flat argmax.
-
-    ``matrix`` holds the members as rows, (..., count, dim); both results
-    have the leading shape, and ``divmod(argmax, count)`` is the worst pair.
-    """
+def _gram_check(matrix: np.ndarray, tolerance: float) -> tuple:
+    """The gram rule over families (..., count, dim), members as rows: each
+    residual max |G - I| of the pairwise-summed Gram matrix, the mask of
+    residuals above ``tolerance``, and ``error(row)``, the error of one."""
     products = np.multiply(matrix[..., :, None, :], np.conj(matrix)[..., None, :, :])
-    deviation = np.abs(tree_sum(products) - np.eye(matrix.shape[-2]))
+    count = matrix.shape[-2]
+    deviation = np.abs(tree_sum(products) - np.eye(count))
     flat = deviation.reshape(deviation.shape[:-2] + (-1,))
-    return flat.max(axis=-1), flat.argmax(axis=-1)
+    residual, worst = flat.max(axis=-1), flat.argmax(axis=-1)
+    return residual, residual > tolerance, lambda row=(): GramResidualExceeded(
+        float(residual[row]), divmod(int(worst[row]), count), tolerance
+    )
 
 
 def _orthonormal_rows(a: np.ndarray) -> np.ndarray:
@@ -55,9 +57,9 @@ def _coefficients(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _validated(matrix: np.ndarray, tolerance: float, real_mode: bool) -> "OrthonormalFamily":
-    residual, flat = _gram_residual(matrix)
-    if residual > tolerance:
-        raise GramResidualExceeded(float(residual), divmod(int(flat), len(matrix)), tolerance)
+    residual, failed, error = _gram_check(matrix, tolerance)
+    if failed:
+        raise error()
     return OrthonormalFamily(matrix, float(residual), tolerance, real_mode)
 
 

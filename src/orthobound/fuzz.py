@@ -39,7 +39,10 @@ to what the public scalar functions give on the same instance) and the
 summary, including the order of its violations and keys; a bundle replayed
 alone from (seed, trial) gives the values it gives within its campaign. A
 campaign that fails raises the error that evaluating its bundles one at a
-time, in order, would raise first. The bits hold within one numpy build
+time, in order, would raise first. This holds by construction: each check on
+an instance is the batched rule that the scalar constructor applies to a
+batch of one, and the chunk raises its first failure through that rule's
+own error builder. The bits hold within one numpy build
 and CPU dispatch: Box-Muller uses numpy's SIMD ``log1p``, ``cos`` and
 ``sin``, which may round differently on another instruction set.
 """

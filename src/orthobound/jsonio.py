@@ -39,15 +39,23 @@ def vector_to_json(v: Vector) -> list[list[float]]:
     return [scalar_to_json(z) for z in v.coords]
 
 
-def vector_from_json(data: Any, path: str) -> Vector:
-    if not isinstance(data, list) or not data:
-        raise InstanceFormatError(path, "expected a nonempty list of scalars")
-    coords = [scalar_from_json(v, f"{path}[{k}]") for k, v in enumerate(data)]
+def _at(path: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a ValueError it raises reported at ``path``."""
     try:
-        arr = np.array(coords, dtype=np.complex128)
-        return Vector(arr, real_mode=not np.any(arr.imag != 0.0))
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise InstanceFormatError(path, str(exc)) from exc
+
+
+def _sampled(data: Any, path: str, build):
+    """The :class:`Vector` or :class:`SampledFunction` ``build`` of the
+    scalars at ``path``, real when no scalar has an imaginary part."""
+    arr = np.array(scalars_from_json(data, path), dtype=np.complex128)
+    return _at(path, build, arr, real_mode=not np.any(arr.imag != 0.0))
+
+
+def vector_from_json(data: Any, path: str) -> Vector:
+    return _sampled(data, path, Vector)
 
 
 def scalars_from_json(data: Any, path: str) -> list[complex]:
@@ -67,12 +75,8 @@ def grid_to_json(grid: QuadratureGrid) -> dict:
 def grid_from_json(data: Any, path: str = "grid") -> QuadratureGrid:
     if not isinstance(data, Mapping):
         raise InstanceFormatError(path, "expected an object with nodes/weights/rho")
-    try:
-        return QuadratureGrid(
-            data.get("nodes", []), data.get("weights", []), data.get("rho", [])
-        )
-    except ValueError as exc:
-        raise InstanceFormatError(path, str(exc)) from exc
+    return _at(path, QuadratureGrid, data.get("nodes", []), data.get("weights", []),
+               data.get("rho", []))
 
 
 def function_to_json(f: SampledFunction) -> list[list[float]]:
@@ -80,9 +84,7 @@ def function_to_json(f: SampledFunction) -> list[list[float]]:
 
 
 def function_from_json(data: Any, path: str) -> SampledFunction:
-    values = scalars_from_json(data, path)
-    arr = np.array(values, dtype=np.complex128)
-    return SampledFunction(arr, real_mode=not np.any(arr.imag != 0.0))
+    return _sampled(data, path, SampledFunction)
 
 
 def family_to_json(fam: OrthonormalFamily) -> dict:
@@ -121,16 +123,15 @@ def corridor_to_json(c: ScalarCorridor) -> dict:
 def corridor_from_json(
     lo_data: Any, hi_data: Any, path: str = ""
 ) -> ScalarCorridor:
-    lo = scalars_from_json(lo_data, f"{path}phi")
-    hi = scalars_from_json(hi_data, f"{path}Phi")
-    if len(lo) != len(hi):
+    """Each side is decoded, and checked finite, at its own path; sides too
+    large for the aggregates raise :class:`NonfiniteCorridor`."""
+    lo = _sampled(lo_data, f"{path}phi", Vector)
+    hi = _sampled(hi_data, f"{path}Phi", Vector)
+    if lo.dim != hi.dim:
         raise InstanceFormatError(
-            f"{path}Phi", f"length {len(hi)} does not match phi length {len(lo)}"
+            f"{path}Phi", f"length {hi.dim} does not match phi length {lo.dim}"
         )
-    lo_arr = np.array(lo, dtype=np.complex128)
-    hi_arr = np.array(hi, dtype=np.complex128)
-    real = not (np.any(lo_arr.imag != 0.0) or np.any(hi_arr.imag != 0.0))
-    return ScalarCorridor(lo_arr, hi_arr, real_mode=real)
+    return ScalarCorridor(lo.coords, hi.coords, real_mode=lo.real_mode and hi.real_mode)
 
 
 def report_to_json(report: HypothesisReport) -> dict:

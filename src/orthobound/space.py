@@ -69,22 +69,20 @@ def abs2(z: np.ndarray) -> np.ndarray:
     return z * z
 
 
-def _frozen_complex(values, *, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128, copy=True).reshape(-1)
-    if arr.size == 0:
-        raise ValueError(f"{name} must be nonempty")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} must be finite (no NaN/Inf)")
-    arr.flags.writeable = False
-    return arr
+def _nonfinite(values: np.ndarray, name: str = "coords") -> tuple:
+    """The finiteness rule over arrays (..., n): the mask of rows holding a
+    NaN or an Inf, and ``error(row)``, the error of one such row."""
+    failed = np.logical_not(np.isfinite(values).all(axis=-1))
+    return failed, lambda row=(): ValueError(f"{name} must be finite (no NaN/Inf)")
 
 
-def _frozen_real(values, *, name: str, nonnegative: bool = False) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, copy=True).reshape(-1)
+def _frozen(values, *, name: str, dtype=np.complex128, nonnegative: bool = False) -> np.ndarray:
+    arr = np.array(values, dtype=dtype, copy=True).reshape(-1)
     if arr.size == 0:
         raise ValueError(f"{name} must be nonempty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite (no NaN/Inf)")
+    failed, error = _nonfinite(arr, name)
+    if failed:
+        raise error()
     if nonnegative and np.any(arr < 0.0):
         raise ValueError(f"{name} must be nonnegative")
     arr.flags.writeable = False
@@ -103,7 +101,7 @@ class Vector:
     real_mode: bool = False
 
     def __post_init__(self):
-        arr = _frozen_complex(self.coords, name="coords")
+        arr = _frozen(self.coords, name="coords")
         if self.real_mode and np.any(arr.imag != 0.0):
             raise ValueError("real_mode vector has a nonzero imaginary part")
         object.__setattr__(self, "coords", arr)
@@ -174,9 +172,9 @@ class QuadratureGrid:
     density: np.ndarray
 
     def __post_init__(self):
-        nodes = _frozen_real(self.nodes, name="nodes")
-        weights = _frozen_real(self.weights, name="weights", nonnegative=True)
-        density = _frozen_real(self.density, name="density", nonnegative=True)
+        nodes = _frozen(self.nodes, name="nodes", dtype=np.float64)
+        weights = _frozen(self.weights, name="weights", dtype=np.float64, nonnegative=True)
+        density = _frozen(self.density, name="density", dtype=np.float64, nonnegative=True)
         if not (nodes.size == weights.size == density.size):
             raise ValueError(
                 f"length mismatch: nodes {nodes.size}, weights {weights.size}, "
@@ -206,7 +204,7 @@ class SampledFunction:
     real_mode: bool = False
 
     def __post_init__(self):
-        arr = _frozen_complex(self.values, name="values")
+        arr = _frozen(self.values, name="values")
         if self.real_mode and np.any(arr.imag != 0.0):
             raise ValueError("real_mode function has a nonzero imaginary part")
         object.__setattr__(self, "values", arr)

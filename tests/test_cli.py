@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -180,6 +181,41 @@ def test_check_schwarz_selector(capsys, tmp_path):
     assert rc == 0
     report = json.loads(out)
     assert len(report["chains"]) == 4
+
+
+_PAIR_INSTANCE = {
+    "family": {"members": [[[1.0, 0.0]]]},
+    "x": [[1.5, 0.0]],
+    "phi": [[1.0, 0.0]],
+    "Phi": [[2.0, 0.0]],
+    "y": [[1.2, 0.0]],
+    "gamma": [[1.0, 0.0]],
+    "Gamma": [[2.0, 0.0]],
+}
+_SCHWARZ_INSTANCE = {"x": [1.0, 2.0], "y": [0.0, 1.0], "delta": 1.0, "Delta": 3.0}
+
+
+@pytest.mark.parametrize(
+    "bound, fields, message",
+    [
+        ("cor2.3", {"phi": [1.0], "Phi": [1e200]},
+         "corridor aggregates are not finite: re_sum 1e+200, radius inf"),
+        ("cor2.5", {"delta": math.nan}, "corridor delta must be finite"),
+        ("cor2.5", {"Delta": math.inf}, "corridor Delta must be finite"),
+        ("thm3.1", {"gamma": [math.nan]}, "y corridor phi: coords must be finite (no NaN/Inf)"),
+        ("thm2.1", {"Phi": [[2.0, math.inf]]}, "Phi: coords must be finite (no NaN/Inf)"),
+    ],
+)
+def test_nonfinite_corridor_input_fails_with_one_typed_error(
+    capsys, tmp_path, bound, fields, message
+):
+    base = _SCHWARZ_INSTANCE if bound == "cor2.5" else _PAIR_INSTANCE
+    path = write_instance(tmp_path, {**base, **fields})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run(capsys, "check", "--instance", path, "--bound", bound)
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+    assert [str(w.message) for w in caught] == []
 
 
 def test_check_holder_selector(capsys, tmp_path):

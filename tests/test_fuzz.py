@@ -20,7 +20,9 @@ from orthobound import (
     CorridorSpec,
     FuzzConfig,
     FuzzSummary,
+    GramResidualExceeded,
     HypothesisFailed,
+    IdentityViolation,
     NonfiniteCorridor,
     OrthoboundError,
     ScalarCorridor,
@@ -28,6 +30,7 @@ from orthobound import (
     admissibility,
     bessel_counterpart,
     bessel_defect,
+    bounds,
     campaign,
     companion_bound,
     fuzz,
@@ -386,6 +389,105 @@ def test_planted_inadmissible_draw_raises_the_reference_error(monkeypatch):
     assert str(got.value) == str(ref.value)
     assert got.value.which == ref.value.which
     assert got.value.report == ref.value.report
+
+
+def _same_first_error(config, expected):
+    """Run the reference and the campaign, which must both fail with the same
+    error of type ``expected``; returns it."""
+    with np.errstate(all="ignore"), pytest.raises((OrthoboundError, ValueError)) as ref:
+        reference_fuzz(config)
+    with pytest.raises((OrthoboundError, ValueError)) as got:
+        run_fuzz(config)
+    assert type(ref.value) is expected
+    assert type(got.value) is expected
+    assert str(got.value) == str(ref.value)
+    return ref.value
+
+
+def _planted_qr(monkeypatch, plant):
+    """Every QR, the reference's and the campaign's, returns ``plant(a, Q)``
+    for its matrix ``a`` in place of Q."""
+    qr = np.linalg.qr
+
+    def planted(a):
+        q, r = qr(a)
+        return plant(a, q), r
+
+    monkeypatch.setattr(np.linalg, "qr", planted)
+
+
+def test_planted_loose_family_raises_the_reference_error(monkeypatch):
+    # families whose first raw entry exceeds 1 come out 1e-6 too long
+    def plant(a, q):
+        return q * np.where(a[..., 0, 0].real > 1.0, 1.0 + 1e-6, 1.0)[..., None, None]
+
+    _planted_qr(monkeypatch, plant)
+    error = _same_first_error(FuzzConfig(seed=202, count=100), GramResidualExceeded)
+    assert error.residual > 1e-6
+
+
+def test_planted_identity_violation_raises_the_reference_error(monkeypatch):
+    # each member leans 4.5e-11 towards every other one: the gram residual,
+    # about 9e-11, passes at 1e-10, but on real corridors, whose widths
+    # share one sign, the two admissibility forms then differ by more than
+    # their band
+    def plant(a, q):
+        k = q.shape[-1]
+        return q @ (np.eye(k) + 4.5e-11 * (np.ones((k, k)) - np.eye(k)))
+
+    _planted_qr(monkeypatch, plant)
+    error = _same_first_error(FuzzConfig(seed=9, count=100, mode="real"), IdentityViolation)
+    assert error.gram_residual <= 1e-10
+
+
+@pytest.mark.parametrize("fault, expected", [("unit", GramResidualExceeded),
+                                             ("corridor", NonfiniteCorridor)])
+def test_planted_corollary_2_5_frame_raises_the_reference_error(monkeypatch, fault, expected):
+    frame = bounds._schwarz_frame
+
+    def planted(y):
+        # where y's first coordinate exceeds 1: a unit member 1e-9 too long,
+        # or a corridor whose aggregates overflow
+        unit, lo, hi = frame(y)
+        hit = y.coords[..., :1].real > 1.0
+        if fault == "unit":
+            return unit * np.where(hit, 1.0 + 1e-9, 1.0)[..., None], lo, hi
+        return unit, np.where(hit, 1e200 * lo, lo), np.where(hit, 1e200 * hi, hi)
+
+    monkeypatch.setattr(bounds, "_schwarz_frame", planted)
+    monkeypatch.setattr(campaign, "_schwarz_frame", planted)
+    _same_first_error(FuzzConfig(seed=11, count=100, selectors=("cor2.5",)), expected)
+
+
+def _planted_points(monkeypatch, plant):
+    """Points drawn with slack above 0.97 become ``plant(points)``."""
+    kernel = admissibility._admissible_points
+
+    def planted(matrix, corridor, u, slack):
+        points = kernel(matrix, corridor, u, slack)
+        return np.where(np.asarray(slack > 0.97)[..., None], plant(points), points)
+
+    monkeypatch.setattr(admissibility, "_admissible_points", planted)
+    monkeypatch.setattr(campaign, "_admissible_points", planted)
+
+
+def test_planted_nonfinite_point_raises_the_reference_error(monkeypatch):
+    _planted_points(monkeypatch, lambda points: np.full_like(points, np.nan))
+    error = _same_first_error(FuzzConfig(seed=202, count=100), ValueError)
+    assert str(error) == "coords must be finite (no NaN/Inf)"
+
+
+def test_planted_nonfinite_solved_y_raises_the_reference_error(monkeypatch):
+    # points scaled to a largest coordinate of 1.5e308 stay finite, but
+    # y = (z - 0.9 x) / 0.1 overflows there
+    _planted_points(
+        monkeypatch,
+        lambda points: points * (1.5e308 / np.abs(points).max(axis=-1, keepdims=True)),
+    )
+    config = FuzzConfig(seed=202, count=100, selectors=("thm4.1:0.9",))
+    run_fuzz(dataclasses.replace(config, selectors=("bessel-defect",)))  # the points pass
+    error = _same_first_error(config, ValueError)
+    assert str(error) == "coords must be finite (no NaN/Inf)"
 
 
 def test_nonfinite_corridor_aggregates_raise_typed_error():

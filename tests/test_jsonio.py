@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from orthobound import InstanceFormatError, QuadratureGrid, Vector, validate_family
+from orthobound import (
+    InstanceFormatError,
+    NonfiniteCorridor,
+    QuadratureGrid,
+    Vector,
+    validate_family,
+)
 from orthobound import jsonio
 
 
@@ -89,3 +95,27 @@ def test_corridor_roundtrip(rng):
 def test_corridor_length_mismatch():
     with pytest.raises(InstanceFormatError):
         jsonio.corridor_from_json([[1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "decode, detail",
+    [
+        (jsonio.vector_from_json, "coords must be finite (no NaN/Inf)"),
+        (jsonio.function_from_json, "values must be finite (no NaN/Inf)"),
+    ],
+)
+def test_nonfinite_samples_are_reported_at_their_path(decode, detail):
+    with pytest.raises(InstanceFormatError) as exc:
+        decode([1.0, [0.0, float("nan")]], "f")
+    assert (exc.value.path, exc.value.detail) == ("f", detail)
+
+
+def test_nonfinite_corridor_side_is_reported_at_its_path():
+    with pytest.raises(InstanceFormatError) as exc:
+        jsonio.corridor_from_json([1.0], [float("inf")], "y corridor ")
+    assert exc.value.path == "y corridor Phi"
+
+
+def test_overflowing_corridor_keeps_its_own_type():
+    with pytest.raises(NonfiniteCorridor):
+        jsonio.corridor_from_json([1.0], [1e200])
