@@ -39,6 +39,7 @@ from .errors import (
     ChainViolated,
     DimensionMismatch,
     EmptyFamily,
+    FloatRangeExceeded,
     GramResidualExceeded,
     HypothesisFailed,
     IdentityViolation,

@@ -25,7 +25,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, IdentityViolation, NonfiniteCorridor
+from .errors import DimensionMismatch, FloatRangeExceeded, IdentityViolation, NonfiniteCorridor
 from .family import OrthonormalFamily
 from .space import Vector, abs2, tree_sum
 
@@ -162,28 +162,37 @@ def _hypothesis(x, matrix, corridor, tol: float, gram_residual) -> tuple:
 
     Both tests use the band tol * max(1, r^2): the identity gap between the
     two forms must lie within it, and the sign form must not fall below it.
+    A vector too large for the float range overflows the forms quietly; under
+    a finite band such a row fails a test, since its sign value is -inf or
+    NaN or its gap is infinite, and ``report`` checks the forms themselves.
     Returns the sign-form value, the mask of rows that fail either test, and
-    ``report(row)``, which raises the row's :class:`IdentityViolation` or
-    returns its :class:`HypothesisReport`.
+    ``report(row)``, which raises the row's :class:`FloatRangeExceeded` or
+    :class:`IdentityViolation` or returns its :class:`HypothesisReport`.
     """
     stacked = np.stack([corridor.hi, corridor.lo, corridor.midpoints], axis=-2)
     ends = stacked @ matrix
     upper, lower, center = ends[..., 0, :], ends[..., 1, :], ends[..., 2, :]
-    cond_i = tree_sum(np.multiply(upper - x, np.conj(x - lower)).real)
-    residual = np.sqrt(tree_sum(abs2(x - center)))
-    r2 = corridor.radius * corridor.radius
-    gap = cond_i - (r2 - residual * residual)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cond_i = tree_sum(np.multiply(upper - x, np.conj(x - lower)).real)
+        residual = np.sqrt(tree_sum(abs2(x - center)))
+        r2 = corridor.radius * corridor.radius
+        gap = cond_i - (r2 - residual * residual)
     band = tol * np.maximum(1.0, r2)
     broken = abs(gap) > band
     holds = cond_i >= -band
 
     def report(row=()):
+        sign, ball = float(cond_i[row]), float(residual[row])
+        if not (math.isfinite(sign) and math.isfinite(ball)):
+            raise FloatRangeExceeded(
+                f"admissibility forms overflow the float range: sign value {sign!r}, "
+                f"ball residual {ball!r}"
+            )
         if broken[row]:
             gram = np.asarray(gram_residual)[row]
             raise IdentityViolation(float(gap[row]), float(band[row]), float(gram))
         radius = np.asarray(corridor.radius)[row]
-        return HypothesisReport(float(cond_i[row]), float(residual[row]), float(radius),
-                                bool(holds[row]))
+        return HypothesisReport(sign, ball, float(radius), bool(holds[row]))
 
     return cond_i, broken | np.logical_not(holds), report
 

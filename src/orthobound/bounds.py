@@ -43,6 +43,7 @@ from .admissibility import (
 from .errors import (
     BadExponent,
     BadLambda,
+    FloatRangeExceeded,
     HypothesisFailed,
     NonpositiveReSum,
     ZeroVector,
@@ -418,8 +419,12 @@ def schwarz_counterparts(
     """
     delta = complex(delta)
     Delta = complex(Delta)
-    if norm_sq(y) == 0.0:
+    with np.errstate(over="ignore"):
+        ny2 = norm_sq(y)
+    if ny2 == 0.0:
         raise ZeroVector("y must be nonzero")
+    if not math.isfinite(ny2):
+        raise FloatRangeExceeded(f"||y||^2 overflows the float range: {ny2!r}")
     ends = Corridors.build([delta], [Delta])
     failed, error = ends.nonfinite(("delta", "Delta"))
     if failed:

@@ -121,6 +121,15 @@ class ZeroVector(OrthoboundError):
     """A nonzero vector is required."""
 
 
+class FloatRangeExceeded(OrthoboundError):
+    """A quantity computed from finite inputs overflowed to inf or NaN.
+
+    Finite vectors beyond about 1e154 overflow their squared norms, and with
+    them the admissibility forms; such an instance lies outside the float
+    range of the checks and is rejected instead of judged on inf or NaN.
+    """
+
+
 class SandwichViolated(OrthoboundError):
     """Pointwise bracketing fails at a node with positive measure."""
 

@@ -21,7 +21,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyFamily, GramResidualExceeded, RankDeficient
-from .space import QuadratureGrid, SampledFunction, Vector, abs2, embed, tree_sum
+from .space import (
+    QuadratureGrid,
+    SampledFunction,
+    Vector,
+    _embedded,
+    _nonfinite,
+    _require_samples,
+    abs2,
+    tree_sum,
+)
 
 DEFAULT_TOLERANCE = 1e-10
 QUADRATURE_TOLERANCE = 1e-8
@@ -35,9 +44,11 @@ def _gram_check(matrix: np.ndarray, tolerance: float) -> tuple:
     """The gram rule over families (..., count, dim), members as rows: each
     residual max |G - I| of the pairwise-summed Gram matrix, the mask of
     residuals above ``tolerance``, and ``error(row)``, the error of one."""
-    products = np.multiply(matrix[..., :, None, :], np.conj(matrix)[..., None, :, :])
     count = matrix.shape[-2]
-    deviation = np.abs(tree_sum(products) - np.eye(count))
+    # The product tensor is the rule's largest array: passed without a name,
+    # tree_sum frees it once its first level is summed.
+    gram = tree_sum(np.multiply(matrix[..., :, None, :], np.conj(matrix)[..., None, :, :]))
+    deviation = np.abs(gram - np.eye(count))
     flat = deviation.reshape(deviation.shape[:-2] + (-1,))
     residual, worst = flat.max(axis=-1), flat.argmax(axis=-1)
     return residual, residual > tolerance, lambda row=(): GramResidualExceeded(
@@ -57,7 +68,11 @@ def _coefficients(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _validated(matrix: np.ndarray, tolerance: float, real_mode: bool) -> "OrthonormalFamily":
-    residual, failed, error = _gram_check(matrix, tolerance)
+    # The complex products of a real family have zero imaginary parts and the
+    # real products as real parts, so its gram rule runs on the real parts
+    # with the same residual and worst pair.
+    gram_input = np.ascontiguousarray(matrix.real) if real_mode else matrix
+    residual, failed, error = _gram_check(gram_input, tolerance)
     if failed:
         raise error()
     return OrthonormalFamily(matrix, float(residual), tolerance, real_mode)
@@ -134,6 +149,29 @@ def validate_family(
             raise DimensionMismatch(f"member {k} has dim {v.dim}, expected {dim}")
     matrix = np.stack([v.coords for v in members])
     return _validated(matrix, tolerance, all(v.real_mode for v in members))
+
+
+def _embedded_family(
+    fns: Sequence[SampledFunction], grid: QuadratureGrid, tolerance: float
+) -> OrthonormalFamily:
+    """The validated family of the embeddings of ``fns`` on ``grid``, in one pass.
+
+    Its matrix equals the stacked coordinates of the members' ``embed``
+    vectors bit for bit, and it raises what :func:`validate_family` raises on
+    those vectors, except that every size mismatch is reported before any
+    non-finite embedding.
+    """
+    if len(fns) == 0:
+        raise EmptyFamily("family must contain at least one vector")
+    for f in fns:
+        _require_samples(f, grid)
+    matrix = _embedded(np.stack([f.values for f in fns]), grid)
+    failed, error = _nonfinite(matrix)
+    if failed.any():
+        raise error()
+    if not tolerance > 0.0:
+        raise ValueError("tolerance must be positive")
+    return _validated(matrix, tolerance, all(f.real_mode for f in fns))
 
 
 def _fix_phase(w: np.ndarray) -> np.ndarray:
@@ -260,5 +298,5 @@ def builtin_family(
             raise ValueError(f"{kind} family requires a quadrature grid")
         tol = QUADRATURE_TOLERANCE if tolerance is None else tolerance
         samples = (trig_samples if kind == "trig" else legendre_samples)(count, grid)
-        return validate_family([embed(f, grid) for f in samples], tol)
+        return _embedded_family(samples, grid, tol)
     raise ValueError(f"unknown family kind {kind!r}")

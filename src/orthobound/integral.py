@@ -2,7 +2,9 @@
 
 Every weighted quantity here is obtained by embedding sampled functions and
 calling the coordinate-space operations, so integral results agree with
-their discrete counterparts exactly (shared code path, zero tolerance).
+their discrete counterparts exactly (shared code path, zero tolerance). The
+family's samples are embedded in one pass by the kernel behind ``embed``, so
+its matrix is bit for bit the stacked member embeddings.
 
 "Almost everywhere" for a discrete measure means: at every node with
 positive point mass w_j * rho_j; zero-mass nodes are ignored.
@@ -24,7 +26,7 @@ from .bounds import (
     norm_bound_quadratic,
 )
 from .errors import DimensionMismatch, NonpositiveReSum, SandwichViolated
-from .family import OrthonormalFamily, QUADRATURE_TOLERANCE, validate_family
+from .family import OrthonormalFamily, QUADRATURE_TOLERANCE, _embedded_family
 from .space import QuadratureGrid, SampledFunction, Vector, embed, tree_sum
 
 
@@ -76,7 +78,7 @@ def integral_instance(
     admissibility conditions, since both run through the same embedded
     arithmetic.
     """
-    fam = validate_family([embed(fi, grid) for fi in fam_fns], tolerance)
+    fam = _embedded_family(fam_fns, grid, tolerance)
     tol = _hypothesis_tol(fam) if hypothesis_tol is None else hypothesis_tol
     x = embed(f, grid)
     report_x = check_hypothesis(x, fam, cx, tol)

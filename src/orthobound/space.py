@@ -46,6 +46,7 @@ def tree_sum(values: np.ndarray, axis: int = -1) -> np.ndarray:
     evaluation order independent of how callers chunk their data.
     """
     a = np.asarray(values)
+    del values  # a large input passed without a name is freed after its first level
     if axis not in (-1, a.ndim - 1):
         a = np.moveaxis(a, axis, -1)
     n = a.shape[-1]
@@ -219,13 +220,26 @@ def embed(f: SampledFunction, grid: QuadratureGrid) -> Vector:
 
     This realizes the weighted space isometrically: by construction the
     weighted inner product of two sampled functions is literally the plain
-    inner product of their embeddings; see :func:`grid_inner`.
+    inner product of their embeddings; see :func:`grid_inner`. It is the
+    batch of one of :func:`_embedded`, the kernel that also embeds a whole
+    family in one pass, so a family member's coordinates equal its
+    ``embed`` bit for bit.
     """
+    _require_samples(f, grid)
+    return Vector(_embedded(f.values, grid), real_mode=f.real_mode)
+
+
+def _require_samples(f: SampledFunction, grid: QuadratureGrid) -> None:
+    """The size rule of the embedding: one sample per node."""
     if f.size != grid.size:
         raise DimensionMismatch(
             f"function has {f.size} samples but grid has {grid.size} nodes"
         )
-    return Vector(f.values * np.sqrt(grid.point_mass), real_mode=f.real_mode)
+
+
+def _embedded(values: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
+    """Kernel of :func:`embed` over sample arrays (..., grid.size)."""
+    return np.multiply(values, np.sqrt(grid.point_mass))
 
 
 def grid_inner(f: SampledFunction, g: SampledFunction, grid: QuadratureGrid) -> complex:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from orthobound import (
     CorridorSpec,
+    FloatRangeExceeded,
     ScalarCorridor,
     Vector,
     admissible_point,
@@ -16,6 +17,7 @@ from orthobound import (
     random_family,
     validate_family,
 )
+from orthobound.admissibility import Corridors, _hypothesis
 from conftest import random_vector
 
 
@@ -161,6 +163,33 @@ def test_loose_family_breaks_identity():
     # a tolerance respecting the documented 10x-residual rule succeeds
     report = check_hypothesis(Vector([1.0, 1.0], True), skewed, c, tol=1e-2)
     assert report.holds
+
+
+def test_overflowing_forms_raise_typed_error():
+    # finite x whose sign form and ball residual overflow: a typed error,
+    # and no RuntimeWarning (tier-1 turns warnings into errors)
+    fam = validate_family([Vector([1.0], True)])
+    c = ScalarCorridor([1.0], [2.0], real_mode=True)
+    with pytest.raises(FloatRangeExceeded) as exc:
+        check_hypothesis(Vector([1e200], True), fam, c)
+    assert str(exc.value) == (
+        "admissibility forms overflow the float range: sign value -inf, ball residual inf"
+    )
+    assert check_hypothesis(Vector([1e150], True), fam, c).cond_i_value == pytest.approx(-1e300)
+
+
+def test_overflowing_forms_flagged_in_batches():
+    # the batched rule flags the overflowing row only, and reports the others
+    fam = validate_family([Vector([1.0], True)])
+    x = np.array([[1.5], [1e200], [1e150]], dtype=np.complex128)
+    corridors = Corridors.build(np.ones((3, 1)), np.full((3, 1), 2.0))
+    mats = np.broadcast_to(fam.matrix, (3, 1, 1))
+    _, failed, report = _hypothesis(x, mats, corridors, 1e-10, np.zeros(3))
+    assert failed.tolist() == [False, True, True]  # row 2 is finite but fails the sign test
+    assert report(0).holds
+    assert report(2).cond_i_value == pytest.approx(-1e300)
+    with pytest.raises(FloatRangeExceeded):
+        report(1)
 
 
 def test_spec_rejection_possible():

@@ -10,6 +10,7 @@ from orthobound import (
     BadLambda,
     BoundChain,
     CorridorSpec,
+    FloatRangeExceeded,
     HypothesisFailed,
     NonpositiveReSum,
     ScalarCorridor,
@@ -370,6 +371,12 @@ def test_schwarz_gap_chain_is_shifted_norm_chain(rng):
 def test_schwarz_rejects_zero_y():
     with pytest.raises(ZeroVector):
         schwarz_counterparts(Vector([1.0]), Vector([0.0]), 1.0, 2.0)
+
+
+def test_schwarz_rejects_overflowing_y():
+    # ||y||^2 = 1e400 overflows: a float-range fault of y, not a family fault
+    with pytest.raises(FloatRangeExceeded, match=r"^\|\|y\|\|\^2 overflows the float range"):
+        schwarz_counterparts(Vector([1.0, 2.0]), Vector([1e200, 0.0]), 1e150, 2e150)
 
 
 def test_schwarz_rejects_nonpositive_product():

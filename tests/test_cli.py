@@ -204,6 +204,8 @@ _SCHWARZ_INSTANCE = {"x": [1.0, 2.0], "y": [0.0, 1.0], "delta": 1.0, "Delta": 3.
         ("cor2.5", {"Delta": math.inf}, "corridor Delta must be finite"),
         ("thm3.1", {"gamma": [math.nan]}, "y corridor phi: coords must be finite (no NaN/Inf)"),
         ("thm2.1", {"Phi": [[2.0, math.inf]]}, "Phi: coords must be finite (no NaN/Inf)"),
+        ("cor2.3", {"x": [1e200]},
+         "admissibility forms overflow the float range: sign value -inf, ball residual inf"),
     ],
 )
 def test_nonfinite_corridor_input_fails_with_one_typed_error(

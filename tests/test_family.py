@@ -9,9 +9,12 @@ from orthobound import (
     DimensionMismatch,
     EmptyFamily,
     GramResidualExceeded,
+    QuadratureGrid,
     RankDeficient,
+    SampledFunction,
     Vector,
     builtin_family,
+    embed,
     gauss_legendre_grid,
     gram_schmidt,
     inner,
@@ -19,7 +22,13 @@ from orthobound import (
     random_family,
     validate_family,
 )
-from orthobound.family import legendre_samples, trig_samples
+from orthobound.family import (
+    _embedded_family,
+    _gram_check,
+    _orthonormal_rows,
+    legendre_samples,
+    trig_samples,
+)
 from orthobound.space import grid_inner
 
 
@@ -163,3 +172,83 @@ def test_coefficients_roundtrip(rng):
     coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     v = fam.combine(coeffs)
     assert np.allclose(fam.coefficients(v), coeffs, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# one-pass embedding and the real-arithmetic gram rule: bit for bit
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _embedded_bases(nodes=2048, count=16):
+    """(kind, grid, samples) of the built-in trig and Legendre families."""
+    trig = gauss_legendre_grid(nodes, 0.0, 2.0 * math.pi)
+    legendre = gauss_legendre_grid(nodes)
+    return [
+        ("trig", trig, trig_samples(count, trig)),
+        ("legendre", legendre, legendre_samples(count, legendre)),
+    ]
+
+
+def _assert_real_gram_matches_complex(matrix, tolerance):
+    """The gram rule on a real family's real parts gives the residual, the
+    mask and the error of the rule on its complex128 matrix."""
+    ref = _gram_check(np.asarray(matrix, dtype=np.complex128), tolerance)
+    got = _gram_check(np.ascontiguousarray(np.real(matrix)), tolerance)
+    assert _bits(got[0]) == _bits(ref[0])
+    assert got[1] == ref[1]
+    assert str(got[2]()) == str(ref[2]())
+    assert got[2]().pair == ref[2]().pair
+
+
+@pytest.mark.parametrize("dim, count", [(8, 4), (2048, 16), (16, 16), (5, 1)])
+def test_real_gram_rule_matches_complex_on_random_families(dim, count):
+    rng = np.random.default_rng(dim * 100 + count)
+    for _ in range(20):
+        _assert_real_gram_matches_complex(
+            _orthonormal_rows(rng.standard_normal((dim, count))), 1e-10
+        )
+
+
+def test_real_gram_rule_matches_complex_on_loose_family():
+    rows = _orthonormal_rows(np.random.default_rng(9).standard_normal((8, 4)))
+    rows[2] *= 1.0 + 1e-6
+    _assert_real_gram_matches_complex(rows, 1e-10)
+    members = [Vector(row, True) for row in rows]
+    with pytest.raises(GramResidualExceeded) as exc:
+        validate_family(members)
+    assert str(exc.value) == str(_gram_check(rows.astype(np.complex128), 1e-10)[2]())
+    assert exc.value.pair == (2, 2)
+
+
+def test_real_gram_rule_matches_complex_on_embedded_families():
+    for kind, grid, _ in _embedded_bases():
+        fam = builtin_family(kind, 16, grid)
+        _assert_real_gram_matches_complex(fam.matrix, 1e-8)
+        assert fam.gram_residual == float(_gram_check(fam.matrix, 1e-8)[0])
+
+
+def test_one_pass_embedding_matches_member_embeddings():
+    for _, grid, fns in _embedded_bases():
+        members = [embed(f, grid) for f in fns]
+        fam = _embedded_family(fns, grid, 1e-8)
+        assert _bits(fam.matrix) == _bits(np.stack([v.coords for v in members]))
+        assert fam.real_mode
+        assert fam.gram_residual == validate_family(members, 1e-8).gram_residual
+
+
+def test_one_pass_embedding_keeps_signed_zeros_and_complex_members():
+    # a zero-mass node, negative zeros and a complex member: signs of zeros
+    # and the real flag as the per-member embeddings have them
+    grid = QuadratureGrid([0.0, 1.0, 2.0], [0.5, 0.0, 0.5], [1.0, 1.0, 1.0])
+    fns = [
+        SampledFunction([-0.0, -1.0, 1.0], True),
+        SampledFunction([complex(-0.0, 1.0), complex(2.0, -0.0), complex(-1.0, -0.0)]),
+    ]
+    members = [embed(f, grid) for f in fns]
+    fam = _embedded_family(fns, grid, 10.0)
+    assert _bits(fam.matrix) == _bits(np.stack([v.coords for v in members]))
+    assert not fam.real_mode
+    assert fam.gram_residual == validate_family(members, 10.0).gram_residual

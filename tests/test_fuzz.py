@@ -18,6 +18,7 @@ import pytest
 from orthobound import (
     BoundChain,
     CorridorSpec,
+    FloatRangeExceeded,
     FuzzConfig,
     FuzzSummary,
     GramResidualExceeded,
@@ -475,6 +476,13 @@ def test_planted_nonfinite_point_raises_the_reference_error(monkeypatch):
     _planted_points(monkeypatch, lambda points: np.full_like(points, np.nan))
     error = _same_first_error(FuzzConfig(seed=202, count=100), ValueError)
     assert str(error) == "coords must be finite (no NaN/Inf)"
+
+
+def test_planted_overflowing_point_raises_the_reference_error(monkeypatch):
+    # finite points of magnitude 1e200 overflow the admissibility forms
+    _planted_points(monkeypatch, lambda points: points * 1e200)
+    error = _same_first_error(FuzzConfig(seed=202, count=100), FloatRangeExceeded)
+    assert str(error).startswith("admissibility forms overflow the float range")
 
 
 def test_planted_nonfinite_solved_y_raises_the_reference_error(monkeypatch):

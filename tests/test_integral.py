@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from orthobound import (
+    DimensionMismatch,
+    EmptyFamily,
     GramResidualExceeded,
     NonpositiveReSum,
     QuadratureGrid,
     SampledFunction,
     SandwichViolated,
     ScalarCorridor,
+    Vector,
     admissible_point,
     check_hypothesis,
     embed,
@@ -104,6 +107,57 @@ def test_coarse_grid_rejected():
     f = SampledFunction(np.ones(grid.size), True)
     with pytest.raises(GramResidualExceeded):
         integral_instance(f, fns, grid, corr)
+
+
+def test_integral_instance_builds_one_vector(trig_setup, rng, monkeypatch):
+    # the family is embedded in one pass: x is the only Vector built
+    grid, fns = trig_setup
+    built = []
+    post_init = Vector.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Vector, "__post_init__", counting)
+    inst = integral_instance(SampledFunction(np.ones(grid.size), True), fns, grid,
+                             real_corridor(rng, len(fns)))
+    assert built == [inst.x]
+
+
+@pytest.mark.parametrize(
+    "fam_fns, tolerance, expected, message",
+    [
+        ([], 1e-8, EmptyFamily, "family must contain at least one vector"),
+        ([np.ones(3)], 1e-8, DimensionMismatch, "function has 3 samples but grid has 4 nodes"),
+        ([np.ones(4), np.ones(3)], 1e-8, DimensionMismatch,
+         "function has 3 samples but grid has 4 nodes"),
+        ([np.ones(4), np.full(4, 1e300)], 1e-8, ValueError, "coords must be finite (no NaN/Inf)"),
+        ([np.ones(4)], 0.0, ValueError, "tolerance must be positive"),
+    ],
+)
+def test_family_errors_match_member_embeddings(fam_fns, tolerance, expected, message):
+    # the one-pass family raises what validating the per-member embeddings raises
+    grid = QuadratureGrid(np.arange(4.0), np.full(4, 1e300), np.ones(4))
+    fns = [SampledFunction(values, True) for values in fam_fns]
+    corr = ScalarCorridor([1.0], [2.0], real_mode=True)  # the family fails first
+    f = SampledFunction(np.ones(4), True)
+    with np.errstate(over="ignore"):
+        with pytest.raises(expected) as ref:
+            validate_family([embed(fi, grid) for fi in fns], tolerance)
+        with pytest.raises(expected) as got:
+            integral_instance(f, fns, grid, corr, tolerance=tolerance)
+    assert str(got.value) == str(ref.value) == message
+
+
+def test_family_size_errors_come_before_nonfinite_embeddings():
+    # a member that overflows before one of the wrong size: the per-member
+    # path reports the overflow, the one-pass family the size
+    grid = QuadratureGrid(np.arange(4.0), np.full(4, 1e300), np.ones(4))
+    fns = [SampledFunction(np.full(4, 1e300), True), SampledFunction(np.ones(3), True)]
+    corr = ScalarCorridor([1.0, 1.0], [2.0, 2.0], real_mode=True)
+    with np.errstate(over="ignore"), pytest.raises(DimensionMismatch):
+        integral_instance(SampledFunction(np.ones(4), True), fns, grid, corr)
 
 
 # ---------------------------------------------------------------------------
