@@ -72,9 +72,6 @@ class Corridors(NamedTuple):
 
         return np.logical_not(np.isfinite(self.re_sum) & np.isfinite(self.radius)), error
 
-    def take(self, rows) -> "Corridors":
-        return Corridors(*(part[rows] for part in self))
-
 
 @dataclass(frozen=True)
 class ScalarCorridor:

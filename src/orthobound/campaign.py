@@ -3,16 +3,18 @@
 :func:`layout` places every draw site of a bundle at fixed columns of a row
 of uniforms; :func:`draw` fills a row per trial with one generator call and
 cuts it into the sites; :func:`evaluate` builds every family, corridor,
-admissible point and admissibility report of the chunk at once, on the rows
-whose corridors were accepted, and runs the selected chains over the
-leading trial axis. The selectors, their parameters and the kernel of each
-chain come from :mod:`orthobound.catalog`; each entry names the instance it
-reads (``x``, ``pair``, ``companion``, ``schwarz``, ``single`` or ``free``),
-which :class:`_Evaluation` draws when a selected entry first reads it. Only
-this module knows the draw sites; :mod:`orthobound.fuzz` describes the
-stream. Every check on the drawn instances is the batched rule of the module
-that owns the type, the rule its scalar constructor applies to a batch of
-one; the chunk only registers each rule, in bundle order.
+admissible point and admissibility report of the chunk at once and runs the
+selected chains over the leading trial axis. Every array keeps one row per
+bundle; a mask per instance picks the bundles whose corridors were accepted,
+which alone are checked, counted and recorded. The selectors, their
+parameters and the kernel of each chain come from :mod:`orthobound.catalog`;
+each entry names the instance it reads (``x``, ``pair``, ``companion``,
+``schwarz``, ``single`` or ``free``), which :class:`_Evaluation` draws when
+a selected entry first reads it. Only this module knows the draw sites;
+:mod:`orthobound.fuzz` describes the stream. Every check on the drawn
+instances is the batched rule of the module that owns the type, the rule its
+scalar constructor applies to a batch of one; the chunk only registers each
+rule, in bundle order.
 """
 
 from __future__ import annotations
@@ -120,87 +122,84 @@ def _box_muller(u: np.ndarray) -> None:
 
 
 def evaluate(config: FuzzConfig, trials: range, sites: dict):
-    """Evaluate one chunk of draws.
+    """Evaluate one chunk of draws, a row per bundle in every array.
 
-    Returns (evaluated, rejected, records) with one record (key, trials,
-    values) per recorded chain, in the order a bundle records them. A
-    corridor counts as rejected where a bundle evaluated alone would draw
-    it: the x and y corridors always, the others of the selected chains
-    only when those two are accepted. Raises the chunk's first error.
+    Each instance comes with the mask ``live`` of the bundles that would
+    evaluate it alone; the kernels are row-independent, so the other rows
+    are computed and ignored. Returns (evaluated, rejected, records) with
+    one record (key, trials, values) per recorded chain, in the order a
+    bundle records them. A corridor counts as rejected where a bundle
+    evaluated alone would draw it: the x and y corridors always, the others
+    of the selected chains only when those two are accepted. Raises the
+    chunk's first error.
     """
-    e = _Evaluation(config)
-    trials = np.asarray(trials)
-    mats, gres = e.families(*sites["fam"], trials)
-    cx, cx_ok = e.corridor(*sites["cx"], trials)
-    cy, cy_ok = e.corridor(*sites["cy"], trials)
-    ok = cx_ok & cy_ok
-    e.ev = trials[ok]
-    if e.ev.size:
-        e.fam, e.gres, cx, cy = _keep(ok, mats, gres, cx, cy)
-        del mats
-        e.sites = {name: _keep(ok, *pieces) for name, pieces in sites.items()}
-        e.xy = [(e.point(e.ev, e.fam, c, *e.sites[v]), c) for v, c in (("x", cx), ("y", cy))]
-        want = set(config.selectors)
-        for key, entry, tail in campaign_keys():
-            if key in want:
-                e.run(key, entry, tail)
+    e = _Evaluation(config, np.asarray(trials), sites)
+    every = np.ones(len(e.trials), dtype=bool)
+    e.fam, e.gres = e.families(every, *sites["fam"])
+    (cx, x_ok), (cy, y_ok) = (e.corridor(every, *sites[c]) for c in ("cx", "cy"))
+    e.live = x_ok & y_ok
+    e.xy = [(e.point(e.live, e.fam, c, *sites[v]), c) for v, c in (("x", cx), ("y", cy))]
+    want = set(config.selectors)
+    for key, entry, tail in campaign_keys():
+        if key in want:
+            e.run(key, entry, tail)
     if e.first is not None:
         _, error, row = e.first
         raise error(row)
-    return int(e.ev.size), e.rejected, e.records
+    return int(e.live.sum()), e.rejected, e.records
 
 
 class _Evaluation:
-    """What the evaluation of one chunk shares: the draws of its evaluated
-    bundles ``ev`` with their family and admissible pair, the instances drawn
-    from them, its rejected corridors, its chain records, and its first
-    failed check in bundle order (by trial, then by the order in which checks
-    are registered)."""
+    """What the evaluation of one chunk shares: its trials and draws, the
+    family and admissible pair of each bundle with the mask ``live`` of
+    those whose x and y corridors were accepted, the instances drawn from
+    them, its rejected corridors, its chain records, and its first failed
+    check in bundle order (by trial, then by the order of registration)."""
 
-    def __init__(self, config: FuzzConfig):
+    def __init__(self, config: FuzzConfig, trials: np.ndarray, sites: dict):
         self.spec = config.spec()
         self.d = config.dim
         self.real = config.mode == "real"
         self.real_pt = self.real and self.spec.mode == "real"
-        self.sites: dict = {}
+        self.trials = trials
+        self.sites = sites
         self.instances: dict = {}
         self.rejected = 0
         self.records: list = []
         self.step = 0
         self.first = None
 
-    def check(self, trials: np.ndarray, failed: np.ndarray, error) -> None:
-        """Register one rule over rows ``trials``, as its owner returns it:
+    def check(self, live: np.ndarray, failed: np.ndarray, error) -> None:
+        """Register one rule on the ``live`` rows, as its owner returns it:
         the mask of failed rows and ``error(row)``, which builds (or raises)
         the exception of one; only the chunk's first is built."""
         self.step += 1
-        rows = np.flatnonzero(failed)
+        rows = np.flatnonzero(failed & live)
         if rows.size:
-            key = (int(trials[rows[0]]), self.step)
+            key = (int(self.trials[rows[0]]), self.step)
             if self.first is None or key < self.first[0]:
                 self.first = (key, error, rows[0])
 
     def run(self, key: str, entry: Selector, tail: str | None) -> None:
-        """Record the chains of selector ``key`` on the instance its entry reads."""
+        """Record the chains of selector ``key`` on the live rows of its instance."""
         params = entry.params(key, tail) if tail else {}
-        drawn = self.drawn(entry.draws, tail, params)
-        if drawn is None:
+        live, inst = self.drawn(entry.draws, tail, params)
+        if not live.any():
             return
-        rows, inst = drawn
         for chain in entry.chains:
             values = chain.values(inst, **params)
             named = values if chain.name is None else {chain.suffix: values}
-            keep = slice(None) if chain.when is None else chain.when(inst)
+            keep = live if chain.when is None else live & chain.when(inst)
             for suffix, v in named.items():
                 stacked = np.stack(np.broadcast_arrays(*v), axis=-1)
                 record_key = f"{key}:{suffix}" if suffix else key
-                self.records.append((record_key, rows[keep], stacked[keep]))
+                self.records.append((record_key, self.trials[keep], stacked[keep]))
 
     def drawn(self, kind: str, tail: str | None = None, params: dict | None = None):
-        """The instance ``kind`` of the chunk as (rows, instance), or None
-        when every row's corridors were rejected. It is drawn once, except
-        the companion instance: it is drawn once per tail, from that tail's
-        sites, and serves that key alone, so it is not kept."""
+        """The instance ``kind`` of the chunk as (live, instance). It is
+        drawn once, except the companion instance: it is drawn once per
+        tail, from that tail's sites, and serves that key alone, so it is
+        not kept."""
         if kind == "companion":
             return self._companion(tail, **params)
         if kind not in self.instances:
@@ -217,103 +216,81 @@ class _Evaluation:
         d = self.d
         return w if self.real_pt else w[..., :d] + 1j * w[..., d:]
 
-    def families(self, raw: np.ndarray, trials: np.ndarray):
+    def families(self, live: np.ndarray, raw: np.ndarray):
         mats = _orthonormal_rows(raw if self.real else raw[:, 0] + 1j * raw[:, 1])
         res, *rule = _gram_check(mats, DEFAULT_TOLERANCE)
-        self.check(trials, *rule)
+        self.check(live, *rule)
         return np.asarray(mats, dtype=np.complex128), res
 
-    def corridor(self, u: np.ndarray, trials: np.ndarray):
-        """The corridors drawn as unit uniforms ``u``, checked and counted,
-        with the mask of accepted ones."""
+    def corridor(self, live: np.ndarray, u: np.ndarray):
+        """The corridors drawn as unit uniforms ``u``, checked and counted on
+        the ``live`` rows, with the mask of those that stay live: accepted,
+        or with an aggregate that is NaN, which the finiteness rule reports."""
         c = Corridors.build(*self.spec._sides(u))
-        self.check(trials, *c.nonfinite())
-        rejected = c.re_sum <= 0.0
+        self.check(live, *c.nonfinite())
+        rejected = live & (c.re_sum <= 0.0)
         self.rejected += int(rejected.sum())
-        return c, ~rejected
+        return c, live & ~rejected
 
-    def finite(self, trials: np.ndarray, v: np.ndarray) -> np.ndarray:
-        self.check(trials, *_nonfinite(v))
+    def finite(self, live: np.ndarray, v: np.ndarray) -> np.ndarray:
+        self.check(live, *_nonfinite(v))
         return v
 
-    def point(self, trials, mats, c, slack, w) -> np.ndarray:
-        return self.finite(trials, _admissible_points(mats, c, self.directions(w), slack))
+    def point(self, live, mats, c, slack, w) -> np.ndarray:
+        return self.finite(live, _admissible_points(mats, c, self.directions(w), slack))
 
-    def slot(self, trials, x, mats, c, gres, which: str) -> Slot:
+    def slot(self, live, x, mats, c, gres, which: str) -> Slot:
         """x with its family and corridor, its admissibility checked as the
         bounds check it."""
         sign, failed, report = _hypothesis(x, mats, c, DEFAULT_HYPOTHESIS_TOL, gres)
-        self.check(trials, failed, lambda i: HypothesisFailed(which, report(i)))
+        self.check(live, failed, lambda i: HypothesisFailed(which, report(i)))
         return Slot(x, mats, c, sign)
 
     def _x(self):
         """The admissible x of the bundle's family."""
         (x, cx), _ = self.xy
-        return self.ev, self.slot(self.ev, x, self.fam, cx, self.gres, "x")
+        return self.live, self.slot(self.live, x, self.fam, cx, self.gres, "x")
 
     def _pair(self):
         """The admissible pair (x, y) of the bundle's family."""
-        rows, x = self.drawn("x")
+        live, x = self.drawn("x")
         y, cy = self.xy[1]
-        return rows, Pair(x, self.slot(rows, y, self.fam, cy, self.gres, "y"))
+        return live, Pair(x, self.slot(live, y, self.fam, cy, self.gres, "y"))
 
     def _companion(self, tail: str, lam: float):
         """Theorem 4.1 at ``lam``: z admissible, x free, y solved from z."""
-        cz, z_ok = self.corridor(*self.sites[f"cz{tail}"], self.ev)
-        rows = self.ev[z_ok]
-        if not rows.size:
-            return None
-        fam, gres, cz = _keep(z_ok, self.fam, self.gres, cz)
-        slack, w, xw = _keep(z_ok, *self.sites[f"z{tail}"])
-        z = self.point(rows, fam, cz, slack, w)
+        cz, live = self.corridor(self.live, *self.sites[f"cz{tail}"])
+        slack, w, xw = self.sites[f"z{tail}"]
+        z = self.point(live, self.fam, cz, slack, w)
         xa = self.vectors(xw)
-        yb = self.finite(rows, (z - lam * xa) / (1.0 - lam))
-        z2 = self.slot(rows, _mix(xa, yb, lam), fam, cz, gres, "lam*x + (1-lam)*y")
-        return rows, Pair(Slot(xa, fam), Slot(yb, fam), z=z2)
+        yb = self.finite(live, (z - lam * xa) / (1.0 - lam))
+        z2 = self.slot(live, _mix(xa, yb, lam), self.fam, cz, self.gres, "lam*x + (1-lam)*y")
+        return live, Pair(Slot(xa, self.fam), Slot(yb, self.fam), z=z2)
 
     def _schwarz(self):
         """Corollary 2.5: x admissible for {y/||y||} under (delta ||y||, Delta ||y||)."""
-        yv = self.vectors(*self.sites["yv"])
-        c1, c1_ok = self.corridor(*self.sites["c25"], self.ev)
-        rows = self.ev[c1_ok]
-        if not rows.size:
-            return None
-        yv, c1 = _keep(c1_ok, yv, c1)
-        y = Slot(yv, None, c1)
+        c1, live = self.corridor(self.live, *self.sites["c25"])
+        y = Slot(self.vectors(*self.sites["yv"]), None, c1)
         unit, lo, hi = _schwarz_frame(y)
-        self.finite(rows, unit[:, 0])
+        self.finite(live, unit[:, 0])
         res, *rule = _gram_check(unit, UNIT_TOLERANCE)
-        self.check(rows, *rule)
+        self.check(live, *rule)
         corr_x = Corridors.build(lo, hi)
-        self.check(rows, *corr_x.nonfinite())
-        xs = self.point(rows, unit, corr_x, *_keep(c1_ok, *self.sites["xs"]))
-        return rows, Pair(self.slot(rows, xs, unit, corr_x, res, "x"), y)
+        self.check(live, *corr_x.nonfinite())
+        xs = self.point(live, unit, corr_x, *self.sites["xs"])
+        return live, Pair(self.slot(live, xs, unit, corr_x, res, "x"), y)
 
     def _single(self):
         """Corollary 3.3: a pair over a one-member family."""
-        fam, gres = self.families(*self.sites["f1"], self.ev)
-        c1, c1_ok = self.corridor(*self.sites["c1"], self.ev)
-        c2, c2_ok = self.corridor(*self.sites["c2"], self.ev)
-        both = c1_ok & c2_ok
-        rows = self.ev[both]
-        if not rows.size:
-            return None
-        fam, gres, c1, c2 = _keep(both, fam, gres, c1, c2)
-        xs = self.point(rows, fam, c1, *_keep(both, *self.sites["p1"]))
-        ys = self.point(rows, fam, c2, *_keep(both, *self.sites["p2"]))
-        x = self.slot(rows, xs, fam, c1, gres, "x")
-        return rows, Pair(x, self.slot(rows, ys, fam, c2, gres, "y"))
+        fam, gres = self.families(self.live, *self.sites["f1"])
+        (c1, x_ok), (c2, y_ok) = (self.corridor(self.live, *self.sites[c]) for c in ("c1", "c2"))
+        live = x_ok & y_ok
+        xs = self.point(live, fam, c1, *self.sites["p1"])
+        ys = self.point(live, fam, c2, *self.sites["p2"])
+        x = self.slot(live, xs, fam, c1, gres, "x")
+        return live, Pair(x, self.slot(live, ys, fam, c2, gres, "y"))
 
     def _free(self):
         """Two vectors under no corridor."""
         xr, yr = map(self.vectors, self.sites["xr"])
-        return self.ev, Pair(Slot(xr, self.fam), Slot(yr, self.fam))
-
-
-def _keep(mask: np.ndarray, *items) -> tuple:
-    """The rows of each array or :class:`Corridors` where ``mask`` holds;
-    no copies when it holds everywhere, as it does without rejections."""
-    if mask.all():
-        return items
-    return tuple(i.take(mask) if isinstance(i, Corridors) else i[mask] for i in items)
-
+        return self.live, Pair(Slot(xr, self.fam), Slot(yr, self.fam))

@@ -68,6 +68,9 @@ def _coefficients(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _validated(matrix: np.ndarray, tolerance: float, real_mode: bool) -> "OrthonormalFamily":
+    """The family of the rows of ``matrix``: its tolerance rule, then its gram rule."""
+    if not tolerance > 0.0:
+        raise ValueError("tolerance must be positive")
     # The complex products of a real family have zero imaginary parts and the
     # real products as real parts, so its gram rule runs on the real parts
     # with the same residual and worst pair.
@@ -141,8 +144,6 @@ def validate_family(
     """
     if len(members) == 0:
         raise EmptyFamily("family must contain at least one vector")
-    if not tolerance > 0.0:
-        raise ValueError("tolerance must be positive")
     dim = members[0].dim
     for k, v in enumerate(members):
         if v.dim != dim:
@@ -169,8 +170,6 @@ def _embedded_family(
     failed, error = _nonfinite(matrix)
     if failed.any():
         raise error()
-    if not tolerance > 0.0:
-        raise ValueError("tolerance must be positive")
     return _validated(matrix, tolerance, all(f.real_mode for f in fns))
 
 

@@ -30,9 +30,11 @@ A campaign runs in chunks of ``CHUNK`` bundles, each in two phases
   Box-Muller turns its Gaussian columns into normals.
 * Evaluate. Families (one stacked QR), corridors, admissible points,
   admissibility reports and every selected chain are computed over the
-  leading bundle axis by the kernels the scalar API runs on a batch of one,
-  on the rows whose corridors were accepted. Each (vector, corridor)
-  hypothesis is evaluated once per bundle.
+  leading bundle axis by the kernels the scalar API runs on a batch of one.
+  Every array keeps one row per bundle; a mask per instance picks the
+  bundles whose corridors were accepted, which alone are checked, counted
+  and recorded. Each (vector, corridor) hypothesis is evaluated once per
+  bundle.
 
 Contract: a fixed seed fixes every draw, every chain value (bitwise equal
 to what the public scalar functions give on the same instance) and the

@@ -238,8 +238,11 @@ def _require_samples(f: SampledFunction, grid: QuadratureGrid) -> None:
 
 
 def _embedded(values: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
-    """Kernel of :func:`embed` over sample arrays (..., grid.size)."""
-    return np.multiply(values, np.sqrt(grid.point_mass))
+    """Kernel of :func:`embed` over sample arrays (..., grid.size). A product
+    beyond the float range overflows quietly: the finiteness rule of the
+    caller reports it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.multiply(values, np.sqrt(grid.point_mass))
 
 
 def grid_inner(f: SampledFunction, g: SampledFunction, grid: QuadratureGrid) -> complex:

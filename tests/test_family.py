@@ -167,6 +167,19 @@ def test_random_family_validates(rng):
     assert np.all(fam_r.matrix.imag == 0.0)
 
 
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, float("nan")])
+def test_random_family_rejects_a_nonpositive_tolerance(tolerance):
+    # the tolerance rule comes before the gram rule, whose residual would
+    # otherwise exceed a tolerance of 0 or -1
+    with pytest.raises(ValueError, match="^tolerance must be positive$"):
+        random_family(8, 4, 0, tolerance=tolerance)
+
+
+def test_validate_family_reports_mismatched_dims_before_a_bad_tolerance():
+    with pytest.raises(DimensionMismatch, match="member 1 has dim 3, expected 2"):
+        validate_family([Vector([1.0, 0.0]), Vector([0.0, 1.0, 0.0])], tolerance=0.0)
+
+
 def test_coefficients_roundtrip(rng):
     fam = random_family(7, 4, rng)
     coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)

@@ -371,6 +371,37 @@ def test_chunk_boundaries_do_not_change_the_campaign(monkeypatch):
     assert _summary_bits(run_fuzz(config)) == whole
 
 
+@pytest.mark.parametrize("name, chunk", [("real-rejecting-single", None),
+                                         ("complex-rejecting", None),
+                                         ("real-rejecting-single", 16)])
+def test_faults_on_rejected_bundles_never_surface(name, chunk, monkeypatch):
+    # A chunk computes every bundle, rejected ones included; wherever a
+    # corridor is rejected, plant NaN points and failed hypotheses. Only the
+    # bundles that evaluate an instance alone may be checked, counted or
+    # recorded, so the campaign must give the summary it gives unpatched,
+    # which is the reference's.
+    config = CONFIGS[name]
+    if chunk is not None:
+        monkeypatch.setattr(fuzz, "CHUNK", chunk)
+    clean = _summary_bits(reference_fuzz(config))
+    assert _summary_bits(run_fuzz(config)) == clean
+    points, hypothesis = campaign._admissible_points, campaign._hypothesis
+
+    def nan_points(matrix, corridor, u, slack):
+        out = points(matrix, corridor, u, slack)
+        return np.where((corridor.re_sum <= 0.0)[..., None], np.nan, out)
+
+    def failed_hypothesis(x, matrix, corridor, tol, gram_residual):
+        sign, failed, report = hypothesis(x, matrix, corridor, tol, gram_residual)
+        return sign, failed | (corridor.re_sum <= 0.0), report
+
+    monkeypatch.setattr(campaign, "_admissible_points", nan_points)
+    monkeypatch.setattr(campaign, "_hypothesis", failed_hypothesis)
+    summary = run_fuzz(config)
+    assert summary.rejected > 0
+    assert _summary_bits(summary) == clean
+
+
 def test_planted_inadmissible_draw_raises_the_reference_error(monkeypatch):
     kernel = admissibility._admissible_points
 

@@ -142,11 +142,10 @@ def test_family_errors_match_member_embeddings(fam_fns, tolerance, expected, mes
     fns = [SampledFunction(values, True) for values in fam_fns]
     corr = ScalarCorridor([1.0], [2.0], real_mode=True)  # the family fails first
     f = SampledFunction(np.ones(4), True)
-    with np.errstate(over="ignore"):
-        with pytest.raises(expected) as ref:
-            validate_family([embed(fi, grid) for fi in fns], tolerance)
-        with pytest.raises(expected) as got:
-            integral_instance(f, fns, grid, corr, tolerance=tolerance)
+    with pytest.raises(expected) as ref:
+        validate_family([embed(fi, grid) for fi in fns], tolerance)
+    with pytest.raises(expected) as got:
+        integral_instance(f, fns, grid, corr, tolerance=tolerance)
     assert str(got.value) == str(ref.value) == message
 
 
@@ -156,7 +155,7 @@ def test_family_size_errors_come_before_nonfinite_embeddings():
     grid = QuadratureGrid(np.arange(4.0), np.full(4, 1e300), np.ones(4))
     fns = [SampledFunction(np.full(4, 1e300), True), SampledFunction(np.ones(3), True)]
     corr = ScalarCorridor([1.0, 1.0], [2.0, 2.0], real_mode=True)
-    with np.errstate(over="ignore"), pytest.raises(DimensionMismatch):
+    with pytest.raises(DimensionMismatch):
         integral_instance(SampledFunction(np.ones(4), True), fns, grid, corr)
 
 

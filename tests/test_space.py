@@ -134,6 +134,14 @@ def test_embed_single_node():
     assert v.coords[0] == pytest.approx(6.0)  # 3 * sqrt(4)
 
 
+def test_embed_overflow_raises_only_the_finiteness_error():
+    # 1e300 * sqrt(1e300) overflows; the pytest config turns a RuntimeWarning
+    # into an error, so the finiteness rule must be the only report
+    grid = QuadratureGrid([0.0, 1.0], [1e300, 1e300], [1.0, 1.0])
+    with pytest.raises(ValueError, match=r"^coords must be finite \(no NaN/Inf\)$"):
+        embed(SampledFunction([1e300, 1.0], True), grid)
+
+
 def test_embed_length_mismatch():
     grid = QuadratureGrid([0.0], [1.0], [1.0])
     with pytest.raises(DimensionMismatch):
