@@ -38,26 +38,44 @@ class Corridors(NamedTuple):
     """Corridor sides and their aggregates along leading batch axes.
 
     The batched counterpart of :class:`ScalarCorridor`, with the same
-    attribute names so the kernels accept either; sides are (..., count) and
-    the aggregates ``re_sum`` and ``radius`` have the leading shape.
+    attribute names so the kernels accept either. ``sides`` (..., 3, count)
+    holds hi, lo and the midpoints (lo + hi) / 2, written once in the order
+    the sign and ball forms read them; ``hi``, ``lo`` and ``midpoints`` are
+    read-only views of it. The aggregates ``re_sum`` and ``radius`` have the
+    leading shape.
     """
 
-    lo: np.ndarray
-    hi: np.ndarray
-    midpoints: np.ndarray
+    sides: np.ndarray
     re_sum: np.ndarray
     radius: np.ndarray
 
+    @property
+    def hi(self) -> np.ndarray:
+        return self.sides[..., 0, :]
+
+    @property
+    def lo(self) -> np.ndarray:
+        return self.sides[..., 1, :]
+
+    @property
+    def midpoints(self) -> np.ndarray:
+        return self.sides[..., 2, :]
+
     @classmethod
+    @np.errstate(over="ignore", invalid="ignore")
     def build(cls, lo, hi) -> "Corridors":
-        """The corridors with sides ``lo`` and ``hi``; sides too large for the
-        aggregates give non-finite ones quietly, which :meth:`nonfinite` reports."""
+        """The corridors with sides ``lo`` and ``hi``, of one shape; sides too
+        large for the aggregates give non-finite ones quietly, which
+        :meth:`nonfinite` reports."""
         lo = np.asarray(lo, dtype=np.complex128)
         hi = np.asarray(hi, dtype=np.complex128)
-        with np.errstate(over="ignore", invalid="ignore"):
-            re_sum = tree_sum(np.multiply(hi, np.conj(lo)).real)
-            radius = 0.5 * np.sqrt(tree_sum(abs2(hi - lo)))
-            return cls(lo, hi, 0.5 * (lo + hi), re_sum, radius)
+        sides = np.empty(lo.shape[:-1] + (3,) + lo.shape[-1:], dtype=np.complex128)
+        sides[..., 0, :] = hi
+        sides[..., 1, :] = lo
+        np.multiply(0.5, lo + hi, out=sides[..., 2, :])
+        sides.flags.writeable = False
+        re_sum = tree_sum(np.multiply(hi, np.conj(lo)).real)
+        return cls(sides, re_sum, 0.5 * np.sqrt(tree_sum(abs2(hi - lo))))
 
     def nonfinite(self, sides: tuple[str, str] = ("lo", "hi")) -> tuple:
         """The finiteness rule: the mask of corridors whose re_sum or radius is
@@ -70,7 +88,7 @@ class Corridors(NamedTuple):
                     return ValueError(f"corridor {name} must be finite")
             return NonfiniteCorridor(float(self.re_sum[row]), float(self.radius[row]))
 
-        return np.logical_not(np.isfinite(self.re_sum) & np.isfinite(self.radius)), error
+        return ~(np.isfinite(self.re_sum) & np.isfinite(self.radius)), error
 
 
 @dataclass(frozen=True)
@@ -79,7 +97,9 @@ class ScalarCorridor:
 
     ``re_sum`` is sum_i Re(hi_i * conj(lo_i)); ``radius`` and ``midpoints``
     are the ball-form data. All three are recomputable from lo/hi, which the
-    test suite uses as its oracle.
+    test suite uses as its oracle. It is the batch of one of
+    :class:`Corridors`: ``sides`` is its stacked (3, count) array, and
+    ``lo``, ``hi`` and ``midpoints`` are read-only views of it.
     """
 
     lo: np.ndarray
@@ -88,10 +108,11 @@ class ScalarCorridor:
     re_sum: float = field(init=False)
     radius: float = field(init=False)
     midpoints: np.ndarray = field(init=False)
+    sides: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        lo = np.array(self.lo, dtype=np.complex128, copy=True).reshape(-1)
-        hi = np.array(self.hi, dtype=np.complex128, copy=True).reshape(-1)
+        lo = np.asarray(self.lo, dtype=np.complex128).reshape(-1)
+        hi = np.asarray(self.hi, dtype=np.complex128).reshape(-1)
         if lo.size == 0 or lo.size != hi.size:
             raise ValueError(
                 f"corridor sides must be nonempty and equal length, got {lo.size} and {hi.size}"
@@ -100,13 +121,13 @@ class ScalarCorridor:
         failed, error = agg.nonfinite()
         if failed:
             raise error()
-        for name, arr in (("lo", lo), ("hi", hi)):
-            if self.real_mode and arr.imag.any():
-                raise ValueError(f"real_mode corridor {name} has imaginary parts")
-        for arr in (lo, hi, agg.midpoints):
-            arr.flags.writeable = False
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        if self.real_mode:
+            for name, arr in (("lo", lo), ("hi", hi)):
+                if arr.imag.any():
+                    raise ValueError(f"real_mode corridor {name} has imaginary parts")
+        object.__setattr__(self, "sides", agg.sides)
+        object.__setattr__(self, "hi", agg.hi)
+        object.__setattr__(self, "lo", agg.lo)
         object.__setattr__(self, "midpoints", agg.midpoints)
         object.__setattr__(self, "re_sum", float(agg.re_sum))
         object.__setattr__(self, "radius", float(agg.radius))
@@ -152,6 +173,7 @@ def check_hypothesis(
     return _hypothesis(x.coords, fam.matrix, corridor, tol, fam.gram_residual)[2]()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _hypothesis(x, matrix, corridor, tol: float, gram_residual) -> tuple:
     """Kernel of :func:`check_hypothesis` for vectors (..., dim), families
     (..., count, dim) with their gram residuals, under ``corridor`` (a
@@ -166,14 +188,11 @@ def _hypothesis(x, matrix, corridor, tol: float, gram_residual) -> tuple:
     ``report(row)``, which raises the row's :class:`FloatRangeExceeded` or
     :class:`IdentityViolation` or returns its :class:`HypothesisReport`.
     """
-    stacked = np.stack([corridor.hi, corridor.lo, corridor.midpoints], axis=-2)
-    ends = stacked @ matrix
-    upper, lower, center = ends[..., 0, :], ends[..., 1, :], ends[..., 2, :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        cond_i = tree_sum(np.multiply(upper - x, np.conj(x - lower)).real)
-        residual = np.sqrt(tree_sum(abs2(x - center)))
-        r2 = corridor.radius * corridor.radius
-        gap = cond_i - (r2 - residual * residual)
+    ends = corridor.sides @ matrix
+    cond_i = tree_sum(np.multiply(ends[..., 0, :] - x, np.conj(x - ends[..., 1, :])).real)
+    residual = np.sqrt(tree_sum(abs2(x - ends[..., 2, :])))
+    r2 = corridor.radius * corridor.radius
+    gap = cond_i - (r2 - residual * residual)
     band = tol * np.maximum(1.0, r2)
     broken = abs(gap) > band
     holds = cond_i >= -band
@@ -191,7 +210,7 @@ def _hypothesis(x, matrix, corridor, tol: float, gram_residual) -> tuple:
         radius = np.asarray(corridor.radius)[row]
         return HypothesisReport(sign, ball, float(radius), bool(holds[row]))
 
-    return cond_i, broken | np.logical_not(holds), report
+    return cond_i, broken | ~holds, report
 
 
 @dataclass(frozen=True)
@@ -252,9 +271,9 @@ class CorridorSpec:
         v = low + scale * u
         if self.mode == "real":
             centers, widths = v[..., 0, :], v[..., 1, :]
-        else:
-            centers = v[..., 0, :] * np.exp(1j * v[..., 1, :])
-            widths = v[..., 2, :] * np.exp(1j * v[..., 3, :])
+        else:  # the magnitudes (parts 0 and 2) times their phases (parts 1 and 3)
+            polar = np.multiply(v[..., 0::2, :], np.exp(1j * v[..., 1::2, :]))
+            centers, widths = polar[..., 0, :], polar[..., 1, :]
         return centers - widths, centers + widths
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -32,12 +33,25 @@ from .space import (
     tree_sum,
 )
 
+try:  # the QR gufuncs np.linalg.qr wraps: a private module, named so since numpy 2
+    from numpy.linalg._umath_linalg import qr_r_raw as _qr_r_raw, qr_reduced as _qr_reduced
+except ImportError:
+    _qr_r_raw = _qr_reduced = None
+
 DEFAULT_TOLERANCE = 1e-10
 QUADRATURE_TOLERANCE = 1e-8
 
 # A coordinate counts as "significant" for the phase convention once its
 # magnitude clears this fraction of the unit vector's norm.
 _PHASE_SIGNIFICANCE = 1e-8
+
+
+@lru_cache(maxsize=64)
+def _identity(count: int) -> np.ndarray:
+    """The read-only identity of size ``count``, built once per size."""
+    eye = np.eye(count)
+    eye.flags.writeable = False
+    return eye
 
 
 def _gram_check(matrix: np.ndarray, tolerance: float) -> tuple:
@@ -48,18 +62,43 @@ def _gram_check(matrix: np.ndarray, tolerance: float) -> tuple:
     # The product tensor is the rule's largest array: passed without a name,
     # tree_sum frees it once its first level is summed.
     gram = tree_sum(np.multiply(matrix[..., :, None, :], np.conj(matrix)[..., None, :, :]))
-    deviation = np.abs(gram - np.eye(count))
+    deviation = np.abs(gram - _identity(count))
     flat = deviation.reshape(deviation.shape[:-2] + (-1,))
-    residual, worst = flat.max(axis=-1), flat.argmax(axis=-1)
+    residual = flat.max(axis=-1)
     return residual, residual > tolerance, lambda row=(): GramResidualExceeded(
-        float(residual[row]), divmod(int(worst[row]), count), tolerance
+        float(residual[row]), divmod(int(flat[row].argmax()), count), tolerance
     )
 
 
+def _raise_qr_error(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
+
+
+@np.errstate(call=_raise_qr_error, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _qr(a: np.ndarray) -> np.ndarray:
+    """Q of the reduced QR factorization of each (dim x count) matrix in
+    ``a``, float64 or complex128: ``np.linalg.qr(a)[0]`` bit for bit.
+
+    It calls the two gufuncs ``np.linalg.qr`` runs, ``qr_r_raw`` (Householder
+    vectors and their scalars) then ``qr_reduced`` (Q), under the same error
+    state, so a failure LAPACK flags raises ``LinAlgError`` as it does there;
+    it skips the wrapper's checks and the triangle R it builds and discards.
+    Without the private module it calls ``np.linalg.qr``.
+    """
+    if _qr_r_raw is None:
+        return np.linalg.qr(a)[0]
+    # qr_r_raw overwrites its argument with the Householder vectors
+    complex_input = np.iscomplexobj(a)
+    a = np.array(a, dtype=np.complex128 if complex_input else np.float64)
+    raw, reduced = ("D->D", "DD->D") if complex_input else ("d->d", "dd->d")
+    tau = _qr_r_raw(a, signature=raw)
+    return _qr_reduced(a, tau, signature=reduced)
+
+
 def _orthonormal_rows(a: np.ndarray) -> np.ndarray:
-    """Rows of Q from the QR factorization of each (dim x count) matrix in ``a``."""
-    q, _ = np.linalg.qr(a)
-    return np.ascontiguousarray(np.swapaxes(q, -1, -2))
+    """Rows of Q from the QR factorization of each (dim x count) matrix in
+    ``a``, by :func:`_qr`: the scalar API's one matrix and a campaign's stack."""
+    return np.ascontiguousarray(np.swapaxes(_qr(a), -1, -2))
 
 
 def _coefficients(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:

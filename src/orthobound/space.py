@@ -38,6 +38,11 @@ Scalar = complex
 ScalarLike = Union[complex, float, int]
 
 
+# The two halves of every level of the tree: even and odd positions.
+_EVEN = (Ellipsis, slice(0, None, 2))
+_ODD = (Ellipsis, slice(1, None, 2))
+
+
 def tree_sum(values: np.ndarray, axis: int = -1) -> np.ndarray:
     """Sum along ``axis`` with a balanced binary (pairwise) reduction.
 
@@ -47,33 +52,32 @@ def tree_sum(values: np.ndarray, axis: int = -1) -> np.ndarray:
     """
     a = np.asarray(values)
     del values  # a large input passed without a name is freed after its first level
-    if axis not in (-1, a.ndim - 1):
+    if axis != -1 and axis != a.ndim - 1:
         a = np.moveaxis(a, axis, -1)
     n = a.shape[-1]
-    if n == 0:
-        return np.zeros(a.shape[:-1], dtype=a.dtype)
-    target = 1 << (n - 1).bit_length() if n > 1 else 1
-    if target != n:
-        padded = np.zeros(a.shape[:-1] + (target,), dtype=a.dtype)
+    if n & (n - 1):  # not a power of two
+        padded = np.zeros(a.shape[:-1] + (1 << n.bit_length(),), dtype=a.dtype)
         padded[..., :n] = a
         a = padded
+    elif n == 0:
+        return np.zeros(a.shape[:-1], dtype=a.dtype)
     while a.shape[-1] > 1:
-        a = a[..., 0::2] + a[..., 1::2]
+        a = a[_EVEN] + a[_ODD]
     return a[..., 0]
 
 
 def abs2(z: np.ndarray) -> np.ndarray:
     """|z|^2 computed as re^2 + im^2, avoiding the square root of ``abs``."""
     z = np.asarray(z)
-    if np.iscomplexobj(z):
-        return z.real**2 + z.imag**2
+    if z.dtype.kind == "c":
+        return np.square(z.real) + np.square(z.imag)
     return z * z
 
 
 def _nonfinite(values: np.ndarray, name: str = "coords") -> tuple:
     """The finiteness rule over arrays (..., n): the mask of rows holding a
     NaN or an Inf, and ``error(row)``, the error of one such row."""
-    failed = np.logical_not(np.isfinite(values).all(axis=-1))
+    failed = ~np.isfinite(values).all(axis=-1)
     return failed, lambda row=(): ValueError(f"{name} must be finite (no NaN/Inf)")
 
 
@@ -103,7 +107,7 @@ class Vector:
 
     def __post_init__(self):
         arr = _frozen(self.coords, name="coords")
-        if self.real_mode and np.any(arr.imag != 0.0):
+        if self.real_mode and arr.imag.any():
             raise ValueError("real_mode vector has a nonzero imaginary part")
         object.__setattr__(self, "coords", arr)
 

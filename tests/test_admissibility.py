@@ -13,6 +13,7 @@ from orthobound import (
     Vector,
     admissible_point,
     check_hypothesis,
+    jsonio,
     random_admissible,
     random_family,
     validate_family,
@@ -28,6 +29,52 @@ def test_corridor_cached_aggregates_recomputable(rng):
     assert c.re_sum == pytest.approx(float(np.sum((hi * np.conj(lo)).real)), abs=1e-14)
     assert c.radius == pytest.approx(0.5 * math.sqrt(float(np.sum(np.abs(hi - lo) ** 2))), abs=1e-14)
     assert np.allclose(c.midpoints, (lo + hi) / 2.0)
+
+
+def _bits(a) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+def test_corridor_sides_are_read_only_views_of_one_stack(rng):
+    lo = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    hi = lo + rng.uniform(0.1, 1.0, 5)
+    inputs = lo.copy(), hi.copy()
+    c = ScalarCorridor(*inputs)
+    inputs[0][:] = 0.0  # the corridor keeps its own copy of the sides
+    assert c.sides.shape == (3, 5)
+    for view, expected in ((c.hi, hi), (c.lo, lo), (c.midpoints, 0.5 * (lo + hi))):
+        assert np.shares_memory(view, c.sides)
+        assert not view.flags.writeable
+        assert _bits(view) == _bits(expected)
+        with pytest.raises(ValueError):
+            view[0] = 1.0
+    assert _bits(c.sides) == _bits(np.stack([hi, lo, 0.5 * (lo + hi)]))
+
+
+@pytest.mark.parametrize("mode", ["real", "complex"])
+def test_batched_corridor_rows_equal_scalar_corridors(mode):
+    # row k of a batched build is the ScalarCorridor of row k, bit for bit
+    spec = CorridorSpec(mode)
+    for count in (1, 3, 4, 7):
+        u = np.random.default_rng(count).random((50, spec._parts, count))
+        batch = Corridors.build(*spec._sides(u))
+        assert batch.sides.shape == (50, 3, count) and not batch.sides.flags.writeable
+        for k in range(50):
+            one = ScalarCorridor(*spec._sides(u[k]), real_mode=mode == "real")
+            assert _bits(one.sides) == _bits(batch.sides[k])
+            assert one.re_sum == float(batch.re_sum[k])
+            assert one.radius == float(batch.radius[k])
+
+
+def test_scaled_and_json_round_trip_keep_the_sides(rng):
+    c = CorridorSpec().sample(4, rng)
+    t = 0.37
+    scaled = c.scaled(t)
+    assert _bits(scaled.sides) == _bits(ScalarCorridor(t * c.lo, t * c.hi).sides)
+    data = jsonio.corridor_to_json(c)
+    back = jsonio.corridor_from_json(data["phi"], data["Phi"])
+    assert _bits(back.sides) == _bits(c.sides)
+    assert (back.re_sum, back.radius) == (c.re_sum, c.radius)
 
 
 def test_corridor_validation():

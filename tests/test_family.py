@@ -15,6 +15,7 @@ from orthobound import (
     Vector,
     builtin_family,
     embed,
+    family,
     gauss_legendre_grid,
     gram_schmidt,
     inner,
@@ -265,3 +266,70 @@ def test_one_pass_embedding_keeps_signed_zeros_and_complex_members():
     assert _bits(fam.matrix) == _bits(np.stack([v.coords for v in members]))
     assert not fam.real_mode
     assert fam.gram_residual == validate_family(members, 10.0).gram_residual
+
+
+def _numpy_q_rows(a):
+    return np.swapaxes(np.linalg.qr(a)[0], -1, -2)
+
+
+def _qr_inputs(complex_input):
+    """Single matrices (dim x count), a transposed view, and stacks shaped as
+    a campaign's chunk of families (n, dim, count)."""
+    rng = np.random.default_rng(11 + complex_input)
+
+    def draw(*shape):
+        a = rng.standard_normal(shape)
+        return a + 1j * rng.standard_normal(shape) if complex_input else a
+
+    return [draw(8, 4), draw(1, 1), draw(16, 8), draw(5, 5), draw(4, 8).T, draw(64, 8, 4),
+            draw(3, 16, 16)]
+
+
+@pytest.mark.parametrize("complex_input", [False, True])
+def test_orthonormal_rows_equal_numpy_qr_bit_for_bit(complex_input):
+    for a in _qr_inputs(complex_input):
+        before = a.copy()
+        rows = _orthonormal_rows(a)
+        assert rows.flags.c_contiguous
+        assert _bits(rows) == _bits(_numpy_q_rows(a))
+        assert _bits(a) == _bits(before)  # the gufunc overwrites only a copy
+
+
+@pytest.mark.parametrize("complex_input", [False, True])
+def test_qr_fallback_gives_the_same_bits(monkeypatch, complex_input):
+    inputs = _qr_inputs(complex_input)
+    fast = [_orthonormal_rows(a) for a in inputs]
+    fam = random_family(8, 4, 5, real=not complex_input)
+    monkeypatch.setattr(family, "_qr_r_raw", None)  # as without numpy's private module
+    for a, rows in zip(inputs, fast):
+        assert _bits(_orthonormal_rows(a)) == _bits(rows)
+    assert _bits(random_family(8, 4, 5, real=not complex_input).matrix) == _bits(fam.matrix)
+
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf])
+def test_orthonormal_rows_of_nonfinite_input_match_numpy_qr(fill):
+    # LAPACK reports no error on a NaN or an Inf entry, so np.linalg.qr raises
+    # nothing and returns a Q with NaNs; the gufunc route returns its bits
+    for a in (_qr_inputs(False)[0], _qr_inputs(True)[5]):
+        a[..., 2, 1] = fill
+        assert _bits(_orthonormal_rows(a)) == _bits(_numpy_q_rows(a))
+
+
+def test_a_failure_flagged_by_the_qr_gufunc_raises_linalgerror(monkeypatch):
+    # LAPACK's argument errors reach numpy as the invalid flag, which both
+    # routes turn into LinAlgError; a stand-in gufunc raises that flag
+    if family._qr_r_raw is None:
+        pytest.skip("numpy's QR gufuncs are not available")
+    from numpy.linalg import _umath_linalg
+
+    def flagged(a, signature):
+        return np.sqrt(np.full(a.shape[:-2] + (min(a.shape[-2:]),), -1.0))
+
+    monkeypatch.setattr(_umath_linalg, "qr_r_raw", flagged)
+    monkeypatch.setattr(family, "_qr_r_raw", flagged)
+    a = _qr_inputs(True)[0]
+    with pytest.raises(np.linalg.LinAlgError) as ref:
+        np.linalg.qr(a)
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        _orthonormal_rows(a)
+    assert str(got.value) == str(ref.value)

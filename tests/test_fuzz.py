@@ -34,6 +34,7 @@ from orthobound import (
     bounds,
     campaign,
     companion_bound,
+    family,
     fuzz,
     gruss_bound,
     gruss_refined_midpoint,
@@ -437,8 +438,9 @@ def _same_first_error(config, expected):
 
 
 def _planted_qr(monkeypatch, plant):
-    """Every QR, the reference's and the campaign's, returns ``plant(a, Q)``
-    for its matrix ``a`` in place of Q."""
+    """Every QR, the reference's ``np.linalg.qr`` and the package's seam
+    ``family._qr``, which the campaign's and ``random_family``'s QR go
+    through, returns ``plant(a, Q)`` for its matrix ``a`` in place of Q."""
     qr = np.linalg.qr
 
     def planted(a):
@@ -446,6 +448,7 @@ def _planted_qr(monkeypatch, plant):
         return plant(a, q), r
 
     monkeypatch.setattr(np.linalg, "qr", planted)
+    monkeypatch.setattr(family, "_qr", lambda a: plant(a, qr(a)[0]))
 
 
 def test_planted_loose_family_raises_the_reference_error(monkeypatch):

@@ -93,6 +93,36 @@ def test_tree_sum_matches_plain_sum(rng):
     assert np.allclose(tree_sum(m, axis=0), m.sum(axis=0))
 
 
+def _pairwise_reference(values):
+    """The perfect tree over ``values`` zero-padded to a power of two, one
+    Python addition at a time (IEEE, as numpy adds each element)."""
+    level = list(values)
+    while len(level) & (len(level) - 1):
+        level.append(0.0)
+    while len(level) > 1:
+        level = [level[i] + level[i + 1] for i in range(0, len(level), 2)]
+    return level[0] if level else 0.0
+
+
+@pytest.mark.parametrize("complex_input", [False, True])
+def test_tree_sum_follows_the_padded_tree_bit_for_bit(complex_input):
+    rng = np.random.default_rng(17)
+    for n in range(0, 34):
+        for batch in ((), (3,), (2, 2)):
+            shape = batch + (n,)
+            a = rng.standard_normal(shape) * np.exp(20.0 * rng.standard_normal(shape))
+            if complex_input:
+                a = a + 1j * rng.standard_normal(shape)
+            a[rng.random(shape) < 0.3] = -0.0  # signed zeros: the padding adds +0.0
+            for values in (a, np.full_like(a, -0.0)):
+                got = tree_sum(values)
+                assert got.shape == batch and got.dtype == a.dtype
+                rows = values.reshape(math.prod(batch), n).tolist()
+                expected = np.array([_pairwise_reference(r) for r in rows], dtype=a.dtype)
+                assert got.tobytes() == expected.reshape(batch).tobytes()
+                assert tree_sum(np.moveaxis(values, -1, 0), axis=0).tobytes() == got.tobytes()
+
+
 def test_grid_inner_normalized_measure():
     grid = QuadratureGrid([0.0, 1.0], [0.5, 0.5], [1.0, 1.0])
     one = SampledFunction([1.0, 1.0], True)
