@@ -12,7 +12,6 @@ from .admissibility import (
     ScalarCorridor,
     admissible_point,
     check_hypothesis,
-    random_admissible,
 )
 from .bounds import (
     BoundChain,
@@ -47,7 +46,6 @@ from .errors import (
     NonfiniteCorridor,
     NonpositiveReSum,
     OrthoboundError,
-    RankDeficient,
     SandwichViolated,
     WitnessNotFound,
     ZeroVector,
@@ -62,8 +60,6 @@ from .experiments import (
 )
 from .family import (
     OrthonormalFamily,
-    builtin_family,
-    gram_schmidt,
     random_family,
     validate_family,
 )

@@ -307,15 +307,3 @@ def _admissible_points(matrix, corridor, u, slack):
     moves = (u_norm > 0.0) & (radius > 0.0)
     scale = np.where(moves, slack * radius / np.where(moves, u_norm, 1.0), 0.0)
     return center + scale[..., None] * u
-
-
-def random_admissible(
-    fam: OrthonormalFamily,
-    corridor_spec: CorridorSpec,
-    rng: RngLike,
-    slack: float,
-) -> tuple[Vector, ScalarCorridor]:
-    """Sample a corridor from the spec and an admissible vector for it."""
-    rng = np.random.default_rng(rng)
-    corridor = corridor_spec.sample(fam.count, rng)
-    return admissible_point(fam, corridor, rng, slack), corridor

@@ -27,19 +27,6 @@ class GramResidualExceeded(OrthoboundError):
         )
 
 
-class RankDeficient(OrthoboundError):
-    """Input vectors are linearly dependent up to the working tolerance."""
-
-    def __init__(self, index: int, residual_norm: float, input_norm: float):
-        self.index = index
-        self.residual_norm = residual_norm
-        self.input_norm = input_norm
-        super().__init__(
-            f"vector {index} has residual norm {residual_norm:.3e} "
-            f"below tolerance relative to input norm {input_norm:.3e}"
-        )
-
-
 class IdentityViolation(OrthoboundError):
     """The two admissibility forms disagree beyond what rounding permits.
 

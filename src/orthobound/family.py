@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyFamily, GramResidualExceeded, RankDeficient
+from .errors import DimensionMismatch, EmptyFamily, GramResidualExceeded
 from .space import (
     QuadratureGrid,
     SampledFunction,
@@ -29,7 +29,6 @@ from .space import (
     _embedded,
     _nonfinite,
     _require_samples,
-    abs2,
     tree_sum,
 )
 
@@ -40,10 +39,6 @@ except ImportError:
 
 DEFAULT_TOLERANCE = 1e-10
 QUADRATURE_TOLERANCE = 1e-8
-
-# A coordinate counts as "significant" for the phase convention once its
-# magnitude clears this fraction of the unit vector's norm.
-_PHASE_SIGNIFICANCE = 1e-8
 
 
 @lru_cache(maxsize=64)
@@ -212,51 +207,6 @@ def _embedded_family(
     return _validated(matrix, tolerance, all(f.real_mode for f in fns))
 
 
-def _fix_phase(w: np.ndarray) -> np.ndarray:
-    """Rotate so the first significant coordinate is real and positive."""
-    mags = np.abs(w)
-    significant = np.nonzero(mags > _PHASE_SIGNIFICANCE)[0]
-    k = int(significant[0]) if significant.size else int(np.argmax(mags))
-    pivot = w[k]
-    if pivot == 0.0:
-        return w
-    return w * (np.conj(pivot) / abs(pivot))
-
-
-def gram_schmidt(
-    raw: Sequence[Vector], tolerance: float = DEFAULT_TOLERANCE
-) -> OrthonormalFamily:
-    """Modified Gram-Schmidt with one reorthogonalization pass.
-
-    Output vectors follow the deterministic phase convention (first
-    significant coordinate real positive). Raises :class:`RankDeficient` when
-    a vector's residual norm falls below ``tolerance`` times its input norm.
-    """
-    if len(raw) == 0:
-        raise EmptyFamily("no vectors to orthonormalize")
-    if not tolerance > 0.0:
-        raise ValueError("tolerance must be positive")
-    dim = raw[0].dim
-    accepted: list[np.ndarray] = []
-    real_mode = all(v.real_mode for v in raw)
-    for k, v in enumerate(raw):
-        if v.dim != dim:
-            raise DimensionMismatch(f"vector {k} has dim {v.dim}, expected {dim}")
-        w = np.array(v.coords, dtype=np.complex128)
-        input_norm = math.sqrt(float(tree_sum(abs2(w))))
-        for _ in range(2):  # MGS + one reorthogonalization pass
-            for u in accepted:
-                w = w - tree_sum(w * np.conj(u)) * u
-        residual_norm = math.sqrt(float(tree_sum(abs2(w))))
-        if residual_norm < tolerance * input_norm or residual_norm == 0.0:
-            raise RankDeficient(k, residual_norm, input_norm)
-        accepted.append(_fix_phase(w / residual_norm))
-    return validate_family(
-        [Vector(u, real_mode and not np.any(u.imag != 0.0)) for u in accepted],
-        tolerance,
-    )
-
-
 def _check_size(dim: int, count: int) -> None:
     if count < 1 or count > dim:
         raise ValueError(f"need 1 <= count <= dim, got count={count}, dim={dim}")
@@ -311,30 +261,3 @@ def legendre_samples(count: int, grid: QuadratureGrid) -> list[SampledFunction]:
         values = np.polynomial.legendre.legval(grid.nodes, coeffs)
         out.append(SampledFunction(values * math.sqrt((2 * k + 1) / 2.0), True))
     return out
-
-
-def builtin_family(
-    kind: str,
-    count: int,
-    grid: QuadratureGrid | None = None,
-    tolerance: float | None = None,
-) -> OrthonormalFamily:
-    """Built-in families: ``canonical``, ``trig`` (on [0, 2*pi]), ``legendre``.
-
-    The trig and legendre kinds require a quadrature grid fine enough for the
-    sampled members to validate; a too-coarse grid raises
-    :class:`GramResidualExceeded` rather than silently degrading.
-    """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    if kind == "canonical":
-        tol = DEFAULT_TOLERANCE if tolerance is None else tolerance
-        members = [Vector(row, True) for row in np.eye(count)]
-        return validate_family(members, tol)
-    if kind in ("trig", "legendre"):
-        if grid is None:
-            raise ValueError(f"{kind} family requires a quadrature grid")
-        tol = QUADRATURE_TOLERANCE if tolerance is None else tolerance
-        samples = (trig_samples if kind == "trig" else legendre_samples)(count, grid)
-        return _embedded_family(samples, grid, tol)
-    raise ValueError(f"unknown family kind {kind!r}")

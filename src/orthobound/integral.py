@@ -30,11 +30,6 @@ from .family import OrthonormalFamily, QUADRATURE_TOLERANCE, _embedded_family
 from .space import QuadratureGrid, SampledFunction, Vector, embed, tree_sum
 
 
-def _hypothesis_tol(fam: OrthonormalFamily) -> float:
-    # Identity band must dominate the family's orthonormality error.
-    return max(1e-10, 10.0 * fam.count * fam.gram_residual)
-
-
 @dataclass(frozen=True)
 class IntegralInstance:
     """Embedded weighted-space instance, ready for the coordinate bounds."""
@@ -70,7 +65,6 @@ def integral_instance(
     g: SampledFunction | None = None,
     cy: ScalarCorridor | None = None,
     tolerance: float = QUADRATURE_TOLERANCE,
-    hypothesis_tol: float | None = None,
 ) -> IntegralInstance:
     """Embed functions and family, evaluating the admissibility reports.
 
@@ -79,7 +73,8 @@ def integral_instance(
     arithmetic.
     """
     fam = _embedded_family(fam_fns, grid, tolerance)
-    tol = _hypothesis_tol(fam) if hypothesis_tol is None else hypothesis_tol
+    # the identity band must dominate the family's orthonormality error
+    tol = max(1e-10, 10.0 * fam.count * fam.gram_residual)
     x = embed(f, grid)
     report_x = check_hypothesis(x, fam, cx, tol)
     y = report_y = None

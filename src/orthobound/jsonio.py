@@ -1,4 +1,4 @@
-"""JSON encodings for vectors, grids, families, corridors, and reports.
+"""JSON encodings for scalars, vectors, families, corridors, and reports.
 
 Complex scalars travel as two-element arrays [re, im]; decoding also accepts
 bare numbers for real data. Decode errors carry the path of the offending
@@ -7,6 +7,7 @@ field.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Mapping
 
 import numpy as np
@@ -15,7 +16,7 @@ from .admissibility import HypothesisReport, ScalarCorridor
 from .bounds import BoundChain
 from .errors import InstanceFormatError
 from .family import DEFAULT_TOLERANCE, OrthonormalFamily, validate_family
-from .space import QuadratureGrid, SampledFunction, Vector
+from .space import Vector
 
 
 def scalar_to_json(z: complex) -> list[float]:
@@ -39,52 +40,20 @@ def vector_to_json(v: Vector) -> list[list[float]]:
     return [scalar_to_json(z) for z in v.coords]
 
 
-def _at(path: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``, with a ValueError it raises reported at ``path``."""
+def vector_from_json(data: Any, path: str) -> Vector:
+    """The :class:`Vector` of the scalars at ``path``, real when no scalar
+    has an imaginary part; a ValueError it raises is reported at ``path``."""
+    arr = np.array(scalars_from_json(data, path), dtype=np.complex128)
     try:
-        return build(*args, **kwargs)
+        return Vector(arr, real_mode=not np.any(arr.imag != 0.0))
     except ValueError as exc:
         raise InstanceFormatError(path, str(exc)) from exc
-
-
-def _sampled(data: Any, path: str, build):
-    """The :class:`Vector` or :class:`SampledFunction` ``build`` of the
-    scalars at ``path``, real when no scalar has an imaginary part."""
-    arr = np.array(scalars_from_json(data, path), dtype=np.complex128)
-    return _at(path, build, arr, real_mode=not np.any(arr.imag != 0.0))
-
-
-def vector_from_json(data: Any, path: str) -> Vector:
-    return _sampled(data, path, Vector)
 
 
 def scalars_from_json(data: Any, path: str) -> list[complex]:
     if not isinstance(data, list) or not data:
         raise InstanceFormatError(path, "expected a nonempty list of scalars")
     return [scalar_from_json(v, f"{path}[{k}]") for k, v in enumerate(data)]
-
-
-def grid_to_json(grid: QuadratureGrid) -> dict:
-    return {
-        "nodes": [float(v) for v in grid.nodes],
-        "weights": [float(v) for v in grid.weights],
-        "rho": [float(v) for v in grid.density],
-    }
-
-
-def grid_from_json(data: Any, path: str = "grid") -> QuadratureGrid:
-    if not isinstance(data, Mapping):
-        raise InstanceFormatError(path, "expected an object with nodes/weights/rho")
-    return _at(path, QuadratureGrid, data.get("nodes", []), data.get("weights", []),
-               data.get("rho", []))
-
-
-def function_to_json(f: SampledFunction) -> list[list[float]]:
-    return [scalar_to_json(z) for z in f.values]
-
-
-def function_from_json(data: Any, path: str) -> SampledFunction:
-    return _sampled(data, path, SampledFunction)
 
 
 def family_to_json(fam: OrthonormalFamily) -> dict:
@@ -105,8 +74,9 @@ def family_from_json(data: Any, path: str = "family") -> OrthonormalFamily:
         vector_from_json(m, f"{path}.members[{k}]") for k, m in enumerate(raw)
     ]
     tolerance = data.get("tolerance", DEFAULT_TOLERANCE)
-    if not isinstance(tolerance, (int, float)) or not tolerance > 0:
-        raise InstanceFormatError(f"{path}.tolerance", "expected a positive number")
+    if (isinstance(tolerance, bool) or not isinstance(tolerance, (int, float))
+            or not 0.0 < tolerance < math.inf):
+        raise InstanceFormatError(f"{path}.tolerance", "expected a positive finite number")
     try:
         return validate_family(members, float(tolerance))
     except Exception as exc:
@@ -125,8 +95,8 @@ def corridor_from_json(
 ) -> ScalarCorridor:
     """Each side is decoded, and checked finite, at its own path; sides too
     large for the aggregates raise :class:`NonfiniteCorridor`."""
-    lo = _sampled(lo_data, f"{path}phi", Vector)
-    hi = _sampled(hi_data, f"{path}Phi", Vector)
+    lo = vector_from_json(lo_data, f"{path}phi")
+    hi = vector_from_json(hi_data, f"{path}Phi")
     if lo.dim != hi.dim:
         raise InstanceFormatError(
             f"{path}Phi", f"length {hi.dim} does not match phi length {lo.dim}"

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -43,8 +43,8 @@ _EVEN = (Ellipsis, slice(0, None, 2))
 _ODD = (Ellipsis, slice(1, None, 2))
 
 
-def tree_sum(values: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Sum along ``axis`` with a balanced binary (pairwise) reduction.
+def tree_sum(values: np.ndarray) -> np.ndarray:
+    """Sum along the last axis with a balanced binary (pairwise) reduction.
 
     The data is zero-padded to the next power of two so the reduction tree is
     perfect; appending exact zeros does not change the result but makes the
@@ -52,8 +52,6 @@ def tree_sum(values: np.ndarray, axis: int = -1) -> np.ndarray:
     """
     a = np.asarray(values)
     del values  # a large input passed without a name is freed after its first level
-    if axis != -1 and axis != a.ndim - 1:
-        a = np.moveaxis(a, axis, -1)
     n = a.shape[-1]
     if n & (n - 1):  # not a power of two
         padded = np.zeros(a.shape[:-1] + (1 << n.bit_length(),), dtype=a.dtype)
@@ -301,13 +299,9 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def gauss_legendre_grid(
-    n: int,
-    a: float = -1.0,
-    b: float = 1.0,
-    density: Sequence[float] | None = None,
-) -> QuadratureGrid:
-    """Gauss-Legendre nodes/weights mapped affinely from [-1, 1] to [a, b].
+def gauss_legendre_grid(n: int, a: float = -1.0, b: float = 1.0) -> QuadratureGrid:
+    """Gauss-Legendre nodes/weights mapped affinely from [-1, 1] to [a, b],
+    with unit density.
 
     The positive roots of P_n start from Tricomi's asymptotic guess
     ``cos(pi (4k - 1) / (4n + 2)) (1 - (n - 1) / (8 n^3))`` and are refined by
@@ -337,5 +331,4 @@ def gauss_legendre_grid(
     half = 0.5 * b - 0.5 * a
     nodes = half * t + (0.5 * a + 0.5 * b)
     weights = half * w
-    rho = np.ones(n) if density is None else np.asarray(density, dtype=np.float64)
-    return QuadratureGrid(nodes, weights, rho)
+    return QuadratureGrid(nodes, weights, np.ones(n))

@@ -14,7 +14,6 @@ from orthobound import (
     admissible_point,
     check_hypothesis,
     jsonio,
-    random_admissible,
     random_family,
     validate_family,
 )
@@ -120,7 +119,8 @@ def test_plane_construction_boundary():
 def test_random_admissible_satisfies_ball_form(seed, slack):
     rng = np.random.default_rng(seed)
     fam = random_family(6, 3, rng)
-    x, corr = random_admissible(fam, CorridorSpec(), rng, slack)
+    corr = CorridorSpec().sample(fam.count, rng)
+    x = admissible_point(fam, corr, rng, slack)
     rep = check_hypothesis(x, fam, corr)
     assert rep.holds
     assert rep.cond_ii_residual <= rep.radius * (1.0 + 1e-12)
@@ -128,14 +128,16 @@ def test_random_admissible_satisfies_ball_form(seed, slack):
 
 def test_random_admissible_slack_zero_is_center(rng):
     fam = random_family(5, 3, rng)
-    x, corr = random_admissible(fam, CorridorSpec(), rng, 0.0)
+    corr = CorridorSpec().sample(fam.count, rng)
+    x = admissible_point(fam, corr, rng, 0.0)
     rep = check_hypothesis(x, fam, corr)
     assert rep.cond_ii_residual == pytest.approx(0.0, abs=1e-14)
 
 
 def test_random_admissible_slack_one_is_boundary(rng):
     fam = random_family(5, 3, rng)
-    x, corr = random_admissible(fam, CorridorSpec(), rng, 1.0)
+    corr = CorridorSpec().sample(fam.count, rng)
+    x = admissible_point(fam, corr, rng, 1.0)
     rep = check_hypothesis(x, fam, corr)
     assert rep.cond_ii_residual == pytest.approx(corr.radius, rel=1e-12)
     assert abs(rep.cond_i_value) <= 1e-12 * max(1.0, corr.radius**2)
@@ -175,7 +177,8 @@ def test_identity_and_equivalence(seed):
 def test_scaling_covariance(seed, t):
     rng = np.random.default_rng(seed)
     fam = random_family(6, 3, rng)
-    x, corr = random_admissible(fam, CorridorSpec(), rng, rng.uniform())
+    corr = CorridorSpec().sample(fam.count, rng)
+    x = admissible_point(fam, corr, rng, rng.uniform())
     rep = check_hypothesis(x, fam, corr)
     rep_t = check_hypothesis(t * x, fam, corr.scaled(t))
     assert rep_t.cond_i_value == pytest.approx(t * t * rep.cond_i_value, rel=1e-9, abs=1e-12)

@@ -206,6 +206,12 @@ _SCHWARZ_INSTANCE = {"x": [1.0, 2.0], "y": [0.0, 1.0], "delta": 1.0, "Delta": 3.
         ("thm2.1", {"Phi": [[2.0, math.inf]]}, "Phi: coords must be finite (no NaN/Inf)"),
         ("cor2.3", {"x": [1e200]},
          "admissibility forms overflow the float range: sign value -inf, ball residual inf"),
+        # json reads `true` as 1 and accepts `Infinity`, under which this
+        # family of norm 2 would load and reach the chain
+        ("cor2.3", {"family": {"members": [[2.0]], "tolerance": True}},
+         "family.tolerance: expected a positive finite number"),
+        ("cor2.3", {"family": {"members": [[2.0]], "tolerance": math.inf}},
+         "family.tolerance: expected a positive finite number"),
     ],
 )
 def test_nonfinite_corridor_input_fails_with_one_typed_error(

@@ -2,28 +2,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from orthobound import (
     DimensionMismatch,
     EmptyFamily,
     GramResidualExceeded,
     QuadratureGrid,
-    RankDeficient,
     SampledFunction,
     Vector,
-    builtin_family,
     embed,
     family,
     gauss_legendre_grid,
-    gram_schmidt,
-    inner,
-    norm,
     random_family,
     validate_family,
 )
 from orthobound.family import (
+    QUADRATURE_TOLERANCE,
     _embedded_family,
     _gram_check,
     _orthonormal_rows,
@@ -63,79 +57,22 @@ def test_mixed_dimensions():
         validate_family([Vector([1.0]), Vector([0.0, 1.0])])
 
 
-def test_gram_schmidt_identity_passthrough():
-    fam = gram_schmidt([Vector(row, True) for row in np.eye(3)])
-    assert np.allclose(fam.matrix, np.eye(3))
-
-
-def test_gram_schmidt_hand_example():
-    fam = gram_schmidt([Vector([1.0, 0.0], True), Vector([1.0, 1.0], True)])
-    assert np.allclose(fam.matrix, np.eye(2), atol=1e-15)
-
-
-def test_gram_schmidt_collinear():
-    with pytest.raises(RankDeficient) as exc:
-        gram_schmidt([Vector([1.0, 0.0], True), Vector([2.0, 0.0], True)])
-    assert exc.value.index == 1
-
-
-def test_gram_schmidt_phase_convention():
-    # a vector entering with a phase comes out with a real positive pivot
-    fam = gram_schmidt([Vector([-2.0, 0.0], True), Vector([1j, 3j])])
-    assert fam.matrix[0, 0].real > 0
-    first = fam.matrix[1][np.abs(fam.matrix[1]) > 1e-8][0]
-    assert first.imag == pytest.approx(0.0, abs=1e-15)
-    assert first.real > 0
-
-
-@given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 6))
-@settings(max_examples=60, deadline=None)
-def test_gram_schmidt_spans_input(seed, dim_extra, count):
-    dim = count + dim_extra
-    rng = np.random.default_rng(seed)
-    raw = [
-        Vector(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-        for _ in range(count)
-    ]
-    fam = gram_schmidt(raw)
-    # every validated pair stays orthonormal
-    for i, ei in enumerate(fam.members):
-        for j, ej in enumerate(fam.members):
-            target = 1.0 if i == j else 0.0
-            assert abs(inner(ei, ej) - target) <= fam.tolerance
-    # residual of each input after projection onto the output family
-    for v in raw:
-        coeffs = fam.coefficients(v)
-        residual = v - fam.combine(coeffs)
-        assert norm(residual) <= 1e-10 * norm(v)
-
-
-def test_builtin_canonical():
-    fam = builtin_family("canonical", 3)
-    assert np.allclose(fam.matrix, np.eye(3))
-
-
 def test_builtin_trig_residual():
     grid = gauss_legendre_grid(64, 0.0, 2.0 * math.pi)
-    fam = builtin_family("trig", 5, grid)
+    fam = _embedded_family(trig_samples(5, grid), grid, QUADRATURE_TOLERANCE)
     assert fam.gram_residual <= 1e-8
 
 
 def test_builtin_legendre_residual():
     grid = gauss_legendre_grid(32)
-    fam = builtin_family("legendre", 4, grid)
+    fam = _embedded_family(legendre_samples(4, grid), grid, QUADRATURE_TOLERANCE)
     assert fam.gram_residual <= 1e-10
 
 
 def test_builtin_trig_too_coarse():
     grid = gauss_legendre_grid(3, 0.0, 2.0 * math.pi)
     with pytest.raises(GramResidualExceeded):
-        builtin_family("trig", 5, grid)
-
-
-def test_builtin_requires_grid():
-    with pytest.raises(ValueError):
-        builtin_family("trig", 3)
+        _embedded_family(trig_samples(5, grid), grid, QUADRATURE_TOLERANCE)
 
 
 def test_trig_samples_normalized():
@@ -197,13 +134,10 @@ def _bits(a) -> bytes:
 
 
 def _embedded_bases(nodes=2048, count=16):
-    """(kind, grid, samples) of the built-in trig and Legendre families."""
+    """(grid, samples) of the trig and Legendre families."""
     trig = gauss_legendre_grid(nodes, 0.0, 2.0 * math.pi)
     legendre = gauss_legendre_grid(nodes)
-    return [
-        ("trig", trig, trig_samples(count, trig)),
-        ("legendre", legendre, legendre_samples(count, legendre)),
-    ]
+    return [(trig, trig_samples(count, trig)), (legendre, legendre_samples(count, legendre))]
 
 
 def _assert_real_gram_matches_complex(matrix, tolerance):
@@ -238,14 +172,14 @@ def test_real_gram_rule_matches_complex_on_loose_family():
 
 
 def test_real_gram_rule_matches_complex_on_embedded_families():
-    for kind, grid, _ in _embedded_bases():
-        fam = builtin_family(kind, 16, grid)
+    for grid, fns in _embedded_bases():
+        fam = _embedded_family(fns, grid, QUADRATURE_TOLERANCE)
         _assert_real_gram_matches_complex(fam.matrix, 1e-8)
         assert fam.gram_residual == float(_gram_check(fam.matrix, 1e-8)[0])
 
 
 def test_one_pass_embedding_matches_member_embeddings():
-    for _, grid, fns in _embedded_bases():
+    for grid, fns in _embedded_bases():
         members = [embed(f, grid) for f in fns]
         fam = _embedded_family(fns, grid, 1e-8)
         assert _bits(fam.matrix) == _bits(np.stack([v.coords for v in members]))

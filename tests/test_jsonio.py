@@ -4,7 +4,6 @@ import pytest
 from orthobound import (
     InstanceFormatError,
     NonfiniteCorridor,
-    QuadratureGrid,
     Vector,
     validate_family,
 )
@@ -41,19 +40,6 @@ def test_vector_error_path():
     assert exc.value.path == "x[1]"
 
 
-def test_grid_roundtrip():
-    grid = QuadratureGrid([0.0, 1.0], [0.5, 0.5], [1.0, 2.0])
-    back = jsonio.grid_from_json(jsonio.grid_to_json(grid))
-    assert np.array_equal(back.nodes, grid.nodes)
-    assert np.array_equal(back.weights, grid.weights)
-    assert np.array_equal(back.density, grid.density)
-
-
-def test_grid_errors():
-    with pytest.raises(InstanceFormatError):
-        jsonio.grid_from_json({"nodes": [0.0], "weights": [-1.0], "rho": [1.0]})
-
-
 def test_family_roundtrip():
     fam = validate_family([Vector(r, True) for r in np.eye(2)])
     data = jsonio.family_to_json(fam)
@@ -71,15 +57,6 @@ def test_family_revalidates_on_load():
 def test_family_requires_members():
     with pytest.raises(InstanceFormatError):
         jsonio.family_from_json({"tolerance": 1e-10})
-
-
-def test_function_roundtrip(rng):
-    from orthobound import SampledFunction
-
-    f = SampledFunction(rng.standard_normal(3), True)
-    back = jsonio.function_from_json(jsonio.function_to_json(f), "f")
-    assert np.array_equal(back.values, f.values)
-    assert back.real_mode
 
 
 def test_corridor_roundtrip(rng):
@@ -101,7 +78,6 @@ def test_corridor_length_mismatch():
     "decode, detail",
     [
         (jsonio.vector_from_json, "coords must be finite (no NaN/Inf)"),
-        (jsonio.function_from_json, "values must be finite (no NaN/Inf)"),
     ],
 )
 def test_nonfinite_samples_are_reported_at_their_path(decode, detail):

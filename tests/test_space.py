@@ -49,6 +49,8 @@ def test_vector_rejects_nonfinite():
         Vector([float("nan"), 1.0])
     with pytest.raises(ValueError):
         Vector([complex(0, float("inf"))])
+    with pytest.raises(ValueError, match=r"^values must be finite \(no NaN/Inf\)$"):
+        SampledFunction([1.0, complex(0.0, float("nan"))])
 
 
 def test_real_mode_rejects_imaginary():
@@ -89,8 +91,8 @@ def test_tree_sum_matches_plain_sum(rng):
         a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         assert complex(tree_sum(a)) == pytest.approx(complex(np.sum(a)), abs=1e-10)
     m = rng.standard_normal((5, 9))
-    assert np.allclose(tree_sum(m, axis=1), m.sum(axis=1))
-    assert np.allclose(tree_sum(m, axis=0), m.sum(axis=0))
+    assert np.allclose(tree_sum(m), m.sum(axis=1))
+    assert np.allclose(tree_sum(m.T), m.sum(axis=0))
 
 
 def _pairwise_reference(values):
@@ -120,7 +122,6 @@ def test_tree_sum_follows_the_padded_tree_bit_for_bit(complex_input):
                 rows = values.reshape(math.prod(batch), n).tolist()
                 expected = np.array([_pairwise_reference(r) for r in rows], dtype=a.dtype)
                 assert got.tobytes() == expected.reshape(batch).tobytes()
-                assert tree_sum(np.moveaxis(values, -1, 0), axis=0).tobytes() == got.tobytes()
 
 
 def test_grid_inner_normalized_measure():
