@@ -6,6 +6,8 @@ spaces, together with their weighted-quadrature realizations and the
 extremal constructions that pin the 1/4 and 1/16 prefactors.
 """
 
+import importlib
+
 from .admissibility import (
     CorridorSpec,
     HypothesisReport,
@@ -50,21 +52,11 @@ from .errors import (
     WitnessNotFound,
     ZeroVector,
 )
-from .experiments import (
-    ComparisonResult,
-    EqualityCaseReport,
-    SweepRow,
-    bound_comparison_search,
-    equality_cases,
-    sharpness_sweep,
-)
 from .family import (
     OrthonormalFamily,
     random_family,
     validate_family,
 )
-from .fuzz import FuzzConfig, FuzzSummary, run_fuzz
-from .integral import IntegralInstance, SandwichReport, integral_instance, sandwich_check
 from .space import (
     QuadratureGrid,
     SampledFunction,
@@ -80,3 +72,30 @@ from .space import (
 )
 
 __version__ = "0.1.0"
+
+# Names whose modules ``orthobound check`` never runs: each is looked up in
+# its module on access (PEP 562), so ``import orthobound`` and every process
+# that does not use them skip loading those modules.
+_LAZY = {
+    **dict.fromkeys(
+        ("ComparisonResult", "EqualityCaseReport", "SweepRow", "bound_comparison_search",
+         "equality_cases", "sharpness_sweep"),
+        "experiments",
+    ),
+    **dict.fromkeys(("FuzzConfig", "FuzzSummary", "run_fuzz"), "fuzz"),
+    **dict.fromkeys(
+        ("IntegralInstance", "SandwichReport", "integral_instance", "sandwich_check"),
+        "integral",
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

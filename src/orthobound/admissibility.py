@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 import numpy as np
 
@@ -31,7 +31,8 @@ from .space import Vector, abs2, tree_sum
 
 DEFAULT_HYPOTHESIS_TOL = 1e-10
 
-RngLike = Union[np.random.Generator, int, None]
+if TYPE_CHECKING:  # naming np.random here would load it into every process
+    RngLike = Union[np.random.Generator, int, None]
 
 
 class Corridors(NamedTuple):

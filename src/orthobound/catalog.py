@@ -128,6 +128,11 @@ SELECTORS: dict[str, Selector] = {
 }
 
 
+# The extremal constructions ``orthobound sweep`` runs
+# (:func:`orthobound.experiments.sharpness_sweep`).
+SWEEP_TARGETS = ("thm21", "cor23", "cor32")
+
+
 def campaign_keys() -> Iterator[tuple[str, Selector, str | None]]:
     """Every selector key a campaign can run, with its entry and its tail
     (None for an entry without tails), in catalog order."""

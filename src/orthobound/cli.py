@@ -3,7 +3,9 @@ the refinement incomparability witnesses and the weighted-quadrature demo.
 
 ``check`` runs one entry of the catalog of bound selectors,
 :data:`orthobound.catalog.SELECTORS`: each entry names the instance fields
-it needs and the public :mod:`orthobound.bounds` functions it calls.
+it needs and the public :mod:`orthobound.bounds` functions it calls. The
+other commands import their engines (fuzz, experiments, integral) when they
+run, so a ``check`` process never loads them.
 
 Exit codes: 0 when every requested hypothesis and chain holds, 2 when an
 instance is inadmissible for the requested bound, 1 for I/O or validation
@@ -27,17 +29,9 @@ import numpy as np
 
 from . import bounds, jsonio
 from .admissibility import DEFAULT_HYPOTHESIS_TOL, CorridorSpec
-from .catalog import SELECTORS, Selector
+from .catalog import SELECTORS, SWEEP_TARGETS, Selector
 from .errors import HypothesisFailed, InstanceFormatError, OrthoboundError
-from .experiments import (
-    SWEEP_TARGETS,
-    bound_comparison_search,
-    sharpness_sweep,
-    sweep_rows_to_csv,
-)
 from .family import trig_samples, legendre_samples
-from .fuzz import FuzzConfig, run_fuzz
-from .integral import integral_instance, sandwich_check
 from .space import SampledFunction, gauss_legendre_grid
 
 SWEEP_EPS = "0.5,0.3,0.1,0.05,0.01,0.005,0.001"
@@ -161,6 +155,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    from .fuzz import FuzzConfig, run_fuzz
+
     lo, hi = args.center_range
     spec = CorridorSpec(
         mode=args.mode, center_low=lo, center_high=hi, width_high=args.width
@@ -189,6 +185,8 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .experiments import sharpness_sweep, sweep_rows_to_csv
+
     eps = [float(tok) for tok in args.eps.split(",") if tok.strip()]
     if not eps:
         return _fail("empty epsilon list; no file written")
@@ -222,6 +220,8 @@ def _witness_to_json(w) -> dict:
 
 
 def cmd_witnesses(args) -> int:
+    from .experiments import bound_comparison_search
+
     result = bound_comparison_search(args.seed, args.trials)
     witnesses = {
         "seed": args.seed,
@@ -236,6 +236,8 @@ def cmd_witnesses(args) -> int:
 
 
 def cmd_integral_demo(args) -> int:
+    from .integral import integral_instance, sandwich_check
+
     if args.family == "trig":
         grid = gauss_legendre_grid(args.nodes, 0.0, 2.0 * np.pi)
         fam_fns = trig_samples(args.count, grid)

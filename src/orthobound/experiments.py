@@ -25,11 +25,10 @@ from .bounds import (
     gruss_refined_sqrt,
     norm_bound_quadratic,
 )
+from .catalog import SWEEP_TARGETS
 from .errors import BadEpsilon, ChainViolated, WitnessNotFound
 from .family import OrthonormalFamily, random_family, validate_family
 from .space import Vector
-
-SWEEP_TARGETS = ("thm21", "cor23", "cor32")
 
 # Incomparability search stays on small instances: existence is all that is
 # needed and small draws keep runs under a second.
@@ -140,7 +139,10 @@ def bound_comparison_search(seed: int, trials: int) -> ComparisonResult:
     Draws random admissible pairs and keeps the first instance in each
     direction. Raises :class:`WitnessNotFound` naming the missing direction
     when the trial budget runs out; failures are reported, never fabricated.
+    A negative budget is malformed input and raises :class:`ValueError`.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     rng = np.random.default_rng(seed)
     spec = CorridorSpec()
     found: dict[str, ComparisonWitness] = {}

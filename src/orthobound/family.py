@@ -217,7 +217,6 @@ def random_family(
     count: int,
     rng: np.random.Generator | int,
     real: bool = False,
-    tolerance: float = DEFAULT_TOLERANCE,
 ) -> OrthonormalFamily:
     """Random orthonormal family via QR of a Gaussian matrix (fuzzing helper)."""
     _check_size(dim, count)
@@ -225,7 +224,7 @@ def random_family(
     a = rng.standard_normal((dim, count))
     if not real:
         a = a + 1j * rng.standard_normal((dim, count))
-    return _validated(_orthonormal_rows(a), tolerance, real)
+    return _validated(_orthonormal_rows(a), DEFAULT_TOLERANCE, real)
 
 
 def trig_samples(count: int, grid: QuadratureGrid) -> list[SampledFunction]:

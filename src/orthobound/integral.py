@@ -64,7 +64,6 @@ def integral_instance(
     cx: ScalarCorridor,
     g: SampledFunction | None = None,
     cy: ScalarCorridor | None = None,
-    tolerance: float = QUADRATURE_TOLERANCE,
 ) -> IntegralInstance:
     """Embed functions and family, evaluating the admissibility reports.
 
@@ -72,7 +71,7 @@ def integral_instance(
     admissibility conditions, since both run through the same embedded
     arithmetic.
     """
-    fam = _embedded_family(fam_fns, grid, tolerance)
+    fam = _embedded_family(fam_fns, grid, QUADRATURE_TOLERANCE)
     # the identity band must dominate the family's orthonormality error
     tol = max(1e-10, 10.0 * fam.count * fam.gram_residual)
     x = embed(f, grid)

@@ -1,6 +1,10 @@
+import importlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -8,12 +12,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import orthobound
 from orthobound import (
     CorridorSpec,
     FuzzConfig,
     Vector,
     admissible_point,
     bessel_counterpart,
+    bound_comparison_search,
     check_hypothesis,
     companion_bound,
     gruss_bound,
@@ -423,6 +429,104 @@ def test_witnesses_budget_too_small(capsys, tmp_path):
     rc, _, err = run(capsys, "witnesses", "--trials", "1", "--out", str(tmp_path / "w.json"))
     assert rc == 1
     assert "error" in err
+
+
+def test_witnesses_rejects_a_negative_budget(capsys, tmp_path):
+    # malformed input, not a search that found nothing
+    out_json = tmp_path / "w.json"
+    rc, out, err = run(capsys, "witnesses", "--trials", "-3", "--out", str(out_json))
+    assert (rc, out) == (1, "")
+    assert "trials must be nonnegative, got -3" in err
+    assert not out_json.exists()
+    with pytest.raises(ValueError, match="^trials must be nonnegative, got -3$"):
+        bound_comparison_search(7, -3)
+
+
+def run_fresh_main(*argv: str) -> tuple[int, list[str]]:
+    """``python -m orthobound *argv`` in a fresh interpreter at the repository
+    root, with this checkout's package importable: its exit code and the
+    modules it loaded."""
+    code = (
+        "import json, runpy, sys\n"
+        f"sys.argv = ['orthobound', *{list(argv)!r}]\n"
+        "try:\n"
+        "    runpy.run_module('orthobound', run_name='__main__')\n"
+        "except SystemExit as exc:\n"
+        "    json.dump([exc.code, sorted(sys.modules)], sys.stderr)\n"
+    )
+    src = Path(orthobound.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    rc, modules = json.loads(proc.stderr.splitlines()[-1])
+    return rc, modules
+
+
+def test_check_loads_only_the_modules_it_runs():
+    rc, modules = run_fresh_main(
+        "check", "--instance", "data/cor23_construction.json", "--bound", "cor2.3"
+    )
+    assert rc == 0
+    assert "orthobound.bounds" in modules
+    unused = ("orthobound.experiments", "orthobound.fuzz", "orthobound.integral",
+              "orthobound.campaign", "numpy.random")
+    assert [m for m in modules if m in unused] == []
+
+
+@pytest.mark.parametrize("engine, argv", [
+    ("orthobound.campaign", ("fuzz", "--seed", "1", "--count", "20")),
+    ("orthobound.experiments",
+     ("sweep", "--target", "cor23", "--eps", "0.1", "--out", "{tmp}/s.csv")),
+    ("orthobound.experiments", ("witnesses", "--out", "{tmp}/w.json")),
+    ("orthobound.integral", ("integral-demo", "--family", "trig")),
+], ids=["fuzz", "sweep", "witnesses", "integral-demo"])
+def test_commands_load_their_engines_when_run(tmp_path, engine, argv):
+    rc, modules = run_fresh_main(*(a.format(tmp=tmp_path) for a in argv))
+    assert rc == 0
+    assert engine in modules
+
+
+# Every name the package exported before its engines were loaded on first use.
+PACKAGE_NAMES = {
+    "admissibility": ("CorridorSpec", "HypothesisReport", "ScalarCorridor",
+                      "admissible_point", "check_hypothesis"),
+    "bounds": ("BoundChain", "MFactor", "SchwarzCounterparts", "bessel_counterpart",
+               "bessel_defect", "companion_bound", "gruss_bound", "gruss_defect",
+               "gruss_refined_midpoint", "gruss_refined_sqrt", "m_factor",
+               "norm_bound_linear", "norm_bound_quadratic", "schwarz_counterparts",
+               "schwarz_step", "single_vector_ratio_chain"),
+    "errors": ("BadEpsilon", "BadExponent", "BadLambda", "ChainViolated",
+               "DimensionMismatch", "EmptyFamily", "FloatRangeExceeded",
+               "GramResidualExceeded", "HypothesisFailed", "IdentityViolation",
+               "InstanceFormatError", "NonfiniteCorridor", "NonpositiveReSum",
+               "OrthoboundError", "SandwichViolated", "WitnessNotFound", "ZeroVector"),
+    "experiments": ("ComparisonResult", "EqualityCaseReport", "SweepRow",
+                    "bound_comparison_search", "equality_cases", "sharpness_sweep"),
+    "family": ("OrthonormalFamily", "random_family", "validate_family"),
+    "fuzz": ("FuzzConfig", "FuzzSummary", "run_fuzz"),
+    "integral": ("IntegralInstance", "SandwichReport", "integral_instance", "sandwich_check"),
+    "space": ("QuadratureGrid", "SampledFunction", "Scalar", "Vector", "embed",
+              "gauss_legendre_grid", "grid_inner", "inner", "norm", "norm_sq", "tree_sum"),
+}
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE_NAMES))
+def test_package_names_are_the_objects_their_modules_define(module):
+    defining = importlib.import_module(f"orthobound.{module}")
+    for name in PACKAGE_NAMES[module]:
+        namespace: dict = {}
+        exec(f"from orthobound import {name}", namespace)
+        assert namespace[name] is getattr(defining, name), name
+        assert name in dir(orthobound)
+
+
+def test_a_misspelt_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'run_fuz'"):
+        orthobound.run_fuz
+    with pytest.raises(ImportError):
+        exec("from orthobound import run_fuz", {})
 
 
 def _plane_instance():

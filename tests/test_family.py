@@ -106,11 +106,12 @@ def test_random_family_validates(rng):
 
 
 @pytest.mark.parametrize("tolerance", [0.0, -1.0, float("nan")])
-def test_random_family_rejects_a_nonpositive_tolerance(tolerance):
+def test_validate_family_rejects_a_nonpositive_tolerance(tolerance):
     # the tolerance rule comes before the gram rule, whose residual would
     # otherwise exceed a tolerance of 0 or -1
+    members = [Vector(row) for row in random_family(8, 4, 0).matrix]
     with pytest.raises(ValueError, match="^tolerance must be positive$"):
-        random_family(8, 4, 0, tolerance=tolerance)
+        validate_family(members, tolerance)
 
 
 def test_validate_family_reports_mismatched_dims_before_a_bad_tolerance():

@@ -22,7 +22,7 @@ from orthobound import (
     sandwich_check,
     validate_family,
 )
-from orthobound.family import trig_samples
+from orthobound.family import QUADRATURE_TOLERANCE, _embedded_family, trig_samples
 
 
 @pytest.fixture(scope="module")
@@ -145,8 +145,12 @@ def test_family_errors_match_member_embeddings(fam_fns, tolerance, expected, mes
     with pytest.raises(expected) as ref:
         validate_family([embed(fi, grid) for fi in fns], tolerance)
     with pytest.raises(expected) as got:
-        integral_instance(f, fns, grid, corr, tolerance=tolerance)
+        _embedded_family(fns, grid, tolerance)
     assert str(got.value) == str(ref.value) == message
+    if tolerance == QUADRATURE_TOLERANCE:  # the tolerance integral_instance embeds with
+        with pytest.raises(expected) as got:
+            integral_instance(f, fns, grid, corr)
+        assert str(got.value) == message
 
 
 def test_family_size_errors_come_before_nonfinite_embeddings():
