@@ -163,8 +163,11 @@ def check_hypothesis(
     ``holds`` is the non-strict sign test cond_i_value >= -tol * max(1, r^2),
     so boundary instances (the extremal constructions) pass. Raises
     :class:`IdentityViolation` when the two forms disagree beyond the
-    tolerance band, which signals a family too loose for ``tol``.
+    tolerance band, which signals a family too loose for ``tol``. Raises
+    ValueError unless ``tol`` is positive and finite.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if corridor.size != fam.count:
         raise DimensionMismatch(
             f"corridor has {corridor.size} entries for a family of {fam.count}"

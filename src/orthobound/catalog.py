@@ -6,7 +6,7 @@ fields, the parser of a ``name:tail`` parameter, the JSON names of the
 hypothesis reports and, for each chain, the public :mod:`orthobound.bounds`
 function with its JSON chain name. It also gives what a campaign needs: the
 parameter tails it runs, the instance it draws (see
-:mod:`orthobound.campaign`), and for each chain the kernel that the public
+:mod:`orthobound.fuzz`), and for each chain the kernel that the public
 function runs on a batch of one, which the campaign runs on a chunk.
 """
 

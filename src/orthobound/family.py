@@ -15,7 +15,7 @@ check surfaces families that are too loose for a requested tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -49,10 +49,13 @@ def _identity(count: int) -> np.ndarray:
     return eye
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _gram_check(matrix: np.ndarray, tolerance: float) -> tuple:
     """The gram rule over families (..., count, dim), members as rows: each
     residual max |G - I| of the pairwise-summed Gram matrix, the mask of
-    residuals above ``tolerance``, and ``error(row)``, the error of one."""
+    residuals not within ``tolerance``, and ``error(row)``, the error of one.
+    A NaN or Inf entry, or products that overflow, give an Inf or NaN
+    residual, which fails quietly."""
     count = matrix.shape[-2]
     # The product tensor is the rule's largest array: passed without a name,
     # tree_sum frees it once its first level is summed.
@@ -60,7 +63,7 @@ def _gram_check(matrix: np.ndarray, tolerance: float) -> tuple:
     deviation = np.abs(gram - _identity(count))
     flat = deviation.reshape(deviation.shape[:-2] + (-1,))
     residual = flat.max(axis=-1)
-    return residual, residual > tolerance, lambda row=(): GramResidualExceeded(
+    return residual, ~(residual <= tolerance), lambda row=(): GramResidualExceeded(
         float(residual[row]), divmod(int(flat[row].argmax()), count), tolerance
     )
 
@@ -101,41 +104,40 @@ def _coefficients(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     return tree_sum(np.multiply(np.conj(matrix), x[..., None, :]))
 
 
-def _validated(matrix: np.ndarray, tolerance: float, real_mode: bool) -> "OrthonormalFamily":
-    """The family of the rows of ``matrix``: its tolerance rule, then its gram rule."""
-    if not tolerance > 0.0:
-        raise ValueError("tolerance must be positive")
-    # The complex products of a real family have zero imaginary parts and the
-    # real products as real parts, so its gram rule runs on the real parts
-    # with the same residual and worst pair.
-    gram_input = np.ascontiguousarray(matrix.real) if real_mode else matrix
-    residual, failed, error = _gram_check(gram_input, tolerance)
-    if failed:
-        raise error()
-    return OrthonormalFamily(matrix, float(residual), tolerance, real_mode)
-
-
 @dataclass(frozen=True)
 class OrthonormalFamily:
-    """Validated finite orthonormal family {e_i}."""
+    """Validated finite orthonormal family {e_i}, the rows of ``matrix``.
+
+    The constructor applies, in order, the tolerance rule (positive and
+    finite), the shape rule, the real rule (no imaginary part in real mode)
+    and the gram rule, and stores the residual it measured.
+    """
 
     matrix: np.ndarray
-    gram_residual: float
-    tolerance: float
+    tolerance: float = DEFAULT_TOLERANCE
     real_mode: bool = False
+    gram_residual: float = field(init=False)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.complex128, copy=True)
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive")
+        m = np.asarray(self.matrix)
         if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
             raise EmptyFamily("family matrix must be a nonempty 2-D array")
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
-        if not 0.0 <= self.gram_residual <= self.tolerance:
-            raise ValueError(
-                f"gram residual {self.gram_residual!r} outside [0, tolerance]"
-            )
+        if self.real_mode and np.iscomplexobj(m) and np.any(m.imag != 0.0):
+            raise ValueError("real_mode family has a nonzero imaginary part")
+        # The complex products of a real family have zero imaginary parts and
+        # the real products as real parts, so its gram rule runs on the real
+        # parts with the same residual and worst pair.
+        residual, failed, error = _gram_check(
+            np.ascontiguousarray(m.real) if self.real_mode else m, self.tolerance
+        )
+        if failed:
+            raise error()
+        m = np.array(m, dtype=np.complex128, copy=True)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "gram_residual", float(residual))
 
     @property
     def count(self) -> int:
@@ -183,7 +185,7 @@ def validate_family(
         if v.dim != dim:
             raise DimensionMismatch(f"member {k} has dim {v.dim}, expected {dim}")
     matrix = np.stack([v.coords for v in members])
-    return _validated(matrix, tolerance, all(v.real_mode for v in members))
+    return OrthonormalFamily(matrix, tolerance, all(v.real_mode for v in members))
 
 
 def _embedded_family(
@@ -204,7 +206,7 @@ def _embedded_family(
     failed, error = _nonfinite(matrix)
     if failed.any():
         raise error()
-    return _validated(matrix, tolerance, all(f.real_mode for f in fns))
+    return OrthonormalFamily(matrix, tolerance, all(f.real_mode for f in fns))
 
 
 def _check_size(dim: int, count: int) -> None:
@@ -224,7 +226,7 @@ def random_family(
     a = rng.standard_normal((dim, count))
     if not real:
         a = a + 1j * rng.standard_normal((dim, count))
-    return _validated(_orthonormal_rows(a), DEFAULT_TOLERANCE, real)
+    return OrthonormalFamily(_orthonormal_rows(a), DEFAULT_TOLERANCE, real)
 
 
 def trig_samples(count: int, grid: QuadratureGrid) -> list[SampledFunction]:

@@ -1,40 +1,40 @@
 """Seeded fuzz campaigns running every bound on random admissible instances.
 
 One "bundle" (trial) draws a family plus admissible vectors and corridors for
-each kind of bound and evaluates the selected chains. The selectors and their
-campaign parameters come from the catalog, :data:`orthobound.catalog.SELECTORS`.
-Corridors whose re_sum fails to be positive are rejected and counted, never
-silently repaired. Disjoint seeds give independent shards.
+each kind of bound and evaluates the selected chains. The selectors, their
+campaign parameters and the kernel of each chain come from the catalog,
+:data:`orthobound.catalog.SELECTORS`; each entry names the instance it reads
+(``x``, ``pair``, ``companion``, ``schwarz``, ``single`` or ``free``), which
+a chunk draws when a selected entry first reads it. Corridors whose re_sum
+fails to be positive are rejected and counted, never silently repaired.
+Disjoint seeds give independent shards.
 
 The stream. A campaign draws from one ``PCG64(seed)`` stream, as
 ``np.random.default_rng(seed)`` makes it, and only uniforms in [0, 1):
 ``Generator.random`` takes exactly one 64-bit output per double. Every
 bundle takes a fixed stride of S of them, so bundle k owns outputs
 [kS, (k+1)S), and its draws are those of ``PCG64(seed).advance(k * S)``.
-A static layout (:func:`orthobound.campaign.layout`) gives each draw site
-of a bundle (families, corridors, slacks, point directions, free vectors)
-its columns of the row. It depends only on ``mode``, ``dim``,
-``family_size`` and the corridor mode, never on the selectors or on a
-rejection: a site that is not used leaves its columns unread. With the
-defaults S = 404, 304 of them for Gaussians. Those come first, their count
-rounded up to even, and give as many standard normals by Box-Muller: the
-first half are radii sqrt(-2 log1p(-u)), the second half angles 2 pi u,
-and each pair gives its cosine normal and its sine normal. A slack is one
-uniform as drawn; corridor parts are mapped to their ranges by the
+A static layout (:func:`layout`) gives each draw site of a bundle
+(families, corridors, slacks, point directions, free vectors) its columns
+of the row. It depends only on ``mode``, ``dim`` and ``family_size``, never
+on the selectors or on a rejection: a site that is not used leaves its
+columns unread. With the defaults S = 404, 304 of them for Gaussians.
+Those come first, their count rounded up to even, and Box-Muller
+(:func:`_box_muller`) turns them into as many standard normals. A slack is
+one uniform as drawn; corridor parts are mapped to their ranges by the
 arithmetic of :meth:`CorridorSpec.sample`.
 
-A campaign runs in chunks of ``CHUNK`` bundles, each in two phases
-(:mod:`orthobound.campaign`):
+A campaign runs in chunks of ``CHUNK`` bundles, each in two phases:
 
-* Draw. One ``rng.random((n, S))`` call fills a row per bundle, and
-  Box-Muller turns its Gaussian columns into normals.
-* Evaluate. Families (one stacked QR), corridors, admissible points,
-  admissibility reports and every selected chain are computed over the
-  leading bundle axis by the kernels the scalar API runs on a batch of one.
-  Every array keeps one row per bundle; a mask per instance picks the
-  bundles whose corridors were accepted, which alone are checked, counted
-  and recorded. Each (vector, corridor) hypothesis is evaluated once per
-  bundle.
+* Draw (:func:`draw`). One ``rng.random((n, S))`` call fills a row per
+  bundle, and its Gaussian columns become normals.
+* Evaluate (:func:`evaluate`). Families (one stacked QR), corridors,
+  admissible points, admissibility reports and every selected chain are
+  computed over the leading bundle axis by the kernels the scalar API runs
+  on a batch of one. Every array keeps one row per bundle; a mask per
+  instance picks the bundles whose corridors were accepted, which alone
+  are checked, counted and recorded. Each (vector, corridor) hypothesis is
+  evaluated once per bundle.
 
 Contract: a fixed seed fixes every draw, every chain value (bitwise equal
 to what the public scalar functions give on the same instance) and the
@@ -42,29 +42,41 @@ summary, including the order of its violations and keys; a bundle replayed
 alone from (seed, trial) gives the values it gives within its campaign. A
 campaign that fails raises the error that evaluating its bundles one at a
 time, in order, would raise first. This holds by construction: each check on
-an instance is the batched rule that the scalar constructor applies to a
-batch of one, and the chunk raises its first failure through that rule's
-own error builder. The bits hold within one numpy build
-and CPU dispatch: Box-Muller uses numpy's SIMD ``log1p``, ``cos`` and
-``sin``, which may round differently on another instruction set.
+an instance is the batched rule of the module that owns the type, the rule
+its scalar constructor applies to a batch of one; the chunk only registers
+each rule, in bundle order, and raises its first failure through that rule's
+own error builder. The bits hold within one numpy build and CPU dispatch:
+Box-Muller uses numpy's SIMD ``log1p``, ``cos`` and ``sin``, which may round
+differently on another instruction set.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .admissibility import CorridorSpec
-from .bounds import _chain_holds, _chain_slacks
-from .catalog import campaign_keys
-from .family import _check_size
+from .admissibility import (
+    DEFAULT_HYPOTHESIS_TOL,
+    CorridorSpec,
+    Corridors,
+    _admissible_points,
+    _hypothesis,
+)
+from .bounds import UNIT_TOLERANCE, Pair, Slot, _chain_holds, _chain_slacks, _mix, _schwarz_frame
+from .catalog import SELECTORS, Selector, campaign_keys
+from .errors import HypothesisFailed
+from .family import DEFAULT_TOLERANCE, _check_size, _gram_check, _orthonormal_rows
+from .space import _nonfinite
 
 # Every selector key a campaign can run, in the order a bundle records them.
 ALL_SELECTORS = tuple(key for key, _, _ in campaign_keys())
 
 # Trials drawn and evaluated together; bounds the memory of a campaign.
 CHUNK = 1024
+
+_GAUSS, _UNIT = 0, 1  # the two kinds of draws
 
 
 @dataclass(frozen=True)
@@ -88,8 +100,16 @@ class FuzzConfig:
         _check_size(self.dim, self.family_size)
 
     def spec(self) -> CorridorSpec:
+        """The corridor recipe: ``corridor``, which must be of ``mode``, else
+        the default of ``mode``."""
         default = CorridorSpec(mode=self.mode)  # rejects an unknown mode
-        return default if self.corridor is None else self.corridor
+        if self.corridor is None:
+            return default
+        if self.corridor.mode != self.mode:
+            raise ValueError(
+                f"corridor mode {self.corridor.mode!r} differs from fuzz mode {self.mode!r}"
+            )
+        return self.corridor
 
 
 @dataclass
@@ -117,7 +137,7 @@ def run_fuzz(config: FuzzConfig) -> FuzzSummary:
 def _chunks(config: FuzzConfig):
     """Draw and evaluate the campaign chunk by chunk; yields what
     :func:`_chunk` returns for each."""
-    config.spec()  # an unknown corridor mode fails even a campaign of no bundles
+    config.spec()  # a bad corridor mode fails even a campaign of no bundles
     rng = np.random.default_rng(config.seed)
     for start in range(0, config.count, CHUNK):
         yield _chunk(config, rng, range(start, min(start + CHUNK, config.count)))
@@ -125,11 +145,7 @@ def _chunks(config: FuzzConfig):
 
 def _chunk(config: FuzzConfig, rng: np.random.Generator, trials: range):
     """Draw ``trials`` from ``rng``, positioned at the first trial's row, and
-    evaluate them; returns what :func:`~orthobound.campaign.evaluate` returns."""
-    # The engine is the package's largest module; importing it here keeps it
-    # out of every process that never runs a campaign.
-    from .campaign import draw, evaluate
-
+    evaluate them; returns what :func:`evaluate` returns."""
     # A failing chunk also evaluates the rows behind its first error, so
     # their overflow would warn about values the error already reports.
     with np.errstate(all="ignore"):
@@ -162,3 +178,256 @@ def _fold(summary: FuzzSummary, evaluated: int, rejected: int, records: list) ->
         summary.checked[key] = summary.checked.pop(key)
         summary.min_slack[key] = least
     summary.violations.extend(v for _, _, v in sorted(violations, key=lambda t: t[:2]))
+
+
+def _sites(config: FuzzConfig):
+    """The draw sites of a bundle in bundle order: a name, then its pieces
+    as (kind, shape). A point draws a slack, then a direction."""
+    parts = config.spec()._parts
+    d, k = config.dim, config.family_size
+    real = config.mode == "real"
+    vec = (_GAUSS, (d,) if real else (2 * d,))  # a random vector or a point's direction
+    slack = (_UNIT, ())
+
+    def family(count):
+        return (_GAUSS, (d, count) if real else (2, d, count))
+
+    def corridor(count):
+        return (_UNIT, (parts, count))
+
+    yield "fam", family(k)
+    yield "cx", corridor(k)
+    yield "cy", corridor(k)
+    yield "x", slack, vec
+    yield "y", slack, vec
+    for tail in (t for e in SELECTORS.values() if e.draws == "companion" for t in e.tails):
+        yield f"cz{tail}", corridor(k)
+        yield f"z{tail}", slack, vec, vec  # z, then the free x
+    yield "yv", vec
+    yield "c25", corridor(1)
+    yield "xs", slack, vec
+    yield "f1", family(1)
+    yield "c1", corridor(1)
+    yield "c2", corridor(1)
+    yield "p1", slack, vec
+    yield "p2", slack, vec
+    yield "xr", vec, vec
+
+
+def layout(config: FuzzConfig) -> tuple[dict, int, int]:
+    """Where each site of a bundle lies in its row of uniforms.
+
+    Returns the sites by name, each a list of (kind, start, stop, shape)
+    column ranges into its kind's block; the Gaussian block's width G,
+    rounded up to even for Box-Muller; and the stride S = G + the uniform
+    block's width. Every site is placed whatever the selectors and whatever
+    is rejected, so bundle k owns outputs [kS, (k+1)S) of the stream.
+    """
+    cols, table = [0, 0], {}
+    for name, *pieces in _sites(config):
+        placed = table[name] = []
+        for kind, shape in pieces:
+            start = cols[kind]
+            cols[kind] += math.prod(shape)
+            placed.append((kind, start, cols[kind], shape))
+    gauss = cols[_GAUSS] + cols[_GAUSS] % 2
+    return table, gauss, gauss + cols[_UNIT]
+
+
+def draw(config: FuzzConfig, rng: np.random.Generator, n: int) -> dict:
+    """Draw ``n`` bundles by one generator call: a row of S uniforms each.
+
+    Returns every site by name as a tuple of arrays, one per piece, with a
+    row per bundle. :func:`_box_muller` turns the row's first G uniforms into
+    Gaussians; corridor parts and slacks stay raw in [0, 1).
+    """
+    table, gauss, stride = layout(config)
+    u = rng.random((n, stride))
+    _box_muller(u[:, :gauss])
+    blocks = (u[:, :gauss], u[:, gauss:])
+    return {
+        name: tuple(blocks[kind][:, a:b].reshape((n,) + shape) for kind, a, b, shape in pieces)
+        for name, pieces in table.items()
+    }
+
+
+def _box_muller(u: np.ndarray) -> None:
+    """Turn an even number of uniforms in [0, 1) per row into as many
+    standard normals, in place: the first half give the radii
+    sqrt(-2 log(1 - u)), the second half the angles 2 pi u, and each pair
+    gives its cosine normal, then its sine normal."""
+    half = u.shape[-1] // 2
+    r = np.sqrt(-2.0 * np.log1p(-u[..., :half]))
+    t = 2.0 * np.pi * u[..., half:]
+    np.multiply(r, np.cos(t), out=u[..., :half])
+    np.multiply(r, np.sin(t), out=u[..., half:])
+
+
+def evaluate(config: FuzzConfig, trials: range, sites: dict):
+    """Evaluate one chunk of draws, a row per bundle in every array.
+
+    Each instance comes with the mask ``live`` of the bundles that would
+    evaluate it alone; the kernels are row-independent, so the other rows
+    are computed and ignored. Returns (evaluated, rejected, records) with
+    one record (key, trials, values) per recorded chain, in the order a
+    bundle records them. A corridor counts as rejected where a bundle
+    evaluated alone would draw it: the x and y corridors always, the others
+    of the selected chains only when those two are accepted. Raises the
+    chunk's first error.
+    """
+    e = _Evaluation(config, np.asarray(trials), sites)
+    every = np.ones(len(e.trials), dtype=bool)
+    e.fam, e.gres = e.families(every, *sites["fam"])
+    (cx, x_ok), (cy, y_ok) = (e.corridor(every, *sites[c]) for c in ("cx", "cy"))
+    e.live = x_ok & y_ok
+    e.xy = [(e.point(e.live, e.fam, c, *sites[v]), c) for v, c in (("x", cx), ("y", cy))]
+    want = set(config.selectors)
+    for key, entry, tail in campaign_keys():
+        if key in want:
+            e.run(key, entry, tail)
+    if e.first is not None:
+        _, error, row = e.first
+        raise error(row)
+    return int(e.live.sum()), e.rejected, e.records
+
+
+class _Evaluation:
+    """What the evaluation of one chunk shares: its trials and draws, the
+    family and admissible pair of each bundle with the mask ``live`` of
+    those whose x and y corridors were accepted, the instances drawn from
+    them, its rejected corridors, its chain records, and its first failed
+    check in bundle order (by trial, then by the order of registration)."""
+
+    def __init__(self, config: FuzzConfig, trials: np.ndarray, sites: dict):
+        self.spec = config.spec()
+        self.d = config.dim
+        self.real = config.mode == "real"
+        self.trials = trials
+        self.sites = sites
+        self.instances: dict = {}
+        self.rejected = 0
+        self.records: list = []
+        self.step = 0
+        self.first = None
+
+    def check(self, live: np.ndarray, failed: np.ndarray, error) -> None:
+        """Register one rule on the ``live`` rows, as its owner returns it:
+        the mask of failed rows and ``error(row)``, which builds (or raises)
+        the exception of one; only the chunk's first is built."""
+        self.step += 1
+        rows = np.flatnonzero(failed & live)
+        if rows.size:
+            key = (int(self.trials[rows[0]]), self.step)
+            if self.first is None or key < self.first[0]:
+                self.first = (key, error, rows[0])
+
+    def run(self, key: str, entry: Selector, tail: str | None) -> None:
+        """Record the chains of selector ``key`` on the live rows of its instance."""
+        params = entry.params(key, tail) if tail else {}
+        live, inst = self.drawn(entry.draws, tail, params)
+        if not live.any():
+            return
+        for chain in entry.chains:
+            values = chain.values(inst, **params)
+            named = values if chain.name is None else {chain.suffix: values}
+            keep = live if chain.when is None else live & chain.when(inst)
+            for suffix, v in named.items():
+                stacked = np.stack(np.broadcast_arrays(*v), axis=-1)
+                record_key = f"{key}:{suffix}" if suffix else key
+                self.records.append((record_key, self.trials[keep], stacked[keep]))
+
+    def drawn(self, kind: str, tail: str | None = None, params: dict | None = None):
+        """The instance ``kind`` of the chunk as (live, instance). It is
+        drawn once, except the companion instance: it is drawn once per
+        tail, from that tail's sites, and serves that key alone, so it is
+        not kept."""
+        if kind == "companion":
+            return self._companion(tail, **params)
+        if kind not in self.instances:
+            self.instances[kind] = getattr(self, f"_{kind}")()
+        return self.instances[kind]
+
+    def vectors(self, w: np.ndarray) -> np.ndarray:
+        """Random vectors or point directions from their normals, stored
+        complex as Vector stores them."""
+        d = self.d
+        return w.astype(np.complex128) if self.real else w[..., :d] + 1j * w[..., d:]
+
+    def families(self, live: np.ndarray, raw: np.ndarray):
+        mats = _orthonormal_rows(raw if self.real else raw[:, 0] + 1j * raw[:, 1])
+        res, *rule = _gram_check(mats, DEFAULT_TOLERANCE)
+        self.check(live, *rule)
+        return np.asarray(mats, dtype=np.complex128), res
+
+    def corridor(self, live: np.ndarray, u: np.ndarray):
+        """The corridors drawn as unit uniforms ``u``, checked and counted on
+        the ``live`` rows, with the mask of those that stay live: accepted,
+        or with an aggregate that is NaN, which the finiteness rule reports."""
+        c = Corridors.build(*self.spec._sides(u))
+        self.check(live, *c.nonfinite())
+        rejected = live & (c.re_sum <= 0.0)
+        self.rejected += int(rejected.sum())
+        return c, live & ~rejected
+
+    def finite(self, live: np.ndarray, v: np.ndarray) -> np.ndarray:
+        self.check(live, *_nonfinite(v))
+        return v
+
+    def point(self, live, mats, c, slack, w) -> np.ndarray:
+        return self.finite(live, _admissible_points(mats, c, self.vectors(w), slack))
+
+    def slot(self, live, x, mats, c, gres, which: str) -> Slot:
+        """x with its family and corridor, its admissibility checked as the
+        bounds check it."""
+        sign, failed, report = _hypothesis(x, mats, c, DEFAULT_HYPOTHESIS_TOL, gres)
+        self.check(live, failed, lambda i: HypothesisFailed(which, report(i)))
+        return Slot(x, mats, c, sign)
+
+    def _x(self):
+        """The admissible x of the bundle's family."""
+        (x, cx), _ = self.xy
+        return self.live, self.slot(self.live, x, self.fam, cx, self.gres, "x")
+
+    def _pair(self):
+        """The admissible pair (x, y) of the bundle's family."""
+        live, x = self.drawn("x")
+        y, cy = self.xy[1]
+        return live, Pair(x, self.slot(live, y, self.fam, cy, self.gres, "y"))
+
+    def _companion(self, tail: str, lam: float):
+        """Theorem 4.1 at ``lam``: z admissible, x free, y solved from z."""
+        cz, live = self.corridor(self.live, *self.sites[f"cz{tail}"])
+        slack, w, xw = self.sites[f"z{tail}"]
+        z = self.point(live, self.fam, cz, slack, w)
+        xa = self.vectors(xw)
+        yb = self.finite(live, (z - lam * xa) / (1.0 - lam))
+        z2 = self.slot(live, _mix(xa, yb, lam), self.fam, cz, self.gres, "lam*x + (1-lam)*y")
+        return live, Pair(Slot(xa, self.fam), Slot(yb, self.fam), z=z2)
+
+    def _schwarz(self):
+        """Corollary 2.5: x admissible for {y/||y||} under (delta ||y||, Delta ||y||)."""
+        c1, live = self.corridor(self.live, *self.sites["c25"])
+        y = Slot(self.vectors(*self.sites["yv"]), None, c1)
+        unit, lo, hi = _schwarz_frame(y)
+        self.finite(live, unit[:, 0])
+        res, *rule = _gram_check(unit, UNIT_TOLERANCE)
+        self.check(live, *rule)
+        corr_x = Corridors.build(lo, hi)
+        self.check(live, *corr_x.nonfinite())
+        xs = self.point(live, unit, corr_x, *self.sites["xs"])
+        return live, Pair(self.slot(live, xs, unit, corr_x, res, "x"), y)
+
+    def _single(self):
+        """Corollary 3.3: a pair over a one-member family."""
+        fam, gres = self.families(self.live, *self.sites["f1"])
+        (c1, x_ok), (c2, y_ok) = (self.corridor(self.live, *self.sites[c]) for c in ("c1", "c2"))
+        live = x_ok & y_ok
+        xs = self.point(live, fam, c1, *self.sites["p1"])
+        ys = self.point(live, fam, c2, *self.sites["p2"])
+        x = self.slot(live, xs, fam, c1, gres, "x")
+        return live, Pair(x, self.slot(live, ys, fam, c2, gres, "y"))
+
+    def _free(self):
+        """Two vectors under no corridor."""
+        xr, yr = map(self.vectors, self.sites["xr"])
+        return self.live, Pair(Slot(xr, self.fam), Slot(yr, self.fam))

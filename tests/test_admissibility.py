@@ -12,6 +12,7 @@ from orthobound import (
     ScalarCorridor,
     Vector,
     admissible_point,
+    bessel_counterpart,
     check_hypothesis,
     jsonio,
     random_family,
@@ -213,6 +214,19 @@ def test_loose_family_breaks_identity():
     # a tolerance respecting the documented 10x-residual rule succeeds
     report = check_hypothesis(Vector([1.0, 1.0], True), skewed, c, tol=1e-2)
     assert report.holds
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_hypothesis_tolerance_must_be_positive_and_finite(tol):
+    # an infinite band would pass any finite sign value, a NaN one every test
+    fam = validate_family([Vector([1.0, 0.0], True), Vector([0.0, 1.0], True)])
+    c = ScalarCorridor([1.0, 1.0], [2.0, 2.0], real_mode=True)
+    x = Vector([100.0, 0.0], True)
+    assert check_hypothesis(x, fam, c).cond_i_value < -9000.0
+    with pytest.raises(ValueError, match="^tol must be positive and finite$"):
+        check_hypothesis(x, fam, c, tol)
+    with pytest.raises(ValueError, match="^tol must be positive and finite$"):
+        bessel_counterpart(x, fam, c, tol=tol)
 
 
 def test_overflowing_forms_raise_typed_error():

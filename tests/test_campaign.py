@@ -1,6 +1,6 @@
 """The draw phase of a fuzz campaign: its generator calls, the keys it
 records against the selector catalog, and the lazy import that keeps the
-engine out of processes that run no campaign."""
+campaign module out of processes that run no campaign."""
 
 import os
 import pathlib
@@ -57,9 +57,9 @@ def test_campaign_records_the_catalog_expansion():
 def test_importing_the_package_leaves_the_engine_out():
     code = (
         "import sys, orthobound\n"
-        "before = 'orthobound.campaign' in sys.modules\n"
+        "before = 'orthobound.fuzz' in sys.modules\n"
         "orthobound.run_fuzz(orthobound.FuzzConfig(count=1))\n"
-        "print(before, 'orthobound.campaign' in sys.modules)\n"
+        "print(before, 'orthobound.fuzz' in sys.modules)\n"
     )
     src = pathlib.Path(orthobound.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))

@@ -471,12 +471,12 @@ def test_check_loads_only_the_modules_it_runs():
     assert rc == 0
     assert "orthobound.bounds" in modules
     unused = ("orthobound.experiments", "orthobound.fuzz", "orthobound.integral",
-              "orthobound.campaign", "numpy.random")
+              "numpy.random")
     assert [m for m in modules if m in unused] == []
 
 
 @pytest.mark.parametrize("engine, argv", [
-    ("orthobound.campaign", ("fuzz", "--seed", "1", "--count", "20")),
+    ("orthobound.fuzz", ("fuzz", "--seed", "1", "--count", "20")),
     ("orthobound.experiments",
      ("sweep", "--target", "cor23", "--eps", "0.1", "--out", "{tmp}/s.csv")),
     ("orthobound.experiments", ("witnesses", "--out", "{tmp}/w.json")),

@@ -7,6 +7,7 @@ from orthobound import (
     DimensionMismatch,
     EmptyFamily,
     GramResidualExceeded,
+    OrthonormalFamily,
     QuadratureGrid,
     SampledFunction,
     Vector,
@@ -89,12 +90,34 @@ def test_legendre_samples_orthogonal():
 
 
 def test_family_type_enforces_residual_invariant():
-    from orthobound import OrthonormalFamily
+    # the constructor measures the residual itself: a member of norm 2 is
+    # rejected, not certified at a residual its caller claims
+    with pytest.raises(GramResidualExceeded) as exc:
+        OrthonormalFamily(np.array([[2.0, 0.0]]), 1e-10, True)
+    assert exc.value.residual == 3.0
+    fam = OrthonormalFamily(np.eye(2))
+    assert (fam.gram_residual, fam.tolerance, fam.real_mode) == (0.0, 1e-10, False)
 
-    with pytest.raises(ValueError):
-        OrthonormalFamily(np.eye(2), gram_residual=1e-3, tolerance=1e-10)
-    with pytest.raises(ValueError):
-        OrthonormalFamily(np.eye(2), gram_residual=0.0, tolerance=0.0)
+
+@pytest.mark.parametrize("fill", [np.nan, np.inf, complex(0.0, np.inf), 1e200])
+def test_family_type_rejects_an_entry_out_of_float_range(fill):
+    matrix = np.eye(2, dtype=np.complex128)
+    matrix[1, 0] = fill
+    with pytest.raises(GramResidualExceeded) as exc:
+        OrthonormalFamily(matrix)
+    assert not exc.value.residual <= 1e-10
+
+
+def test_family_type_applies_its_rules_in_order():
+    bad_shape = np.zeros((0, 2))
+    with pytest.raises(ValueError, match="^tolerance must be positive$"):
+        OrthonormalFamily(bad_shape, math.inf)
+    with pytest.raises(EmptyFamily):
+        OrthonormalFamily(bad_shape, 1e-10, True)
+    with pytest.raises(ValueError, match="real_mode family has a nonzero imaginary part"):
+        OrthonormalFamily(np.array([[2.0, 1e-300j]]), 1e-10, True)  # before the gram rule
+    fam = OrthonormalFamily(np.array([[1.0, 0.0j]]), 1e-10, True)
+    assert fam.real_mode and fam.matrix.dtype == np.complex128
 
 
 def test_random_family_validates(rng):
@@ -105,7 +128,7 @@ def test_random_family_validates(rng):
     assert np.all(fam_r.matrix.imag == 0.0)
 
 
-@pytest.mark.parametrize("tolerance", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("tolerance", [0.0, -1.0, float("nan"), float("inf")])
 def test_validate_family_rejects_a_nonpositive_tolerance(tolerance):
     # the tolerance rule comes before the gram rule, whose residual would
     # otherwise exceed a tolerance of 0 or -1

@@ -32,7 +32,6 @@ from orthobound import (
     bessel_counterpart,
     bessel_defect,
     bounds,
-    campaign,
     companion_bound,
     family,
     fuzz,
@@ -65,16 +64,14 @@ def _row_layout(config):
     uniforms come first, rounded up to even; every site has its columns."""
     d, k = config.dim, config.family_size
     real = config.mode == "real"
-    spec = config.spec()
-    parts = 2 if spec.mode == "real" else 4
-    vec = d if real else 2 * d
-    pt = d if real and spec.mode == "real" else 2 * d
-    normals = [("fam", k * vec), ("x", pt), ("y", pt)]
+    parts = 2 if real else 4  # a corridor's parts: the corridor has the mode
+    vec = d if real else 2 * d  # a vector or a point's direction
+    normals = [("fam", k * vec), ("x", vec), ("y", vec)]
     uniforms = [("cx", parts * k), ("cy", parts * k), ("x", 1), ("y", 1)]
     for lam in LAMBDAS:
-        normals += [(f"z{lam}", pt), (f"xa{lam}", vec)]
+        normals += [(f"z{lam}", vec), (f"xa{lam}", vec)]
         uniforms += [(f"cz{lam}", parts * k), (f"z{lam}", 1)]
-    normals += [("yv", vec), ("xs", pt), ("f1", vec), ("p1", pt), ("p2", pt)]
+    normals += [("yv", vec), ("xs", vec), ("f1", vec), ("p1", vec), ("p2", vec)]
     normals += [("xr", vec), ("yr", vec)]
     uniforms += [("c25", parts), ("xs", 1), ("c1", parts), ("c2", parts), ("p1", 1), ("p2", 1)]
 
@@ -313,7 +310,7 @@ def test_batched_matches_sequential_reference(name):
 def test_each_trial_replays_alone_from_its_offset(name, monkeypatch):
     config = CONFIGS[name]
     monkeypatch.setattr(fuzz, "CHUNK", 16)
-    stride = campaign.layout(config)[2]
+    stride = fuzz.layout(config)[2]
     assert stride == _row_layout(config)[3]
     alone = [
         fuzz._chunk(config, _stream(config.seed, k * stride), range(k, k + 1))
@@ -332,7 +329,7 @@ def test_each_trial_replays_alone_from_its_offset(name, monkeypatch):
 
 
 def test_stride_at_the_defaults():
-    assert campaign.layout(FuzzConfig())[1:] == (304, 404)
+    assert fuzz.layout(FuzzConfig())[1:] == (304, 404)
 
 
 def test_layout_does_not_depend_on_the_selectors():
@@ -386,7 +383,7 @@ def test_faults_on_rejected_bundles_never_surface(name, chunk, monkeypatch):
         monkeypatch.setattr(fuzz, "CHUNK", chunk)
     clean = _summary_bits(reference_fuzz(config))
     assert _summary_bits(run_fuzz(config)) == clean
-    points, hypothesis = campaign._admissible_points, campaign._hypothesis
+    points, hypothesis = fuzz._admissible_points, fuzz._hypothesis
 
     def nan_points(matrix, corridor, u, slack):
         out = points(matrix, corridor, u, slack)
@@ -396,8 +393,8 @@ def test_faults_on_rejected_bundles_never_surface(name, chunk, monkeypatch):
         sign, failed, report = hypothesis(x, matrix, corridor, tol, gram_residual)
         return sign, failed | (corridor.re_sum <= 0.0), report
 
-    monkeypatch.setattr(campaign, "_admissible_points", nan_points)
-    monkeypatch.setattr(campaign, "_hypothesis", failed_hypothesis)
+    monkeypatch.setattr(fuzz, "_admissible_points", nan_points)
+    monkeypatch.setattr(fuzz, "_hypothesis", failed_hypothesis)
     summary = run_fuzz(config)
     assert summary.rejected > 0
     assert _summary_bits(summary) == clean
@@ -411,7 +408,7 @@ def test_planted_inadmissible_draw_raises_the_reference_error(monkeypatch):
         return kernel(matrix, corridor, u, np.where(slack > 0.97, 3.0 * slack, slack))
 
     monkeypatch.setattr(admissibility, "_admissible_points", planted)
-    monkeypatch.setattr(campaign, "_admissible_points", planted)
+    monkeypatch.setattr(fuzz, "_admissible_points", planted)
     config = FuzzConfig(seed=202, count=200)
     with pytest.raises(OrthoboundError) as ref:
         reference_fuzz(config)
@@ -490,7 +487,7 @@ def test_planted_corollary_2_5_frame_raises_the_reference_error(monkeypatch, fau
         return unit, np.where(hit, 1e200 * lo, lo), np.where(hit, 1e200 * hi, hi)
 
     monkeypatch.setattr(bounds, "_schwarz_frame", planted)
-    monkeypatch.setattr(campaign, "_schwarz_frame", planted)
+    monkeypatch.setattr(fuzz, "_schwarz_frame", planted)
     _same_first_error(FuzzConfig(seed=11, count=100, selectors=("cor2.5",)), expected)
 
 
@@ -503,7 +500,7 @@ def _planted_points(monkeypatch, plant):
         return np.where(np.asarray(slack > 0.97)[..., None], plant(points), points)
 
     monkeypatch.setattr(admissibility, "_admissible_points", planted)
-    monkeypatch.setattr(campaign, "_admissible_points", planted)
+    monkeypatch.setattr(fuzz, "_admissible_points", planted)
 
 
 def test_planted_nonfinite_point_raises_the_reference_error(monkeypatch):
@@ -556,6 +553,8 @@ def test_nonfinite_corridor_in_campaign_matches_reference():
         FuzzConfig(seed=2, count=5, mode="quaternion"),
         FuzzConfig(count=0, mode="quaternion"),
         FuzzConfig(seed=1, count=5, mode="quaternion", corridor=CorridorSpec("complex")),
+        FuzzConfig(seed=1, count=5, mode="real", corridor=CorridorSpec("complex")),
+        FuzzConfig(seed=1, count=5, mode="complex", corridor=CorridorSpec("real")),
     ],
 )
 def test_invalid_config_raises_the_reference_error(config):
