@@ -22,7 +22,11 @@ its family and corridor) or a :class:`Pair` of slots, over any leading batch
 shape. The public functions validate their inputs, check the hypothesis, run
 the kernel on a batch of one and wrap the result in a :class:`BoundChain`;
 fuzz campaigns build the same slots over a chunk of bundles and run the same
-kernels, which :mod:`orthobound.catalog` names for each selector.
+kernels, which :mod:`orthobound.catalog` names for each selector. For the
+norm, counterpart and Grüss chains the step after the hypothesis check (the
+corridor and report rules, the labels, the kernel) is one ``_*_chain``
+helper, which an integral instance also calls on the slots and reports it
+keeps.
 """
 
 from __future__ import annotations
@@ -208,6 +212,15 @@ def _positive(*corridors) -> None:
             raise NonpositiveReSum(float(c.re_sum))
 
 
+def _admit(reports: tuple, force: bool = False, which=("x", "y")) -> None:
+    """Raise :class:`HypothesisFailed` for the first report that does not
+    hold, named by ``which``, unless ``force``."""
+    if not force:
+        for name, report in zip(which, reports):
+            if not report.holds:
+                raise HypothesisFailed(name, report)
+
+
 def _require(
     x: Vector,
     fam: OrthonormalFamily,
@@ -215,15 +228,10 @@ def _require(
     tol: float,
     force: bool,
     which: str,
-    positive_re_sum: bool = False,
 ) -> HypothesisReport:
-    """Check the hypothesis. ``positive_re_sum`` rejects re_sum <= 0 after the
-    report's own errors (dimension, identity) and before HypothesisFailed."""
+    """Check the hypothesis, then admit its report."""
     report = check_hypothesis(x, fam, corridor, tol)
-    if positive_re_sum:
-        _positive(corridor)
-    if not report.holds and not force:
-        raise HypothesisFailed(which, report)
+    _admit((report,), force, (which,))
     return report
 
 
@@ -285,9 +293,16 @@ def norm_bound_linear(
 
     where a_i = <x, e_i>.
     """
-    report = _require(x, fam, corridor, tol, force, "x", positive_re_sum=True)
-    labels = ("||x||", "corridor linear bound")
-    return BoundChain(labels, _linear_values(_slot(x, fam, corridor)), (report,))
+    report = check_hypothesis(x, fam, corridor, tol)
+    return _linear_chain(_slot(x, fam, corridor), report, force)
+
+
+def _linear_chain(x: Slot, report: HypothesisReport, force: bool = False) -> BoundChain:
+    """The chain of :func:`norm_bound_linear` from the slot of x and its
+    report: raises NonpositiveReSum, then HypothesisFailed."""
+    _positive(x.corridor)
+    _admit((report,), force)
+    return BoundChain(("||x||", "corridor linear bound"), _linear_values(x), (report,))
 
 
 def _linear_values(x: Slot) -> tuple:
@@ -326,7 +341,18 @@ def norm_bound_quadratic(
     by (1/2) / sqrt(re_sum) times the corresponding split of
     sum (|hi_i|+|lo_i|) |a_i|. Labels state which level is used.
     """
-    report = _require(x, fam, corridor, tol, force, "x", positive_re_sum=True)
+    report = check_hypothesis(x, fam, corridor, tol)
+    return _quadratic_chain(_slot(x, fam, corridor), report, variant, p, force)
+
+
+def _quadratic_chain(
+    x: Slot, report: HypothesisReport, variant: str = "cbs", p=None, force: bool = False
+) -> BoundChain:
+    """The chain of :func:`norm_bound_quadratic` from the slot of x and its
+    report: raises NonpositiveReSum, then HypothesisFailed, then the
+    variant's errors."""
+    _positive(x.corridor)
+    _admit((report,), force)
     if variant == "cbs":
         labels = ("||x||^2", "corridor quadratic bound (cbs)")
     elif variant == "holder":
@@ -336,7 +362,7 @@ def norm_bound_quadratic(
         labels = ("||x||", _SPLIT_LABELS[variant])
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    return BoundChain(labels, _quadratic_values(_slot(x, fam, corridor), variant, p), (report,))
+    return BoundChain(labels, _quadratic_values(x, variant, p), (report,))
 
 
 def _quadratic_values(x: Slot, variant: str = "cbs", p: float | None = None) -> tuple:
@@ -369,10 +395,17 @@ def bessel_counterpart(
     For a real corridor with 0 <= m_i <= M_i the width factor reduces to
     sum (M_i - m_i)^2 / sum M_i m_i.
     """
-    report = _require(x, fam, corridor, tol, force, "x")
-    _positive(corridor)
+    report = check_hypothesis(x, fam, corridor, tol)
+    return _counterpart_chain(_slot(x, fam, corridor), report, force)
+
+
+def _counterpart_chain(x: Slot, report: HypothesisReport, force: bool = False) -> BoundChain:
+    """The chain of :func:`bessel_counterpart` from the slot of x and its
+    report: raises HypothesisFailed, then NonpositiveReSum."""
+    _admit((report,), force)
+    _positive(x.corridor)
     labels = ("0", "projection defect", "corridor defect bound")
-    return BoundChain(labels, _counterpart_values(_slot(x, fam, corridor)), (report,))
+    return BoundChain(labels, _counterpart_values(x), (report,))
 
 
 def _counterpart_values(x: Slot) -> tuple:
@@ -549,8 +582,14 @@ def gruss_bound(
     force: bool = False,
 ) -> BoundChain:
     """0 <= |defect| <= (1/4) M(cx) M(cy) (sum |a_i|^2)^(1/2) (sum |b_i|^2)^(1/2)."""
-    pair, reports = _require_pair(x, y, fam, cx, cy, tol, force)
-    _positive(cx, cy)
+    return _gruss_chain(*_require_pair(x, y, fam, cx, cy, tol, force), force)
+
+
+def _gruss_chain(pair: Pair, reports: tuple, force: bool = False) -> BoundChain:
+    """The chain of :func:`gruss_bound` from the pair and the reports of x
+    and y: raises HypothesisFailed for x, then for y, then NonpositiveReSum."""
+    _admit(reports, force)
+    _positive(pair.x.corridor, pair.y.corridor)
     return BoundChain(("0", "|defect|", "corridor width bound"), _gruss_values(pair), reports)
 
 

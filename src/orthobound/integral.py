@@ -12,7 +12,7 @@ positive point mass w_j * rho_j; zero-mass nodes are ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -20,19 +20,30 @@ import numpy as np
 from .admissibility import HypothesisReport, ScalarCorridor, check_hypothesis
 from .bounds import (
     BoundChain,
-    bessel_counterpart,
-    gruss_bound,
-    norm_bound_linear,
-    norm_bound_quadratic,
+    Pair,
+    Slot,
+    _counterpart_chain,
+    _gruss_chain,
+    _linear_chain,
+    _quadratic_chain,
+    _slot,
 )
 from .errors import DimensionMismatch, NonpositiveReSum, SandwichViolated
 from .family import OrthonormalFamily, QUADRATURE_TOLERANCE, _embedded_family
-from .space import QuadratureGrid, SampledFunction, Vector, embed, tree_sum
+from .space import QuadratureGrid, SampledFunction, Vector, embed, inner
 
 
 @dataclass(frozen=True)
 class IntegralInstance:
-    """Embedded weighted-space instance, ready for the coordinate bounds."""
+    """Embedded weighted-space instance, ready for the coordinate bounds.
+
+    It keeps one slot for x, and one for y when there is a y, holding the
+    coefficients of one ``coefficients`` pass and its report's sign value.
+    Each chain runs its public bound's kernel on the slots, carries the
+    instance's reports and raises its public bound's errors, in the same
+    order, without checking the hypothesis again: it is judged at the band
+    its reports were checked at by :func:`integral_instance`, which builds it.
+    """
 
     family: OrthonormalFamily
     x: Vector
@@ -41,20 +52,29 @@ class IntegralInstance:
     y: Vector | None = None
     cy: ScalarCorridor | None = None
     report_y: HypothesisReport | None = None
+    _x: Slot = field(init=False, repr=False, compare=False)
+    _y: Slot | None = field(init=False, repr=False, compare=False)
 
-    def linear_chain(self, **kw) -> BoundChain:
-        return norm_bound_linear(self.x, self.family, self.cx, **kw)
+    def __post_init__(self):
+        fam = self.family
+        object.__setattr__(self, "_x", _slot(self.x, fam, self.cx, self.report_x))
+        y = None if self.y is None else _slot(self.y, fam, self.cy, self.report_y)
+        object.__setattr__(self, "_y", y)
 
-    def quadratic_chain(self, variant: str = "cbs", p: float | None = None, **kw) -> BoundChain:
-        return norm_bound_quadratic(self.x, self.family, self.cx, variant, p, **kw)
+    def linear_chain(self) -> BoundChain:
+        return _linear_chain(self._x, self.report_x)
 
-    def bessel_chain(self, **kw) -> BoundChain:
-        return bessel_counterpart(self.x, self.family, self.cx, **kw)
+    def quadratic_chain(self, variant: str = "cbs", p: float | None = None) -> BoundChain:
+        return _quadratic_chain(self._x, self.report_x, variant, p)
 
-    def gruss_chain(self, **kw) -> BoundChain:
-        if self.y is None or self.cy is None:
+    def bessel_chain(self) -> BoundChain:
+        return _counterpart_chain(self._x, self.report_x)
+
+    def gruss_chain(self) -> BoundChain:
+        if self.y is None or self.cy is None or self.report_y is None:
             raise ValueError("instance has no second function")
-        return gruss_bound(self.x, self.y, self.family, self.cx, self.cy, **kw)
+        pair = Pair(self._x, self._y, inner(self.x, self.y))
+        return _gruss_chain(pair, (self.report_x, self.report_y))
 
 
 def integral_instance(
@@ -69,7 +89,9 @@ def integral_instance(
 
     The discrete report is exactly the quadrature evaluation of the weighted
     admissibility conditions, since both run through the same embedded
-    arithmetic.
+    arithmetic. Each report is checked once, at the band
+    max(1e-10, 10 * count * gram_residual), and the instance's chains are
+    judged under it.
     """
     fam = _embedded_family(fam_fns, grid, QUADRATURE_TOLERANCE)
     # the identity band must dominate the family's orthonormality error
@@ -82,6 +104,8 @@ def integral_instance(
             raise ValueError("second function supplied without its corridor")
         y = embed(g, grid)
         report_y = check_hypothesis(y, fam, cy, tol)
+    elif cy is not None:
+        raise ValueError("corridor supplied without its second function")
     return IntegralInstance(fam, x, cx, report_x, y, cy, report_y)
 
 
@@ -124,11 +148,12 @@ def sandwich_check(
         raise DimensionMismatch(
             f"{m.size}/{big_m.size} corridor entries for {len(fam_fns)} functions"
         )
+    # the finiteness rule first; for real sides re_sum is sum_i M_i m_i
+    corridor = ScalarCorridor(m, big_m, real_mode=True)
     if np.any(m < 0.0) or np.any(big_m < 0.0):
         raise ValueError("sandwich coefficients must be nonnegative")
-    cross = float(tree_sum(big_m * m))
-    if not cross > 0.0:
-        raise NonpositiveReSum(cross)
+    if not corridor.re_sum > 0.0:
+        raise NonpositiveReSum(corridor.re_sum)
     if f.size != grid.size or any(fi.size != grid.size for fi in fam_fns):
         raise DimensionMismatch("function samples do not match the grid")
 
@@ -146,7 +171,7 @@ def sandwich_check(
         min_upper_margin=float(upper_margins[i_up]),
         worst_lower_node=int(active[i_lo]),
         worst_upper_node=int(active[i_up]),
-        corridor=ScalarCorridor(m, big_m, real_mode=True),
+        corridor=corridor,
     )
     if report.min_lower_margin < 0.0:
         raise SandwichViolated("lower", report.worst_lower_node, report.min_lower_margin)

@@ -3,22 +3,29 @@ import math
 import numpy as np
 import pytest
 
+import orthobound.bounds
+import orthobound.integral
 from orthobound import (
     DimensionMismatch,
     EmptyFamily,
     GramResidualExceeded,
+    HypothesisFailed,
     NonpositiveReSum,
+    OrthonormalFamily,
     QuadratureGrid,
     SampledFunction,
     SandwichViolated,
     ScalarCorridor,
     Vector,
     admissible_point,
+    bessel_counterpart,
     check_hypothesis,
     embed,
     gauss_legendre_grid,
     gruss_bound,
     integral_instance,
+    norm_bound_linear,
+    norm_bound_quadratic,
     sandwich_check,
     validate_family,
 )
@@ -125,6 +132,125 @@ def test_integral_instance_builds_one_vector(trig_setup, rng, monkeypatch):
     assert built == [inst.x]
 
 
+def test_stray_second_corridor_rejected(trig_setup, rng):
+    grid, fns = trig_setup
+    corr = real_corridor(rng, len(fns))
+    f = SampledFunction(np.ones(grid.size), True)
+    with pytest.raises(ValueError, match="^corridor supplied without its second function$"):
+        integral_instance(f, fns, grid, corr, cy=corr)
+
+
+# Each instance chain with the public bound it reproduces, called on the
+# instance's own vectors, family and corridors.
+PUBLIC = {
+    "linear_chain": lambda inst: norm_bound_linear(inst.x, inst.family, inst.cx),
+    "quadratic_chain": lambda inst, *a: norm_bound_quadratic(inst.x, inst.family, inst.cx, *a),
+    "bessel_chain": lambda inst: bessel_counterpart(inst.x, inst.family, inst.cx),
+    "gruss_chain": lambda inst: gruss_bound(inst.x, inst.y, inst.family, inst.cx, inst.cy),
+}
+
+
+def centered(fns, corridor, shift=0.0):
+    """The function at ``corridor``'s center plus ``shift`` (samples or a scalar)."""
+    table = np.stack([fi.values.real for fi in fns])
+    return SampledFunction(corridor.midpoints.real @ table + shift, True)
+
+
+@pytest.mark.parametrize(
+    "method, args",
+    [
+        ("linear_chain", ()),
+        ("quadratic_chain", ()),
+        ("quadratic_chain", ("max_sum",)),
+        ("quadratic_chain", ("holder", 3.0)),
+        ("quadratic_chain", ("sum_max",)),
+        ("bessel_chain", ()),
+        ("gruss_chain", ()),
+    ],
+)
+def test_instance_chain_equals_its_public_bound(trig_setup, rng, method, args):
+    grid, fns = trig_setup
+    cx, cy = real_corridor(rng, len(fns)), real_corridor(rng, len(fns))
+    f = centered(fns, cx, 1e-3 * rng.standard_normal(grid.size))
+    g = centered(fns, cy, 1e-3 * rng.standard_normal(grid.size))
+    inst = integral_instance(f, fns, grid, cx, g, cy)
+    chain = getattr(inst, method)(*args)
+    direct = PUBLIC[method](inst, *args)
+    assert chain.labels == direct.labels
+    assert chain.values == direct.values  # bit for bit
+    reports = (inst.report_x, inst.report_y) if method == "gruss_chain" else (inst.report_x,)
+    assert all(a is b for a, b in zip(chain.reports, reports, strict=True))
+
+
+def test_instance_chains_check_each_function_once(trig_setup, rng, monkeypatch):
+    grid, fns = trig_setup
+    checks, passes = [], []
+    coefficients = OrthonormalFamily.coefficients
+
+    def counting_check(x, *args):
+        checks.append(x)
+        return check_hypothesis(x, *args)
+
+    def counting_coefficients(self, x):
+        passes.append(x)
+        return coefficients(self, x)
+
+    for module in (orthobound.bounds, orthobound.integral):
+        monkeypatch.setattr(module, "check_hypothesis", counting_check)
+    monkeypatch.setattr(OrthonormalFamily, "coefficients", counting_coefficients)
+    cx, cy = real_corridor(rng, len(fns)), real_corridor(rng, len(fns))
+    inst = integral_instance(centered(fns, cx), fns, grid, cx, centered(fns, cy), cy)
+    for method, args in (("bessel_chain", ()), ("quadratic_chain", ()),
+                         ("quadratic_chain", ("holder", 3.0)), ("linear_chain", ()),
+                         ("gruss_chain", ())):
+        assert getattr(inst, method)(*args).all_hold
+    assert checks == passes == [inst.x, inst.y]
+
+
+# The corridor (-1, 1) per member has re_sum -count.
+@pytest.mark.parametrize(
+    "x_admissible, y_admissible, re_sum_positive, raised",
+    [
+        (False, True, True, dict.fromkeys(PUBLIC, HypothesisFailed)),
+        (True, False, True, {"gruss_chain": HypothesisFailed}),
+        (False, False, True, dict.fromkeys(PUBLIC, HypothesisFailed)),
+        (True, True, False, dict.fromkeys(PUBLIC, NonpositiveReSum)),
+        (False, True, False, {"linear_chain": NonpositiveReSum,
+                              "quadratic_chain": NonpositiveReSum,
+                              "bessel_chain": HypothesisFailed,
+                              "gruss_chain": HypothesisFailed}),
+    ],
+)
+def test_instance_chain_raises_its_public_error(
+    trig_setup, rng, x_admissible, y_admissible, re_sum_positive, raised
+):
+    grid, fns = trig_setup
+    count = len(fns)
+    if re_sum_positive:
+        corr = real_corridor(rng, count)
+    else:
+        corr = ScalarCorridor([-1.0] * count, [1.0] * count, real_mode=True)
+    inside = centered(fns, corr)
+    # 3 more on the constant member than a real_corridor center: outside corr
+    outside = centered(fns, real_corridor(rng, count), 3.0 * fns[0].values.real)
+    f = inside if x_admissible else outside
+    g = inside if y_admissible else outside
+    inst = integral_instance(f, fns, grid, corr, g, corr)
+    assert (inst.report_x.holds, inst.report_y.holds) == (x_admissible, y_admissible)
+    for method, public in PUBLIC.items():
+        if method not in raised:
+            assert getattr(inst, method)().all_hold
+            continue
+        with pytest.raises(raised[method]) as ref:
+            public(inst)
+        with pytest.raises(raised[method]) as got:
+            getattr(inst, method)()
+        assert str(got.value) == str(ref.value)
+        if raised[method] is HypothesisFailed:
+            which, report = ("x", inst.report_x) if not x_admissible else ("y", inst.report_y)
+            assert got.value.which == which and got.value.report is report
+
+
 @pytest.mark.parametrize(
     "fam_fns, tolerance, expected, message",
     [
@@ -223,6 +349,23 @@ def test_sandwich_requires_positive_cross_sum():
     f = SampledFunction([0.0, 0.0], True)
     with pytest.raises(NonpositiveReSum):
         sandwich_check(f, fns, grid, [0.0], [2.0])
+
+
+@pytest.mark.parametrize(
+    "m, big_m, message",
+    [
+        ([math.nan], [2.0], "corridor lo must be finite"),
+        ([1.0], [math.nan], "corridor hi must be finite"),
+        ([1.0], [math.inf], "corridor hi must be finite"),
+        ([-math.inf], [2.0], "corridor lo must be finite"),
+    ],
+)
+def test_sandwich_rejects_nonfinite_coefficients(m, big_m, message):
+    # the corridor's finiteness rule comes before the sign and cross-sum rules
+    grid, fns = normalized_constant_setup()
+    f = SampledFunction([1.5, 1.5], True)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sandwich_check(f, fns, grid, m, big_m)
 
 
 def test_sandwich_implies_admissibility(trig_setup, rng):
