@@ -7,9 +7,8 @@ the largest magnitude in the chain with an absolute floor of 1e-12.
 
 Conditional bounds verify admissibility first and raise
 :class:`HypothesisFailed` otherwise; evaluating them on inadmissible inputs
-is a caller bug. Passing ``force=True`` evaluates anyway; each chain keeps
-the hypothesis reports it was checked under, and is verified when they all
-hold.
+is a caller bug. Each chain keeps the hypothesis reports it was checked
+under, and is verified when they all hold.
 
 The corridor width factor M implemented by :func:`m_factor` uses the
 difference form (|hi| - |lo|)^2 in its numerator; this is the form for which
@@ -212,13 +211,12 @@ def _positive(*corridors) -> None:
             raise NonpositiveReSum(float(c.re_sum))
 
 
-def _admit(reports: tuple, force: bool = False, which=("x", "y")) -> None:
+def _admit(reports: tuple, which=("x", "y")) -> None:
     """Raise :class:`HypothesisFailed` for the first report that does not
-    hold, named by ``which``, unless ``force``."""
-    if not force:
-        for name, report in zip(which, reports):
-            if not report.holds:
-                raise HypothesisFailed(name, report)
+    hold, named by ``which``."""
+    for name, report in zip(which, reports):
+        if not report.holds:
+            raise HypothesisFailed(name, report)
 
 
 def _require(
@@ -226,18 +224,17 @@ def _require(
     fam: OrthonormalFamily,
     corridor: ScalarCorridor,
     tol: float,
-    force: bool,
     which: str,
 ) -> HypothesisReport:
     """Check the hypothesis, then admit its report."""
     report = check_hypothesis(x, fam, corridor, tol)
-    _admit((report,), force, (which,))
+    _admit((report,), (which,))
     return report
 
 
-def _require_pair(x, y, fam, cx, cy, tol, force) -> tuple[Pair, tuple[HypothesisReport, ...]]:
+def _require_pair(x, y, fam, cx, cy, tol) -> tuple[Pair, tuple[HypothesisReport, ...]]:
     """Check the hypotheses of x, then of y; the pair and the two reports."""
-    reports = (_require(x, fam, cx, tol, force, "x"), _require(y, fam, cy, tol, force, "y"))
+    reports = (_require(x, fam, cx, tol, "x"), _require(y, fam, cy, tol, "y"))
     return _pair(x, y, fam, cx, cy, reports), reports
 
 
@@ -287,21 +284,20 @@ def norm_bound_linear(
     fam: OrthonormalFamily,
     corridor: ScalarCorridor,
     tol: float = DEFAULT_HYPOTHESIS_TOL,
-    force: bool = False,
 ) -> BoundChain:
     """||x|| <= (1/2) sum_i Re[hi_i conj(a_i) + conj(lo_i) a_i] / sqrt(re_sum),
 
     where a_i = <x, e_i>.
     """
     report = check_hypothesis(x, fam, corridor, tol)
-    return _linear_chain(_slot(x, fam, corridor), report, force)
+    return _linear_chain(_slot(x, fam, corridor), report)
 
 
-def _linear_chain(x: Slot, report: HypothesisReport, force: bool = False) -> BoundChain:
+def _linear_chain(x: Slot, report: HypothesisReport) -> BoundChain:
     """The chain of :func:`norm_bound_linear` from the slot of x and its
     report: raises NonpositiveReSum, then HypothesisFailed."""
     _positive(x.corridor)
-    _admit((report,), force)
+    _admit((report,))
     return BoundChain(("||x||", "corridor linear bound"), _linear_values(x), (report,))
 
 
@@ -331,7 +327,6 @@ def norm_bound_quadratic(
     variant: str = "cbs",
     p: float | None = None,
     tol: float = DEFAULT_HYPOTHESIS_TOL,
-    force: bool = False,
 ) -> BoundChain:
     """Reverse Bessel norm bounds.
 
@@ -342,17 +337,17 @@ def norm_bound_quadratic(
     sum (|hi_i|+|lo_i|) |a_i|. Labels state which level is used.
     """
     report = check_hypothesis(x, fam, corridor, tol)
-    return _quadratic_chain(_slot(x, fam, corridor), report, variant, p, force)
+    return _quadratic_chain(_slot(x, fam, corridor), report, variant, p)
 
 
 def _quadratic_chain(
-    x: Slot, report: HypothesisReport, variant: str = "cbs", p=None, force: bool = False
+    x: Slot, report: HypothesisReport, variant: str = "cbs", p=None
 ) -> BoundChain:
     """The chain of :func:`norm_bound_quadratic` from the slot of x and its
     report: raises NonpositiveReSum, then HypothesisFailed, then the
     variant's errors."""
     _positive(x.corridor)
-    _admit((report,), force)
+    _admit((report,))
     if variant == "cbs":
         labels = ("||x||^2", "corridor quadratic bound (cbs)")
     elif variant == "holder":
@@ -388,7 +383,6 @@ def bessel_counterpart(
     fam: OrthonormalFamily,
     corridor: ScalarCorridor,
     tol: float = DEFAULT_HYPOTHESIS_TOL,
-    force: bool = False,
 ) -> BoundChain:
     """0 <= ||x||^2 - sum |a_i|^2 <= (1/4) M^2 sum |a_i|^2.
 
@@ -396,13 +390,13 @@ def bessel_counterpart(
     sum (M_i - m_i)^2 / sum M_i m_i.
     """
     report = check_hypothesis(x, fam, corridor, tol)
-    return _counterpart_chain(_slot(x, fam, corridor), report, force)
+    return _counterpart_chain(_slot(x, fam, corridor), report)
 
 
-def _counterpart_chain(x: Slot, report: HypothesisReport, force: bool = False) -> BoundChain:
+def _counterpart_chain(x: Slot, report: HypothesisReport) -> BoundChain:
     """The chain of :func:`bessel_counterpart` from the slot of x and its
     report: raises HypothesisFailed, then NonpositiveReSum."""
-    _admit((report,), force)
+    _admit((report,))
     _positive(x.corridor)
     labels = ("0", "projection defect", "corridor defect bound")
     return BoundChain(labels, _counterpart_values(x), (report,))
@@ -440,7 +434,6 @@ def schwarz_counterparts(
     delta: complex,
     Delta: complex,
     tol: float = DEFAULT_HYPOTHESIS_TOL,
-    force: bool = False,
 ) -> SchwarzCounterparts:
     """Reverse Schwarz bounds for ||x|| ||y|| against |<x, y>|.
 
@@ -470,7 +463,7 @@ def schwarz_counterparts(
         x.real_mode and y.real_mode and delta.imag == 0.0 and Delta.imag == 0.0
     )
     corridor = ScalarCorridor(lo, hi, real_mode=real_pair)
-    report = _require(x, fam, corridor, tol, force, "x")
+    report = _require(x, fam, corridor, tol, "x")
     values = _schwarz_values(Pair(_slot(x, fam, corridor), ys, inner(x, y)))
     chains = (BoundChain(_SCHWARZ_LABELS[name], v, (report,)) for name, v in values.items())
     return SchwarzCounterparts(*chains, report)
@@ -520,14 +513,13 @@ def gruss_refined_sqrt(
     cx: ScalarCorridor,
     cy: ScalarCorridor,
     tol: float = DEFAULT_HYPOTHESIS_TOL,
-    force: bool = False,
 ) -> BoundChain:
     """|defect| <= r_x r_y - sqrt(sign_x) sqrt(sign_y) <= r_x r_y,
 
     where sign_x, sign_y are the sign-form values of the two admissibility
     conditions and r_x, r_y the corridor radii.
     """
-    pair, reports = _require_pair(x, y, fam, cx, cy, tol, force)
+    pair, reports = _require_pair(x, y, fam, cx, cy, tol)
     labels = ("|defect|", "sign-form refined bound", "radius product")
     return BoundChain(labels, _refined_sqrt_values(pair), reports)
 
@@ -546,10 +538,9 @@ def gruss_refined_midpoint(
     cx: ScalarCorridor,
     cy: ScalarCorridor,
     tol: float = DEFAULT_HYPOTHESIS_TOL,
-    force: bool = False,
 ) -> BoundChain:
     """|defect| <= r_x r_y - sum_i |mid_x,i - a_i| |mid_y,i - b_i| <= r_x r_y."""
-    pair, reports = _require_pair(x, y, fam, cx, cy, tol, force)
+    pair, reports = _require_pair(x, y, fam, cx, cy, tol)
     labels = ("|defect|", "midpoint refined bound", "radius product")
     return BoundChain(labels, _refined_midpoint_values(pair), reports)
 
@@ -579,16 +570,15 @@ def gruss_bound(
     cx: ScalarCorridor,
     cy: ScalarCorridor,
     tol: float = DEFAULT_HYPOTHESIS_TOL,
-    force: bool = False,
 ) -> BoundChain:
     """0 <= |defect| <= (1/4) M(cx) M(cy) (sum |a_i|^2)^(1/2) (sum |b_i|^2)^(1/2)."""
-    return _gruss_chain(*_require_pair(x, y, fam, cx, cy, tol, force), force)
+    return _gruss_chain(*_require_pair(x, y, fam, cx, cy, tol))
 
 
-def _gruss_chain(pair: Pair, reports: tuple, force: bool = False) -> BoundChain:
+def _gruss_chain(pair: Pair, reports: tuple) -> BoundChain:
     """The chain of :func:`gruss_bound` from the pair and the reports of x
     and y: raises HypothesisFailed for x, then for y, then NonpositiveReSum."""
-    _admit(reports, force)
+    _admit(reports)
     _positive(pair.x.corridor, pair.y.corridor)
     return BoundChain(("0", "|defect|", "corridor width bound"), _gruss_values(pair), reports)
 
@@ -605,7 +595,6 @@ def single_vector_ratio_chain(
     cx: ScalarCorridor,
     cy: ScalarCorridor,
     tol: float = DEFAULT_HYPOTHESIS_TOL,
-    force: bool = False,
 ) -> BoundChain:
     """|<x,y> / (<x,e><e,y>) - 1| <= (1/4) M(cx) M(cy) for a one-member family.
 
@@ -613,7 +602,7 @@ def single_vector_ratio_chain(
     """
     if fam.count != 1:
         raise ValueError("ratio form needs a single-member family")
-    pair, reports = _require_pair(x, y, fam, cx, cy, tol, force)
+    pair, reports = _require_pair(x, y, fam, cx, cy, tol)
     if not _ratio_defined(pair):
         raise ZeroVector("coefficients <x,e>, <y,e> must be nonzero")
     _positive(cx, cy)
@@ -643,7 +632,6 @@ def companion_bound(
     corridor: ScalarCorridor,
     lam: float,
     tol: float = DEFAULT_HYPOTHESIS_TOL,
-    force: bool = False,
 ) -> BoundChain:
     """Re(defect(x, y)) <= M^2 sum |<z, e_i>|^2 / (16 lam (1 - lam)),
 
@@ -652,7 +640,7 @@ def companion_bound(
     if not 0.0 < lam < 1.0:
         raise BadLambda(f"lambda must lie strictly in (0, 1), got {lam}")
     z = Vector(_mix(x.coords, y.coords, lam), real_mode=x.real_mode and y.real_mode)
-    report = _require(z, fam, corridor, tol, force, "lam*x + (1-lam)*y")
+    report = _require(z, fam, corridor, tol, "lam*x + (1-lam)*y")
     _positive(corridor)
     pair = _pair(x, y, fam)
     pair.z = _slot(z, fam, corridor)

@@ -8,12 +8,11 @@ other commands import their engines (fuzz, experiments, integral) when they
 run, so a ``check`` process never loads them.
 
 Exit codes: 0 when every requested hypothesis and chain holds, 2 when an
-instance is inadmissible for the requested bound, 1 for I/O or validation
-problems. The split lets CI tell "bound violated" (a library bug) apart from
-"instance inadmissible" (a user input problem).
+instance is inadmissible for the requested bound, 1 for argument, I/O or
+validation problems. The split lets CI tell "bound violated" (a library bug)
+apart from "instance inadmissible" (a user input problem).
 
-The environment variable ORTHOBOUND_TOL overrides the default admissibility
-tolerance, and ``check --tolerance`` overrides both.
+``check --tolerance`` overrides the default admissibility tolerance.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from typing import Sequence
 
@@ -38,20 +36,13 @@ SWEEP_EPS = "0.5,0.3,0.1,0.05,0.01,0.005,0.001"
 
 
 def _tolerance(cli_value: float | None) -> float:
-    """The admissibility tolerance: ``--tolerance``, else ORTHOBOUND_TOL, else
-    the default; either source must give a positive finite number."""
-    source, raw = "--tolerance", cli_value
-    if raw is None:
-        source, raw = "ORTHOBOUND_TOL", os.environ.get("ORTHOBOUND_TOL")
-        if raw is None:
-            return DEFAULT_HYPOTHESIS_TOL
-    try:
-        tol = float(raw)
-    except ValueError as exc:
-        raise InstanceFormatError(source, f"not a number: {raw!r}") from exc
-    if not 0.0 < tol < math.inf:
-        raise InstanceFormatError(source, "tolerance must be positive and finite")
-    return tol
+    """The admissibility tolerance: ``--tolerance``, which must be positive and
+    finite, else the default."""
+    if cli_value is None:
+        return DEFAULT_HYPOTHESIS_TOL
+    if not 0.0 < cli_value < math.inf:
+        raise InstanceFormatError("--tolerance", "tolerance must be positive and finite")
+    return cli_value
 
 
 def _emit(payload: dict) -> None:
@@ -108,7 +99,7 @@ def _parse_selector(raw: str) -> tuple[str, Selector, dict]:
     return name, entry, entry.params(raw, tail) if colon else {}
 
 
-def _evaluate(entry: Selector, inst: dict, params: dict, tol: float, force: bool) -> dict:
+def _evaluate(entry: Selector, inst: dict, params: dict, tol: float) -> dict:
     """The chains of a selector by JSON name, in call order."""
     vectors = ["x"] + [f for f in entry.fields if f == "y"]
     args = [inst[f] for f in vectors + [f for f in entry.fields if f != "y"]]
@@ -116,7 +107,7 @@ def _evaluate(entry: Selector, inst: dict, params: dict, tol: float, force: bool
     for chain in entry.chains:
         if chain.when is None or chain.when(bounds._pair(*args)):
             # looked up at call time, so a patched bounds function takes effect
-            result = getattr(bounds, chain.function)(*args, **params, tol=tol, force=force)
+            result = getattr(bounds, chain.function)(*args, **params, tol=tol)
             chains.update(result.chains() if chain.name is None else {chain.name: result})
     return chains
 
@@ -130,7 +121,7 @@ def cmd_check(args) -> int:
         raise InstanceFormatError(",".join(missing), f"required by bound selector {name!r}")
     payload: dict = {"bound": args.bound}
     try:
-        chains = _evaluate(entry, inst, params, tol, args.force)
+        chains = _evaluate(entry, inst, params, tol)
     except HypothesisFailed as exc:
         payload["hypothesis_failed"] = exc.which
         payload["report"] = jsonio.report_to_json(exc.report)
@@ -145,12 +136,9 @@ def cmd_check(args) -> int:
         if chain.values[-1] != 0.0:
             encoded["ratio"] = chain.values[-2] / chain.values[-1]
         payload["chains"][chain_name] = encoded
-    hyps_hold = all(r.holds for r in reports.values())
     chains_hold = all(c.all_hold for c in chains.values())
-    payload["holds"] = hyps_hold and chains_hold
+    payload["holds"] = chains_hold
     _emit(payload)
-    if not hyps_hold:
-        return 2
     return 0 if chains_hold else 1
 
 
@@ -290,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--instance", required=True, help="instance JSON file")
     p_check.add_argument("--bound", required=True, help="bound selector")
     p_check.add_argument("--tolerance", type=float, default=None)
-    p_check.add_argument("--force", action="store_true",
-                         help="evaluate even when the hypothesis fails")
     p_check.set_defaults(func=cmd_check)
 
     p_fuzz = sub.add_parser("fuzz", help="random admissible instances through every bound")
@@ -337,7 +323,10 @@ def _range_arg(raw: str) -> tuple[float, float]:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has written the usage line and message
+        return 1 if exc.code else 0  # exit 2 means an inadmissible instance here
     try:
         return args.func(args)
     except HypothesisFailed as exc:

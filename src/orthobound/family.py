@@ -174,6 +174,12 @@ class OrthonormalFamily:
         return Vector(out, self.real_mode and not np.any(out.imag != 0.0))
 
 
+def _require_members(members: Sequence) -> None:
+    """The empty-family rule, for members given as vectors or functions."""
+    if len(members) == 0:
+        raise EmptyFamily("family must contain at least one vector")
+
+
 def validate_family(
     members: Sequence[Vector], tolerance: float = DEFAULT_TOLERANCE
 ) -> OrthonormalFamily:
@@ -184,8 +190,7 @@ def validate_family(
         DimensionMismatch: members live in different dimensions.
         GramResidualExceeded: worst pairwise deviation is above ``tolerance``.
     """
-    if len(members) == 0:
-        raise EmptyFamily("family must contain at least one vector")
+    _require_members(members)
     dim = members[0].dim
     for k, v in enumerate(members):
         if v.dim != dim:
@@ -204,8 +209,7 @@ def _embedded_family(
     those vectors, except that every size mismatch is reported before any
     non-finite embedding.
     """
-    if len(fns) == 0:
-        raise EmptyFamily("family must contain at least one vector")
+    _require_members(fns)
     for f in fns:
         _require_samples(f, grid)
     matrix = _embedded(np.stack([f.values for f in fns]), grid)

@@ -29,7 +29,7 @@ from .bounds import (
     _slot,
 )
 from .errors import DimensionMismatch, NonpositiveReSum, SandwichViolated
-from .family import OrthonormalFamily, QUADRATURE_TOLERANCE, _embedded_family
+from .family import OrthonormalFamily, QUADRATURE_TOLERANCE, _embedded_family, _require_members
 from .space import QuadratureGrid, SampledFunction, Vector, embed, inner
 
 
@@ -140,6 +140,7 @@ def sandwich_check(
     Raises :class:`SandwichViolated` with the worst node and margin when the
     bracketing fails.
     """
+    _require_members(fam_fns)
     if not f.real_mode or not all(fi.real_mode for fi in fam_fns):
         raise ValueError("sandwich conditions require real-space functions")
     m = np.asarray(m, dtype=np.float64).reshape(-1)

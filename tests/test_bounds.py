@@ -227,15 +227,15 @@ def test_holder_bad_exponent():
         norm_bound_quadratic(x, fam, corr, "holder", None)
 
 
-def test_hypothesis_failed_and_force():
+def test_hypothesis_failed_carries_its_report():
     fam = unit_family()
     corr = ScalarCorridor([1.0], [2.0], real_mode=True)
     far = Vector([40.0], True)
     with pytest.raises(HypothesisFailed) as exc:
         norm_bound_quadratic(far, fam, corr)
     assert exc.value.report.cond_ii_residual > exc.value.report.radius
-    chain = norm_bound_quadratic(far, fam, corr, force=True)
-    assert not chain.verified
+    # a chain built under a failing report says so
+    assert not BoundChain(("a", "b"), (0.0, 1.0), (exc.value.report,)).verified
 
 
 def test_nonpositive_re_sum_rejected():

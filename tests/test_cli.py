@@ -16,6 +16,8 @@ import orthobound
 from orthobound import (
     CorridorSpec,
     FuzzConfig,
+    HypothesisFailed,
+    ScalarCorridor,
     Vector,
     admissible_point,
     bessel_counterpart,
@@ -26,11 +28,13 @@ from orthobound import (
     gruss_refined_midpoint,
     gruss_refined_sqrt,
     jsonio,
+    norm,
     norm_bound_linear,
     norm_bound_quadratic,
     random_family,
     schwarz_counterparts,
     single_vector_ratio_chain,
+    validate_family,
 )
 from orthobound.catalog import SELECTORS
 from orthobound.cli import SWEEP_EPS, main
@@ -90,15 +94,6 @@ def test_check_inadmissible_exit_two(capsys, inadmissible):
     assert rc == 2
     report = json.loads(out)
     assert report["report"]["cond_ii_residual"] > report["report"]["radius"]
-
-
-def test_check_force_marks_unverified(capsys, inadmissible):
-    rc, out, _ = run(
-        capsys, "check", "--instance", inadmissible, "--bound", "cor2.3", "--force"
-    )
-    assert rc == 2
-    report = json.loads(out)
-    assert report["chains"]["main"]["verified"] is False
 
 
 def test_check_missing_file(capsys, tmp_path):
@@ -372,29 +367,48 @@ def test_integral_demo_coarse_grid_fails(capsys):
     assert "residual" in err
 
 
-def test_env_tolerance_override(capsys, inadmissible, monkeypatch):
-    monkeypatch.setenv("ORTHOBOUND_TOL", "1e6")  # absurdly loose: everything holds
-    rc, _, _ = run(capsys, "check", "--instance", inadmissible, "--bound", "cor2.3")
+def test_loose_tolerance_admits(capsys, inadmissible):
+    rc, _, _ = run(
+        capsys, "check", "--instance", inadmissible, "--bound", "cor2.3",
+        "--tolerance", "1e6",  # absurdly loose: everything holds
+    )
     assert rc == 0
-    monkeypatch.setenv("ORTHOBOUND_TOL", "not-a-number")
-    rc, _, err = run(capsys, "check", "--instance", inadmissible, "--bound", "cor2.3")
-    assert rc == 1
-    assert "ORTHOBOUND_TOL" in err
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
-def test_tolerance_must_be_positive_and_finite(capsys, monkeypatch, value):
+def test_tolerance_must_be_positive_and_finite(capsys, value):
     check = ("check", "--instance", str(DATA / "cor23_construction.json"), "--bound", "cor2.3")
     rc, out, err = run(capsys, *check, f"--tolerance={value}")
     assert (rc, out) == (1, "")
     assert "--tolerance: tolerance must be positive and finite" in err
-    monkeypatch.setenv("ORTHOBOUND_TOL", value)
-    rc, out, err = run(capsys, *check)
+
+
+_SHIPPED = ("--instance", "data/cor23_construction.json")
+
+
+@pytest.mark.parametrize("argv, usage, message", [
+    (("check", *_SHIPPED), "orthobound check",
+     "the following arguments are required: --bound"),
+    (("check", *_SHIPPED, "--bound", "cor2.3", "--tolerance", "abc"), "orthobound check",
+     "argument --tolerance: invalid float value: 'abc'"),
+    (("check", *_SHIPPED, "--bound", "cor2.3", "--force"), "orthobound",
+     "unrecognized arguments: --force"),
+    (("fuzz", "--count", "x"), "orthobound fuzz", "argument --count: invalid int value: 'x'"),
+    ((), "orthobound", "the following arguments are required: command"),
+], ids=["no-bound", "bad-tolerance", "force", "bad-count", "bare"])
+def test_argument_errors_exit_one(capsys, argv, usage, message):
+    # exit 2 is reserved for an inadmissible instance
+    rc, out, err = run(capsys, *argv)
     assert (rc, out) == (1, "")
-    assert "ORTHOBOUND_TOL: tolerance must be positive and finite" in err
-    # an explicit --tolerance takes precedence over the environment
-    rc, _, _ = run(capsys, *check, "--tolerance=1e-10")
-    assert rc == 0
+    assert err.startswith(f"usage: {usage} ")
+    assert err.endswith(f"{usage}: error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("check", "--help")])
+def test_help_exits_zero(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert out.startswith("usage: orthobound")
 
 
 def test_sweep_default_eps_grid(capsys, tmp_path):
@@ -611,7 +625,12 @@ REFERENCE = {
 
 def _reference_reports(bound, v):
     if bound == "cor2.5":
-        return {"x": schwarz_counterparts(v.x, v.y, v.delta, v.Delta).report}
+        # x for the one-member family {y/||y||} and the corridor (delta, Delta) ||y||
+        ny = norm(v.y)
+        unit = validate_family([Vector(v.y.coords / ny, v.y.real_mode)], tolerance=1e-12)
+        real = v.x.real_mode and v.y.real_mode and v.delta.imag == 0.0 == v.Delta.imag
+        corridor = ScalarCorridor([v.delta * ny], [v.Delta * ny], real_mode=real)
+        return {"x": check_hypothesis(v.x, unit, corridor)}
     if bound == "thm4.1:0.5":
         z = Vector(0.5 * v.x.coords + 0.5 * v.y.coords, real_mode=v.x.real_mode and v.y.real_mode)
         return {"combined": check_hypothesis(z, v.fam, v.cx)}
@@ -645,6 +664,38 @@ def test_check_equals_public_api(capsys, tmp_path, bound, make):
                      "--bound", bound)
     assert (rc, json.loads(out)) == (0, expected)
     assert ("ratio_form" in chains) == (bound == "cor3.3" and make is _plane_instance)
+
+
+# Per selector: the vector that lies far outside its corridor ball, and the
+# report that then fails (the other vector, where there is one, is admissible).
+_FAR_SLOT = {
+    **dict.fromkeys(("thm2.1", "eq2.6", "eq2.11:max", "eq2.11:sum", "eq2.11:holder:3",
+                     "cor2.3", "cor2.5"), ("x", "x")),
+    **dict.fromkeys(("thm1.1", "thm2", "thm3.1", "cor3.3"), ("y", "y")),
+    "thm4.1:0.5": ("y", "combined"),
+}
+# the name HypothesisFailed gives each report
+_WHICH = {"x": "x", "y": "y", "combined": "lam*x + (1-lam)*y"}
+
+
+@pytest.mark.parametrize("bound", sorted(REFERENCE))
+def test_check_inadmissible_names_the_failing_slot(capsys, tmp_path, bound):
+    far, slot = _FAR_SLOT[bound]
+    data = {**_plane_instance(), far: [[50.0, 0.0], [-50.0, 0.0]]}
+    v = _decode(data)
+    reports = _reference_reports(bound, v)
+    assert [k for k, r in reports.items() if not r.holds] == [slot]
+    with pytest.raises(HypothesisFailed) as exc:
+        REFERENCE[bound](v)
+    assert exc.value.which == _WHICH[slot]
+    rc, out, _ = run(capsys, "check", "--instance", write_instance(tmp_path, data),
+                     "--bound", bound)
+    expected = {
+        "bound": bound,
+        "hypothesis_failed": _WHICH[slot],
+        "report": jsonio.report_to_json(reports[slot]),
+    }
+    assert (rc, json.loads(out)) == (2, expected)
 
 
 def test_readme_selector_table_matches_the_catalog():

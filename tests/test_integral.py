@@ -368,6 +368,16 @@ def test_sandwich_rejects_nonfinite_coefficients(m, big_m, message):
         sandwich_check(f, fns, grid, m, big_m)
 
 
+def test_sandwich_and_instance_reject_an_empty_family_alike():
+    grid, _ = normalized_constant_setup()
+    f = SampledFunction([1.5, 1.5], True)
+    message = "^family must contain at least one vector$"
+    with pytest.raises(EmptyFamily, match=message):
+        sandwich_check(f, [], grid, [], [])
+    with pytest.raises(EmptyFamily, match=message):
+        integral_instance(f, [], grid, ScalarCorridor([1.0], [2.0], real_mode=True))
+
+
 def test_sandwich_implies_admissibility(trig_setup, rng):
     # pointwise mix of the envelopes always lands inside the ball form
     grid, fns = trig_setup
