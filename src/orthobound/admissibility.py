@@ -92,7 +92,7 @@ class Corridors(NamedTuple):
         return ~(np.isfinite(self.re_sum) & np.isfinite(self.radius)), error
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarCorridor:
     """Per-index scalar pairs (lo_i, hi_i) with eagerly cached aggregates.
 
@@ -100,7 +100,8 @@ class ScalarCorridor:
     are the ball-form data. All three are recomputable from lo/hi, which the
     test suite uses as its oracle. It is the batch of one of
     :class:`Corridors`: ``sides`` is its stacked (3, count) array, and
-    ``lo``, ``hi`` and ``midpoints`` are read-only views of it.
+    ``lo``, ``hi`` and ``midpoints`` are read-only views of it. Corridors
+    compare and hash by identity.
     """
 
     lo: np.ndarray

@@ -315,10 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _range_arg(raw: str) -> tuple[float, float]:
-    parts = raw.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected LO,HI")
-    return float(parts[0]), float(parts[1])
+    try:
+        lo, hi = map(float, raw.split(","))
+    except ValueError:  # not two parts, or a part that is not a number
+        raise argparse.ArgumentTypeError("expected LO,HI") from None
+    return lo, hi
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -6,6 +6,11 @@ Validation never trusts the caller: the residual is always recomputed with
 the same pairwise summation used by the inner product, so it can be
 re-asserted post hoc.
 
+A basis embedded on a grid is validated once per process: the family of
+its first call is kept in a small memo, and a later call whose embedded
+matrix, tolerance and real flag match it bit for bit returns that same
+immutable family instead of running the gram rule again.
+
 Tolerance guidance: exact-arithmetic constructions validate at 1e-10,
 quadrature-assembled families at 1e-8. Inequality checks downstream should
 use tolerances at least 10x the family residual; the admissibility identity
@@ -15,6 +20,8 @@ check surfaces families that are too loose for a requested tolerance.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
@@ -57,14 +64,15 @@ def _gram_check(matrix: np.ndarray, tolerance: float) -> tuple:
     A NaN or Inf entry, or products that overflow, give an Inf or NaN
     residual, which fails quietly."""
     count = matrix.shape[-2]
-    # The product tensor is the rule's largest array: passed without a name,
-    # tree_sum frees it once its first level is summed. Summing only the upper
-    # triangle of a real family gives the same residual and worst pair bit for
-    # bit, but it changes which large temporaries are freed when, and glibc
-    # then trims the heap top on every call: on 16 members x 2048 nodes
-    # (2-vCPU Xeon, numpy 2.4.6) a quadrature-large op took 1,328 minor page
-    # faults instead of 0.085 and ran slower, 4.9-5.4 against 2.7-2.9 ms, so
-    # the full tensor stays.
+    # The product tensor is the rule's largest array, built for an embedded
+    # basis on its first call only (later calls hit the memo of
+    # _embedded_family). Passed without a name, tree_sum frees it once its
+    # first level is summed. Summing only the upper triangle of a real family
+    # gives the same residual and worst pair bit for bit, but it changes which
+    # large temporaries are freed when, and glibc then trims the heap top on
+    # every call: on 16 members x 2048 nodes (2-vCPU Xeon, numpy 2.4.6) a
+    # quadrature-large op took 1,328 minor page faults instead of 0.085 and
+    # ran slower, 4.9-5.4 against 2.7-2.9 ms, so the full tensor stays.
     gram = tree_sum(np.multiply(matrix[..., :, None, :], np.conj(matrix)[..., None, :, :]))
     deviation = np.abs(gram - _identity(count))
     flat = deviation.reshape(deviation.shape[:-2] + (-1,))
@@ -110,13 +118,14 @@ def _coefficients(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     return tree_sum(np.multiply(np.conj(matrix), x[..., None, :]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthonormalFamily:
     """Validated finite orthonormal family {e_i}, the rows of ``matrix``.
 
     The constructor applies, in order, the tolerance rule (positive and
     finite), the shape rule, the real rule (no imaginary part in real mode)
-    and the gram rule, and stores the residual it measured.
+    and the gram rule, and stores the residual it measured. Families compare
+    and hash by identity.
     """
 
     matrix: np.ndarray
@@ -199,6 +208,23 @@ def validate_family(
     return OrthonormalFamily(matrix, tolerance, all(v.real_mode for v in members))
 
 
+# Validated embedded families, least recently used first: at most
+# _MEMO_BYTES of their matrices, and _MEMO_FAMILIES of them so that tiny
+# families cannot fill the budget with per-object overhead.
+_MEMO_BYTES = 8 << 20
+_MEMO_FAMILIES = 64
+_memo: OrderedDict = OrderedDict()
+_memo_lock = threading.Lock()
+
+
+def _memo_key(matrix: np.ndarray, tolerance: float, real_mode: bool) -> tuple:
+    """Where ``matrix`` is looked up: its tolerance, real flag, shape and the
+    XOR of each row's raw words. A key only routes the lookup; a hit must
+    also match the stored matrix byte for byte."""
+    rows = np.bitwise_xor.reduce(matrix.view(np.uint64), axis=-1)
+    return tolerance, real_mode, matrix.shape, rows.tobytes()
+
+
 def _embedded_family(
     fns: Sequence[SampledFunction], grid: QuadratureGrid, tolerance: float
 ) -> OrthonormalFamily:
@@ -208,6 +234,11 @@ def _embedded_family(
     vectors bit for bit, and it raises what :func:`validate_family` raises on
     those vectors, except that every size mismatch is reported before any
     non-finite embedding.
+
+    The size, embedding and finiteness rules run on every call. A family
+    that validated is then kept, and a later call whose embedded matrix
+    equals its matrix byte for byte (so -0.0 is not 0.0), at an equal
+    tolerance and real flag, returns that same family without the gram rule.
     """
     _require_members(fns)
     for f in fns:
@@ -216,7 +247,25 @@ def _embedded_family(
     failed, error = _nonfinite(matrix)
     if failed.any():
         raise error()
-    return OrthonormalFamily(matrix, tolerance, all(f.real_mode for f in fns))
+    real_mode = all(f.real_mode for f in fns)
+    key = _memo_key(matrix, tolerance, real_mode)
+    with _memo_lock:
+        fam = _memo.get(key)
+        if fam is not None and np.array_equal(
+            matrix.view(np.uint64), fam.matrix.view(np.uint64)
+        ):
+            _memo.move_to_end(key)
+            return fam
+    fam = OrthonormalFamily(matrix, tolerance, real_mode)
+    if fam.matrix.nbytes <= _MEMO_BYTES:
+        with _memo_lock:
+            _memo[key] = fam
+            _memo.move_to_end(key)
+            while len(_memo) > _MEMO_FAMILIES or (
+                sum(f.matrix.nbytes for f in _memo.values()) > _MEMO_BYTES
+            ):
+                _memo.popitem(last=False)
+    return fam
 
 
 def _check_size(dim: int, count: int) -> None:

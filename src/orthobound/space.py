@@ -92,12 +92,12 @@ def _frozen(values, *, name: str, dtype=np.complex128, nonnegative: bool = False
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Vector:
     """Finite-dimensional vector over C, or over R when ``real_mode`` is set.
 
     Coordinates are copied into an immutable ``complex128`` array; instances
-    are safe to share across threads.
+    are safe to share across threads, and compare and hash by identity.
     """
 
     coords: np.ndarray
@@ -162,12 +162,12 @@ def norm(x: Vector) -> float:
     return math.sqrt(norm_sq(x))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureGrid:
     """Discrete weighted measure: nodes s_j, weights w_j >= 0, density rho_j >= 0.
 
     At least one product w_j * rho_j must be strictly positive so the induced
-    inner product is not identically zero.
+    inner product is not identically zero. Grids compare and hash by identity.
     """
 
     nodes: np.ndarray
@@ -199,9 +199,12 @@ class QuadratureGrid:
         return self.weights * self.density
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledFunction:
-    """Function values sampled at the nodes of some grid, one value per node."""
+    """Function values sampled at the nodes of some grid, one value per node.
+
+    Sampled functions compare and hash by identity.
+    """
 
     values: np.ndarray
     real_mode: bool = False

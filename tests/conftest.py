@@ -1,7 +1,28 @@
 import numpy as np
 import pytest
 
-from orthobound import CorridorSpec, Vector, admissible_point, random_family
+from orthobound import CorridorSpec, Vector, admissible_point, family, random_family
+
+
+@pytest.fixture(autouse=True)
+def cold_family_memo():
+    """Each test starts with no validated embedded family kept, so a test
+    that counts gram checks does not depend on the tests before it."""
+    family._memo.clear()
+
+
+@pytest.fixture
+def gram_checks(monkeypatch):
+    """The matrices the gram rule runs on, in order."""
+    seen = []
+    check = family._gram_check
+
+    def counting(matrix, tolerance):
+        seen.append(matrix)
+        return check(matrix, tolerance)
+
+    monkeypatch.setattr(family, "_gram_check", counting)
+    return seen
 
 
 @pytest.fixture

@@ -268,6 +268,14 @@ def test_fuzz_rejects_negative_count(capsys):
         FuzzConfig(count=-1)
 
 
+@pytest.mark.parametrize("raw", ["a,b", "1", "1,2,3"])
+def test_fuzz_rejects_a_malformed_center_range(capsys, raw):
+    rc, out, err = run(capsys, "fuzz", "--count", "1", f"--center-range={raw}")
+    assert (rc, out) == (1, "")
+    assert "argument --center-range: expected LO,HI" in err
+    assert "_range_arg" not in err
+
+
 def test_fuzz_rejects_infinite_center_range(capsys):
     rc, out, err = run(capsys, "fuzz", "--seed", "1", "--count", "3", "--center-range=1,inf")
     assert (rc, out) == (1, "")

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -291,3 +294,124 @@ def test_a_failure_flagged_by_the_qr_gufunc_raises_linalgerror(monkeypatch):
     with pytest.raises(np.linalg.LinAlgError) as got:
         _orthonormal_rows(a)
     assert str(got.value) == str(ref.value)
+
+
+# ---------------------------------------------------------------------------
+# the memo of validated embedded families
+
+
+def _unit_basis(*values):
+    """Members [1, 0, 0] and [0, 1, 0] on three unit-mass nodes, the first
+    with its samples replaced by ``values`` when given."""
+    grid = QuadratureGrid([0.0, 1.0, 2.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
+    first = np.array(values or (1.0, 0.0, 0.0))
+    return grid, [SampledFunction(first, True), SampledFunction([0.0, 1.0, 0.0], True)]
+
+
+def test_an_embedded_family_is_validated_once(gram_checks):
+    grid = gauss_legendre_grid(64, 0.0, 2.0 * math.pi)
+    fns = trig_samples(5, grid)
+    fam = _embedded_family(fns, grid, QUADRATURE_TOLERANCE)
+    # equal samples in new objects embed to the same bytes: a hit
+    copies = [SampledFunction(f.values.copy(), True) for f in fns]
+    assert _embedded_family(copies, grid, QUADRATURE_TOLERANCE) is fam
+    assert _embedded_family(fns, grid, QUADRATURE_TOLERANCE) is fam
+    assert len(gram_checks) == 1
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(np.nextafter(1.0, 2.0), 0.0, 0.0), (1.0, -0.0, 0.0)],
+    ids=["one-ulp", "negative-zero"],
+)
+def test_a_sample_changed_in_its_bits_is_a_miss(gram_checks, values):
+    grid, fns = _unit_basis()
+    _, changed_fns = _unit_basis(*values)
+    fam = _embedded_family(fns, grid, 1e-8)
+    changed = _embedded_family(changed_fns, grid, 1e-8)
+    assert changed is not fam
+    assert _bits(changed.matrix) != _bits(fam.matrix)
+    # both are kept, each hit by its own bytes
+    assert _embedded_family(changed_fns, grid, 1e-8) is changed
+    assert _embedded_family(fns, grid, 1e-8) is fam
+    assert len(gram_checks) == 2
+
+
+def test_a_lookup_key_shared_by_other_bytes_is_a_miss(gram_checks):
+    # the first member's samples permuted: the same key, other bytes
+    grid, fns = _unit_basis()
+    _, permuted_fns = _unit_basis(0.0, 0.0, 1.0)
+    fam = _embedded_family(fns, grid, 1e-8)
+    permuted = _embedded_family(permuted_fns, grid, 1e-8)
+    assert family._memo_key(permuted.matrix, 1e-8, True) == family._memo_key(
+        fam.matrix, 1e-8, True
+    )
+    assert permuted is not fam
+    assert _bits(permuted.matrix) == _bits(np.stack([embed(f, grid).coords for f in permuted_fns]))
+    assert len(gram_checks) == 2
+
+
+def test_a_different_tolerance_or_real_flag_is_a_miss(gram_checks):
+    grid, fns = _unit_basis()
+    fam = _embedded_family(fns, grid, 1e-8)
+    looser = _embedded_family(fns, grid, 1e-6)
+    complex_fns = [SampledFunction(f.values) for f in fns]  # the same complex128 bytes
+    not_real = _embedded_family(complex_fns, grid, 1e-8)
+    assert len({id(fam), id(looser), id(not_real)}) == 3
+    assert (looser.tolerance, not_real.real_mode) == (1e-6, False)
+    assert _bits(not_real.matrix) == _bits(fam.matrix)
+    assert len(gram_checks) == 3
+
+
+def test_a_family_over_the_byte_budget_is_not_kept(gram_checks):
+    nodes = family._MEMO_BYTES // 32 + 1  # two complex128 members just over the budget
+    grid = QuadratureGrid(np.arange(float(nodes)), np.ones(nodes), np.ones(nodes))
+    fns = [SampledFunction(np.eye(1, nodes, k)[0], True) for k in (0, 1)]
+    fam = _embedded_family(fns, grid, 1e-10)
+    assert fam.matrix.nbytes > family._MEMO_BYTES
+    assert not family._memo
+    assert _embedded_family(fns, grid, 1e-10) is not fam
+    assert len(gram_checks) == 2
+
+
+@pytest.mark.parametrize("limit", ["_MEMO_FAMILIES", "_MEMO_BYTES"])
+def test_the_least_recently_used_family_is_evicted(monkeypatch, gram_checks, limit):
+    grid, fns = _unit_basis()
+    first = _embedded_family(fns, grid, 1e-8)
+    monkeypatch.setattr(family, limit, 2 if limit == "_MEMO_FAMILIES" else 2 * first.matrix.nbytes)
+    second = _embedded_family(fns, grid, 1e-7)
+    assert _embedded_family(fns, grid, 1e-8) is first  # now the most recent
+    _embedded_family(fns, grid, 1e-6)  # evicts second
+    assert len(family._memo) == 2
+    assert _embedded_family(fns, grid, 1e-8) is first
+    assert _embedded_family(fns, grid, 1e-7) is not second
+    assert len(gram_checks) == 4
+
+
+def test_threads_racing_on_eviction_each_get_their_own_family(monkeypatch):
+    # three tolerances cycling through a memo of two: every insert evicts
+    grid, fns = _unit_basis()
+    monkeypatch.setattr(family, "_MEMO_FAMILIES", 2)
+    tolerances = (1e-8, 1e-7, 1e-6)
+    expected = _bits(_embedded_family(fns, grid, 1e-8).matrix)
+    workers, calls = 4, 300  # more threads than a small runner has cores
+    start = threading.Barrier(workers)
+
+    def build(k):
+        start.wait(timeout=30)
+        wrong = 0
+        for i in range(calls):
+            tolerance = tolerances[(k + i) % 3]
+            fam = _embedded_family(fns, grid, tolerance)
+            wrong += fam.tolerance != tolerance or _bits(fam.matrix) != expected
+        return wrong
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            runs = [pool.submit(build, k) for k in range(workers)]
+            assert [run.result(timeout=60) for run in runs] == [0] * workers
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(family._memo) == 2

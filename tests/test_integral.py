@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from orthobound import (
     bessel_counterpart,
     check_hypothesis,
     embed,
+    family,
     gauss_legendre_grid,
     gruss_bound,
     integral_instance,
@@ -251,17 +255,17 @@ def test_instance_chain_raises_its_public_error(
             assert got.value.which == which and got.value.report is report
 
 
-@pytest.mark.parametrize(
-    "fam_fns, tolerance, expected, message",
-    [
-        ([], 1e-8, EmptyFamily, "family must contain at least one vector"),
-        ([np.ones(3)], 1e-8, DimensionMismatch, "function has 3 samples but grid has 4 nodes"),
-        ([np.ones(4), np.ones(3)], 1e-8, DimensionMismatch,
-         "function has 3 samples but grid has 4 nodes"),
-        ([np.ones(4), np.full(4, 1e300)], 1e-8, ValueError, "coords must be finite (no NaN/Inf)"),
-        ([np.ones(4)], 0.0, ValueError, "tolerance must be positive"),
-    ],
-)
+FAMILY_ERRORS = [
+    ([], 1e-8, EmptyFamily, "family must contain at least one vector"),
+    ([np.ones(3)], 1e-8, DimensionMismatch, "function has 3 samples but grid has 4 nodes"),
+    ([np.ones(4), np.ones(3)], 1e-8, DimensionMismatch,
+     "function has 3 samples but grid has 4 nodes"),
+    ([np.ones(4), np.full(4, 1e300)], 1e-8, ValueError, "coords must be finite (no NaN/Inf)"),
+    ([np.ones(4)], 0.0, ValueError, "tolerance must be positive"),
+]
+
+
+@pytest.mark.parametrize("fam_fns, tolerance, expected, message", FAMILY_ERRORS)
 def test_family_errors_match_member_embeddings(fam_fns, tolerance, expected, message):
     # the one-pass family raises what validating the per-member embeddings raises
     grid = QuadratureGrid(np.arange(4.0), np.full(4, 1e300), np.ones(4))
@@ -277,6 +281,14 @@ def test_family_errors_match_member_embeddings(fam_fns, tolerance, expected, mes
         with pytest.raises(expected) as got:
             integral_instance(f, fns, grid, corr)
         assert str(got.value) == message
+
+
+def test_family_errors_are_never_kept():
+    for _ in range(2):
+        for case in FAMILY_ERRORS:
+            test_family_errors_match_member_embeddings(*case)
+        test_coarse_grid_rejected()
+    assert not family._memo
 
 
 def test_family_size_errors_come_before_nonfinite_embeddings():
@@ -393,3 +405,63 @@ def test_sandwich_implies_admissibility(trig_setup, rng):
         inst = integral_instance(f, fns, grid, report.corridor)
         assert inst.report_x.holds
         assert inst.report_x.cond_i_value >= 0.0
+
+
+# ---------------------------------------------------------------------------
+# one validated family per basis
+
+
+def chain_record(inst):
+    """Every value an instance with a second function yields, in exact reprs."""
+    chains = [getattr(inst, method)().values for method in PUBLIC]
+    return repr((inst.family.gram_residual, inst.report_x, inst.report_y, chains))
+
+
+def noisy_pair(fns, grid, rng):
+    cx, cy = real_corridor(rng, len(fns)), real_corridor(rng, len(fns))
+    f = centered(fns, cx, 1e-3 * rng.standard_normal(grid.size))
+    g = centered(fns, cy, 1e-3 * rng.standard_normal(grid.size))
+    return f, cx, g, cy
+
+
+def test_instances_on_one_basis_share_its_family(trig_setup, rng, gram_checks):
+    grid, fns = trig_setup
+    f, cx, g, cy = noisy_pair(fns, grid, rng)
+    first = integral_instance(f, fns, grid, cx)
+    second = integral_instance(g, fns, grid, cy)
+    assert second.family is first.family
+    assert len(gram_checks) == 1
+
+
+def test_chain_values_are_the_same_bits_with_the_memo_cold_and_warm(trig_setup, rng):
+    grid, fns = trig_setup
+    f, cx, g, cy = noisy_pair(fns, grid, rng)
+    records = []
+    for cold in (True, False, True):
+        if cold:
+            family._memo.clear()
+        records.append(chain_record(integral_instance(f, fns, grid, cx, g, cy)))
+    assert records[0] == records[1] == records[2]
+
+
+def test_threads_building_instances_at_once_get_the_same_bits(trig_setup, rng):
+    grid, fns = trig_setup
+    f, cx, g, cy = noisy_pair(fns, grid, rng)
+    expected = chain_record(integral_instance(f, fns, grid, cx, g, cy))
+    family._memo.clear()
+    workers, calls = 4, 10  # more threads than a small runner has cores
+    start = threading.Barrier(workers)
+
+    def build():
+        start.wait(timeout=30)
+        return [chain_record(integral_instance(f, fns, grid, cx, g, cy)) for _ in range(calls)]
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            runs = [pool.submit(build) for _ in range(workers)]
+            records = [record for run in runs for record in run.result(timeout=60)]
+    finally:
+        sys.setswitchinterval(switch)
+    assert records == [expected] * (workers * calls)

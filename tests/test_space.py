@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from orthobound import (
     DimensionMismatch,
+    OrthonormalFamily,
     QuadratureGrid,
     SampledFunction,
+    ScalarCorridor,
     Vector,
     embed,
     gauss_legendre_grid,
@@ -288,3 +290,23 @@ def test_norm_examples():
     assert norm(v) == pytest.approx(5.0)
     assert norm_sq(v) == pytest.approx(25.0)
     assert math.isclose(norm(Vector([1j])), 1.0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Vector([1.0, 2.0]),
+        lambda: QuadratureGrid([0.0, 1.0], [0.5, 0.5], [1.0, 1.0]),
+        lambda: SampledFunction([1.0, 2.0]),
+        lambda: OrthonormalFamily(np.eye(2)),
+        lambda: ScalarCorridor([1.0], [2.0]),
+    ],
+    ids=["Vector", "QuadratureGrid", "SampledFunction", "OrthonormalFamily", "ScalarCorridor"],
+)
+def test_array_types_compare_and_hash_by_identity(make):
+    a, b = make(), make()  # equal contents, two objects
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a) != hash(b)
+    assert {a: "a", b: "b"}[a] == "a"
+    assert len({a, b, a}) == 2
