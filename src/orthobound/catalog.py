@@ -1,13 +1,14 @@
 """The paper's catalog of bounds: every selector that ``orthobound check``
 and fuzz campaigns know, written once.
 
-An entry of :data:`SELECTORS` gives what ``check`` needs: the instance
-fields, the parser of a ``name:tail`` parameter, the JSON names of the
-hypothesis reports and, for each chain, the public :mod:`orthobound.bounds`
-function with its JSON chain name. It also gives what a campaign needs: the
-parameter tails it runs, the instance it draws (see
-:mod:`orthobound.fuzz`), and for each chain the kernel that the public
-function runs on a batch of one, which the campaign runs on a chunk.
+An entry of :data:`SELECTORS` names its instance kind in :data:`KINDS`,
+which gives the instance fields ``check`` reads and the JSON names of the
+hypothesis reports. The entry gives the parser of a ``name:tail`` parameter
+and, for each chain, the public :mod:`orthobound.bounds` function with its
+JSON chain name. It also gives what a campaign needs: the parameter tails it
+runs, and for each chain the kernel that the public function runs on a
+batch of one, which the campaign runs on a chunk of the instances it draws
+for the kind (see :mod:`orthobound.fuzz`).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from . import bounds
 from .errors import InstanceFormatError
+from .jsonio import DELTA_HI, DELTA_LO, FAMILY, X, X_CORRIDOR, Y, Y_CORRIDOR
 
 
 class Chain(NamedTuple):
@@ -38,24 +40,38 @@ class Chain(NamedTuple):
     when: Callable | None = None
 
 
+class Kind(NamedTuple):
+    """One kind of instance: the fields ``check`` reads, in the order the
+    public functions take them (None for a kind only campaigns draw), and the
+    JSON names of the hypothesis reports its chains carry, in checking order."""
+
+    fields: tuple[str, ...] | None
+    reports: tuple[str, ...]
+
+
+_PAIR = Kind((X, Y, FAMILY, X_CORRIDOR, Y_CORRIDOR), ("x", "y"))
+
+KINDS: dict[str, Kind] = {
+    "x": Kind((X, FAMILY, X_CORRIDOR), ("x",)),  # Theorem 2.1, Corollary 2.3
+    "pair": _PAIR,  # Theorems 1.1, 2 and 3.1
+    "single": _PAIR,  # Corollary 3.3: a pair over a one-member family
+    "companion": Kind((X, Y, FAMILY, X_CORRIDOR), ("combined",)),  # Theorem 4.1
+    "schwarz": Kind((X, Y, DELTA_LO, DELTA_HI), ("x",)),  # Corollary 2.5
+    "free": Kind(None, ()),  # vectors under no corridor
+}
+
+
 class Selector(NamedTuple):
     """One entry of the bound catalog.
 
-    ``fields`` are the instance fields ``check`` needs besides x, in the order
-    an error lists the missing ones, or None for an entry only campaigns run.
-    Every public function takes x, y if needed, then the other fields in that
-    order. ``params`` parses the tail of "name:tail" into keyword arguments
-    of the public function and of the kernels; ``hypotheses`` are the JSON
-    names of the reports the chains were checked under, in the order the
-    bound checked them. ``draws`` names the instance a campaign draws for the
-    entry; ``tails`` are the parameter tails a campaign runs.
+    ``kind`` names its instance in :data:`KINDS`. ``params`` parses the tail
+    of "name:tail" into keyword arguments of the public function and of the
+    kernels; ``tails`` are the parameter tails a campaign runs.
     """
 
-    fields: tuple[str, ...] | None
-    draws: str
+    kind: str
     chains: tuple[Chain, ...]
     params: Callable[[str, str], dict] | None = None
-    hypotheses: tuple[str, ...] = ("x", "y")
     tails: tuple[str, ...] = ()
 
 
@@ -88,43 +104,34 @@ def _projection_floor(pair: bounds.Pair) -> tuple:
     return -1e-10 * pair.x.nsq, pair.x.defect
 
 
-_X = ("family", "phi/Phi")
-_PAIR = ("family", "phi/Phi", "y", "gamma/Gamma")
-
-
 def _main(function: str | None, values: Callable) -> tuple[Chain]:
     return (Chain("main", function, values),)
 
 
 # In the order a campaign records its chains.
 SELECTORS: dict[str, Selector] = {
-    "thm2.1": Selector(_X, "x", _main("norm_bound_quadratic", bounds._quadratic_values)),
-    "eq2.6": Selector(_X, "x", _main("norm_bound_linear", bounds._linear_values)),
+    "thm2.1": Selector("x", _main("norm_bound_quadratic", bounds._quadratic_values)),
+    "eq2.6": Selector("x", _main("norm_bound_linear", bounds._linear_values)),
     "eq2.11": Selector(
-        _X, "x", _main("norm_bound_quadratic", bounds._quadratic_values), _split_params,
+        "x", _main("norm_bound_quadratic", bounds._quadratic_values), _split_params,
         tails=("max", "holder:3", "sum"),
     ),
-    "cor2.3": Selector(_X, "x", _main("bessel_counterpart", bounds._counterpart_values)),
-    "thm1.1": Selector(_PAIR, "pair", _main("gruss_refined_sqrt", bounds._refined_sqrt_values)),
-    "thm2": Selector(
-        _PAIR, "pair", _main("gruss_refined_midpoint", bounds._refined_midpoint_values)
-    ),
-    "thm3.1": Selector(_PAIR, "pair", _main("gruss_bound", bounds._gruss_values)),
+    "cor2.3": Selector("x", _main("bessel_counterpart", bounds._counterpart_values)),
+    "thm1.1": Selector("pair", _main("gruss_refined_sqrt", bounds._refined_sqrt_values)),
+    "thm2": Selector("pair", _main("gruss_refined_midpoint", bounds._refined_midpoint_values)),
+    "thm3.1": Selector("pair", _main("gruss_bound", bounds._gruss_values)),
     "thm4.1": Selector(
-        ("family", "phi/Phi", "y"), "companion",
-        _main("companion_bound", bounds._companion_values), _lambda_params, ("combined",),
+        "companion", _main("companion_bound", bounds._companion_values), _lambda_params,
         tails=("0.1", "0.5", "0.9"),
     ),
-    "cor2.5": Selector(("y", "delta", "Delta"), "schwarz", (
-        Chain(None, "schwarz_counterparts", bounds._schwarz_values),
-    )),
-    "cor3.3": Selector(_PAIR, "single", (
+    "cor2.5": Selector("schwarz", (Chain(None, "schwarz_counterparts", bounds._schwarz_values),)),
+    "cor3.3": Selector("single", (
         Chain("main", "gruss_bound", bounds._gruss_values),
         Chain("ratio_form", "single_vector_ratio_chain", bounds._ratio_values, "ratio",
               bounds._ratio_defined),
     )),
-    "bessel-defect": Selector(None, "free", _main(None, _projection_floor)),
-    "schwarz-step": Selector(None, "free", _main(None, bounds._schwarz_step_values)),
+    "bessel-defect": Selector("free", _main(None, _projection_floor)),
+    "schwarz-step": Selector("free", _main(None, bounds._schwarz_step_values)),
 }
 
 

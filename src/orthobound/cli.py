@@ -2,10 +2,11 @@
 the refinement incomparability witnesses and the weighted-quadrature demo.
 
 ``check`` runs one entry of the catalog of bound selectors,
-:data:`orthobound.catalog.SELECTORS`: each entry names the instance fields
-it needs and the public :mod:`orthobound.bounds` functions it calls. The
-other commands import their engines (fuzz, experiments, integral) when they
-run, so a ``check`` process never loads them.
+:data:`orthobound.catalog.SELECTORS`: each entry names its kind of instance,
+whose fields ``check`` reads from the file through :mod:`orthobound.jsonio`,
+and the public :mod:`orthobound.bounds` functions it calls. The other
+commands import their engines (fuzz, experiments, integral) when they run,
+so a ``check`` process never loads them.
 
 Exit codes: 0 when every requested hypothesis and chain holds, 2 when an
 instance is inadmissible for the requested bound, 1 for argument, I/O or
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import bounds, jsonio
 from .admissibility import DEFAULT_HYPOTHESIS_TOL, CorridorSpec
-from .catalog import SELECTORS, SWEEP_TARGETS, Selector
+from .catalog import KINDS, SELECTORS, SWEEP_TARGETS, Selector
 from .errors import HypothesisFailed, InstanceFormatError, OrthoboundError
 from .family import trig_samples, legendre_samples
 from .space import SampledFunction, gauss_legendre_grid
@@ -54,16 +55,9 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _corridor(data: dict, lo: str, hi: str, path: str = ""):
-    if lo not in data and hi not in data:
-        return None
-    if lo not in data or hi not in data:
-        raise InstanceFormatError(f"{lo}/{hi}", "both corridor sides are required")
-    return jsonio.corridor_from_json(data[lo], data[hi], path)
-
-
 def _load_instance(path: str) -> dict:
-    """The instance file's values by field name; absent fields are None."""
+    """The instance file's fields by name (see
+    :func:`orthobound.jsonio.instance_from_json`)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -71,38 +65,22 @@ def _load_instance(path: str) -> dict:
         raise InstanceFormatError(path, str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(path, f"malformed JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InstanceFormatError("$", "instance must be a JSON object")
-    if "x" not in data:
-        raise InstanceFormatError("x", "missing required field")
-
-    def field(key, decode):
-        return decode(data[key], key) if key in data else None
-
-    return {
-        "family": field("family", jsonio.family_from_json),
-        "x": jsonio.vector_from_json(data["x"], "x"),
-        "phi/Phi": _corridor(data, "phi", "Phi"),
-        "y": field("y", jsonio.vector_from_json),
-        "gamma/Gamma": _corridor(data, "gamma", "Gamma", "y corridor "),
-        "delta": field("delta", jsonio.scalar_from_json),
-        "Delta": field("Delta", jsonio.scalar_from_json),
-    }
+    return jsonio.instance_from_json(data)
 
 
 def _parse_selector(raw: str) -> tuple[str, Selector, dict]:
     """A ``--bound`` value: its catalog name, entry and keyword arguments."""
     name, colon, tail = raw.partition(":")
     entry = SELECTORS.get(name)
-    if entry is None or entry.fields is None or bool(colon) != (entry.params is not None):
+    if (entry is None or KINDS[entry.kind].fields is None
+            or bool(colon) != (entry.params is not None)):
         raise InstanceFormatError("--bound", f"unknown bound selector {raw!r}")
     return name, entry, entry.params(raw, tail) if colon else {}
 
 
-def _evaluate(entry: Selector, inst: dict, params: dict, tol: float) -> dict:
-    """The chains of a selector by JSON name, in call order."""
-    vectors = ["x"] + [f for f in entry.fields if f == "y"]
-    args = [inst[f] for f in vectors + [f for f in entry.fields if f != "y"]]
+def _evaluate(entry: Selector, args: list, params: dict, tol: float) -> dict:
+    """The chains of a selector on the arguments of its public functions, by
+    JSON name, in call order."""
     chains: dict[str, bounds.BoundChain] = {}
     for chain in entry.chains:
         if chain.when is None or chain.when(bounds._pair(*args)):
@@ -115,21 +93,22 @@ def _evaluate(entry: Selector, inst: dict, params: dict, tol: float) -> dict:
 def cmd_check(args) -> int:
     tol = _tolerance(args.tolerance)
     name, entry, params = _parse_selector(args.bound)
+    kind = KINDS[entry.kind]
     inst = _load_instance(args.instance)
-    missing = [field for field in entry.fields if inst[field] is None]
+    missing = [field for field, value in inst.items() if value is None and field in kind.fields]
     if missing:
         raise InstanceFormatError(",".join(missing), f"required by bound selector {name!r}")
     payload: dict = {"bound": args.bound}
     try:
-        chains = _evaluate(entry, inst, params, tol)
+        chains = _evaluate(entry, [inst[field] for field in kind.fields], params, tol)
     except HypothesisFailed as exc:
         payload["hypothesis_failed"] = exc.which
         payload["report"] = jsonio.report_to_json(exc.report)
         _emit(payload)
         return 2
 
-    reports = dict(zip(entry.hypotheses, next(iter(chains.values())).reports))
-    payload["hypothesis"] = {k: jsonio.report_to_json(r) for k, r in reports.items()}
+    reports = zip(kind.reports, next(iter(chains.values())).reports, strict=True)
+    payload["hypothesis"] = {k: jsonio.report_to_json(r) for k, r in reports}
     payload["chains"] = {}
     for chain_name, chain in chains.items():
         encoded = jsonio.chain_to_json(chain)
@@ -175,10 +154,9 @@ def cmd_fuzz(args) -> int:
 def cmd_sweep(args) -> int:
     from .experiments import sharpness_sweep, sweep_rows_to_csv
 
-    eps = [float(tok) for tok in args.eps.split(",") if tok.strip()]
-    if not eps:
+    if not args.eps:
         return _fail("empty epsilon list; no file written")
-    rows = sharpness_sweep(args.target, eps)
+    rows = sharpness_sweep(args.target, args.eps)
     csv_text = sweep_rows_to_csv(rows)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(csv_text)
@@ -189,21 +167,14 @@ def cmd_sweep(args) -> int:
 def _witness_to_json(w) -> dict:
     """A :class:`~orthobound.experiments.ComparisonWitness` with its instance
     in the instance-file format that ``check`` reads."""
-    cy = jsonio.corridor_to_json(w.cy)
+    pair = (w.x, w.y, w.family, w.cx, w.cy)
     return {
         "direction": w.direction,
         "trial": w.trial,
         "refined_sqrt": w.refined_sqrt,
         "refined_midpoint": w.refined_midpoint,
         "margin": w.margin,
-        "instance": {
-            "family": jsonio.family_to_json(w.family),
-            "x": jsonio.vector_to_json(w.x),
-            "y": jsonio.vector_to_json(w.y),
-            **jsonio.corridor_to_json(w.cx),
-            "gamma": cy["phi"],
-            "Gamma": cy["Phi"],
-        },
+        "instance": jsonio.instance_to_json(dict(zip(KINDS["pair"].fields, pair))),
     }
 
 
@@ -294,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="sharpness sweep along the extremal family")
     p_sweep.add_argument("--target", choices=SWEEP_TARGETS, required=True)
-    p_sweep.add_argument("--eps", default=SWEEP_EPS,
+    p_sweep.add_argument("--eps", type=_numbers_arg, default=SWEEP_EPS,
                          help="comma-separated values in (0,1) (default: %(default)s)")
     p_sweep.add_argument("--out", required=True, help="CSV output path")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -320,6 +291,13 @@ def _range_arg(raw: str) -> tuple[float, float]:
     except ValueError:  # not two parts, or a part that is not a number
         raise argparse.ArgumentTypeError("expected LO,HI") from None
     return lo, hi
+
+
+def _numbers_arg(raw: str) -> list[float]:
+    try:
+        return [float(tok) for tok in raw.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected comma-separated numbers") from None
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -3,11 +3,12 @@
 One "bundle" (trial) draws a family plus admissible vectors and corridors for
 each kind of bound and evaluates the selected chains. The selectors, their
 campaign parameters and the kernel of each chain come from the catalog,
-:data:`orthobound.catalog.SELECTORS`; each entry names the instance it reads
-(``x``, ``pair``, ``companion``, ``schwarz``, ``single`` or ``free``), which
-a chunk draws when a selected entry first reads it. Corridors whose re_sum
-fails to be positive are rejected and counted, never silently repaired.
-Disjoint seeds give independent shards.
+:data:`orthobound.catalog.SELECTORS`; each entry names the kind of instance
+it reads (``x``, ``pair``, ``companion``, ``schwarz``, ``single`` or
+``free``, :data:`orthobound.catalog.KINDS`), which a chunk draws when a
+selected entry first reads it. Corridors whose re_sum fails to be positive
+are rejected and counted, never silently repaired. Disjoint seeds give
+independent shards.
 
 The stream. A campaign draws from one ``PCG64(seed)`` stream, as
 ``np.random.default_rng(seed)`` makes it, and only uniforms in [0, 1):
@@ -200,7 +201,7 @@ def _sites(config: FuzzConfig):
     yield "cy", corridor(k)
     yield "x", slack, vec
     yield "y", slack, vec
-    for tail in (t for e in SELECTORS.values() if e.draws == "companion" for t in e.tails):
+    for tail in (t for e in SELECTORS.values() if e.kind == "companion" for t in e.tails):
         yield f"cz{tail}", corridor(k)
         yield f"z{tail}", slack, vec, vec  # z, then the free x
     yield "yv", vec
@@ -324,7 +325,7 @@ class _Evaluation:
     def run(self, key: str, entry: Selector, tail: str | None) -> None:
         """Record the chains of selector ``key`` on the live rows of its instance."""
         params = entry.params(key, tail) if tail else {}
-        live, inst = self.drawn(entry.draws, tail, params)
+        live, inst = self.drawn(entry.kind, tail, params)
         if not live.any():
             return
         for chain in entry.chains:

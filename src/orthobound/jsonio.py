@@ -1,14 +1,15 @@
-"""JSON encodings for scalars, vectors, families, corridors, and reports.
+"""JSON encodings for scalars, vectors, families, corridors, reports, and
+the instance files that ``orthobound check`` reads.
 
 Complex scalars travel as two-element arrays [re, im]; decoding also accepts
 bare numbers for real data. Decode errors carry the path of the offending
-field.
+field. The instance-file format is written once, in :data:`_FIELDS`.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -83,25 +84,76 @@ def family_from_json(data: Any, path: str = "family") -> OrthonormalFamily:
         raise InstanceFormatError(path, str(exc)) from exc
 
 
-def corridor_to_json(c: ScalarCorridor) -> dict:
+def corridor_to_json(c: ScalarCorridor, lo_key: str = "phi", hi_key: str = "Phi") -> dict:
     return {
-        "phi": [scalar_to_json(z) for z in c.lo],
-        "Phi": [scalar_to_json(z) for z in c.hi],
+        lo_key: [scalar_to_json(z) for z in c.lo],
+        hi_key: [scalar_to_json(z) for z in c.hi],
     }
 
 
 def corridor_from_json(
-    lo_data: Any, hi_data: Any, path: str = ""
+    lo_data: Any, hi_data: Any, lo_key: str = "phi", hi_key: str = "Phi"
 ) -> ScalarCorridor:
-    """Each side is decoded, and checked finite, at its own path; sides too
+    """Each side is decoded, and checked finite, at its own key; sides too
     large for the aggregates raise :class:`NonfiniteCorridor`."""
-    lo = vector_from_json(lo_data, f"{path}phi")
-    hi = vector_from_json(hi_data, f"{path}Phi")
+    lo = vector_from_json(lo_data, lo_key)
+    hi = vector_from_json(hi_data, hi_key)
     if lo.dim != hi.dim:
         raise InstanceFormatError(
-            f"{path}Phi", f"length {hi.dim} does not match phi length {lo.dim}"
+            hi_key, f"length {hi.dim} does not match {lo_key} length {lo.dim}"
         )
     return ScalarCorridor(lo.coords, hi.coords, real_mode=lo.real_mode and hi.real_mode)
+
+
+# The fields of an instance file in decode order, each with the type of its
+# value, whose codec is <type>_from_json and <type>_to_json. A corridor field
+# is named "lo/hi" after the keys of its two sides.
+_FIELDS = {
+    "family": "family",
+    "x": "vector",
+    "phi/Phi": "corridor",
+    "y": "vector",
+    "gamma/Gamma": "corridor",
+    "delta": "scalar",
+    "Delta": "scalar",
+}
+FAMILY, X, X_CORRIDOR, Y, Y_CORRIDOR, DELTA_LO, DELTA_HI = _FIELDS
+
+
+def _codec(name: str, way: str) -> Callable:
+    """A codec of field ``name``, looked up at call time, so that a patched
+    one takes effect."""
+    return globals()[f"{_FIELDS[name]}_{way}_json"]
+
+
+def instance_from_json(data: Any) -> dict:
+    """Every field of an instance file by name, in decode order; a field the
+    file does not give is None. x is required, and a corridor needs both
+    sides. Every field given is decoded, whichever bound reads it."""
+    if not isinstance(data, dict):
+        raise InstanceFormatError("$", "instance must be a JSON object")
+    if X not in data:
+        raise InstanceFormatError(X, "missing required field")
+    fields = {}
+    for name in _FIELDS:
+        keys = name.split("/")
+        given = [key in data for key in keys]
+        if any(given) and not all(given):
+            raise InstanceFormatError(name, "both corridor sides are required")
+        decode = _codec(name, "from")
+        fields[name] = decode(*(data[key] for key in keys), *keys) if all(given) else None
+    return fields
+
+
+def instance_to_json(fields: Mapping) -> dict:
+    """The instance file of ``fields``, values by field name."""
+    data = {}
+    for name, value in fields.items():
+        if "/" in name:
+            data.update(_codec(name, "to")(value, *name.split("/")))
+        else:
+            data[name] = _codec(name, "to")(value)
+    return data
 
 
 def report_to_json(report: HypothesisReport) -> dict:

@@ -36,7 +36,8 @@ from orthobound import (
     single_vector_ratio_chain,
     validate_family,
 )
-from orthobound.catalog import SELECTORS
+from orthobound import catalog, fuzz
+from orthobound.catalog import KINDS, SELECTORS
 from orthobound.cli import SWEEP_EPS, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -203,7 +204,7 @@ _SCHWARZ_INSTANCE = {"x": [1.0, 2.0], "y": [0.0, 1.0], "delta": 1.0, "Delta": 3.
          "corridor aggregates are not finite: re_sum 1e+200, radius inf"),
         ("cor2.5", {"delta": math.nan}, "corridor delta must be finite"),
         ("cor2.5", {"Delta": math.inf}, "corridor Delta must be finite"),
-        ("thm3.1", {"gamma": [math.nan]}, "y corridor phi: coords must be finite (no NaN/Inf)"),
+        ("thm3.1", {"gamma": [math.nan]}, "gamma: coords must be finite (no NaN/Inf)"),
         ("thm2.1", {"Phi": [[2.0, math.inf]]}, "Phi: coords must be finite (no NaN/Inf)"),
         ("cor2.3", {"x": [1e200]},
          "admissibility forms overflow the float range: sign value -inf, ball residual inf"),
@@ -402,8 +403,10 @@ _SHIPPED = ("--instance", "data/cor23_construction.json")
     (("check", *_SHIPPED, "--bound", "cor2.3", "--force"), "orthobound",
      "unrecognized arguments: --force"),
     (("fuzz", "--count", "x"), "orthobound fuzz", "argument --count: invalid int value: 'x'"),
+    (("sweep", "--target", "cor23", "--eps", "0.5,abc", "--out", "x.csv"), "orthobound sweep",
+     "argument --eps: expected comma-separated numbers"),
     ((), "orthobound", "the following arguments are required: command"),
-], ids=["no-bound", "bad-tolerance", "force", "bad-count", "bare"])
+], ids=["no-bound", "bad-tolerance", "force", "bad-count", "bad-eps", "bare"])
 def test_argument_errors_exit_one(capsys, argv, usage, message):
     # exit 2 is reserved for an inadmissible instance
     rc, out, err = run(capsys, *argv)
@@ -706,6 +709,71 @@ def test_check_inadmissible_names_the_failing_slot(capsys, tmp_path, bound):
     assert (rc, json.loads(out)) == (2, expected)
 
 
+def _row_fields(kind, inst, row, real):
+    """Row ``row`` of an instance a campaign drew, as the fields of its kind."""
+
+    def vector(slot):
+        return Vector(slot.coords[row], real_mode=real)
+
+    def family(slot):
+        return validate_family([Vector(e, real_mode=real) for e in slot.matrix[row]])
+
+    def corridor(slot):
+        return ScalarCorridor(slot.corridor.lo[row], slot.corridor.hi[row], real_mode=real)
+
+    if kind == "x":
+        values = (vector(inst), family(inst), corridor(inst))
+    elif kind == "schwarz":
+        ends = inst.y.corridor
+        values = (vector(inst.x), vector(inst.y), ends.lo[row, 0], ends.hi[row, 0])
+    else:  # a pair; Theorem 4.1's corridor is the one of its combination z
+        corridors = (inst.z,) if kind == "companion" else (inst.x, inst.y)
+        values = (vector(inst.x), vector(inst.y), family(inst.x), *map(corridor, corridors))
+    return dict(zip(KINDS[kind].fields, values))
+
+
+@pytest.mark.parametrize("mode", ["complex", "real"])
+@pytest.mark.parametrize("seed", [202, 203])
+def test_a_campaign_instance_survives_the_file_format(capsys, tmp_path, monkeypatch, seed, mode):
+    """Every instance of the first 20 bundles, written as an instance file:
+    check gives the chain values the campaign recorded, bit for bit."""
+    config = FuzzConfig(seed=seed, count=20, mode=mode)
+    drawn = {}
+    draw = fuzz._Evaluation.drawn
+
+    def keep(self, kind, tail=None, params=None):
+        drawn[kind, tail] = draw(self, kind, tail, params)
+        return drawn[kind, tail]
+
+    monkeypatch.setattr(fuzz._Evaluation, "drawn", keep)
+    ((_, _, records),) = fuzz._chunks(config)
+    recorded = {
+        (key, trial): [float(v).hex() for v in row]
+        for key, trials, values in records for trial, row in zip(trials.tolist(), values)
+    }
+    compared = 0
+    for key, entry, tail in catalog.campaign_keys():
+        if KINDS[entry.kind].fields is None:
+            continue
+        live, inst = drawn[entry.kind, tail]
+        for trial in np.flatnonzero(live).tolist():
+            fields = _row_fields(entry.kind, inst, trial, mode == "real")
+            path = write_instance(tmp_path, jsonio.instance_to_json(fields))
+            rc, out, err = run(capsys, "check", "--instance", path, "--bound", key)
+            assert (rc, err) == (0, ""), (key, trial)
+            chains = {}
+            for name, chain in json.loads(out)["chains"].items():
+                suffix = {"main": "", "ratio_form": "ratio"}.get(name, name)
+                chains[f"{key}:{suffix}" if suffix else key] = [v.hex() for v in chain["values"]]
+            expected = {k: v for (k, t), v in recorded.items() if t == trial
+                        and (k == key or k.startswith(key + ":"))}
+            assert chains == expected, (key, trial)
+            compared += len(chains)
+    # at these seeds every bundle is live for every key and defines the ratio
+    # form: 12 keys of one chain, cor2.5's four and cor3.3's two
+    assert compared == 20 * 18
+
+
 def test_readme_selector_table_matches_the_catalog():
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     section = text.split("### Bound selectors", 1)[1].split("\n### ", 1)[0]
@@ -715,3 +783,17 @@ def test_readme_selector_table_matches_the_catalog():
     for sel in listed:
         name, colon, _ = sel.partition(":")
         assert bool(colon) == (SELECTORS[name].params is not None), sel
+
+
+def test_readme_kind_table_matches_the_catalog():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("### Instance files", 1)[1].split("\n### ", 1)[0]
+    rows = re.findall(r"^\| `([^`|]+)` +\|([^|]*)\|([^|]*)\|$", section, flags=re.MULTILINE)
+    assert [kind for kind, _, _ in rows] == list(KINDS)
+    for kind, selectors, fields in rows:
+        assert re.findall(r"`([^`]+)`", selectors) == [
+            name for name, entry in SELECTORS.items() if entry.kind == kind
+        ], kind
+        assert re.findall(r"`([^`]+)`", fields) == [
+            key for field in KINDS[kind].fields or () for key in field.split("/")
+        ], kind

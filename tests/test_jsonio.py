@@ -4,6 +4,7 @@ import pytest
 from orthobound import (
     InstanceFormatError,
     NonfiniteCorridor,
+    ScalarCorridor,
     Vector,
     validate_family,
 )
@@ -88,10 +89,62 @@ def test_nonfinite_samples_are_reported_at_their_path(decode, detail):
 
 def test_nonfinite_corridor_side_is_reported_at_its_path():
     with pytest.raises(InstanceFormatError) as exc:
-        jsonio.corridor_from_json([1.0], [float("inf")], "y corridor ")
-    assert exc.value.path == "y corridor Phi"
+        jsonio.corridor_from_json([1.0], [float("inf")], "gamma", "Gamma")
+    assert exc.value.path == "Gamma"
 
 
 def test_overflowing_corridor_keeps_its_own_type():
     with pytest.raises(NonfiniteCorridor):
         jsonio.corridor_from_json([1.0], [1e200])
+
+
+_PAIR = {"family": {"members": [[1.0]]}, "x": [1.5], "phi": [1.0], "Phi": [2.0],
+         "y": [1.2], "gamma": [1.0], "Gamma": [2.0]}
+
+
+def test_instance_round_trip():
+    fields = {
+        "family": validate_family([Vector([0.6, 0.8j])]),
+        "x": Vector([1.0, 2.0 - 1.0j]),
+        "phi/Phi": ScalarCorridor([1.0 + 0.5j], [2.0 - 0.25j]),
+        "y": Vector([0.5, -1.0]),
+        "gamma/Gamma": ScalarCorridor([0.5], [3.0]),
+        "delta": 0.25 + 1.0j,
+        "Delta": 4.0,
+    }
+    data = jsonio.instance_to_json(fields)
+    assert set(data) == {"family", "x", "phi", "Phi", "y", "gamma", "Gamma", "delta", "Delta"}
+    back = jsonio.instance_from_json(data)
+    assert list(back) == list(fields)  # decode order
+    assert np.array_equal(back["family"].matrix, fields["family"].matrix)
+    for name in ("x", "y"):
+        assert np.array_equal(back[name].coords, fields[name].coords)
+        assert back[name].real_mode == (name == "y")
+    for name in ("phi/Phi", "gamma/Gamma"):
+        assert np.array_equal(back[name].lo, fields[name].lo)
+        assert np.array_equal(back[name].hi, fields[name].hi)
+    assert (back["delta"], back["Delta"]) == (0.25 + 1.0j, 4.0)
+
+
+def test_instance_fields_not_given_are_none():
+    back = jsonio.instance_from_json({"x": [1.0]})
+    assert [name for name, value in back.items() if value is not None] == ["x"]
+
+
+@pytest.mark.parametrize("data, path, detail", [
+    ([1.0], "$", "instance must be a JSON object"),
+    ({"y": [1.0]}, "x", "missing required field"),
+    # the first bad field in decode order: family, x, phi/Phi, y, gamma/Gamma
+    ({**_PAIR, "family": {}, "x": "bad"}, "family", "expected an object with a 'members' list"),
+    ({**_PAIR, "x": "bad", "Phi": "bad"}, "x", "expected a nonempty list of scalars"),
+    ({**_PAIR, "y": "bad", "Gamma": "bad"}, "y", "expected a nonempty list of scalars"),
+    ({k: v for k, v in _PAIR.items() if k != "Phi"}, "phi/Phi", "both corridor sides are required"),
+    ({**_PAIR, "gamma": [float("nan")]}, "gamma", "coords must be finite (no NaN/Inf)"),
+    ({**_PAIR, "Gamma": [1.0, 2.0]}, "Gamma", "length 2 does not match gamma length 1"),
+    ({**_PAIR, "Phi": [1.0, 2.0]}, "Phi", "length 2 does not match phi length 1"),
+    ({"x": [1.0], "delta": True, "Delta": 1.0}, "delta", "expected a number or a [re, im] pair"),
+])
+def test_instance_errors_name_the_files_keys(data, path, detail):
+    with pytest.raises(InstanceFormatError) as exc:
+        jsonio.instance_from_json(data)
+    assert (exc.value.path, exc.value.detail) == (path, detail)
