@@ -295,9 +295,9 @@ def norm_bound_linear(
 
 def _linear_chain(x: Slot, report: HypothesisReport) -> BoundChain:
     """The chain of :func:`norm_bound_linear` from the slot of x and its
-    report: raises NonpositiveReSum, then HypothesisFailed."""
-    _positive(x.corridor)
+    report: raises HypothesisFailed, then NonpositiveReSum."""
     _admit((report,))
+    _positive(x.corridor)
     return BoundChain(("||x||", "corridor linear bound"), _linear_values(x), (report,))
 
 
@@ -344,10 +344,10 @@ def _quadratic_chain(
     x: Slot, report: HypothesisReport, variant: str = "cbs", p=None
 ) -> BoundChain:
     """The chain of :func:`norm_bound_quadratic` from the slot of x and its
-    report: raises NonpositiveReSum, then HypothesisFailed, then the
+    report: raises HypothesisFailed, then NonpositiveReSum, then the
     variant's errors."""
-    _positive(x.corridor)
     _admit((report,))
+    _positive(x.corridor)
     if variant == "cbs":
         labels = ("||x||^2", "corridor quadratic bound (cbs)")
     elif variant == "holder":
@@ -437,8 +437,8 @@ def schwarz_counterparts(
 ) -> SchwarzCounterparts:
     """Reverse Schwarz bounds for ||x|| ||y|| against |<x, y>|.
 
-    Requires Re(Delta conj(delta)) > 0 and the admissibility of x for the
-    single-member family {y/||y||} with corridor (delta ||y||, Delta ||y||).
+    Requires the admissibility of x for the single-member family {y/||y||}
+    with corridor (delta ||y||, Delta ||y||), then Re(Delta conj(delta)) > 0.
     Square roots of the corridor product use sqrt(Re(Delta conj(delta))) in
     denominators and sqrt(|Delta conj(delta)|) inside the gap numerator; the
     two coincide when Delta conj(delta) is real positive.
@@ -455,7 +455,6 @@ def schwarz_counterparts(
     failed, error = ends.nonfinite(("delta", "Delta"))
     if failed:
         raise error()
-    _positive(ends)
     ys = Slot(y.coords, None, ends)
     unit, lo, hi = _schwarz_frame(ys)
     fam = validate_family([Vector(unit[0], real_mode=y.real_mode)], tolerance=UNIT_TOLERANCE)
@@ -464,6 +463,7 @@ def schwarz_counterparts(
     )
     corridor = ScalarCorridor(lo, hi, real_mode=real_pair)
     report = _require(x, fam, corridor, tol, "x")
+    _positive(ends)
     values = _schwarz_values(Pair(_slot(x, fam, corridor), ys, inner(x, y)))
     chains = (BoundChain(_SCHWARZ_LABELS[name], v, (report,)) for name, v in values.items())
     return SchwarzCounterparts(*chains, report)

@@ -1,21 +1,24 @@
-"""The paper's catalog of bounds: every selector that ``orthobound check``
-and fuzz campaigns know, written once.
+"""The paper's catalog of bounds: every selector that ``orthobound check``,
+the sweeps, the equality cases, the witness search and fuzz campaigns know,
+written once.
 
 An entry of :data:`SELECTORS` names its instance kind in :data:`KINDS`,
-which gives the instance fields ``check`` reads and the JSON names of the
+which gives the instance fields the entry reads and the JSON names of the
 hypothesis reports. The entry gives the parser of a ``name:tail`` parameter
 and, for each chain, the public :mod:`orthobound.bounds` function with its
-JSON chain name. It also gives what a campaign needs: the parameter tails it
-runs, and for each chain the kernel that the public function runs on a
-batch of one, which the campaign runs on a chunk of the instances it draws
-for the kind (see :mod:`orthobound.fuzz`).
+JSON chain name. :func:`evaluate` is the one way to run a selector on one
+instance, given by its instance-file fields. An entry also gives what a
+campaign needs: the parameter tails it runs, and for each chain the kernel
+that the public function runs on a batch of one, which the campaign runs on
+a chunk of the instances it draws for the kind (see :mod:`orthobound.fuzz`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
-from . import bounds
+from . import bounds, jsonio
+from .admissibility import DEFAULT_HYPOTHESIS_TOL
 from .errors import InstanceFormatError
 from .jsonio import DELTA_HI, DELTA_LO, FAMILY, X, X_CORRIDOR, Y, Y_CORRIDOR
 
@@ -25,12 +28,12 @@ class Chain(NamedTuple):
 
     ``name`` is its JSON name in ``check``'s output, None when ``function``
     returns named chains; ``function`` is the public :mod:`orthobound.bounds`
-    function ``check`` calls (looked up at call time), None for an entry
-    only campaigns run. ``values`` is its kernel: given the instance and the
-    parsed parameters, the chain's values, or the named chains' values by
-    name. A campaign records it under the selector key, plus ``:suffix`` when
-    there is one. ``when``, given the instance, holds where the chain is
-    defined; ``check`` asks it on a batch of one.
+    function :func:`evaluate` calls, None for an entry only campaigns run.
+    ``values`` is its kernel: given the instance and the parsed parameters,
+    the chain's values, or the named chains' values by name. A campaign
+    records it under the selector key, plus ``:suffix`` when there is one.
+    ``when``, given the instance, holds where the chain is defined;
+    :func:`evaluate` asks it on a batch of one.
     """
 
     name: str | None
@@ -41,9 +44,10 @@ class Chain(NamedTuple):
 
 
 class Kind(NamedTuple):
-    """One kind of instance: the fields ``check`` reads, in the order the
-    public functions take them (None for a kind only campaigns draw), and the
-    JSON names of the hypothesis reports its chains carry, in checking order."""
+    """One kind of instance: the fields :func:`evaluate` reads, in the order
+    the public functions take them (None for a kind only campaigns draw), and
+    the JSON names of the hypothesis reports its chains carry, in checking
+    order."""
 
     fields: tuple[str, ...] | None
     reports: tuple[str, ...]
@@ -136,8 +140,43 @@ SELECTORS: dict[str, Selector] = {
 
 
 # The extremal constructions ``orthobound sweep`` runs
-# (:func:`orthobound.experiments.sharpness_sweep`).
-SWEEP_TARGETS = ("thm21", "cor23", "cor32")
+# (:func:`orthobound.experiments.sharpness_sweep`), each with the selectors
+# whose chains it evaluates.
+SWEEP_TARGETS = {"thm21": ("thm2.1",), "cor23": ("cor2.3",), "cor32": ("cor2.3", "thm3.1")}
+
+
+def parse_selector(raw: str) -> tuple[str, Selector, dict]:
+    """A selector ``name`` or ``name:tail`` that runs on one instance: its
+    catalog name, entry and keyword arguments."""
+    name, colon, tail = raw.partition(":")
+    entry = SELECTORS.get(name)
+    if (entry is None or KINDS[entry.kind].fields is None
+            or bool(colon) != (entry.params is not None)):
+        raise InstanceFormatError("--bound", f"unknown bound selector {raw!r}")
+    return name, entry, entry.params(raw, tail) if colon else {}
+
+
+def evaluate(
+    selector: str, fields: Mapping, tol: float = DEFAULT_HYPOTHESIS_TOL
+) -> dict[str, bounds.BoundChain]:
+    """The chains of ``selector`` on the instance whose fields are keyed by
+    their instance-file names, by JSON name in call order; a chain is left
+    out where its ``when`` does not hold. A field the selector's kind reads
+    that ``fields`` lacks (or gives as None) raises
+    :class:`InstanceFormatError`, naming every such field in decode order."""
+    name, entry, params = parse_selector(selector)
+    reads = KINDS[entry.kind].fields
+    missing = [field for field in jsonio._FIELDS if field in reads and fields.get(field) is None]
+    if missing:
+        raise InstanceFormatError(",".join(missing), f"required by bound selector {name!r}")
+    args = [fields[field] for field in reads]
+    chains: dict[str, bounds.BoundChain] = {}
+    for chain in entry.chains:
+        if chain.when is None or chain.when(bounds._pair(*args)):
+            # looked up at call time, so a patched bounds function takes effect
+            result = getattr(bounds, chain.function)(*args, **params, tol=tol)
+            chains.update(result.chains() if chain.name is None else {chain.name: result})
+    return chains
 
 
 def campaign_keys() -> Iterator[tuple[str, Selector, str | None]]:

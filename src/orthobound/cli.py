@@ -1,12 +1,11 @@
 """Command-line front end: single-instance checks, fuzz campaigns, sweeps,
 the refinement incomparability witnesses and the weighted-quadrature demo.
 
-``check`` runs one entry of the catalog of bound selectors,
-:data:`orthobound.catalog.SELECTORS`: each entry names its kind of instance,
-whose fields ``check`` reads from the file through :mod:`orthobound.jsonio`,
-and the public :mod:`orthobound.bounds` functions it calls. The other
-commands import their engines (fuzz, experiments, integral) when they run,
-so a ``check`` process never loads them.
+``check`` reads an instance file through :mod:`orthobound.jsonio` and runs
+one entry of the catalog of bound selectors on it by
+:func:`orthobound.catalog.evaluate`. The other commands import their engines
+(fuzz, experiments, integral) when they run, so a ``check`` process never
+loads them.
 
 Exit codes: 0 when every requested hypothesis and chain holds, 2 when an
 instance is inadmissible for the requested bound, 1 for argument, I/O or
@@ -26,9 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import bounds, jsonio
+from . import jsonio
 from .admissibility import DEFAULT_HYPOTHESIS_TOL, CorridorSpec
-from .catalog import KINDS, SELECTORS, SWEEP_TARGETS, Selector
+from .catalog import KINDS, SWEEP_TARGETS, evaluate, parse_selector
 from .errors import HypothesisFailed, InstanceFormatError, OrthoboundError
 from .family import trig_samples, legendre_samples
 from .space import SampledFunction, gauss_legendre_grid
@@ -68,46 +67,20 @@ def _load_instance(path: str) -> dict:
     return jsonio.instance_from_json(data)
 
 
-def _parse_selector(raw: str) -> tuple[str, Selector, dict]:
-    """A ``--bound`` value: its catalog name, entry and keyword arguments."""
-    name, colon, tail = raw.partition(":")
-    entry = SELECTORS.get(name)
-    if (entry is None or KINDS[entry.kind].fields is None
-            or bool(colon) != (entry.params is not None)):
-        raise InstanceFormatError("--bound", f"unknown bound selector {raw!r}")
-    return name, entry, entry.params(raw, tail) if colon else {}
-
-
-def _evaluate(entry: Selector, args: list, params: dict, tol: float) -> dict:
-    """The chains of a selector on the arguments of its public functions, by
-    JSON name, in call order."""
-    chains: dict[str, bounds.BoundChain] = {}
-    for chain in entry.chains:
-        if chain.when is None or chain.when(bounds._pair(*args)):
-            # looked up at call time, so a patched bounds function takes effect
-            result = getattr(bounds, chain.function)(*args, **params, tol=tol)
-            chains.update(result.chains() if chain.name is None else {chain.name: result})
-    return chains
-
-
 def cmd_check(args) -> int:
     tol = _tolerance(args.tolerance)
-    name, entry, params = _parse_selector(args.bound)
-    kind = KINDS[entry.kind]
+    _, entry, _ = parse_selector(args.bound)  # a bad selector before a bad file
     inst = _load_instance(args.instance)
-    missing = [field for field, value in inst.items() if value is None and field in kind.fields]
-    if missing:
-        raise InstanceFormatError(",".join(missing), f"required by bound selector {name!r}")
     payload: dict = {"bound": args.bound}
     try:
-        chains = _evaluate(entry, [inst[field] for field in kind.fields], params, tol)
+        chains = evaluate(args.bound, inst, tol)
     except HypothesisFailed as exc:
         payload["hypothesis_failed"] = exc.which
         payload["report"] = jsonio.report_to_json(exc.report)
         _emit(payload)
         return 2
 
-    reports = zip(kind.reports, next(iter(chains.values())).reports, strict=True)
+    reports = zip(KINDS[entry.kind].reports, next(iter(chains.values())).reports, strict=True)
     payload["hypothesis"] = {k: jsonio.report_to_json(r) for k, r in reports}
     payload["chains"] = {}
     for chain_name, chain in chains.items():
@@ -167,14 +140,13 @@ def cmd_sweep(args) -> int:
 def _witness_to_json(w) -> dict:
     """A :class:`~orthobound.experiments.ComparisonWitness` with its instance
     in the instance-file format that ``check`` reads."""
-    pair = (w.x, w.y, w.family, w.cx, w.cy)
     return {
         "direction": w.direction,
         "trial": w.trial,
         "refined_sqrt": w.refined_sqrt,
         "refined_midpoint": w.refined_midpoint,
         "margin": w.margin,
-        "instance": jsonio.instance_to_json(dict(zip(KINDS["pair"].fields, pair))),
+        "instance": jsonio.instance_to_json(w.instance),
     }
 
 

@@ -1,11 +1,14 @@
 """Sharpness sweeps, incomparability search, and the equality-case catalog.
 
-The sweeps instantiate the extremal two-dimensional construction
-e = (1/sqrt(2), 1/sqrt(2)), x = (lo/sqrt(2), hi/sqrt(2)) with lo = 1 - eps,
-hi = 1 + eps. For that instance the projection defect simplifies to
-(hi - lo)^2 / 4 exactly; the sweep uses this cancellation-free form so the
-reported ratio defect/bound tracks 1 - eps^2 to near machine precision even
-for tiny eps, while the full bound chain is still evaluated for validity.
+Each runs the paper's chains through the catalog,
+:func:`orthobound.catalog.evaluate`, on instances written as their
+instance-file fields. The sweeps instantiate the extremal constructions: the
+line x = lo*e, and the plane e = (1/sqrt(2), 1/sqrt(2)),
+x = (lo/sqrt(2), hi/sqrt(2)) with lo = 1 - eps, hi = 1 + eps, whose
+projection defect simplifies to (hi - lo)^2 / 4 exactly. The plane sweeps
+report this cancellation-free form, so the ratio defect/bound tracks
+1 - eps^2 to near machine precision even for tiny eps, while the full bound
+chain is still evaluated for validity.
 """
 
 from __future__ import annotations
@@ -16,18 +19,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .admissibility import CorridorSpec, ScalarCorridor, admissible_point, check_hypothesis
-from .bounds import (
-    bessel_counterpart,
-    bessel_defect,
-    gruss_bound,
-    gruss_refined_midpoint,
-    gruss_refined_sqrt,
-    norm_bound_quadratic,
-)
-from .catalog import SWEEP_TARGETS
+from .admissibility import CorridorSpec, ScalarCorridor, admissible_point
+from .bounds import bessel_defect
+from .catalog import SWEEP_TARGETS, evaluate
 from .errors import BadEpsilon, ChainViolated, WitnessNotFound
-from .family import OrthonormalFamily, random_family, validate_family
+from .family import random_family, validate_family
+from .jsonio import FAMILY, X, X_CORRIDOR, Y, Y_CORRIDOR
 from .space import Vector
 
 # Incomparability search stays on small instances: existence is all that is
@@ -45,14 +42,22 @@ class SweepRow:
     defect: float
 
 
-def _r2_construction(eps: float):
-    lo = 1.0 - eps
-    hi = 1.0 + eps
+def _instance(members, x, lo, hi) -> dict:
+    """The fields of a real instance: the family of ``members``, and x in
+    both slots of a pair, each under the corridor (lo, hi)."""
+    x = Vector(x, real_mode=True)
+    corridor = ScalarCorridor(lo, hi, real_mode=True)
+    fam = validate_family([Vector(e, real_mode=True) for e in members])
+    return {FAMILY: fam, X: x, X_CORRIDOR: corridor, Y: x, Y_CORRIDOR: corridor}
+
+
+def _construction(target: str, lo: float, hi: float) -> dict:
+    """The extremal instance of ``target`` under the corridor (lo, hi): the
+    line x = lo*e for thm21, else the plane."""
+    if target == "thm21":
+        return _instance([[1.0]], [lo], [lo], [hi])
     c = 1.0 / math.sqrt(2.0)
-    fam = validate_family([Vector([c, c], real_mode=True)])
-    corridor = ScalarCorridor([lo], [hi], real_mode=True)
-    x = Vector([lo * c, hi * c], real_mode=True)
-    return fam, corridor, x, lo, hi
+    return _instance([[c, c]], [lo * c, hi * c], [lo], [hi])
 
 
 def sharpness_sweep(target: str, eps_grid: Sequence[float]) -> list[SweepRow]:
@@ -68,6 +73,9 @@ def sharpness_sweep(target: str, eps_grid: Sequence[float]) -> list[SweepRow]:
                  rows give its squared form
                  |defect|^2 <= (1/16) M^2 M'^2 S S', whose ratio
                  (1 - eps^2)^2 pins the 1/16 prefactor.
+
+    An eps too small for 1 - eps and 1 + eps to differ gives the plane a
+    corridor of zero width, whose bound is 0, and raises :class:`BadEpsilon`.
     """
     if target not in SWEEP_TARGETS:
         raise ValueError(f"unknown sweep target {target!r}")
@@ -75,24 +83,18 @@ def sharpness_sweep(target: str, eps_grid: Sequence[float]) -> list[SweepRow]:
     for eps in eps_grid:
         if not 0.0 < eps < 1.0:
             raise BadEpsilon(f"eps must lie strictly in (0, 1), got {eps}")
-        if target == "thm21":
-            lo, hi = 1.0 - eps, 1.0 + eps
-            fam = validate_family([Vector([1.0], real_mode=True)])
-            corridor = ScalarCorridor([lo], [hi], real_mode=True)
-            x = Vector([lo], real_mode=True)
-            chain = norm_bound_quadratic(x, fam, corridor)
-            if not chain.all_hold:
-                raise ChainViolated(f"the thm21 construction at eps={eps!r}", chain)
-            ratio = chain.values[0] / chain.values[1]
-            rows.append(SweepRow(eps, ratio, chain.values[1], chain.values[0]))
-            continue
-        fam, corridor, x, lo, hi = _r2_construction(eps)
-        chains = [bessel_counterpart(x, fam, corridor)]
-        if target == "cor32":
-            chains.append(gruss_bound(x, x, fam, corridor, corridor))
+        lo, hi = 1.0 - eps, 1.0 + eps
+        if lo == hi and target != "thm21":
+            raise BadEpsilon(f"eps={eps!r} gives the {target} corridor zero width in floats")
+        inst = _construction(target, lo, hi)
+        chains = [evaluate(selector, inst)["main"] for selector in SWEEP_TARGETS[target]]
         for chain in chains:
             if not chain.all_hold:
                 raise ChainViolated(f"the {target} construction at eps={eps!r}", chain)
+        if target == "thm21":
+            norm_sq, bound = chains[0].values
+            rows.append(SweepRow(eps, norm_sq / bound, bound, norm_sq))
+            continue
         defect = 0.25 * (hi - lo) ** 2  # exact defect of this construction
         bound = chains[0].values[2]
         if target == "cor23":
@@ -119,11 +121,7 @@ class ComparisonWitness:
     refined_sqrt: float
     refined_midpoint: float
     margin: float
-    family: OrthonormalFamily
-    x: Vector
-    y: Vector
-    cx: ScalarCorridor
-    cy: ScalarCorridor
+    instance: dict  # its fields by instance-file name
 
 
 @dataclass(frozen=True)
@@ -160,18 +158,17 @@ def bound_comparison_search(seed: int, trials: int) -> ComparisonResult:
             slack_x = slack_y = rng.uniform(0.9, 1.0)
         x = admissible_point(fam, cx, rng, slack_x)
         y = admissible_point(fam, cy, rng, slack_y)
-        chain_sqrt = gruss_refined_sqrt(x, y, fam, cx, cy)
-        chain_mid = gruss_refined_midpoint(x, y, fam, cx, cy)
-        v_sqrt = chain_sqrt.values[1]
-        v_mid = chain_mid.values[1]
+        inst = {FAMILY: fam, X: x, X_CORRIDOR: cx, Y: y, Y_CORRIDOR: cy}
+        v_sqrt = evaluate("thm1.1", inst)["main"].values[1]
+        v_mid = evaluate("thm2", inst)["main"].values[1]
         scale = max(1.0, abs(v_sqrt), abs(v_mid))
         if v_sqrt < v_mid - _WITNESS_MARGIN * scale and "sqrt_tighter" not in found:
             found["sqrt_tighter"] = ComparisonWitness(
-                "sqrt_tighter", trial, v_sqrt, v_mid, v_mid - v_sqrt, fam, x, y, cx, cy
+                "sqrt_tighter", trial, v_sqrt, v_mid, v_mid - v_sqrt, inst
             )
         if v_mid < v_sqrt - _WITNESS_MARGIN * scale and "midpoint_tighter" not in found:
             found["midpoint_tighter"] = ComparisonWitness(
-                "midpoint_tighter", trial, v_sqrt, v_mid, v_sqrt - v_mid, fam, x, y, cx, cy
+                "midpoint_tighter", trial, v_sqrt, v_mid, v_sqrt - v_mid, inst
             )
     for direction in ("sqrt_tighter", "midpoint_tighter"):
         if direction not in found:
@@ -202,64 +199,41 @@ class EqualityCaseReport:
 
 def equality_cases() -> EqualityCaseReport:
     """Catalog of exact-equality and boundary instances with predicted slacks."""
-    cases: list[EqualityCase] = []
-
     # Zero-width corridor at its own value: quadratic bound is an equality.
-    fam1 = validate_family([Vector([1.0], real_mode=True)])
-    corr_eq = ScalarCorridor([1.0], [1.0], real_mode=True)
-    x_eq = Vector([1.0], real_mode=True)
-    chain = norm_bound_quadratic(x_eq, fam1, corr_eq)
-    cases.append(
-        EqualityCase("x=m*e with m=M", "quadratic chain slack", chain.slacks[0], 1e-12)
-    )
-
+    level = evaluate("thm2.1", _construction("thm21", 1.0, 1.0))["main"]
     # Lower corridor endpoint: the sign form sits exactly on its boundary.
-    corr_lo = ScalarCorridor([1.0], [2.0], real_mode=True)
-    rep = check_hypothesis(Vector([1.0], real_mode=True), fam1, corr_lo)
-    cases.append(
-        EqualityCase("x=m*e, m<M", "sign-form value", rep.cond_i_value, 1e-12)
-    )
-
+    lower = evaluate("thm2.1", _construction("thm21", 1.0, 2.0))["main"]
     # Plane construction: boundary admissibility and the predicted ratio.
     eps = 0.25
-    fam2, corr2, x2, lo, hi = _r2_construction(eps)
-    rep2 = check_hypothesis(x2, fam2, corr2)
-    cases.append(
-        EqualityCase("plane construction", "sign-form value", rep2.cond_i_value, 1e-12)
-    )
-    chain2 = bessel_counterpart(x2, fam2, corr2)
-    ratio = (0.25 * (hi - lo) ** 2) / chain2.values[2]
-    cases.append(
+    lo, hi = 1.0 - eps, 1.0 + eps
+    plane = evaluate("cor2.3", _construction("cor23", lo, hi))["main"]
+    # Centered zero-width corridor, x at its center: every defect collapses to zero.
+    centered = _instance(np.eye(3)[:2], [0.7, -0.4, 0.0], [0.7, -0.4], [0.7, -0.4])
+    return EqualityCaseReport((
+        EqualityCase("x=m*e with m=M", "quadratic chain slack", level.slacks[0], 1e-12),
+        EqualityCase("x=m*e, m<M", "sign-form value", lower.reports[0].cond_i_value, 1e-12),
+        EqualityCase(
+            "plane construction", "sign-form value", plane.reports[0].cond_i_value, 1e-12
+        ),
         EqualityCase(
             "plane construction",
             "ratio minus (1 - eps^2)",
-            ratio - (1.0 - eps * eps),
+            (0.25 * (hi - lo) ** 2) / plane.values[2] - (1.0 - eps * eps),
             1e-12,
-        )
-    )
-
-    # Centered zero-width corridor: every defect collapses to zero.
-    fam3 = validate_family([Vector(row, real_mode=True) for row in np.eye(3)[:2]])
-    corr3 = ScalarCorridor([0.7, -0.4], [0.7, -0.4], real_mode=True)
-    center = fam3.combine(corr3.midpoints)
-    cases.append(
-        EqualityCase("centered zero-width corridor", "radius", corr3.radius, 1e-12)
-    )
-    cases.append(
+        ),
+        EqualityCase(
+            "centered zero-width corridor", "radius", centered[X_CORRIDOR].radius, 1e-12
+        ),
         EqualityCase(
             "centered zero-width corridor",
             "projection defect",
-            bessel_defect(center, fam3),
+            bessel_defect(centered[X], centered[FAMILY]),
             1e-12,
-        )
-    )
-    chain3 = bessel_counterpart(center, fam3, corr3)
-    cases.append(
+        ),
         EqualityCase(
             "centered zero-width corridor",
             "defect bound",
-            chain3.values[2],
+            evaluate("cor2.3", centered)["main"].values[2],
             1e-12,
-        )
-    )
-    return EqualityCaseReport(tuple(cases))
+        ),
+    ))

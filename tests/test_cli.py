@@ -14,6 +14,7 @@ import pytest
 
 import orthobound
 from orthobound import (
+    BoundChain,
     CorridorSpec,
     FuzzConfig,
     HypothesisFailed,
@@ -36,8 +37,8 @@ from orthobound import (
     single_vector_ratio_chain,
     validate_family,
 )
-from orthobound import catalog, fuzz
-from orthobound.catalog import KINDS, SELECTORS
+from orthobound import bounds, catalog, experiments, fuzz
+from orthobound.catalog import KINDS, SELECTORS, SWEEP_TARGETS
 from orthobound.cli import SWEEP_EPS, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -338,6 +339,21 @@ def test_sweep_bad_eps(capsys, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("eps", ["1e-17", "1e-300"])
+@pytest.mark.parametrize("target", ["thm21", "cor23", "cor32"])
+def test_sweep_at_an_epsilon_below_float_resolution(capsys, tmp_path, target, eps):
+    out_csv = tmp_path / "tiny.csv"
+    rc, out, err = run(capsys, "sweep", "--target", target, "--eps", eps, "--out", str(out_csv))
+    if target == "thm21":  # the line's bound stays positive
+        assert (rc, err) == (0, "")
+        assert out_csv.read_text() == f"epsilon,ratio,bound,defect\n{float(eps)!r},1.0,1.0,1.0\n"
+    else:  # the plane's corridor has zero width, and so has its bound
+        assert (rc, out) == (1, "")
+        message = f"eps={float(eps)!r} gives the {target} corridor zero width in floats"
+        assert err == f"error: {message}\n"
+        assert not out_csv.exists()
+
+
 def test_sweep_determinism(capsys, tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     run(capsys, "sweep", "--target", "cor23", "--eps", "0.1,0.01", "--out", str(a))
@@ -448,6 +464,37 @@ def test_witnesses_writes_both_directions(capsys, tmp_path):
     rc, out, _ = run(capsys, "check", "--instance", path, "--bound", "thm1.1")
     assert rc == 0
     assert json.loads(out)["chains"]["main"]["values"][1] == sqrt_w["refined_sqrt"]
+
+
+def _nudged_sqrt(monkeypatch):
+    """Patch the public thm1.1 bound to raise its refined value by 2^-20
+    relative; the unpatched function."""
+    original = bounds.gruss_refined_sqrt
+
+    def nudged(*args, **kw):
+        chain = original(*args, **kw)
+        lhs, refined, outer = chain.values
+        return BoundChain(chain.labels, (lhs, refined * (1 + 2**-20), outer), chain.reports)
+
+    monkeypatch.setattr(bounds, "gruss_refined_sqrt", nudged)
+    return original
+
+
+def test_a_patched_bound_reaches_the_witness_search_and_check_alike(
+    capsys, tmp_path, monkeypatch
+):
+    # both run thm1.1 through the catalog, which looks the bound up at call time
+    original = _nudged_sqrt(monkeypatch)
+    witness = bound_comparison_search(7, 10_000).sqrt_tighter
+    args = [witness.instance[field] for field in KINDS["pair"].fields]
+    unpatched = original(*args).values[1]
+    assert witness.refined_sqrt == unpatched * (1 + 2**-20) != unpatched
+    path = write_instance(tmp_path, jsonio.instance_to_json(witness.instance))
+    rc, out, _ = run(capsys, "check", "--instance", path, "--bound", "thm1.1")
+    assert (rc, json.loads(out)["chains"]["main"]["values"][1]) == (0, witness.refined_sqrt)
+    monkeypatch.undo()
+    rc, out, _ = run(capsys, "check", "--instance", path, "--bound", "thm1.1")
+    assert (rc, json.loads(out)["chains"]["main"]["values"][1]) == (0, unpatched)
 
 
 def test_witnesses_budget_too_small(capsys, tmp_path):
@@ -707,6 +754,56 @@ def test_check_inadmissible_names_the_failing_slot(capsys, tmp_path, bound):
         "report": jsonio.report_to_json(reports[slot]),
     }
     assert (rc, json.loads(out)) == (2, expected)
+
+
+# x = 5 over the family {1} under the corridor (-1, 1), whose Re-sum is -1,
+# and y the same; Corollary 2.5's (delta, Delta) = (-1, 1) around y = 1
+_NONPOSITIVE = {"family": {"members": [[1.0]]}, "x": [5.0], "phi": [-1.0], "Phi": [1.0],
+                "y": [5.0], "gamma": [-1.0], "Gamma": [1.0]}
+_NONPOSITIVE_SCHWARZ = {"x": [5.0], "y": [1.0], "delta": -1.0, "Delta": 1.0}
+
+
+@pytest.mark.parametrize("bound", sorted(REFERENCE))
+def test_an_inadmissible_instance_exits_two_whatever_its_re_sum(capsys, tmp_path, bound):
+    # every bound admits its hypothesis before it asks for a positive Re-sum
+    data = _NONPOSITIVE_SCHWARZ if bound == "cor2.5" else _NONPOSITIVE
+    rc, out, err = run(capsys, "check", "--instance", write_instance(tmp_path, data),
+                       "--bound", bound)
+    payload = json.loads(out)
+    assert (rc, err, payload["report"]["holds"]) == (2, "", False)
+    assert payload["hypothesis_failed"] == _WHICH["combined" if bound == "thm4.1:0.5" else "x"]
+
+
+def test_the_shipped_construction_is_the_sweeps_plane():
+    data = json.loads((DATA / "cor23_construction.json").read_text())
+    shipped = jsonio.instance_from_json(data)
+    built = experiments._construction("cor23", 1.0 - 0.1, 1.0 + 0.1)
+    assert shipped["family"].matrix.tobytes() == built["family"].matrix.tobytes()
+    assert shipped["x"].coords.tobytes() == built["x"].coords.tobytes()
+    for side in ("lo", "hi"):
+        got, want = getattr(shipped["phi/Phi"], side), getattr(built["phi/Phi"], side)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.01])
+@pytest.mark.parametrize("target", sorted(SWEEP_TARGETS))
+def test_every_construction_is_a_check_ready_file(capsys, tmp_path, target, eps):
+    """Each sweep's instance, written as an instance file: check gives the
+    chains the sweep evaluates, bit for bit."""
+    inst = experiments._construction(target, 1.0 - eps, 1.0 + eps)
+    path = write_instance(tmp_path, jsonio.instance_to_json(inst))
+    for bound in SWEEP_TARGETS[target]:
+        rc, out, err = run(capsys, "check", "--instance", path, "--bound", bound)
+        assert (rc, err) == (0, "")
+        got = [v.hex() for v in json.loads(out)["chains"]["main"]["values"]]
+        assert got == [v.hex() for v in catalog.evaluate(bound, inst)["main"].values], bound
+
+
+def test_evaluate_names_the_fields_a_selector_reads_that_an_instance_lacks():
+    x = Vector([1.0], real_mode=True)
+    with pytest.raises(orthobound.InstanceFormatError,
+                       match=r"^family,phi/Phi: required by bound selector 'cor2.3'$"):
+        catalog.evaluate("cor2.3", {"x": x})
 
 
 def _row_fields(kind, inst, row, real):

@@ -9,7 +9,7 @@ from orthobound import (
     equality_cases,
     sharpness_sweep,
 )
-from orthobound import experiments
+from orthobound import bounds
 from orthobound.experiments import sweep_rows_to_csv
 
 
@@ -42,6 +42,14 @@ def test_sweep_rejects_bad_epsilon():
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(BadEpsilon):
             sharpness_sweep("cor23", [bad])
+
+
+@pytest.mark.parametrize("eps", [1e-17, 1e-300])
+@pytest.mark.parametrize("target", ["cor23", "cor32"])
+def test_sweep_rejects_an_epsilon_below_float_resolution(target, eps):
+    # 1 - eps == 1 + eps: the plane's corridor has zero width and its bound is 0
+    with pytest.raises(BadEpsilon, match="zero width"):
+        sharpness_sweep(target, [0.1, eps])
 
 
 def test_sweep_unknown_target():
@@ -93,7 +101,8 @@ def test_equality_catalog_passes():
 def test_sweep_raises_on_failing_chain(monkeypatch, target, bound):
     # a raised error, not an assert, so the check survives python -O
     failing = BoundChain(("lhs", "bound"), (2.0, 1.0))
-    monkeypatch.setattr(experiments, bound, lambda *args, **kw: failing)
+    # the catalog looks each bound up at call time
+    monkeypatch.setattr(bounds, bound, lambda *args, **kw: failing)
     with pytest.raises(ChainViolated) as exc:
         sharpness_sweep(target, [0.1])
     assert exc.value.chain is failing
