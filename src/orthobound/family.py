@@ -6,10 +6,12 @@ Validation never trusts the caller: the residual is always recomputed with
 the same pairwise summation used by the inner product, so it can be
 re-asserted post hoc.
 
-A basis embedded on a grid is validated once per process: the family of
-its first call is kept in a small memo, and a later call whose embedded
-matrix, tolerance and real flag match it bit for bit returns that same
-immutable family instead of running the gram rule again.
+A basis embedded on a grid is embedded and validated once per process: the
+family of its first call is kept in a small memo with copies of the samples
+and grid masses it came from. A later call at the same tolerance and real
+flag whose samples and point masses equal those copies byte for byte returns
+that same immutable family; the embedding, finiteness and gram rules run on
+a miss only.
 
 Tolerance guidance: exact-arithmetic constructions validate at 1e-10,
 quadrature-assembled families at 1e-8. Inequality checks downstream should
@@ -24,7 +26,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,14 +67,16 @@ def _gram_check(matrix: np.ndarray, tolerance: float) -> tuple:
     residual, which fails quietly."""
     count = matrix.shape[-2]
     # The product tensor is the rule's largest array, built for an embedded
-    # basis on its first call only (later calls hit the memo of
-    # _embedded_family). Passed without a name, tree_sum frees it once its
-    # first level is summed. Summing only the upper triangle of a real family
-    # gives the same residual and worst pair bit for bit, but it changes which
-    # large temporaries are freed when, and glibc then trims the heap top on
-    # every call: on 16 members x 2048 nodes (2-vCPU Xeon, numpy 2.4.6) a
-    # quadrature-large op took 1,328 minor page faults instead of 0.085 and
-    # ran slower, 4.9-5.4 against 2.7-2.9 ms, so the full tensor stays.
+    # basis on its first call only: a later call whose samples and grid
+    # masses equal the first call's byte for byte hits the memo of
+    # _embedded_family, which runs no embedding and no rule. Passed without
+    # a name, tree_sum frees it once its first level is summed. Summing only
+    # the upper triangle of a real family gives the same residual and worst
+    # pair bit for bit, but it changes which large temporaries are freed
+    # when, and glibc then trims the heap top on every call: on 16 members x
+    # 2048 nodes (2-vCPU Xeon, numpy 2.4.6) a quadrature-large op took 1,328
+    # minor page faults instead of 0.085 and ran slower, 4.9-5.4 against
+    # 2.7-2.9 ms, so the full tensor stays.
     gram = tree_sum(np.multiply(matrix[..., :, None, :], np.conj(matrix)[..., None, :, :]))
     deviation = np.abs(gram - _identity(count))
     flat = deviation.reshape(deviation.shape[:-2] + (-1,))
@@ -208,21 +212,48 @@ def validate_family(
     return OrthonormalFamily(matrix, tolerance, all(v.real_mode for v in members))
 
 
-# Validated embedded families, least recently used first: at most
-# _MEMO_BYTES of their matrices, and _MEMO_FAMILIES of them so that tiny
-# families cannot fill the budget with per-object overhead.
+# Validated embedded families, least recently used first, each keyed by the
+# family it keeps and holding the samples and grid masses it was embedded
+# from, as bytes. The memo holds at most _MEMO_BYTES of entries (sample
+# copies, masses and matrix), and _MEMO_FAMILIES of them so that tiny
+# families cannot fill the budget with per-object overhead. A hit is decided
+# by the caller's samples and grid masses, byte for byte; the embedding and
+# finiteness rules run on a miss only.
 _MEMO_BYTES = 8 << 20
 _MEMO_FAMILIES = 64
 _memo: OrderedDict = OrderedDict()
 _memo_lock = threading.Lock()
 
 
-def _memo_key(matrix: np.ndarray, tolerance: float, real_mode: bool) -> tuple:
-    """Where ``matrix`` is looked up: its tolerance, real flag, shape and the
-    XOR of each row's raw words. A key only routes the lookup; a hit must
-    also match the stored matrix byte for byte."""
-    rows = np.bitwise_xor.reduce(matrix.view(np.uint64), axis=-1)
-    return tolerance, real_mode, matrix.shape, rows.tobytes()
+class _Kept(NamedTuple):
+    """A validated embedded family and the inputs it was embedded from."""
+
+    route: tuple  # tolerance, real flag, member count and grid size
+    samples: tuple  # each member's samples, as bytes
+    masses: bytes  # the grid's point masses
+    family: OrthonormalFamily
+
+    @property
+    def nbytes(self) -> int:
+        return sum(map(len, self.samples)) + len(self.masses) + self.family.matrix.nbytes
+
+
+def _kept_family(
+    fns: Sequence[SampledFunction], masses: bytes, route: tuple
+) -> OrthonormalFamily | None:
+    """The kept family whose route matches and whose masses and every
+    member's samples equal the given ones byte for byte, or None."""
+    with _memo_lock:
+        kept = list(_memo.values())
+    for entry in reversed(kept):  # most recently used first
+        if entry.route == route and entry.masses == masses and all(
+            f.values.tobytes() == s for f, s in zip(fns, entry.samples)
+        ):
+            with _memo_lock:
+                if entry.family in _memo:
+                    _memo.move_to_end(entry.family)
+            return entry.family
+    return None
 
 
 def _embedded_family(
@@ -235,34 +266,36 @@ def _embedded_family(
     those vectors, except that every size mismatch is reported before any
     non-finite embedding.
 
-    The size, embedding and finiteness rules run on every call. A family
-    that validated is then kept, and a later call whose embedded matrix
-    equals its matrix byte for byte (so -0.0 is not 0.0), at an equal
-    tolerance and real flag, returns that same family without the gram rule.
+    A basis is looked up before it is embedded. The tolerance, real flag,
+    member count and grid size route the lookup; a hit needs every member's
+    samples and the grid's point masses to equal, byte for byte (so -0.0 is
+    not 0.0), the copies kept when the family was validated, and returns
+    that same family after one read of the inputs. Equal samples and masses
+    embed to equal bytes, which passed the finiteness and gram rules, so a
+    hit runs neither. A miss runs the size, embedding, finiteness and gram
+    rules in that order, and keeps the family with copies of its inputs.
     """
+    real_mode = all(f.real_mode for f in fns)
+    route = (tolerance, real_mode, len(fns), grid.size)
+    masses = grid.point_mass.tobytes()
+    fam = _kept_family(fns, masses, route)
+    if fam is not None:
+        return fam
     _require_members(fns)
     for f in fns:
         _require_samples(f, grid)
-    matrix = _embedded(np.stack([f.values for f in fns]), grid)
+    values = np.stack([f.values for f in fns])
+    matrix = _embedded(values, grid)
     failed, error = _nonfinite(matrix)
     if failed.any():
         raise error()
-    real_mode = all(f.real_mode for f in fns)
-    key = _memo_key(matrix, tolerance, real_mode)
-    with _memo_lock:
-        fam = _memo.get(key)
-        if fam is not None and np.array_equal(
-            matrix.view(np.uint64), fam.matrix.view(np.uint64)
-        ):
-            _memo.move_to_end(key)
-            return fam
     fam = OrthonormalFamily(matrix, tolerance, real_mode)
-    if fam.matrix.nbytes <= _MEMO_BYTES:
+    entry = _Kept(route, tuple(row.tobytes() for row in values), masses, fam)
+    if entry.nbytes <= _MEMO_BYTES:
         with _memo_lock:
-            _memo[key] = fam
-            _memo.move_to_end(key)
+            _memo[fam] = entry
             while len(_memo) > _MEMO_FAMILIES or (
-                sum(f.matrix.nbytes for f in _memo.values()) > _MEMO_BYTES
+                sum(e.nbytes for e in _memo.values()) > _MEMO_BYTES
             ):
                 _memo.popitem(last=False)
     return fam

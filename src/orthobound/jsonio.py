@@ -25,15 +25,18 @@ def scalar_to_json(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _is_number(data: Any) -> bool:
+    return isinstance(data, (int, float)) and not isinstance(data, bool)
+
+
 def scalar_from_json(data: Any, path: str) -> complex:
-    if isinstance(data, (int, float)) and not isinstance(data, bool):
-        return complex(data)
-    if (
-        isinstance(data, (list, tuple))
-        and len(data) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in data)
-    ):
-        return complex(data[0], data[1])
+    try:
+        if _is_number(data):
+            return complex(data)
+        if isinstance(data, (list, tuple)) and len(data) == 2 and all(map(_is_number, data)):
+            return complex(data[0], data[1])
+    except OverflowError:  # a JSON integer beyond the float range
+        raise InstanceFormatError(path, "integer too large for a float") from None
     raise InstanceFormatError(path, "expected a number or a [re, im] pair")
 
 
@@ -75,11 +78,14 @@ def family_from_json(data: Any, path: str = "family") -> OrthonormalFamily:
         vector_from_json(m, f"{path}.members[{k}]") for k, m in enumerate(raw)
     ]
     tolerance = data.get("tolerance", DEFAULT_TOLERANCE)
-    if (isinstance(tolerance, bool) or not isinstance(tolerance, (int, float))
-            or not 0.0 < tolerance < math.inf):
+    try:
+        tolerance = float(tolerance) if _is_number(tolerance) else math.nan
+    except OverflowError:  # a JSON integer beyond the float range
+        tolerance = math.inf
+    if not 0.0 < tolerance < math.inf:
         raise InstanceFormatError(f"{path}.tolerance", "expected a positive finite number")
     try:
-        return validate_family(members, float(tolerance))
+        return validate_family(members, tolerance)
     except Exception as exc:
         raise InstanceFormatError(path, str(exc)) from exc
 

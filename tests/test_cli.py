@@ -229,6 +229,38 @@ def test_nonfinite_corridor_input_fails_with_one_typed_error(
     assert [str(w.message) for w in caught] == []
 
 
+_HUGE = 10**400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"x": [_HUGE]}, "x[0]: integer too large for a float"),
+        ({"x": [[1.5, _HUGE]]}, "x[0]: integer too large for a float"),
+        ({"phi": [_HUGE]}, "phi[0]: integer too large for a float"),
+        ({"Phi": [[2.0, 0.0], [_HUGE, 0.0]]}, "Phi[1]: integer too large for a float"),
+        ({"y": [[-_HUGE, 0.0]]}, "y[0]: integer too large for a float"),
+        ({"gamma": [-_HUGE]}, "gamma[0]: integer too large for a float"),
+        ({"Gamma": [[2.0, _HUGE]]}, "Gamma[0]: integer too large for a float"),
+        ({"delta": _HUGE}, "delta: integer too large for a float"),
+        ({"Delta": [3.0, _HUGE]}, "Delta: integer too large for a float"),
+        ({"family": {"members": [[_HUGE]]}}, "family.members[0][0]: integer too large for a float"),
+        ({"family": {"members": [[[1.0, 0.0]], [[0.0, _HUGE]]]}},
+         "family.members[1][0]: integer too large for a float"),
+        ({"family": {"members": [[[1.0, 0.0]]], "tolerance": _HUGE}},
+         "family.tolerance: expected a positive finite number"),
+        ({"family": {"members": [[[1.0, 0.0]]], "tolerance": -_HUGE}},
+         "family.tolerance: expected a positive finite number"),
+    ],
+    ids=["x", "x-pair", "phi", "Phi-pair", "y-pair", "gamma", "Gamma-pair", "delta",
+         "Delta-pair", "member", "member-pair", "tolerance", "negative-tolerance"],
+)
+def test_an_integer_beyond_the_float_range_is_a_format_error(capsys, tmp_path, fields, message):
+    path = write_instance(tmp_path, {**_PAIR_INSTANCE, "delta": 1.0, "Delta": 3.0, **fields})
+    rc, out, err = run(capsys, "check", "--instance", path, "--bound", "cor2.3")
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_check_holder_selector(capsys, tmp_path):
     path = write_instance(
         tmp_path,

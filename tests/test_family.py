@@ -338,16 +338,62 @@ def test_a_sample_changed_in_its_bits_is_a_miss(gram_checks, values):
 
 
 def test_a_lookup_key_shared_by_other_bytes_is_a_miss(gram_checks):
-    # the first member's samples permuted: the same key, other bytes
+    # the first member's samples permuted: the same route (tolerance, real
+    # flag, member count, grid size), other bytes
     grid, fns = _unit_basis()
     _, permuted_fns = _unit_basis(0.0, 0.0, 1.0)
     fam = _embedded_family(fns, grid, 1e-8)
     permuted = _embedded_family(permuted_fns, grid, 1e-8)
-    assert family._memo_key(permuted.matrix, 1e-8, True) == family._memo_key(
-        fam.matrix, 1e-8, True
-    )
     assert permuted is not fam
+    assert [kept.route for kept in family._memo.values()] == [(1e-8, True, 2, 3)] * 2
     assert _bits(permuted.matrix) == _bits(np.stack([embed(f, grid).coords for f in permuted_fns]))
+    # both are kept, each hit by its own bytes
+    assert _embedded_family(permuted_fns, grid, 1e-8) is permuted
+    assert _embedded_family(fns, grid, 1e-8) is fam
+    assert len(gram_checks) == 2
+
+
+def test_a_hit_runs_no_embedding_finiteness_or_gram_rule(monkeypatch, gram_checks):
+    calls = []
+    for name in ("_embedded", "_nonfinite"):
+        rule = getattr(family, name)
+        monkeypatch.setattr(
+            family, name, lambda *args, rule=rule, name=name: calls.append(name) or rule(*args)
+        )
+    grid = gauss_legendre_grid(64, 0.0, 2.0 * math.pi)
+    fns = trig_samples(5, grid)
+    fam = _embedded_family(fns, grid, QUADRATURE_TOLERANCE)
+    assert (calls, len(gram_checks)) == (["_embedded", "_nonfinite"], 1)
+    copies = [SampledFunction(f.values.copy(), True) for f in fns]
+    assert _embedded_family(copies, grid, QUADRATURE_TOLERANCE) is fam
+    assert _embedded_family(fns, grid, QUADRATURE_TOLERANCE) is fam
+    assert (calls, len(gram_checks)) == (["_embedded", "_nonfinite"], 1)
+
+
+def test_samples_changed_in_place_are_a_miss(gram_checks):
+    # the bytes decide, not which array holds them
+    grid, fns = _unit_basis()
+    fam = _embedded_family(fns, grid, 1e-8)
+    fns[0].values.flags.writeable = True
+    fns[0].values[:] = [0.0, 0.0, 1.0]
+    changed = _embedded_family(fns, grid, 1e-8)
+    assert changed is not fam
+    assert _bits(changed.matrix) == _bits(np.stack([embed(f, grid).coords for f in fns]))
+    assert len(gram_checks) == 2
+
+
+def test_samples_that_embed_to_the_same_bytes_are_kept_apart(gram_checks):
+    # the first member differs only at a node of zero mass, where both embed to 0
+    grid = QuadratureGrid([0.0, 1.0, 2.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0])
+    fns = [SampledFunction([1.0, 0.0, 1.0], True), SampledFunction([0.0, 1.0, 0.0], True)]
+    others = [SampledFunction([1.0, 0.0, 2.0], True), fns[1]]
+    fam = _embedded_family(fns, grid, 1e-8)
+    other = _embedded_family(others, grid, 1e-8)
+    assert other is not fam
+    assert _bits(other.matrix) == _bits(fam.matrix)
+    assert len(family._memo) == 2
+    assert _embedded_family(others, grid, 1e-8) is other
+    assert _embedded_family(fns, grid, 1e-8) is fam
     assert len(gram_checks) == 2
 
 
@@ -378,7 +424,9 @@ def test_a_family_over_the_byte_budget_is_not_kept(gram_checks):
 def test_the_least_recently_used_family_is_evicted(monkeypatch, gram_checks, limit):
     grid, fns = _unit_basis()
     first = _embedded_family(fns, grid, 1e-8)
-    monkeypatch.setattr(family, limit, 2 if limit == "_MEMO_FAMILIES" else 2 * first.matrix.nbytes)
+    # room for two entries, each holding its samples, masses and matrix
+    room = 2 if limit == "_MEMO_FAMILIES" else 2 * family._memo[first].nbytes
+    monkeypatch.setattr(family, limit, room)
     second = _embedded_family(fns, grid, 1e-7)
     assert _embedded_family(fns, grid, 1e-8) is first  # now the most recent
     _embedded_family(fns, grid, 1e-6)  # evicts second
