@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, FloatRangeExceeded, IdentityViolation, NonfiniteCorridor
 from .family import OrthonormalFamily
-from .space import Vector, abs2, tree_sum
+from .space import Vector, _real_dot, abs2, tree_sum
 
 DEFAULT_HYPOTHESIS_TOL = 1e-10
 
@@ -175,7 +175,7 @@ def check_hypothesis(
         )
     if x.dim != fam.dim:
         raise DimensionMismatch(f"vector dim {x.dim} != family dim {fam.dim}")
-    return _hypothesis(x.coords, fam.matrix, corridor, tol, fam.gram_residual)[2]()
+    return _hypothesis(*fam._operands(x, corridor), corridor, tol, fam.gram_residual)[2]()
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -193,8 +193,13 @@ def _hypothesis(x, matrix, corridor, tol: float, gram_residual) -> tuple:
     ``report(row)``, which raises the row's :class:`FloatRangeExceeded` or
     :class:`IdentityViolation` or returns its :class:`HypothesisReport`.
     """
-    ends = corridor.sides @ matrix
-    cond_i = tree_sum(np.multiply(ends[..., 0, :] - x, np.conj(x - ends[..., 1, :])).real)
+    if matrix.dtype.kind == "c":
+        ends = corridor.sides @ matrix
+        cond_i = tree_sum(np.multiply(ends[..., 0, :] - x, np.conj(x - ends[..., 1, :])).real)
+    else:  # as (matrix^T sides^T)^T, dgemm sums over the members in order as zgemm does;
+        # as sides @ matrix it splits the sum at 16+ members (OpenBLAS 0.3.31, AVX-512)
+        ends = (matrix.swapaxes(-1, -2) @ corridor.sides.real.swapaxes(-1, -2)).swapaxes(-1, -2)
+        cond_i = _real_dot(ends[..., 0, :] - x, x - ends[..., 1, :])
     residual = np.sqrt(tree_sum(abs2(x - ends[..., 2, :])))
     r2 = corridor.radius * corridor.radius
     gap = cond_i - (r2 - residual * residual)

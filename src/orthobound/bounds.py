@@ -145,7 +145,7 @@ class Slot:
     @cached_property
     def a(self) -> np.ndarray:
         """The coefficients <x, e_i>."""
-        return _coefficients(self.matrix, self.coords)
+        return _coefficients(self.coords, self.matrix)
 
     @cached_property
     def nsq(self) -> np.ndarray:
@@ -194,7 +194,7 @@ def _slot(
 ) -> Slot:
     """The batch of one of a public call."""
     sign = None if report is None else report.cond_i_value
-    return Slot(x.coords, fam.matrix, corridor, sign, fam.coefficients(x))
+    return Slot(*fam._operands(x), corridor, sign, fam.coefficients(x))
 
 
 def _pair(x: Vector, y: Vector, fam: OrthonormalFamily, cx=None, cy=None, reports=(None, None)):

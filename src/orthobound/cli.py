@@ -59,7 +59,7 @@ def _load_instance(path: str) -> dict:
     :func:`orthobound.jsonio.instance_from_json`)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=jsonio.parse_float)
     except OSError as exc:
         raise InstanceFormatError(path, str(exc)) from exc
     except json.JSONDecodeError as exc:

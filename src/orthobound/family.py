@@ -37,6 +37,7 @@ from .space import (
     Vector,
     _embedded,
     _nonfinite,
+    _real_dot,
     _require_samples,
     tree_sum,
 )
@@ -67,16 +68,15 @@ def _gram_check(matrix: np.ndarray, tolerance: float) -> tuple:
     residual, which fails quietly."""
     count = matrix.shape[-2]
     # The product tensor is the rule's largest array, built for an embedded
-    # basis on its first call only: a later call whose samples and grid
-    # masses equal the first call's byte for byte hits the memo of
-    # _embedded_family, which runs no embedding and no rule. Passed without
-    # a name, tree_sum frees it once its first level is summed. Summing only
-    # the upper triangle of a real family gives the same residual and worst
-    # pair bit for bit, but it changes which large temporaries are freed
-    # when, and glibc then trims the heap top on every call: on 16 members x
-    # 2048 nodes (2-vCPU Xeon, numpy 2.4.6) a quadrature-large op took 1,328
-    # minor page faults instead of 0.085 and ran slower, 4.9-5.4 against
-    # 2.7-2.9 ms, so the full tensor stays.
+    # basis on its first call only (a later call with equal samples and grid
+    # masses hits the memo of _embedded_family); passed without a name,
+    # tree_sum frees it once its first level is summed. Summing only the
+    # upper triangle of a real family gives the same residual and worst pair,
+    # but changes which large temporaries are freed when, and glibc then
+    # trims the heap top on every call: a quadrature-large op (16 members x
+    # 2048 nodes, 2-vCPU Xeon, numpy 2.4.6) took 1,328 minor page faults and
+    # 4.9-5.4 ms that way, against 2.7-2.9 ms with the full tensor, which
+    # stays. With the float64 lane an op takes 0.016 faults, as before it.
     gram = tree_sum(np.multiply(matrix[..., :, None, :], np.conj(matrix)[..., None, :, :]))
     deviation = np.abs(gram - _identity(count))
     flat = deviation.reshape(deviation.shape[:-2] + (-1,))
@@ -117,8 +117,10 @@ def _orthonormal_rows(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(_qr(a), -1, -2))
 
 
-def _coefficients(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _coefficients(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     """<x, e_i> for every row e_i of ``matrix`` (..., count, dim), pairwise-summed."""
+    if matrix.dtype.kind == "f":
+        return _real_dot(matrix, x[..., None, :])
     return tree_sum(np.multiply(np.conj(matrix), x[..., None, :]))
 
 
@@ -128,7 +130,8 @@ class OrthonormalFamily:
 
     The constructor applies, in order, the tolerance rule (positive and
     finite), the shape rule, the real rule (no imaginary part in real mode)
-    and the gram rule, and stores the residual it measured. Families compare
+    and the gram rule, and stores the residual it measured and, in real mode,
+    its rows as read-only float64 ``real_rows`` (else None). Families compare
     and hash by identity.
     """
 
@@ -136,6 +139,7 @@ class OrthonormalFamily:
     tolerance: float = DEFAULT_TOLERANCE
     real_mode: bool = False
     gram_residual: float = field(init=False)
+    real_rows: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.tolerance < math.inf:
@@ -146,17 +150,18 @@ class OrthonormalFamily:
         if self.real_mode and np.iscomplexobj(m) and np.any(m.imag != 0.0):
             raise ValueError("real_mode family has a nonzero imaginary part")
         # The complex products of a real family have zero imaginary parts and
-        # the real products as real parts, so its gram rule runs on the real
-        # parts with the same residual and worst pair.
-        residual, failed, error = _gram_check(
-            np.ascontiguousarray(m.real) if self.real_mode else m, self.tolerance
-        )
+        # the real products as real parts: its gram rule runs on its real rows.
+        rows = np.array(m.real, dtype=np.float64, order="C") if self.real_mode else None
+        residual, failed, error = _gram_check(m if rows is None else rows, self.tolerance)
         if failed:
             raise error()
         m = np.array(m, dtype=np.complex128, copy=True)
-        m.flags.writeable = False
+        m.setflags(write=False)  # setflags costs a third of flags.writeable on a small family
+        if rows is not None:
+            rows.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "gram_residual", float(residual))
+        object.__setattr__(self, "real_rows", rows)
 
     @property
     def count(self) -> int:
@@ -170,11 +175,17 @@ class OrthonormalFamily:
     def members(self) -> tuple[Vector, ...]:
         return tuple(Vector(row, self.real_mode) for row in self.matrix)
 
+    def _operands(self, x: Vector, corridor=None) -> tuple:
+        """(coords, rows) of x and the family, float64 for an all-real instance."""
+        if self.real_mode and x.real_mode and (corridor is None or corridor.real_mode):
+            return x.coords.real, self.real_rows
+        return x.coords, self.matrix
+
     def coefficients(self, x: Vector) -> np.ndarray:
         """Per-member coefficients <x, e_i>, pairwise-summed."""
         if x.dim != self.dim:
             raise DimensionMismatch(f"vector dim {x.dim} != family dim {self.dim}")
-        return _coefficients(self.matrix, x.coords)
+        return _coefficients(*self._operands(x)).astype(np.complex128, copy=False)
 
     def combine(self, coeffs: Sequence[complex]) -> Vector:
         """Linear combination sum_i c_i e_i."""
@@ -235,7 +246,8 @@ class _Kept(NamedTuple):
 
     @property
     def nbytes(self) -> int:
-        return sum(map(len, self.samples)) + len(self.masses) + self.family.matrix.nbytes
+        arrays = (a for a in (self.family.matrix, self.family.real_rows) if a is not None)
+        return sum(map(len, self.samples)) + len(self.masses) + sum(a.nbytes for a in arrays)
 
 
 def _kept_family(

@@ -29,6 +29,13 @@ def _is_number(data: Any) -> bool:
     return isinstance(data, (int, float)) and not isinstance(data, bool)
 
 
+def parse_float(literal: str) -> Any:
+    """``json.load``'s hook for instance files: a float literal that overflows
+    reads as its bytes, a type no JSON value has, not as inf (``NaN`` and
+    ``Infinity`` are not float literals)."""
+    return literal.encode() if math.isinf(value := float(literal)) else value
+
+
 def scalar_from_json(data: Any, path: str) -> complex:
     try:
         if _is_number(data):
@@ -37,6 +44,8 @@ def scalar_from_json(data: Any, path: str) -> complex:
             return complex(data[0], data[1])
     except OverflowError:  # a JSON integer beyond the float range
         raise InstanceFormatError(path, "integer too large for a float") from None
+    if any(isinstance(part, bytes) for part in (data if isinstance(data, list) else [data])):
+        raise InstanceFormatError(path, "number too large for a float")
     raise InstanceFormatError(path, "expected a number or a [re, im] pair")
 
 

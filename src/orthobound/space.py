@@ -22,12 +22,16 @@ whatever the array length, and complex products are written
 ``np.multiply(a, b)``, never ``a * b`` on a temporary, because numpy may run
 the operator in place on a large temporary through a complex loop that
 rounds differently.
+
+The kernels take float64 operands for an all-real instance (family, vectors
+and corridors in real mode: the family's real rows, ``coords.real``,
+``sides.real``), else complex128, and give the complex path's bits and types.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -62,6 +66,16 @@ def tree_sum(values: np.ndarray) -> np.ndarray:
     while a.shape[-1] > 1:
         a = a[_EVEN] + a[_ODD]
     return a[..., 0]
+
+
+def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum_k a_k b_k of float64 arrays as the real part of the complex128 sum:
+    numpy's complex product (a fused multiply-add) is +0.0 where a factor is
+    zero, where the float64 one may be -0.0, which only an all -0.0 sum keeps."""
+    total = tree_sum(np.multiply(a, b))
+    if np.count_nonzero(total) < total.size:
+        total = np.where(((a == 0.0) | (b == 0.0)).any(axis=-1) & (total == 0.0), 0.0, total)
+    return total
 
 
 def abs2(z: np.ndarray) -> np.ndarray:
@@ -173,6 +187,7 @@ class QuadratureGrid:
     nodes: np.ndarray
     weights: np.ndarray
     density: np.ndarray
+    point_mass: np.ndarray = field(init=False, repr=False)  # per-node measure w_j * rho_j
 
     def __post_init__(self):
         nodes = _frozen(self.nodes, name="nodes", dtype=np.float64)
@@ -183,20 +198,18 @@ class QuadratureGrid:
                 f"length mismatch: nodes {nodes.size}, weights {weights.size}, "
                 f"density {density.size}"
             )
-        if not np.any(weights * density > 0.0):
+        mass = weights * density
+        if not np.any(mass > 0.0):
             raise ValueError("all products w_j * rho_j vanish")
+        mass.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "density", density)
+        object.__setattr__(self, "point_mass", mass)
 
     @property
     def size(self) -> int:
         return self.nodes.size
-
-    @property
-    def point_mass(self) -> np.ndarray:
-        """Per-node measure w_j * rho_j."""
-        return self.weights * self.density
 
 
 @dataclass(frozen=True, eq=False)

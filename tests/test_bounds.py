@@ -37,6 +37,10 @@ from orthobound import (
     single_vector_ratio_chain,
     validate_family,
 )
+from orthobound import OrthoboundError, admissibility, family
+from orthobound.family import OrthonormalFamily, legendre_samples, trig_samples
+from orthobound.integral import IntegralInstance, integral_instance, sandwich_check
+from orthobound.space import SampledFunction, gauss_legendre_grid
 from conftest import admissible_instance, random_vector
 
 SQ2 = math.sqrt(2.0)
@@ -566,3 +570,210 @@ def test_chain_tolerance_policy():
 def test_chain_requires_labels():
     with pytest.raises(ValueError):
         BoundChain(("a",), (1.0, 2.0))
+
+
+# ---------------------------------------------------------------------------
+# the float64 lane of all-real instances: the complex path's bits
+
+# zeros of both signs, magnitudes near 1e+-300 and the least subnormal; a
+# corridor side takes the small ones, under which its aggregates stay finite
+_SMALL = (0.0, -0.0, 1e-300, -1e-300, 5e-324)
+_SPECIALS = _SMALL + (1e300, -1e300)
+
+
+def _complex_path(mp):
+    """Every instance takes the complex128 operands, as all did before the lane."""
+    mp.setattr(
+        OrthonormalFamily, "_operands", lambda self, x, corridor=None: (x.coords, self.matrix)
+    )
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _outcome(call):
+    """What ``call`` returns, or the type and message of what it raises (a
+    RuntimeWarning is raised under the suite's warning filter)."""
+    try:
+        return call()
+    except (OrthoboundError, ArithmeticError, ValueError, RuntimeWarning) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _report_bits(fam, x, corridor, tol):
+    def call():
+        r = check_hypothesis(x, fam, corridor, tol)
+        return _bits([r.cond_i_value, r.cond_ii_residual, r.radius]), r.holds, r
+
+    return _outcome(call)
+
+
+def _lane_outcomes(fam, x, cx, y, cy, tol=1e-10):
+    """Coefficients, hypothesis reports and the chains of the instance."""
+    a = fam.coefficients(x)
+    assert a.dtype == np.complex128 and not a.imag.any()
+    out = [_bits(a.real), _bits(fam.coefficients(y).real)]
+    rx, ry = _report_bits(fam, x, cx, tol), _report_bits(fam, y, cy, tol)
+    out += [rx[:2], ry[:2]]
+    if len(rx) == 3 and len(ry) == 3:
+        inst = IntegralInstance(fam, x, cx, rx[2], y, cy, ry[2])
+        for name in ("linear_chain", "quadratic_chain", "bessel_chain", "gruss_chain"):
+            chain = _outcome(getattr(inst, name))
+            out.append(_bits(chain.values) if isinstance(chain, BoundChain) else chain)
+    return out
+
+
+def _assert_lane_matches_complex_path(*instance):
+    lane = _lane_outcomes(*instance)
+    with pytest.MonkeyPatch.context() as mp:
+        _complex_path(mp)
+        assert _lane_outcomes(*instance) == lane
+
+
+def _real_family(rng, dim, count, signed_units):
+    if not signed_units:
+        return random_family(dim, count, rng, real=True)
+    # unit rows of either sign, with zeros of both signs elsewhere
+    rows = np.where(rng.random((count, dim)) < 0.5, 0.0, -0.0)
+    rows[np.arange(count), rng.permutation(dim)[:count]] = rng.choice([1.0, -1.0], count)
+    return OrthonormalFamily(rows, 1e-10, True)
+
+
+def _with_specials(rng, values, specials=_SPECIALS):
+    v = np.array(values, dtype=np.float64)
+    hit = rng.random(v.shape) < 0.3
+    v[hit] = rng.choice(specials, int(hit.sum()))
+    return v
+
+
+def _real_vector(rng, fam, corridor, kind):
+    if kind == "admissible":
+        return admissible_point(fam, corridor, rng, rng.uniform())
+    if kind == "corner":  # sum_i hi_i e_i, where the sign form is zero
+        return Vector(corridor.hi.real @ fam.real_rows, True)
+    return Vector(_with_specials(rng, rng.standard_normal(fam.dim)), True)
+
+
+@given(
+    st.integers(1, 16),
+    st.integers(1, 16),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.sampled_from([1.0, 1e-150, 1e150, 1e-300]),
+    st.sampled_from(["admissible", "corner", "special"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_the_lane_gives_the_complex_paths_bits(dim, count, seed, signed_units, scale, kind):
+    count = min(count, dim)
+    rng = np.random.default_rng(seed)
+    fam = _real_family(rng, dim, count, signed_units)
+    spec = CorridorSpec("real", scale, 2.0 * scale, 0.9 * scale)
+    cx, cy = (
+        ScalarCorridor(*(_with_specials(rng, s, _SMALL) for s in (c.lo.real, c.hi.real)), True)
+        for c in (spec.sample(count, rng), spec.sample(count, rng))
+    )
+    x = _real_vector(rng, fam, cx, kind)
+    y = _real_vector(rng, fam, cy, "admissible")
+    _assert_lane_matches_complex_path(fam, x, cx, y, cy)
+
+
+@pytest.mark.parametrize("dim", [17, 20, 25, 36, 41])
+def test_the_lane_gives_the_complex_paths_bits_beyond_16_members(dim):
+    # dgemm in the plain layout splits the member sum at these shapes
+    rng = np.random.default_rng(dim)
+    for count in (16, min(dim, 24)):
+        fam = random_family(dim, count, rng, real=True)
+        for _ in range(5):
+            cx, cy = (CorridorSpec("real").sample(count, rng) for _ in range(2))
+            x, y = (admissible_point(fam, c, rng, rng.uniform()) for c in (cx, cy))
+            _assert_lane_matches_complex_path(fam, x, cx, y, cy)
+
+
+@pytest.mark.parametrize("kind", ["trig", "legendre"])
+def test_the_lane_gives_the_complex_paths_bits_on_a_2048_node_instance(kind):
+    a, b = (0.0, 2.0 * math.pi) if kind == "trig" else (-1.0, 1.0)
+    grid = gauss_legendre_grid(2048, a, b)
+    fns = (trig_samples if kind == "trig" else legendre_samples)(16, grid)
+    table = np.stack([fi.values.real for fi in fns])
+    rng = np.random.default_rng(21)
+    sandwiches = []
+    for _ in range(2):  # f = sum c_i f_i + t f_0 lies between c and c + 0.5 e_0
+        c = rng.uniform(0.1, 1.0, 16) / np.arange(1, 17)
+        f = SampledFunction(c @ table + rng.uniform(0.1, 0.4) * table[0], True)
+        big = c.copy()
+        big[0] += 0.5
+        sandwiches.append((f, sandwich_check(f, fns, grid, c, big).corridor))
+
+    def chains():
+        (f, cf), (g, cg) = sandwiches
+        inst = integral_instance(f, fns, grid, cf, g, cg)
+        names = ("linear_chain", "quadratic_chain", "bessel_chain", "gruss_chain")
+        reports = (inst.report_x, inst.report_y)
+        values = [getattr(inst, name)().values for name in names] + [
+            [r.cond_i_value, r.cond_ii_residual, r.radius] for r in reports
+        ]
+        return [_bits(v) for v in values]
+
+    lane = chains()
+    with pytest.MonkeyPatch.context() as mp:
+        _complex_path(mp)
+        assert chains() == lane
+    inst = integral_instance(sandwiches[0][0], fns, grid, sandwiches[0][1])
+    _assert_lane_matches_complex_path(inst.family, inst.x, inst.cx, inst.x, inst.cx)
+
+
+@pytest.fixture
+def kernel_operands(monkeypatch):
+    """The dtypes of the (vector, family rows) each kernel call reads, by kernel."""
+    seen = []
+    coefficients, hypothesis = family._coefficients, admissibility._hypothesis
+
+    def spy_coefficients(x, matrix):
+        seen.append(("coefficients", x.dtype, matrix.dtype))
+        return coefficients(x, matrix)
+
+    def spy_hypothesis(x, matrix, *args):
+        seen.append(("hypothesis", x.dtype, matrix.dtype))
+        return hypothesis(x, matrix, *args)
+
+    monkeypatch.setattr(family, "_coefficients", spy_coefficients)
+    monkeypatch.setattr(admissibility, "_hypothesis", spy_hypothesis)
+    return seen
+
+
+_F, _C = np.dtype(np.float64), np.dtype(np.complex128)
+
+
+@pytest.mark.parametrize(
+    "x_real, corridor_mode, hypothesis_dtype, coefficients_dtype",
+    [
+        (True, "real", _F, _F),
+        (False, "real", _C, _C),
+        (True, "complex", _C, _F),  # the coefficients read no corridor
+    ],
+    ids=["all-real", "complex-x", "complex-corridor"],
+)
+def test_only_an_all_real_instance_reaches_the_kernels_in_float64(
+    kernel_operands, x_real, corridor_mode, hypothesis_dtype, coefficients_dtype
+):
+    rng = np.random.default_rng(5)
+    fam = random_family(6, 3, rng, real=True)
+    corridor = CorridorSpec(corridor_mode).sample(3, rng)
+    x = admissible_point(fam, CorridorSpec("real").sample(3, rng), rng, 0.5)
+    x = x if x_real else Vector(x.coords + 1e-3j)
+    _outcome(lambda: norm_bound_linear(x, fam, corridor))
+    assert kernel_operands == [
+        ("hypothesis", hypothesis_dtype, hypothesis_dtype),
+        ("coefficients", coefficients_dtype, coefficients_dtype),
+    ]
+
+
+def test_an_integral_instance_takes_the_lane_through_the_public_kernels(kernel_operands):
+    grid = gauss_legendre_grid(64, 0.0, 2.0 * math.pi)
+    fns = trig_samples(5, grid)
+    f = SampledFunction(fns[0].values + 0.25 * fns[1].values, True)
+    cf = ScalarCorridor([0.5, 0.0, 0.0, 0.0, 0.0], [1.5, 0.5, 0.0, 0.0, 0.0], True)
+    inst = integral_instance(f, fns, grid, cf)
+    assert inst.bessel_chain().all_hold
+    assert kernel_operands == [("hypothesis", _F, _F), ("coefficients", _F, _F)]

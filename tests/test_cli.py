@@ -261,6 +261,41 @@ def test_an_integer_beyond_the_float_range_is_a_format_error(capsys, tmp_path, f
     assert (rc, out, err) == (1, "", f"error: {message}\n")
 
 
+# JSON literals json.dumps cannot write: a float beyond the float range, and
+# the constants json reads as inf and nan
+_LITERALS = {'"HUGE"': "1e400", '"-HUGE"': "-1e400", '"INF"': "Infinity", '"NAN"': "NaN"}
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"x": [1.5, "HUGE"]}, "x[1]: number too large for a float"),
+        ({"x": [[1.5, 0.0], [2.0, "-HUGE"]]}, "x[1]: number too large for a float"),
+        ({"Phi": [["HUGE", 0.0]]}, "Phi[0]: number too large for a float"),
+        ({"gamma": ["-HUGE"]}, "gamma[0]: number too large for a float"),
+        ({"delta": "HUGE"}, "delta: number too large for a float"),
+        ({"family": {"members": [[[1.0, 0.0]], [[0.0, "HUGE"]]]}},
+         "family.members[1][0]: number too large for a float"),
+        ({"family": {"members": [[[1.0, 0.0]]], "tolerance": "HUGE"}},
+         "family.tolerance: expected a positive finite number"),
+        ({"x": [1.5, "INF"]}, "x: coords must be finite (no NaN/Inf)"),
+        ({"Phi": [["NAN", 0.0]]}, "Phi: coords must be finite (no NaN/Inf)"),
+    ],
+    ids=["x", "x-pair", "Phi-pair", "gamma", "delta", "member-pair", "tolerance",
+         "Infinity", "NaN"],
+)
+def test_a_float_literal_beyond_the_float_range_is_reported_at_its_element(
+    capsys, tmp_path, fields, message
+):
+    text = json.dumps({**_PAIR_INSTANCE, "delta": 1.0, "Delta": 3.0, **fields})
+    for placeholder, literal in _LITERALS.items():
+        text = text.replace(placeholder, literal)
+    path = tmp_path / "instance.json"
+    path.write_text(text)
+    rc, out, err = run(capsys, "check", "--instance", str(path), "--bound", "cor2.3")
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_check_holder_selector(capsys, tmp_path):
     path = write_instance(
         tmp_path,

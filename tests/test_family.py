@@ -409,6 +409,18 @@ def test_a_different_tolerance_or_real_flag_is_a_miss(gram_checks):
     assert len(gram_checks) == 3
 
 
+def test_a_real_family_keeps_its_real_rows_and_a_memo_entry_counts_them():
+    rows = _orthonormal_rows(np.random.default_rng(3).standard_normal((8, 4)))
+    fam = OrthonormalFamily(rows, 1e-10, True)
+    assert fam.real_rows is not rows and fam.real_rows.flags.c_contiguous
+    assert not fam.real_rows.flags.writeable
+    assert _bits(fam.real_rows) == _bits(fam.matrix.real)
+    assert OrthonormalFamily(rows.astype(complex), 1e-10).real_rows is None
+    grid, fns = _unit_basis()
+    entry = family._memo[_embedded_family(fns, grid, 1e-8)]
+    assert entry.nbytes == 2 * 3 * 16 + 3 * 8 + 2 * 3 * (16 + 8)
+
+
 def test_a_family_over_the_byte_budget_is_not_kept(gram_checks):
     nodes = family._MEMO_BYTES // 32 + 1  # two complex128 members just over the budget
     grid = QuadratureGrid(np.arange(float(nodes)), np.ones(nodes), np.ones(nodes))

@@ -155,6 +155,14 @@ def test_grid_validation():
         QuadratureGrid([0.0, 1.0], [1.0, 0.0], [0.0, 2.0])  # all masses vanish
 
 
+def test_point_masses_are_computed_once_and_read_only():
+    weights, density = [0.5, 1e-300, 3.0, 0.0], [1.0, 1e-10, 1.0 / 3.0, 2.0]
+    grid = QuadratureGrid([0.0, 1.0, 2.0, 3.0], weights, density)
+    assert grid.point_mass is grid.point_mass
+    assert not grid.point_mass.flags.writeable
+    assert grid.point_mass.tobytes() == (np.array(weights) * np.array(density)).tobytes()
+
+
 def test_embed_zero_function():
     grid = QuadratureGrid([0.0, 1.0], [1.0, 2.0], [1.0, 1.0])
     v = embed(SampledFunction([0.0, 0.0], True), grid)
