@@ -181,7 +181,7 @@ def cmd_integral_demo(args) -> int:
     count = len(fam_fns)
     coeffs = np.array([1.0 / (i + 1.0) for i in range(count)])
     lift = 0.5
-    table = np.stack([fi.values.real for fi in fam_fns])
+    table = np.stack([fi.values for fi in fam_fns])
     f = SampledFunction(coeffs @ table + 0.5 * lift * table[0], real_mode=True)
     m = coeffs.copy()
     big_m = coeffs.copy()

@@ -225,11 +225,13 @@ def validate_family(
 
 # Validated embedded families, least recently used first, each keyed by the
 # family it keeps and holding the samples and grid masses it was embedded
-# from, as bytes. The memo holds at most _MEMO_BYTES of entries (sample
-# copies, masses and matrix), and _MEMO_FAMILIES of them so that tiny
-# families cannot fill the budget with per-object overhead. A hit is decided
-# by the caller's samples and grid masses, byte for byte; the embedding and
-# finiteness rules run on a miss only.
+# from, as bytes: each member's own samples, 8 bytes a node for a real-mode
+# function (float64) and 16 for a complex one, so a basis mixing the two is
+# compared as its members hold it. The memo holds at most _MEMO_BYTES of
+# entries (sample copies, masses, matrix and real rows), and _MEMO_FAMILIES
+# of them so that tiny families cannot fill the budget with per-object
+# overhead. A hit is decided by the caller's samples and grid masses, byte
+# for byte; the embedding and finiteness rules run on a miss only.
 _MEMO_BYTES = 8 << 20
 _MEMO_FAMILIES = 64
 _memo: OrderedDict = OrderedDict()
@@ -302,7 +304,7 @@ def _embedded_family(
     if failed.any():
         raise error()
     fam = OrthonormalFamily(matrix, tolerance, real_mode)
-    entry = _Kept(route, tuple(row.tobytes() for row in values), masses, fam)
+    entry = _Kept(route, tuple(f.values.tobytes() for f in fns), masses, fam)
     if entry.nbytes <= _MEMO_BYTES:
         with _memo_lock:
             _memo[fam] = entry

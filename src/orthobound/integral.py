@@ -158,11 +158,11 @@ def sandwich_check(
     if f.size != grid.size or any(fi.size != grid.size for fi in fam_fns):
         raise DimensionMismatch("function samples do not match the grid")
 
-    table = np.stack([fi.values.real for fi in fam_fns])
+    table = np.stack([fi.values for fi in fam_fns])  # real mode: float64 rows
     lower_env = m @ table
     upper_env = big_m @ table
-    active = np.nonzero(grid.point_mass > 0.0)[0]
-    fv = f.values.real
+    active = grid.active
+    fv = f.values
     lower_margins = fv[active] - lower_env[active]
     upper_margins = upper_env[active] - fv[active]
     i_lo = int(np.argmin(lower_margins))

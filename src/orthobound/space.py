@@ -188,6 +188,8 @@ class QuadratureGrid:
     weights: np.ndarray
     density: np.ndarray
     point_mass: np.ndarray = field(init=False, repr=False)  # per-node measure w_j * rho_j
+    root_mass: np.ndarray = field(init=False, repr=False)  # sqrt(w_j * rho_j), the embedding's factors
+    active: np.ndarray = field(init=False, repr=False)  # indices j of the nodes with w_j * rho_j > 0
 
     def __post_init__(self):
         nodes = _frozen(self.nodes, name="nodes", dtype=np.float64)
@@ -199,13 +201,16 @@ class QuadratureGrid:
                 f"density {density.size}"
             )
         mass = weights * density
-        if not np.any(mass > 0.0):
+        active = np.flatnonzero(mass > 0.0)
+        if active.size == 0:
             raise ValueError("all products w_j * rho_j vanish")
-        mass.flags.writeable = False
+        derived = {"point_mass": mass, "root_mass": np.sqrt(mass), "active": active}
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "density", density)
-        object.__setattr__(self, "point_mass", mass)
+        for name, arr in derived.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def size(self) -> int:
@@ -216,7 +221,10 @@ class QuadratureGrid:
 class SampledFunction:
     """Function values sampled at the nodes of some grid, one value per node.
 
-    Sampled functions compare and hash by identity.
+    The samples are copied into one read-only, C-contiguous array: float64 in
+    real mode, where complex samples must have zero imaginary parts and only
+    their real parts are kept (so the sign of a -0.0 imaginary part is not),
+    else complex128. Sampled functions compare and hash by identity.
     """
 
     values: np.ndarray
@@ -224,8 +232,11 @@ class SampledFunction:
 
     def __post_init__(self):
         arr = _frozen(self.values, name="values")
-        if self.real_mode and np.any(arr.imag != 0.0):
-            raise ValueError("real_mode function has a nonzero imaginary part")
+        if self.real_mode:
+            if np.any(arr.imag != 0.0):
+                raise ValueError("real_mode function has a nonzero imaginary part")
+            arr = np.array(arr.real)
+            arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
 
     @property
@@ -256,11 +267,12 @@ def _require_samples(f: SampledFunction, grid: QuadratureGrid) -> None:
 
 
 def _embedded(values: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
-    """Kernel of :func:`embed` over sample arrays (..., grid.size). A product
-    beyond the float range overflows quietly: the finiteness rule of the
-    caller reports it."""
+    """Kernel of :func:`embed` over sample arrays (..., grid.size), float64
+    or complex128: float64 samples give the real parts of the products of
+    their complex128 casts bit for bit. A product beyond the float range
+    overflows quietly: the finiteness rule of the caller reports it."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.multiply(values, np.sqrt(grid.point_mass))
+        return np.multiply(values, grid.root_mass)
 
 
 def grid_inner(f: SampledFunction, g: SampledFunction, grid: QuadratureGrid) -> complex:

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from orthobound import CorridorSpec, Vector, admissible_point, family, random_family
+from orthobound import (
+    CorridorSpec,
+    SampledFunction,
+    Vector,
+    admissible_point,
+    family,
+    random_family,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -45,3 +52,8 @@ def admissible_instance(rng, dim=6, count=3, real=False, slack=None):
     s = rng.uniform() if slack is None else slack
     x = admissible_point(fam, corr, rng, s)
     return fam, corr, x
+
+
+def complex_twin(f):
+    """The complex-mode function with the samples of ``f``, as complex128."""
+    return SampledFunction(f.values.astype(complex))

@@ -29,6 +29,7 @@ from orthobound.family import (
     trig_samples,
 )
 from orthobound.space import grid_inner
+from conftest import complex_twin
 
 
 def test_canonical_basis_residual_zero():
@@ -401,7 +402,7 @@ def test_a_different_tolerance_or_real_flag_is_a_miss(gram_checks):
     grid, fns = _unit_basis()
     fam = _embedded_family(fns, grid, 1e-8)
     looser = _embedded_family(fns, grid, 1e-6)
-    complex_fns = [SampledFunction(f.values) for f in fns]  # the same complex128 bytes
+    complex_fns = [SampledFunction(f.values) for f in fns]  # the same samples, as complex128
     not_real = _embedded_family(complex_fns, grid, 1e-8)
     assert len({id(fam), id(looser), id(not_real)}) == 3
     assert (looser.tolerance, not_real.real_mode) == (1e-6, False)
@@ -418,7 +419,45 @@ def test_a_real_family_keeps_its_real_rows_and_a_memo_entry_counts_them():
     assert OrthonormalFamily(rows.astype(complex), 1e-10).real_rows is None
     grid, fns = _unit_basis()
     entry = family._memo[_embedded_family(fns, grid, 1e-8)]
-    assert entry.nbytes == 2 * 3 * 16 + 3 * 8 + 2 * 3 * (16 + 8)
+    # float64 samples and masses, then the complex128 matrix and float64 rows
+    assert entry.nbytes == 2 * 3 * 8 + 3 * 8 + 2 * 3 * (16 + 8)
+
+
+def test_a_basis_mixing_real_and_complex_members_is_kept_by_their_own_bytes(gram_checks):
+    grid, fns = _unit_basis()
+    mixed = [fns[0], SampledFunction(fns[1].values)]
+    fam = _embedded_family(mixed, grid, 1e-8)
+    copies = [SampledFunction(f.values.copy(), f.real_mode) for f in mixed]
+    assert _embedded_family(copies, grid, 1e-8) is fam
+    assert [len(s) for s in family._memo[fam].samples] == [3 * 8, 3 * 16]
+    assert len(gram_checks) == 1
+
+
+def test_a_real_function_given_negative_zero_imaginary_parts_hits_its_real_twin(gram_checks):
+    # the sign of a zero imaginary part is not kept in real mode (see
+    # SampledFunction), so these samples are the bytes of the float ones
+    grid, fns = _unit_basis()
+    fam = _embedded_family(fns, grid, 1e-8)
+    samples = np.stack([f.values for f in fns]).astype(complex)
+    samples.imag = -0.0
+    assert _embedded_family([SampledFunction(v, True) for v in samples], grid, 1e-8) is fam
+    assert len(gram_checks) == 1
+
+
+def test_real_samples_embed_as_their_complex_twins_do():
+    for grid, fns in _embedded_bases():
+        twins = [complex_twin(f) for f in fns]
+        for f, twin in zip(fns, twins):
+            got, ref = embed(f, grid).coords, embed(twin, grid).coords
+            assert _bits(got.real) == _bits(ref.real)
+            assert not np.signbit(got.imag).any()
+        fam = _embedded_family(fns, grid, QUADRATURE_TOLERANCE)
+        ref = _embedded_family(twins, grid, QUADRATURE_TOLERANCE)
+        assert fam.real_mode and not ref.real_mode
+        assert _bits(fam.real_rows) == _bits(ref.matrix.real)
+        assert _bits(fam.matrix) == _bits(ref.matrix)
+        assert fam.gram_residual == ref.gram_residual
+        assert [len(s) for s in family._memo[fam].samples] == [grid.size * 8] * len(fns)
 
 
 def test_a_family_over_the_byte_budget_is_not_kept(gram_checks):

@@ -33,7 +33,14 @@ from orthobound import (
     sandwich_check,
     validate_family,
 )
-from orthobound.family import QUADRATURE_TOLERANCE, _embedded_family, trig_samples
+from orthobound.family import (
+    QUADRATURE_TOLERANCE,
+    _embedded_family,
+    legendre_samples,
+    trig_samples,
+)
+from orthobound.space import grid_inner
+from conftest import complex_twin
 
 
 @pytest.fixture(scope="module")
@@ -403,6 +410,49 @@ def test_sandwich_implies_admissibility(trig_setup, rng):
         inst = integral_instance(f, fns, grid, report.corridor)
         assert inst.report_x.holds
         assert inst.report_x.cond_i_value >= 0.0
+
+
+def _sandwiched(fns, rng, lift=0.5):
+    """f = sum c_i f_i + t f_0 on a basis whose member 0 is a positive
+    constant, with the corridor (c, c + lift e_0) that brackets it."""
+    table = np.stack([fi.values for fi in fns])
+    coeffs = rng.uniform(0.1, 1.0, len(fns)) / np.arange(1, len(fns) + 1)
+    f = SampledFunction(coeffs @ table + rng.uniform(0.2, 0.8) * lift * table[0], True)
+    big_m = coeffs.copy()
+    big_m[0] += lift
+    return f, coeffs, big_m
+
+
+@pytest.mark.parametrize("basis, nodes, count", [("trig", 64, 5), ("legendre", 2048, 16)])
+def test_real_samples_certify_as_their_complex_twins_do(rng, basis, nodes, count):
+    if basis == "trig":
+        grid = gauss_legendre_grid(nodes, 0.0, 2.0 * math.pi)
+        fns = trig_samples(count, grid)
+    else:
+        grid = gauss_legendre_grid(nodes)
+        fns = legendre_samples(count, grid)
+    (f, m, big_m), (g, gm, big_gm) = _sandwiched(fns, rng), _sandwiched(fns, rng)
+    twins = [complex_twin(fi) for fi in fns]
+    # sandwich_check takes real-mode functions only: its margins against the
+    # same rule on the twins' complex128 samples
+    report = sandwich_check(f, fns, grid, m, big_m)
+    table = np.stack([t.values.real for t in twins])
+    fv = complex_twin(f).values.real
+    active = np.nonzero(grid.point_mass > 0.0)[0]
+    lower, upper = fv[active] - (m @ table)[active], (big_m @ table)[active] - fv[active]
+    assert (report.min_lower_margin, report.worst_lower_node) == (
+        float(lower.min()), int(active[lower.argmin()]))
+    assert (report.min_upper_margin, report.worst_upper_node) == (
+        float(upper.min()), int(active[upper.argmin()]))
+    got = np.array(grid_inner(f, g, grid))
+    assert got.tobytes() == np.array(grid_inner(complex_twin(f), complex_twin(g), grid)).tobytes()
+    cx, cy = report.corridor, sandwich_check(g, fns, grid, gm, big_gm).corridor
+    inst = integral_instance(f, fns, grid, cx, g, cy)
+    ref = integral_instance(complex_twin(f), twins, grid, cx, complex_twin(g), cy)
+    assert inst.family.real_mode and inst.x.real_mode and not ref.x.real_mode
+    for method in ("bessel_chain", "quadratic_chain", "linear_chain", "gruss_chain"):
+        got, want = getattr(inst, method)(), getattr(ref, method)()
+        assert [v.hex() for v in got.values] == [v.hex() for v in want.values], method
 
 
 # ---------------------------------------------------------------------------

@@ -158,9 +158,38 @@ def test_grid_validation():
 def test_point_masses_are_computed_once_and_read_only():
     weights, density = [0.5, 1e-300, 3.0, 0.0], [1.0, 1e-10, 1.0 / 3.0, 2.0]
     grid = QuadratureGrid([0.0, 1.0, 2.0, 3.0], weights, density)
-    assert grid.point_mass is grid.point_mass
-    assert not grid.point_mass.flags.writeable
-    assert grid.point_mass.tobytes() == (np.array(weights) * np.array(density)).tobytes()
+    mass = np.array(weights) * np.array(density)
+    assert grid.point_mass.tobytes() == mass.tobytes()
+    assert grid.root_mass.tobytes() == np.sqrt(mass).tobytes()
+    assert grid.active.tolist() == [0, 1, 2]  # 1e-300 * 1e-10 underflows to 0
+    assert grid.active.tobytes() == np.nonzero(mass > 0.0)[0].tobytes()
+    for derived in (grid.point_mass, grid.root_mass, grid.active):
+        assert not derived.flags.writeable
+
+
+def test_real_mode_samples_are_one_contiguous_float64_array():
+    strided = np.arange(8.0)[::2]  # not contiguous
+    for given in (strided, strided.astype(complex), [0.0, 2.0, 4.0, 6.0]):
+        f = SampledFunction(given, True)
+        assert f.values.dtype == np.float64
+        assert f.values.flags.c_contiguous and not f.values.flags.writeable
+        assert f.values.tobytes() == strided.tobytes()
+    assert not np.shares_memory(SampledFunction(strided, True).values, strided)
+    assert SampledFunction(strided).values.dtype == np.complex128
+
+
+def test_real_mode_drops_the_sign_of_a_negative_zero_imaginary_part():
+    # the imaginary part of a real-mode sample is zero and not kept: samples
+    # given as complex numbers with -0.0 imaginary parts are their real parts
+    grid = QuadratureGrid([0.0, 1.0, 2.0], [1.0, 4.0, 0.0], [1.0, 1.0, 1.0])
+    given = np.array([complex(1.0, -0.0), complex(-2.0, -0.0), complex(-0.0, -0.0)])
+    f = SampledFunction(given, True)
+    assert f.values.tobytes() == np.array([1.0, -2.0, -0.0]).tobytes()
+    coords = embed(f, grid).coords
+    assert not np.signbit(coords.imag).any()
+    assert coords.tobytes() == embed(SampledFunction(given.real, True), grid).coords.tobytes()
+    # a complex-mode function keeps the sign
+    assert np.signbit(SampledFunction(given).values.imag).all()
 
 
 def test_embed_zero_function():
