@@ -241,7 +241,7 @@ _memo_lock = threading.Lock()
 class _Kept(NamedTuple):
     """A validated embedded family and the inputs it was embedded from."""
 
-    route: tuple  # tolerance, real flag, member count and grid size
+    route: tuple  # tolerance, each member's real flag and grid size
     samples: tuple  # each member's samples, as bytes
     masses: bytes  # the grid's point masses
     family: OrthonormalFamily
@@ -280,8 +280,9 @@ def _embedded_family(
     those vectors, except that every size mismatch is reported before any
     non-finite embedding.
 
-    A basis is looked up before it is embedded. The tolerance, real flag,
-    member count and grid size route the lookup; a hit needs every member's
+    A basis is looked up before it is embedded. The tolerance, each member's
+    real flag (which fixes its sample dtype, so equal bytes are equal sample
+    counts) and the grid size route the lookup; a hit needs every member's
     samples and the grid's point masses to equal, byte for byte (so -0.0 is
     not 0.0), the copies kept when the family was validated, and returns
     that same family after one read of the inputs. Equal samples and masses
@@ -289,8 +290,8 @@ def _embedded_family(
     hit runs neither. A miss runs the size, embedding, finiteness and gram
     rules in that order, and keeps the family with copies of its inputs.
     """
-    real_mode = all(f.real_mode for f in fns)
-    route = (tolerance, real_mode, len(fns), grid.size)
+    route = (tolerance, tuple(f.real_mode for f in fns), grid.size)
+    real_mode = all(route[1])
     masses = grid.point_mass.tobytes()
     fam = _kept_family(fns, masses, route)
     if fam is not None:

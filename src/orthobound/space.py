@@ -188,8 +188,8 @@ class QuadratureGrid:
     weights: np.ndarray
     density: np.ndarray
     point_mass: np.ndarray = field(init=False, repr=False)  # per-node measure w_j * rho_j
-    root_mass: np.ndarray = field(init=False, repr=False)  # sqrt(w_j * rho_j), the embedding's factors
-    active: np.ndarray = field(init=False, repr=False)  # indices j of the nodes with w_j * rho_j > 0
+    root_mass: np.ndarray = field(init=False, repr=False)  # sqrt(w_j * rho_j), for embed
+    active: np.ndarray = field(init=False, repr=False)  # the j with w_j * rho_j > 0
 
     def __post_init__(self):
         nodes = _frozen(self.nodes, name="nodes", dtype=np.float64)
@@ -204,13 +204,15 @@ class QuadratureGrid:
         active = np.flatnonzero(mass > 0.0)
         if active.size == 0:
             raise ValueError("all products w_j * rho_j vanish")
-        derived = {"point_mass": mass, "root_mass": np.sqrt(mass), "active": active}
+        root_mass = np.sqrt(mass)
+        for arr in (mass, root_mass, active):
+            arr.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "density", density)
-        for name, arr in derived.items():
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "point_mass", mass)
+        object.__setattr__(self, "root_mass", root_mass)
+        object.__setattr__(self, "active", active)
 
     @property
     def size(self) -> int:

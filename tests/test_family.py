@@ -339,14 +339,14 @@ def test_a_sample_changed_in_its_bits_is_a_miss(gram_checks, values):
 
 
 def test_a_lookup_key_shared_by_other_bytes_is_a_miss(gram_checks):
-    # the first member's samples permuted: the same route (tolerance, real
-    # flag, member count, grid size), other bytes
+    # the first member's samples permuted: the same route (tolerance, each
+    # member's real flag, grid size), other bytes
     grid, fns = _unit_basis()
     _, permuted_fns = _unit_basis(0.0, 0.0, 1.0)
     fam = _embedded_family(fns, grid, 1e-8)
     permuted = _embedded_family(permuted_fns, grid, 1e-8)
     assert permuted is not fam
-    assert [kept.route for kept in family._memo.values()] == [(1e-8, True, 2, 3)] * 2
+    assert [kept.route for kept in family._memo.values()] == [(1e-8, (True, True), 3)] * 2
     assert _bits(permuted.matrix) == _bits(np.stack([embed(f, grid).coords for f in permuted_fns]))
     # both are kept, each hit by its own bytes
     assert _embedded_family(permuted_fns, grid, 1e-8) is permuted
@@ -431,6 +431,27 @@ def test_a_basis_mixing_real_and_complex_members_is_kept_by_their_own_bytes(gram
     assert _embedded_family(copies, grid, 1e-8) is fam
     assert [len(s) for s in family._memo[fam].samples] == [3 * 8, 3 * 16]
     assert len(gram_checks) == 1
+
+
+def test_a_member_of_the_other_mode_with_the_same_bytes_is_a_miss(gram_checks):
+    # 4 float64 samples are the bytes of 2 complex ones, and 4 complex of 8
+    # float64: a member whose mode differs from the kept one's is a miss, so
+    # its sample count is checked against the grid
+    grid = QuadratureGrid([0.0, 1.0, 2.0, 3.0], [1.0] * 4, [1.0] * 4)
+    first = SampledFunction([1.0, 0.0, 0.0, 0.0])
+    real = SampledFunction([0.0, 1.0, 0.0, 0.0], True)
+    cplx = SampledFunction([0.0, 0.0, 1.0, 0.0])
+    for kept, other in (
+        (real, SampledFunction(real.values.view(complex))),
+        (cplx, SampledFunction(cplx.values.view(np.float64), True)),
+    ):
+        assert other.values.tobytes() == kept.values.tobytes()
+        fam = _embedded_family([first, kept], grid, 1e-8)
+        copy = SampledFunction(kept.values, kept.real_mode)
+        assert _embedded_family([first, copy], grid, 1e-8) is fam
+        with pytest.raises(DimensionMismatch):
+            _embedded_family([first, other], grid, 1e-8)
+    assert len(gram_checks) == 2
 
 
 def test_a_real_function_given_negative_zero_imaginary_parts_hits_its_real_twin(gram_checks):

@@ -163,8 +163,9 @@ def test_point_masses_are_computed_once_and_read_only():
     assert grid.root_mass.tobytes() == np.sqrt(mass).tobytes()
     assert grid.active.tolist() == [0, 1, 2]  # 1e-300 * 1e-10 underflows to 0
     assert grid.active.tobytes() == np.nonzero(mass > 0.0)[0].tobytes()
-    for derived in (grid.point_mass, grid.root_mass, grid.active):
-        assert not derived.flags.writeable
+    for name in ("point_mass", "root_mass", "active"):
+        assert getattr(grid, name) is getattr(grid, name)
+        assert not getattr(grid, name).flags.writeable
 
 
 def test_real_mode_samples_are_one_contiguous_float64_array():
