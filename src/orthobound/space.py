@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -291,19 +292,32 @@ def grid_inner(f: SampledFunction, g: SampledFunction, grid: QuadratureGrid) -> 
 # every n; the cap only turns a regression into an error instead of a hang.
 _NEWTON_STEP_TOL = 2e-16
 _NEWTON_MAX_STEPS = 10
+# Solved rules kept by _gauss_legendre: 16 bytes a node, so 32 KiB at n = 2048.
+_RULES_KEPT = 16
 
 
 def _legendre_newton(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P_n(x), P_n'(x)) for |x| < 1, by the three-term recurrence in O(n) per point."""
+    """(P_n(x), P_n'(x)) for |x| < 1, by the three-term recurrence in O(n) per point.
+
+    Each step is ``((2k + 1) x P_k - k P_{k-1}) / (k + 1)``, evaluated in place
+    in that order through three rotating buffers, so no step allocates."""
     p_prev = np.ones_like(x)
     p = x.copy()
+    t = np.empty_like(x)
     for k in range(1, n):
-        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+        np.multiply(x, 2 * k + 1, out=t)
+        t *= p
+        p_prev *= k  # P_{k-1} is not read again
+        t -= p_prev
+        t /= k + 1
+        p_prev, p, t = p, t, p_prev
     return p, n * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
 
 
+@lru_cache(maxsize=_RULES_KEPT)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (ascending) and weights of the n-point rule on [-1, 1].
+    """Nodes (ascending) and weights of the n-point rule on [-1, 1], read-only,
+    solved once per ``n`` (the _RULES_KEPT most recently used are kept).
 
     Newton's method on the recurrence from Tricomi's asymptotic guess, on the
     positive roots only (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013);
@@ -323,10 +337,13 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     x = np.concatenate((x, np.zeros(n % 2)))  # an odd-degree P_n has the root 0
     _, dp = _legendre_newton(n, x)
     w = 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
-    return (
+    rule = (
         np.concatenate((-x[:m], x[m:], x[:m][::-1])),
         np.concatenate((w[:m], w[m:], w[:m][::-1])),
     )
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
 
 
 def gauss_legendre_grid(n: int, a: float = -1.0, b: float = 1.0) -> QuadratureGrid:
@@ -341,8 +358,10 @@ def gauss_legendre_grid(n: int, a: float = -1.0, b: float = 1.0) -> QuadratureGr
     and both halves are mirrored, so the nodes are exactly antisymmetric (0
     in the middle for odd n) and the weights exactly symmetric on [-1, 1].
     This costs O(n^2) time and O(n) memory, where numpy's ``leggauss``
-    eigensolve costs O(n^3) and O(n^2): an n = 2048 grid takes about 0.05 s
-    and 0.15 MB of arrays instead of about 0.8 s and 33 MB (2 vCPUs).
+    eigensolve costs O(n^3) and O(n^2): a cold n = 2048 solve takes about
+    0.045 s and 0.18 MB of arrays instead of about 0.8 s and 33 MB (2-vCPU
+    Xeon). The rule on [-1, 1] is solved once per n and kept, so a later grid
+    of the same size, on any interval, is a memo hit that only maps it.
     Against a 50-digit oracle the node errors stay within 2e-16, and the
     relative weight errors within 1e-13 for n <= 64 and about 6e-11 at
     n = 2048 (``leggauss``: 1e-12 and 6e-8).

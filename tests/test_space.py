@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -22,6 +23,7 @@ from orthobound import (
     norm_sq,
     tree_sum,
 )
+from orthobound import space
 
 finite_complex = st.complex_numbers(
     allow_nan=False, allow_infinity=False, max_magnitude=10.0
@@ -283,11 +285,60 @@ def test_gauss_legendre_grid_matches_oracle(n):
 def test_gauss_legendre_grid_memory_is_linear():
     tracemalloc.start()
     try:
+        space._gauss_legendre.cache_clear()  # measure a solve, not a memo hit
         gauss_legendre_grid(2048)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20  # one 2048 x 2048 companion matrix is 32 MiB
+
+
+def test_gauss_legendre_grid_bytes_are_pinned():
+    # neither the kept rule nor the in-place recurrence may move a grid's bytes
+    digest = hashlib.sha256()
+    for n in (1, 2, 3, 5, 7, 8, 64, 2047, 2048):
+        for a, b in ((-1.0, 1.0), (0.0, 2.0 * math.pi)):
+            grid = gauss_legendre_grid(n, a, b)
+            digest.update(grid.nodes.tobytes())
+            digest.update(grid.weights.tobytes())
+    assert digest.hexdigest() == "a05dfa90fc6a9394bb337dfd092594db800158438f76ee38f66d1e0b95b9d082"
+
+
+def test_a_rule_is_solved_once_per_size(monkeypatch):
+    space._gauss_legendre.cache_clear()
+    calls = []
+    solve = space._legendre_newton
+    monkeypatch.setattr(space, "_legendre_newton", lambda n, x: calls.append(n) or solve(n, x))
+    gauss_legendre_grid(37)
+    solved = len(calls)
+    assert solved >= 2  # Newton steps, then the weight pass
+    gauss_legendre_grid(37, 0.0, 2.0 * math.pi)
+    assert len(calls) == solved
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 2048])
+def test_a_kept_rule_is_read_only_and_equals_a_cold_solve(n):
+    gauss_legendre_grid(n)
+    t, w = space._gauss_legendre(n)
+    cold_t, cold_w = space._gauss_legendre.__wrapped__(n)
+    assert t.tobytes() == cold_t.tobytes() and w.tobytes() == cold_w.tobytes()
+    for arr in (t, w):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    grid = gauss_legendre_grid(n)  # a hit: the grid gets its own arrays
+    assert not np.shares_memory(grid.nodes, t)
+    assert not np.shares_memory(grid.weights, w)
+
+
+@pytest.mark.parametrize("n", [0, 2.5, True])
+def test_an_invalid_size_is_rejected_before_the_lookup(n):
+    before = space._gauss_legendre.cache_info()
+    with pytest.raises((TypeError, ValueError)):
+        gauss_legendre_grid(n)
+    after = space._gauss_legendre.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert after.currsize == before.currsize
 
 
 def test_gauss_legendre_grid_wide_interval():
