@@ -5,27 +5,25 @@ values that must be nondecreasing (left to right) for the inequality to
 hold. Chains are checked at a single tolerance policy, relative 1e-9 against
 the largest magnitude in the chain with an absolute floor of 1e-12.
 
-Conditional bounds verify admissibility first and raise
+Conditional bounds admit their instance first and raise
 :class:`HypothesisFailed` otherwise; evaluating them on inadmissible inputs
-is a caller bug. Each chain keeps the hypothesis reports it was checked
-under, and is verified when they all hold.
+is a caller bug. Each chain keeps the hypothesis reports it was admitted
+under.
 
 The corridor width factor M implemented by :func:`m_factor` uses the
 difference form (|hi| - |lo|)^2 in its numerator; this is the form for which
 the quadratic norm bound and the projection-defect bound are equivalent, and
 the identity (1/4) M^2 + 1 == (1/4) sum (|hi|+|lo|)^2 / re_sum pins it down.
 
-Each chain's values come from one rank-polymorphic kernel (the ``_*_values``
-functions), which reads its arguments from a :class:`Slot` (a vector with
-its family and corridor) or a :class:`Pair` of slots, over any leading batch
-shape. The public functions validate their inputs, check the hypothesis, run
-the kernel on a batch of one and wrap the result in a :class:`BoundChain`;
-fuzz campaigns build the same slots over a chunk of bundles and run the same
-kernels, which :mod:`orthobound.catalog` names for each selector. For the
-norm, counterpart and Grüss chains the step after the hypothesis check (the
-corridor and report rules, the labels, the kernel) is one ``_*_chain``
-helper, which an integral instance also calls on the slots and reports it
-keeps.
+Each kind of instance (:data:`orthobound.catalog.KINDS`) has one builder,
+a ``_*_kind`` function: over any leading batch shape, it applies the
+owners' batched rules in order through the caller's ``check`` and returns a
+:class:`Slot` or a :class:`Pair` of slots with its reports. A campaign
+registers the rules on a chunk; the batch of one (:func:`_one`) raises the
+first failure. Each chain is a :class:`Step` (its checks after the build,
+its labels and its rank-polymorphic ``_*_values`` kernel): a public function
+is its kind's batch of one followed by its step, which the catalog and an
+integral instance also run on the instances they hold.
 """
 
 from __future__ import annotations
@@ -33,26 +31,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .admissibility import (
-    DEFAULT_HYPOTHESIS_TOL,
-    Corridors,
-    HypothesisReport,
-    ScalarCorridor,
-    check_hypothesis,
-)
+from . import admissibility
+from .admissibility import DEFAULT_HYPOTHESIS_TOL, Corridors, HypothesisReport, ScalarCorridor
 from .errors import (
     BadExponent,
     BadLambda,
+    DimensionMismatch,
     FloatRangeExceeded,
     HypothesisFailed,
     NonpositiveReSum,
     ZeroVector,
 )
-from .family import OrthonormalFamily, _coefficients, validate_family
-from .space import Vector, _inner, abs2, inner, norm_sq, tree_sum
+from .family import OrthonormalFamily, _coefficients, _gram_check
+from .space import Vector, _inner, _nonfinite, abs2, inner, tree_sum
 
 # Single tolerance policy for every chain assertion.
 CHAIN_REL_TOL = 1e-9
@@ -82,7 +78,7 @@ def _chain_holds(values: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class BoundChain:
     """Ordered labeled inequality chain; holds iff values are nondecreasing.
-    ``reports`` are the hypothesis reports it was evaluated under, in order."""
+    ``reports`` are the hypothesis reports it was admitted under, in order."""
 
     labels: tuple[str, ...]
     values: tuple[float, ...]
@@ -107,11 +103,6 @@ class BoundChain:
     @property
     def all_hold(self) -> bool:
         return bool(_chain_holds(np.array(self.values)))
-
-    @property
-    def verified(self) -> bool:
-        """Whether every hypothesis the chain was evaluated under holds."""
-        return all(r.holds for r in self.reports)
 
     @property
     def min_slack(self) -> float:
@@ -189,53 +180,157 @@ class Pair:
         return self.p - tree_sum(np.multiply(self.x.a, np.conj(self.y.a)))
 
 
-def _slot(
-    x: Vector, fam: OrthonormalFamily, corridor=None, report: HypothesisReport | None = None
-) -> Slot:
-    """The batch of one of a public call."""
+class Step(NamedTuple):
+    """A chain after its instance is built. Called on the instance, its
+    reports (by :class:`HypothesisFailed` name) and the selector's parameters,
+    it admits the reports, requires ``defined`` and a positive Re-sum of the
+    corridors at the attribute paths ``positive``, makes the labels
+    (``labels(**params)`` raises a bad variant) and runs the kernel ``values``;
+    Corollary 2.5's labels, values and chains are by name."""
+
+    labels: tuple | dict | Callable
+    values: Callable
+    positive: tuple[str, ...] = ()
+    defined: Callable | None = None
+
+    def __call__(self, inst, reports: dict, **params):
+        for which, report in reports.items():
+            if not report.holds:
+                raise HypothesisFailed(which, report)
+        if self.defined is not None and not self.defined(inst):
+            raise ZeroVector("coefficients <x,e>, <y,e> must be nonzero")
+        for path in self.positive:
+            _positive(attrgetter(path)(inst))
+        labels = self.labels(**params) if callable(self.labels) else self.labels
+        values = self.values(inst, **params)
+        admitted = tuple(reports.values())
+        if isinstance(labels, dict):
+            return {name: BoundChain(labels[name], values[name], admitted) for name in labels}
+        return BoundChain(labels, values, admitted)
+
+
+def _positive(c) -> None:
+    """Raise :class:`NonpositiveReSum` unless the corridor's re_sum is positive."""
+    if not c.re_sum > 0.0:
+        raise NonpositiveReSum(float(c.re_sum))
+
+
+def _read(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """A vector in the dtype of its family's rows: a builder's family comes as
+    its rows and gram residual, float64 rows for an all-real batch of one."""
+    return v.real if rows.dtype.kind == "f" else v
+
+
+def _x_kind(check, x, fam, corridor, tol: float = DEFAULT_HYPOTHESIS_TOL, which: str = "x"):
+    """x admitted under its family and corridor by the rules of
+    :func:`check_hypothesis`, in order, a failed sign test raising
+    :class:`HypothesisFailed` named ``which``; the slot and its report."""
+    rows, gram_residual = fam
+    x = _read(x, rows)
+    (count, dim), size = rows.shape[-2:], corridor.hi.shape[-1]
+    check(not 0.0 < tol < math.inf, lambda row=(): ValueError("tol must be positive and finite"))
+    check(size != count, lambda row=(): DimensionMismatch(
+        f"corridor has {size} entries for a family of {count}"))
+    check(x.shape[-1] != dim, lambda row=(): DimensionMismatch(
+        f"vector dim {x.shape[-1]} != family dim {dim}"))
+    sign, failed, report = admissibility._hypothesis(x, rows, corridor, tol, gram_residual)
+    check(failed, lambda row=(): HypothesisFailed(which, report(row)))
+    return Slot(x, rows, corridor, sign), {which: report}
+
+
+def _pair_kind(check, x, y, fam, cx, cy, tol: float = DEFAULT_HYPOTHESIS_TOL):
+    """x, then y, admitted under one family."""
+    (xs, rx), (ys, ry) = _x_kind(check, x, fam, cx, tol), _x_kind(check, y, fam, cy, tol, "y")
+    return Pair(xs, ys), {**rx, **ry}
+
+
+def _companion_kind(check, x, y, fam, corridor, tol: float = DEFAULT_HYPOTHESIS_TOL, *, lam):
+    """Theorem 4.1: lam in (0, 1), and z = lam*x + (1-lam)*y finite and admitted."""
+    check(not 0.0 < lam < 1.0, lambda row=(): BadLambda(
+        f"lambda must lie strictly in (0, 1), got {lam}"))
+    z = lam * x + (1.0 - lam) * y
+    check(*_nonfinite(z))
+    pair = _free_kind(check, x, y, fam)[0]
+    pair.z, reports = _x_kind(check, z, fam, corridor, tol, "lam*x + (1-lam)*y")
+    return pair, reports
+
+
+def _schwarz_kind(check, x, y, delta, Delta, tol: float = DEFAULT_HYPOTHESIS_TOL):
+    """Corollary 2.5: y and (delta, Delta), then the frame, then x (which a
+    campaign draws in the frame) admitted under it. Float64 (delta, Delta)
+    mark an all-real batch of one, whose frame takes float64 rows."""
+    ys = Slot(y, None, Corridors.build(delta[..., None], Delta[..., None]))
+    with np.errstate(over="ignore"):
+        ny2 = ys.nsq
+    check(ny2 == 0.0, lambda row=(): ZeroVector("y must be nonzero"))
+    check(~np.isfinite(ny2), lambda row=(): FloatRangeExceeded(
+        f"||y||^2 overflows the float range: {float(ny2[row])!r}"))
+    check(*ys.corridor.nonfinite(("delta", "Delta")))
+    unit, lo, hi = _schwarz_frame(ys)
+    check(*_nonfinite(unit[..., 0, :]))
+    residual, *rule = _gram_check(unit, UNIT_TOLERANCE)
+    check(*rule)
+    corridor = Corridors.build(lo, hi)
+    check(*corridor.nonfinite())
+    check(*_nonfinite(x))
+    frame = (unit.real if delta.dtype.kind == "f" else unit), residual
+    xs, reports = _x_kind(check, x, frame, corridor, tol)
+    return Pair(xs, ys), reports
+
+
+def _schwarz_frame(y: Slot) -> tuple:
+    """Corollary 2.5's family {y/||y||} and corridor (delta ||y||, Delta ||y||)
+    from y and its corridor (delta, Delta): the member rows (..., 1, dim),
+    then the two sides (..., 1)."""
+    ny = np.sqrt(y.nsq)[..., None]
+    return (y.coords / ny)[..., None, :], y.corridor.lo * ny, y.corridor.hi * ny
+
+
+def _free_kind(check, x, y, fam, tol: float = DEFAULT_HYPOTHESIS_TOL):
+    """Two vectors under no corridor."""
+    rows = fam[0]
+    return Pair(Slot(_read(x, rows), rows), Slot(_read(y, rows), rows)), {}
+
+
+def _one(build, *fields, tol: float = DEFAULT_HYPOTHESIS_TOL, **params) -> tuple:
+    """The batch of one of ``build`` on the fields the public functions take,
+    in the float64 lane (float64 family rows and scalars) if all are real: a
+    failed rule raises at once, and the slots' coefficients and <x, y> are
+    those of ``fam.coefficients`` and :func:`inner`. The instance, reports."""
+    real = all(f.real_mode if hasattr(f, "real_mode") else complex(f).imag == 0 for f in fields)
+    fam = next((f for f in fields if isinstance(f, OrthonormalFamily)), None)
+    vectors = [f for f in fields if isinstance(f, Vector)]
+
+    def operand(f):
+        if isinstance(f, Vector):
+            return f.coords
+        if isinstance(f, OrthonormalFamily):
+            return (f.real_rows if real else f.matrix), f.gram_residual
+        if isinstance(f, ScalarCorridor):
+            return f
+        return np.asarray(complex(f).real if real else complex(f))
+
+    inst, reports = build(_raise, *map(operand, fields), tol, **params)
+    if isinstance(inst, Pair):
+        inst.p = inner(*vectors)
+    if fam is not None:
+        for slot, v in zip((inst,) if isinstance(inst, Slot) else (inst.x, inst.y), vectors):
+            slot.a = fam.coefficients(v)
+    return inst, {which: report() for which, report in reports.items()}
+
+
+def _raise(failed, error) -> None:  # the batch of one's check
+    if failed:
+        raise error()
+
+
+def _slot(x: Vector, fam: OrthonormalFamily, corridor=None, report=None) -> Slot:
+    """A slot of x under a report checked elsewhere."""
     sign = None if report is None else report.cond_i_value
     return Slot(*fam._operands(x), corridor, sign, fam.coefficients(x))
 
 
-def _pair(x: Vector, y: Vector, fam: OrthonormalFamily, cx=None, cy=None, reports=(None, None)):
-    """The batch of one of a public call on a pair."""
-    p = inner(x, y)
-    return Pair(_slot(x, fam, cx, reports[0]), _slot(y, fam, cy, reports[1]), p)
-
-
-def _positive(*corridors) -> None:
-    """Raise :class:`NonpositiveReSum` for the first corridor whose re_sum is
-    not positive."""
-    for c in corridors:
-        if not c.re_sum > 0.0:
-            raise NonpositiveReSum(float(c.re_sum))
-
-
-def _admit(reports: tuple, which=("x", "y")) -> None:
-    """Raise :class:`HypothesisFailed` for the first report that does not
-    hold, named by ``which``."""
-    for name, report in zip(which, reports):
-        if not report.holds:
-            raise HypothesisFailed(name, report)
-
-
-def _require(
-    x: Vector,
-    fam: OrthonormalFamily,
-    corridor: ScalarCorridor,
-    tol: float,
-    which: str,
-) -> HypothesisReport:
-    """Check the hypothesis, then admit its report."""
-    report = check_hypothesis(x, fam, corridor, tol)
-    _admit((report,), (which,))
-    return report
-
-
-def _require_pair(x, y, fam, cx, cy, tol) -> tuple[Pair, tuple[HypothesisReport, ...]]:
-    """Check the hypotheses of x, then of y; the pair and the two reports."""
-    reports = (_require(x, fam, cx, tol, "x"), _require(y, fam, cy, tol, "y"))
-    return _pair(x, y, fam, cx, cy, reports), reports
+# The chains: each public function and its kernel.
 
 
 def _float_pow(base, exponent: float) -> np.ndarray:
@@ -252,7 +347,7 @@ def bessel_defect(x: Vector, fam: OrthonormalFamily) -> float:
 
 def gruss_defect(x: Vector, y: Vector, fam: OrthonormalFamily) -> complex:
     """<x, y> - sum_i <x, e_i><e_i, y>, the truncated-expansion defect."""
-    return complex(_pair(x, y, fam).defect)
+    return complex(_one(_free_kind, x, y, fam)[0].defect)
 
 
 def m_factor(corridor: ScalarCorridor) -> MFactor:
@@ -289,16 +384,7 @@ def norm_bound_linear(
 
     where a_i = <x, e_i>.
     """
-    report = check_hypothesis(x, fam, corridor, tol)
-    return _linear_chain(_slot(x, fam, corridor), report)
-
-
-def _linear_chain(x: Slot, report: HypothesisReport) -> BoundChain:
-    """The chain of :func:`norm_bound_linear` from the slot of x and its
-    report: raises HypothesisFailed, then NonpositiveReSum."""
-    _admit((report,))
-    _positive(x.corridor)
-    return BoundChain(("||x||", "corridor linear bound"), _linear_values(x), (report,))
+    return _LINEAR(*_one(_x_kind, x, fam, corridor, tol=tol))
 
 
 def _linear_values(x: Slot) -> tuple:
@@ -313,11 +399,6 @@ _SPLIT_LABELS = {
     "max_sum": "corridor bound (max widths * sum coeffs)",
     "sum_max": "corridor bound (sum widths * max coeff)",
 }
-
-
-def _check_exponent(p: float | None) -> None:
-    if p is None or not (p > 1.0) or math.isinf(p):
-        raise BadExponent(f"holder variant needs finite p > 1, got {p}")
 
 
 def norm_bound_quadratic(
@@ -336,28 +417,20 @@ def norm_bound_quadratic(
     by (1/2) / sqrt(re_sum) times the corresponding split of
     sum (|hi_i|+|lo_i|) |a_i|. Labels state which level is used.
     """
-    report = check_hypothesis(x, fam, corridor, tol)
-    return _quadratic_chain(_slot(x, fam, corridor), report, variant, p)
+    return _QUADRATIC(*_one(_x_kind, x, fam, corridor, tol=tol), variant=variant, p=p)
 
 
-def _quadratic_chain(
-    x: Slot, report: HypothesisReport, variant: str = "cbs", p=None
-) -> BoundChain:
-    """The chain of :func:`norm_bound_quadratic` from the slot of x and its
-    report: raises HypothesisFailed, then NonpositiveReSum, then the
-    variant's errors."""
-    _admit((report,))
-    _positive(x.corridor)
+def _quadratic_labels(variant: str = "cbs", p: float | None = None) -> tuple:
+    """The labels of a variant; raises its exponent's or name's error."""
     if variant == "cbs":
-        labels = ("||x||^2", "corridor quadratic bound (cbs)")
-    elif variant == "holder":
-        _check_exponent(p)
-        labels = ("||x||", f"corridor bound (holder p={p:g})")
-    elif variant in _SPLIT_LABELS:
-        labels = ("||x||", _SPLIT_LABELS[variant])
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return BoundChain(labels, _quadratic_values(x, variant, p), (report,))
+        return ("||x||^2", "corridor quadratic bound (cbs)")
+    if variant == "holder":
+        if p is None or not (p > 1.0) or math.isinf(p):
+            raise BadExponent(f"holder variant needs finite p > 1, got {p}")
+        return ("||x||", f"corridor bound (holder p={p:g})")
+    if variant in _SPLIT_LABELS:
+        return ("||x||", _SPLIT_LABELS[variant])
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 def _quadratic_values(x: Slot, variant: str = "cbs", p: float | None = None) -> tuple:
@@ -389,17 +462,7 @@ def bessel_counterpart(
     For a real corridor with 0 <= m_i <= M_i the width factor reduces to
     sum (M_i - m_i)^2 / sum M_i m_i.
     """
-    report = check_hypothesis(x, fam, corridor, tol)
-    return _counterpart_chain(_slot(x, fam, corridor), report)
-
-
-def _counterpart_chain(x: Slot, report: HypothesisReport) -> BoundChain:
-    """The chain of :func:`bessel_counterpart` from the slot of x and its
-    report: raises HypothesisFailed, then NonpositiveReSum."""
-    _admit((report,))
-    _positive(x.corridor)
-    labels = ("0", "projection defect", "corridor defect bound")
-    return BoundChain(labels, _counterpart_values(x), (report,))
+    return _COUNTERPART(*_one(_x_kind, x, fam, corridor, tol=tol))
 
 
 def _counterpart_values(x: Slot) -> tuple:
@@ -443,38 +506,8 @@ def schwarz_counterparts(
     denominators and sqrt(|Delta conj(delta)|) inside the gap numerator; the
     two coincide when Delta conj(delta) is real positive.
     """
-    delta = complex(delta)
-    Delta = complex(Delta)
-    with np.errstate(over="ignore"):
-        ny2 = norm_sq(y)
-    if ny2 == 0.0:
-        raise ZeroVector("y must be nonzero")
-    if not math.isfinite(ny2):
-        raise FloatRangeExceeded(f"||y||^2 overflows the float range: {ny2!r}")
-    ends = Corridors.build([delta], [Delta])
-    failed, error = ends.nonfinite(("delta", "Delta"))
-    if failed:
-        raise error()
-    ys = Slot(y.coords, None, ends)
-    unit, lo, hi = _schwarz_frame(ys)
-    fam = validate_family([Vector(unit[0], real_mode=y.real_mode)], tolerance=UNIT_TOLERANCE)
-    real_pair = (
-        x.real_mode and y.real_mode and delta.imag == 0.0 and Delta.imag == 0.0
-    )
-    corridor = ScalarCorridor(lo, hi, real_mode=real_pair)
-    report = _require(x, fam, corridor, tol, "x")
-    _positive(ends)
-    values = _schwarz_values(Pair(_slot(x, fam, corridor), ys, inner(x, y)))
-    chains = (BoundChain(_SCHWARZ_LABELS[name], v, (report,)) for name, v in values.items())
-    return SchwarzCounterparts(*chains, report)
-
-
-def _schwarz_frame(y: Slot) -> tuple:
-    """Corollary 2.5's family {y/||y||} and corridor (delta ||y||, Delta ||y||)
-    from y and its corridor (delta, Delta): the member rows (..., 1, dim),
-    then the two sides (..., 1)."""
-    ny = np.sqrt(y.nsq)[..., None]
-    return (y.coords / ny)[..., None, :], y.corridor.lo * ny, y.corridor.hi * ny
+    pair, reports = _one(_schwarz_kind, x, y, delta, Delta, tol=tol)
+    return SchwarzCounterparts(**_SCHWARZ(pair, reports), report=reports["x"])
 
 
 def _schwarz_values(pair: Pair) -> dict:
@@ -519,9 +552,7 @@ def gruss_refined_sqrt(
     where sign_x, sign_y are the sign-form values of the two admissibility
     conditions and r_x, r_y the corridor radii.
     """
-    pair, reports = _require_pair(x, y, fam, cx, cy, tol)
-    labels = ("|defect|", "sign-form refined bound", "radius product")
-    return BoundChain(labels, _refined_sqrt_values(pair), reports)
+    return _REFINED_SQRT(*_one(_pair_kind, x, y, fam, cx, cy, tol=tol))
 
 
 def _refined_sqrt_values(pair: Pair) -> tuple:
@@ -540,9 +571,7 @@ def gruss_refined_midpoint(
     tol: float = DEFAULT_HYPOTHESIS_TOL,
 ) -> BoundChain:
     """|defect| <= r_x r_y - sum_i |mid_x,i - a_i| |mid_y,i - b_i| <= r_x r_y."""
-    pair, reports = _require_pair(x, y, fam, cx, cy, tol)
-    labels = ("|defect|", "midpoint refined bound", "radius product")
-    return BoundChain(labels, _refined_midpoint_values(pair), reports)
+    return _REFINED_MIDPOINT(*_one(_pair_kind, x, y, fam, cx, cy, tol=tol))
 
 
 def _refined_midpoint_values(pair: Pair) -> tuple:
@@ -554,8 +583,7 @@ def _refined_midpoint_values(pair: Pair) -> tuple:
 
 def schwarz_step(x: Vector, y: Vector, fam: OrthonormalFamily) -> BoundChain:
     """|defect(x, y)|^2 <= defect(x, x) * defect(y, y), valid for any inputs."""
-    labels = ("|defect|^2", "projection defect product")
-    return BoundChain(labels, _schwarz_step_values(_pair(x, y, fam)))
+    return _SCHWARZ_STEP(*_one(_free_kind, x, y, fam))
 
 
 def _schwarz_step_values(pair: Pair) -> tuple:
@@ -572,15 +600,7 @@ def gruss_bound(
     tol: float = DEFAULT_HYPOTHESIS_TOL,
 ) -> BoundChain:
     """0 <= |defect| <= (1/4) M(cx) M(cy) (sum |a_i|^2)^(1/2) (sum |b_i|^2)^(1/2)."""
-    return _gruss_chain(*_require_pair(x, y, fam, cx, cy, tol))
-
-
-def _gruss_chain(pair: Pair, reports: tuple) -> BoundChain:
-    """The chain of :func:`gruss_bound` from the pair and the reports of x
-    and y: raises HypothesisFailed for x, then for y, then NonpositiveReSum."""
-    _admit(reports)
-    _positive(pair.x.corridor, pair.y.corridor)
-    return BoundChain(("0", "|defect|", "corridor width bound"), _gruss_values(pair), reports)
+    return _GRUSS(*_one(_pair_kind, x, y, fam, cx, cy, tol=tol))
 
 
 def _gruss_values(pair: Pair) -> tuple:
@@ -602,12 +622,7 @@ def single_vector_ratio_chain(
     """
     if fam.count != 1:
         raise ValueError("ratio form needs a single-member family")
-    pair, reports = _require_pair(x, y, fam, cx, cy, tol)
-    if not _ratio_defined(pair):
-        raise ZeroVector("coefficients <x,e>, <y,e> must be nonzero")
-    _positive(cx, cy)
-    labels = ("|<x,y>/(<x,e><e,y>) - 1|", "corridor width bound")
-    return BoundChain(labels, _ratio_values(pair), reports)
+    return _RATIO(*_one(_pair_kind, x, y, fam, cx, cy, tol=tol))
 
 
 def _ratio_denominator(pair: Pair) -> np.ndarray:
@@ -637,21 +652,37 @@ def companion_bound(
 
     with z = lam*x + (1-lam)*y required to be admissible for the corridor.
     """
-    if not 0.0 < lam < 1.0:
-        raise BadLambda(f"lambda must lie strictly in (0, 1), got {lam}")
-    z = Vector(_mix(x.coords, y.coords, lam), real_mode=x.real_mode and y.real_mode)
-    report = _require(z, fam, corridor, tol, "lam*x + (1-lam)*y")
-    _positive(corridor)
-    pair = _pair(x, y, fam)
-    pair.z = _slot(z, fam, corridor)
-    return BoundChain(("Re(defect)", "companion bound"), _companion_values(pair, lam), (report,))
-
-
-def _mix(x: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    """The combination lam*x + (1-lam)*y whose admissibility Theorem 4.1 needs."""
-    return lam * x + (1.0 - lam) * y
+    return _COMPANION(*_one(_companion_kind, x, y, fam, corridor, tol=tol, lam=lam), lam=lam)
 
 
 def _companion_values(pair: Pair, lam: float) -> tuple:
     z = pair.z
     return pair.defect.real, z.m * z.m * z.s / (16.0 * lam * (1.0 - lam))
+
+
+
+# The step of each chain, by the name the catalog gives it.
+_PROJECTION_FLOOR = Step(  # nonnegative, up to rounding relative to ||x||^2
+    ("floor", "projection defect"), lambda pair: (-1e-10 * pair.x.nsq, pair.x.defect)
+)
+_LINEAR = Step(("||x||", "corridor linear bound"), _linear_values, ("corridor",))
+_QUADRATIC = Step(_quadratic_labels, _quadratic_values, ("corridor",))
+_COUNTERPART = Step(
+    ("0", "projection defect", "corridor defect bound"), _counterpart_values, ("corridor",)
+)
+_SCHWARZ = Step(_SCHWARZ_LABELS, _schwarz_values, ("y.corridor",))
+_REFINED_SQRT = Step(
+    ("|defect|", "sign-form refined bound", "radius product"), _refined_sqrt_values
+)
+_REFINED_MIDPOINT = Step(
+    ("|defect|", "midpoint refined bound", "radius product"), _refined_midpoint_values
+)
+_SCHWARZ_STEP = Step(("|defect|^2", "projection defect product"), _schwarz_step_values)
+_GRUSS = Step(
+    ("0", "|defect|", "corridor width bound"), _gruss_values, ("x.corridor", "y.corridor")
+)
+_RATIO = Step(
+    ("|<x,y>/(<x,e><e,y>) - 1|", "corridor width bound"), _ratio_values,
+    ("x.corridor", "y.corridor"), _ratio_defined,
+)
+_COMPANION = Step(("Re(defect)", "companion bound"), _companion_values, ("z.corridor",))

@@ -2,15 +2,14 @@
 the sweeps, the equality cases, the witness search and fuzz campaigns know,
 written once.
 
-An entry of :data:`SELECTORS` names its instance kind in :data:`KINDS`,
-which gives the instance fields the entry reads and the JSON names of the
-hypothesis reports. The entry gives the parser of a ``name:tail`` parameter
-and, for each chain, the public :mod:`orthobound.bounds` function with its
-JSON chain name. :func:`evaluate` is the one way to run a selector on one
-instance, given by its instance-file fields. An entry also gives what a
-campaign needs: the parameter tails it runs, and for each chain the kernel
-that the public function runs on a batch of one, which the campaign runs on
-a chunk of the instances it draws for the kind (see :mod:`orthobound.fuzz`).
+An entry of :data:`SELECTORS` names its instance kind in :data:`KINDS`:
+the fields the kind's builder reads and the JSON names of its reports. The
+entry gives the parser of a ``name:tail`` parameter, the tails a campaign
+runs and, for each chain, its JSON name and its step in
+:mod:`orthobound.bounds`. :func:`evaluate`, the one way to run a selector on
+one instance, builds the instance once, as a batch of one, and runs every
+chain's step on it; a campaign builds the kind over a chunk and runs each
+step's kernel (see :mod:`orthobound.fuzz`).
 """
 
 from __future__ import annotations
@@ -26,42 +25,42 @@ from .jsonio import DELTA_HI, DELTA_LO, FAMILY, X, X_CORRIDOR, Y, Y_CORRIDOR
 class Chain(NamedTuple):
     """One chain of a selector.
 
-    ``name`` is its JSON name in ``check``'s output, None when ``function``
-    returns named chains; ``function`` is the public :mod:`orthobound.bounds`
-    function :func:`evaluate` calls, None for an entry only campaigns run.
-    ``values`` is its kernel: given the instance and the parsed parameters,
-    the chain's values, or the named chains' values by name. A campaign
-    records it under the selector key, plus ``:suffix`` when there is one.
-    ``when``, given the instance, holds where the chain is defined;
-    :func:`evaluate` asks it on a batch of one.
-    """
+    ``step`` names its :class:`~orthobound.bounds.Step`, looked up at call
+    time, so a patched step takes effect; ``name`` is its JSON name in
+    ``check``'s output (None when its step gives named chains); a campaign
+    records its kernel under the selector key, plus ``:suffix`` if any.
+    ``when``, given the built instance, holds where the chain is defined."""
 
-    name: str | None
-    function: str | None
-    values: Callable
+    step: str
+    name: str | None = "main"
     suffix: str = ""
     when: Callable | None = None
 
 
 class Kind(NamedTuple):
     """One kind of instance: the fields :func:`evaluate` reads, in the order
-    the public functions take them (None for a kind only campaigns draw), and
-    the JSON names of the hypothesis reports its chains carry, in checking
-    order."""
+    the public functions take them (None for a kind only campaigns draw);
+    the JSON names of its reports, in checking order; and ``build``, its
+    builder in :mod:`orthobound.bounds`, which takes those fields, the
+    tolerance and the selector parameters named in ``params``."""
 
     fields: tuple[str, ...] | None
     reports: tuple[str, ...]
+    build: Callable
+    params: tuple[str, ...] = ()
 
 
-_PAIR = Kind((X, Y, FAMILY, X_CORRIDOR, Y_CORRIDOR), ("x", "y"))
+_PAIR = Kind((X, Y, FAMILY, X_CORRIDOR, Y_CORRIDOR), ("x", "y"), bounds._pair_kind)
 
 KINDS: dict[str, Kind] = {
-    "x": Kind((X, FAMILY, X_CORRIDOR), ("x",)),  # Theorem 2.1, Corollary 2.3
+    "x": Kind((X, FAMILY, X_CORRIDOR), ("x",), bounds._x_kind),  # Theorem 2.1, Corollary 2.3
     "pair": _PAIR,  # Theorems 1.1, 2 and 3.1
     "single": _PAIR,  # Corollary 3.3: a pair over a one-member family
-    "companion": Kind((X, Y, FAMILY, X_CORRIDOR), ("combined",)),  # Theorem 4.1
-    "schwarz": Kind((X, Y, DELTA_LO, DELTA_HI), ("x",)),  # Corollary 2.5
-    "free": Kind(None, ()),  # vectors under no corridor
+    "companion": Kind(  # Theorem 4.1
+        (X, Y, FAMILY, X_CORRIDOR), ("combined",), bounds._companion_kind, ("lam",)
+    ),
+    "schwarz": Kind((X, Y, DELTA_LO, DELTA_HI), ("x",), bounds._schwarz_kind),  # Corollary 2.5
+    "free": Kind(None, (), bounds._free_kind),  # vectors under no corridor
 }
 
 
@@ -69,8 +68,9 @@ class Selector(NamedTuple):
     """One entry of the bound catalog.
 
     ``kind`` names its instance in :data:`KINDS`. ``params`` parses the tail
-    of "name:tail" into keyword arguments of the public function and of the
-    kernels; ``tails`` are the parameter tails a campaign runs.
+    of "name:tail" into keyword arguments of the steps (and of the builder
+    where its kind names them); ``tails`` are the parameter tails a campaign
+    runs.
     """
 
     kind: str
@@ -102,40 +102,27 @@ def _lambda_params(raw: str, tail: str) -> dict:
     return {"lam": _number(raw, tail, "lambda")}
 
 
-def _projection_floor(pair: bounds.Pair) -> tuple:
-    """The projection defect of a free vector over the family: nonnegative, up
-    to rounding relative to ||x||^2."""
-    return -1e-10 * pair.x.nsq, pair.x.defect
-
-
-def _main(function: str | None, values: Callable) -> tuple[Chain]:
-    return (Chain("main", function, values),)
-
-
 # In the order a campaign records its chains.
 SELECTORS: dict[str, Selector] = {
-    "thm2.1": Selector("x", _main("norm_bound_quadratic", bounds._quadratic_values)),
-    "eq2.6": Selector("x", _main("norm_bound_linear", bounds._linear_values)),
+    "thm2.1": Selector("x", (Chain("_QUADRATIC"),)),
+    "eq2.6": Selector("x", (Chain("_LINEAR"),)),
     "eq2.11": Selector(
-        "x", _main("norm_bound_quadratic", bounds._quadratic_values), _split_params,
-        tails=("max", "holder:3", "sum"),
+        "x", (Chain("_QUADRATIC"),), _split_params, tails=("max", "holder:3", "sum"),
     ),
-    "cor2.3": Selector("x", _main("bessel_counterpart", bounds._counterpart_values)),
-    "thm1.1": Selector("pair", _main("gruss_refined_sqrt", bounds._refined_sqrt_values)),
-    "thm2": Selector("pair", _main("gruss_refined_midpoint", bounds._refined_midpoint_values)),
-    "thm3.1": Selector("pair", _main("gruss_bound", bounds._gruss_values)),
+    "cor2.3": Selector("x", (Chain("_COUNTERPART"),)),
+    "thm1.1": Selector("pair", (Chain("_REFINED_SQRT"),)),
+    "thm2": Selector("pair", (Chain("_REFINED_MIDPOINT"),)),
+    "thm3.1": Selector("pair", (Chain("_GRUSS"),)),
     "thm4.1": Selector(
-        "companion", _main("companion_bound", bounds._companion_values), _lambda_params,
-        tails=("0.1", "0.5", "0.9"),
+        "companion", (Chain("_COMPANION"),), _lambda_params, tails=("0.1", "0.5", "0.9")
     ),
-    "cor2.5": Selector("schwarz", (Chain(None, "schwarz_counterparts", bounds._schwarz_values),)),
+    "cor2.5": Selector("schwarz", (Chain("_SCHWARZ", None),)),
     "cor3.3": Selector("single", (
-        Chain("main", "gruss_bound", bounds._gruss_values),
-        Chain("ratio_form", "single_vector_ratio_chain", bounds._ratio_values, "ratio",
-              bounds._ratio_defined),
+        Chain("_GRUSS"),
+        Chain("_RATIO", "ratio_form", "ratio", bounds._ratio_defined),
     )),
-    "bessel-defect": Selector("free", _main(None, _projection_floor)),
-    "schwarz-step": Selector("free", _main(None, bounds._schwarz_step_values)),
+    "bessel-defect": Selector("free", (Chain("_PROJECTION_FLOOR"),)),
+    "schwarz-step": Selector("free", (Chain("_SCHWARZ_STEP"),)),
 }
 
 
@@ -160,22 +147,23 @@ def evaluate(
     selector: str, fields: Mapping, tol: float = DEFAULT_HYPOTHESIS_TOL
 ) -> dict[str, bounds.BoundChain]:
     """The chains of ``selector`` on the instance whose fields are keyed by
-    their instance-file names, by JSON name in call order; a chain is left
-    out where its ``when`` does not hold. A field the selector's kind reads
-    that ``fields`` lacks (or gives as None) raises
+    their instance-file names, by JSON name in catalog order, all on one
+    build; a chain is left out where its ``when`` does not hold. A field the
+    selector's kind reads that ``fields`` lacks (or gives as None) raises
     :class:`InstanceFormatError`, naming every such field in decode order."""
     name, entry, params = parse_selector(selector)
-    reads = KINDS[entry.kind].fields
+    kind = KINDS[entry.kind]
+    reads = kind.fields
     missing = [field for field in jsonio._FIELDS if field in reads and fields.get(field) is None]
     if missing:
         raise InstanceFormatError(",".join(missing), f"required by bound selector {name!r}")
-    args = [fields[field] for field in reads]
+    built = {k: params[k] for k in kind.params}  # the parameters the builder reads
+    inst, reports = bounds._one(kind.build, *(fields[f] for f in reads), tol=tol, **built)
     chains: dict[str, bounds.BoundChain] = {}
     for chain in entry.chains:
-        if chain.when is None or chain.when(bounds._pair(*args)):
-            # looked up at call time, so a patched bounds function takes effect
-            result = getattr(bounds, chain.function)(*args, **params, tol=tol)
-            chains.update(result.chains() if chain.name is None else {chain.name: result})
+        if chain.when is None or chain.when(inst):
+            result = getattr(bounds, chain.step)(inst, reports, **params)
+            chains.update(result if chain.name is None else {chain.name: result})
     return chains
 
 

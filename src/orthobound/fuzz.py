@@ -29,24 +29,25 @@ A campaign runs in chunks of ``CHUNK`` bundles, each in two phases:
 
 * Draw (:func:`draw`). One ``rng.random((n, S))`` call fills a row per
   bundle, and its Gaussian columns become normals.
-* Evaluate (:func:`evaluate`). Families (one stacked QR), corridors,
-  admissible points, admissibility reports and every selected chain are
-  computed over the leading bundle axis by the kernels the scalar API runs
-  on a batch of one. Every array keeps one row per bundle; a mask per
-  instance picks the bundles whose corridors were accepted, which alone
-  are checked, counted and recorded. Each (vector, corridor) hypothesis is
-  evaluated once per bundle.
+* Evaluate (:func:`evaluate`). Families (one stacked QR), corridors and
+  admissible points come from the draws over the leading bundle axis; each
+  kind's builder in :mod:`orthobound.bounds`, which the scalar API runs on a
+  batch of one, admits its instance from them once per bundle, and each
+  selected chain's kernel runs on it. Every array keeps one row per bundle;
+  a mask per instance picks the bundles whose corridors were accepted,
+  which alone are checked, counted and recorded.
 
 Contract: a fixed seed fixes every draw, every chain value (bitwise equal
 to what the public scalar functions give on the same instance) and the
 summary, including the order of its violations and keys; a bundle replayed
 alone from (seed, trial) gives the values it gives within its campaign. A
 campaign that fails raises the error that evaluating its bundles one at a
-time, in order, would raise first. This holds by construction: each check on
-an instance is the batched rule of the module that owns the type, the rule
-its scalar constructor applies to a batch of one; the chunk only registers
-each rule, in bundle order, and raises its first failure through that rule's
-own error builder. The bits hold within one numpy build and CPU dispatch:
+time, in order, would raise first. This holds by construction: a draw is
+checked by the batched rules of the modules that own its types, and an
+instance by its kind's builder, which the public functions run on a batch of
+one; the chunk only registers each rule, in bundle order, and raises its
+first failure through that rule's own error builder. The bits hold within
+one numpy build and CPU dispatch:
 Box-Muller uses numpy's SIMD ``log1p``, ``cos`` and ``sin``, which may round
 differently on another instruction set.
 """
@@ -55,19 +56,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .admissibility import (
-    DEFAULT_HYPOTHESIS_TOL,
-    CorridorSpec,
-    Corridors,
-    _admissible_points,
-    _hypothesis,
-)
-from .bounds import UNIT_TOLERANCE, Pair, Slot, _chain_holds, _chain_slacks, _mix, _schwarz_frame
+from . import bounds
+from .admissibility import DEFAULT_HYPOTHESIS_TOL, CorridorSpec, Corridors, _admissible_points
+from .bounds import Pair, Slot, _chain_holds, _chain_slacks
 from .catalog import SELECTORS, Selector, campaign_keys
-from .errors import HypothesisFailed
 from .family import DEFAULT_TOLERANCE, _check_size, _gram_check, _orthonormal_rows
 from .space import _nonfinite
 
@@ -278,7 +274,7 @@ def evaluate(config: FuzzConfig, trials: range, sites: dict):
     """
     e = _Evaluation(config, np.asarray(trials), sites)
     every = np.ones(len(e.trials), dtype=bool)
-    e.fam, e.gres = e.families(every, *sites["fam"])
+    e.fam = e.families(every, *sites["fam"])
     (cx, x_ok), (cy, y_ok) = (e.corridor(every, *sites[c]) for c in ("cx", "cy"))
     e.live = x_ok & y_ok
     e.xy = [(e.point(e.live, e.fam, c, *sites[v]), c) for v, c in (("x", cx), ("y", cy))]
@@ -295,7 +291,7 @@ def evaluate(config: FuzzConfig, trials: range, sites: dict):
 class _Evaluation:
     """What the evaluation of one chunk shares: its trials and draws, the
     family and admissible pair of each bundle with the mask ``live`` of
-    those whose x and y corridors were accepted, the instances drawn from
+    those whose x and y corridors were accepted, the instances built from
     them, its rejected corridors, its chain records, and its first failed
     check in bundle order (by trial, then by the order of registration)."""
 
@@ -316,11 +312,17 @@ class _Evaluation:
         the mask of failed rows and ``error(row)``, which builds (or raises)
         the exception of one; only the chunk's first is built."""
         self.step += 1
+        if failed is False:  # an argument rule that holds for the whole chunk
+            return
         rows = np.flatnonzero(failed & live)
         if rows.size:
             key = (int(self.trials[rows[0]]), self.step)
             if self.first is None or key < self.first[0]:
                 self.first = (key, error, rows[0])
+
+    def build(self, live: np.ndarray, build, *fields, **params):
+        """(live, instance): a builder's instance of fields drawn for ``live``."""
+        return live, build(partial(self.check, live), *fields, DEFAULT_HYPOTHESIS_TOL, **params)[0]
 
     def run(self, key: str, entry: Selector, tail: str | None) -> None:
         """Record the chains of selector ``key`` on the live rows of its instance."""
@@ -329,7 +331,7 @@ class _Evaluation:
         if not live.any():
             return
         for chain in entry.chains:
-            values = chain.values(inst, **params)
+            values = getattr(bounds, chain.step).values(inst, **params)
             named = values if chain.name is None else {chain.suffix: values}
             keep = live if chain.when is None else live & chain.when(inst)
             for suffix, v in named.items():
@@ -354,7 +356,7 @@ class _Evaluation:
         d = self.d
         return w.astype(np.complex128) if self.real else w[..., :d] + 1j * w[..., d:]
 
-    def families(self, live: np.ndarray, raw: np.ndarray):
+    def families(self, live: np.ndarray, raw: np.ndarray) -> tuple:
         mats = _orthonormal_rows(raw if self.real else raw[:, 0] + 1j * raw[:, 1])
         res, *rule = _gram_check(mats, DEFAULT_TOLERANCE)
         self.check(live, *rule)
@@ -374,26 +376,19 @@ class _Evaluation:
         self.check(live, *_nonfinite(v))
         return v
 
-    def point(self, live, mats, c, slack, w) -> np.ndarray:
-        return self.finite(live, _admissible_points(mats, c, self.vectors(w), slack))
-
-    def slot(self, live, x, mats, c, gres, which: str) -> Slot:
-        """x with its family and corridor, its admissibility checked as the
-        bounds check it."""
-        sign, failed, report = _hypothesis(x, mats, c, DEFAULT_HYPOTHESIS_TOL, gres)
-        self.check(live, failed, lambda i: HypothesisFailed(which, report(i)))
-        return Slot(x, mats, c, sign)
+    def point(self, live, fam, c, slack, w) -> np.ndarray:
+        return self.finite(live, _admissible_points(fam[0], c, self.vectors(w), slack))
 
     def _x(self):
         """The admissible x of the bundle's family."""
         (x, cx), _ = self.xy
-        return self.live, self.slot(self.live, x, self.fam, cx, self.gres, "x")
+        return self.build(self.live, bounds._x_kind, x, self.fam, cx)
 
     def _pair(self):
-        """The admissible pair (x, y) of the bundle's family."""
+        """The admissible pair (x, y) of the bundle's family; x is the x kind's."""
         live, x = self.drawn("x")
         y, cy = self.xy[1]
-        return live, Pair(x, self.slot(live, y, self.fam, cy, self.gres, "y"))
+        return live, Pair(x, self.build(live, bounds._x_kind, y, self.fam, cy, which="y")[1])
 
     def _companion(self, tail: str, lam: float):
         """Theorem 4.1 at ``lam``: z admissible, x free, y solved from z."""
@@ -402,33 +397,27 @@ class _Evaluation:
         z = self.point(live, self.fam, cz, slack, w)
         xa = self.vectors(xw)
         yb = self.finite(live, (z - lam * xa) / (1.0 - lam))
-        z2 = self.slot(live, _mix(xa, yb, lam), self.fam, cz, self.gres, "lam*x + (1-lam)*y")
-        return live, Pair(Slot(xa, self.fam), Slot(yb, self.fam), z=z2)
+        return self.build(live, bounds._companion_kind, xa, yb, self.fam, cz, lam=lam)
 
     def _schwarz(self):
-        """Corollary 2.5: x admissible for {y/||y||} under (delta ||y||, Delta ||y||)."""
-        c1, live = self.corridor(self.live, *self.sites["c25"])
-        y = Slot(self.vectors(*self.sites["yv"]), None, c1)
-        unit, lo, hi = _schwarz_frame(y)
-        self.finite(live, unit[:, 0])
-        res, *rule = _gram_check(unit, UNIT_TOLERANCE)
-        self.check(live, *rule)
-        corr_x = Corridors.build(lo, hi)
-        self.check(live, *corr_x.nonfinite())
-        xs = self.point(live, unit, corr_x, *self.sites["xs"])
-        return live, Pair(self.slot(live, xs, unit, corr_x, res, "x"), y)
+        """Corollary 2.5: y, its corridor (delta, Delta), and x admissible in y's frame."""
+        ends, live = self.corridor(self.live, *self.sites["c25"])
+        y = self.vectors(*self.sites["yv"])
+        unit, lo, hi = bounds._schwarz_frame(Slot(y, None, ends))
+        slack, w = self.sites["xs"]
+        x = _admissible_points(unit, Corridors.build(lo, hi), self.vectors(w), slack)
+        return self.build(live, bounds._schwarz_kind, x, y, ends.lo[..., 0], ends.hi[..., 0])
 
     def _single(self):
         """Corollary 3.3: a pair over a one-member family."""
-        fam, gres = self.families(self.live, *self.sites["f1"])
+        fam = self.families(self.live, *self.sites["f1"])
         (c1, x_ok), (c2, y_ok) = (self.corridor(self.live, *self.sites[c]) for c in ("c1", "c2"))
         live = x_ok & y_ok
         xs = self.point(live, fam, c1, *self.sites["p1"])
         ys = self.point(live, fam, c2, *self.sites["p2"])
-        x = self.slot(live, xs, fam, c1, gres, "x")
-        return live, Pair(x, self.slot(live, ys, fam, c2, gres, "y"))
+        return self.build(live, bounds._pair_kind, xs, ys, fam, c1, c2)
 
     def _free(self):
         """Two vectors under no corridor."""
         xr, yr = map(self.vectors, self.sites["xr"])
-        return self.live, Pair(Slot(xr, self.fam), Slot(yr, self.fam))
+        return self.build(self.live, bounds._free_kind, xr, yr, self.fam)

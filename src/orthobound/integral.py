@@ -18,16 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .admissibility import HypothesisReport, ScalarCorridor, check_hypothesis
-from .bounds import (
-    BoundChain,
-    Pair,
-    Slot,
-    _counterpart_chain,
-    _gruss_chain,
-    _linear_chain,
-    _quadratic_chain,
-    _slot,
-)
+from .bounds import _COUNTERPART, _GRUSS, _LINEAR, _QUADRATIC, BoundChain, Pair, Slot, _slot
 from .errors import DimensionMismatch, NonpositiveReSum, SandwichViolated
 from .family import OrthonormalFamily, QUADRATURE_TOLERANCE, _embedded_family, _require_members
 from .space import QuadratureGrid, SampledFunction, Vector, embed, inner
@@ -39,10 +30,10 @@ class IntegralInstance:
 
     It keeps one slot for x, and one for y when there is a y, holding the
     coefficients of one ``coefficients`` pass and its report's sign value.
-    Each chain runs its public bound's kernel on the slots, carries the
-    instance's reports and raises its public bound's errors, in the same
-    order, without checking the hypothesis again: it is judged at the band
-    its reports were checked at by :func:`integral_instance`, which builds it.
+    Each chain method runs its public bound's step on those slots and the
+    instance's reports, which admits the reports and raises the public
+    bound's errors in its order, without checking the hypothesis again: it
+    is judged at the band :func:`integral_instance` checked the reports at.
     """
 
     family: OrthonormalFamily
@@ -62,19 +53,19 @@ class IntegralInstance:
         object.__setattr__(self, "_y", y)
 
     def linear_chain(self) -> BoundChain:
-        return _linear_chain(self._x, self.report_x)
+        return _LINEAR(self._x, {"x": self.report_x})
 
     def quadratic_chain(self, variant: str = "cbs", p: float | None = None) -> BoundChain:
-        return _quadratic_chain(self._x, self.report_x, variant, p)
+        return _QUADRATIC(self._x, {"x": self.report_x}, variant=variant, p=p)
 
     def bessel_chain(self) -> BoundChain:
-        return _counterpart_chain(self._x, self.report_x)
+        return _COUNTERPART(self._x, {"x": self.report_x})
 
     def gruss_chain(self) -> BoundChain:
         if self.y is None or self.cy is None or self.report_y is None:
             raise ValueError("instance has no second function")
         pair = Pair(self._x, self._y, inner(self.x, self.y))
-        return _gruss_chain(pair, (self.report_x, self.report_y))
+        return _GRUSS(pair, {"x": self.report_x, "y": self.report_y})
 
 
 def integral_instance(

@@ -186,5 +186,4 @@ def chain_to_json(chain: BoundChain) -> dict:
         "values": list(chain.values),
         "all_hold": chain.all_hold,
         "slacks": list(chain.slacks),
-        "verified": chain.verified,
     }

