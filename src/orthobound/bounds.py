@@ -20,10 +20,13 @@ a ``_*_kind`` function: over any leading batch shape, it applies the
 owners' batched rules in order through the caller's ``check`` and returns a
 :class:`Slot` or a :class:`Pair` of slots with its reports. A campaign
 registers the rules on a chunk; the batch of one (:func:`_one`) raises the
-first failure. Each chain is a :class:`Step` (its checks after the build,
-its labels and its rank-polymorphic ``_*_values`` kernel): a public function
-is its kind's batch of one followed by its step, which the catalog and an
-integral instance also run on the instances they hold.
+first failure. Corollary 2.5's builder runs in two halves, the frame
+(:func:`_schwarz_y`) and then x (:func:`_schwarz_x`), so that a campaign
+draws x in the frame the builder checks. Each chain is a :class:`Step` (its
+checks after the build, its labels and its rank-polymorphic ``_*_values``
+kernel): a public function is its kind's batch of one followed by its step,
+which the catalog and an integral instance also run on the instances they
+hold.
 """
 
 from __future__ import annotations
@@ -256,9 +259,16 @@ def _companion_kind(check, x, y, fam, corridor, tol: float = DEFAULT_HYPOTHESIS_
 
 
 def _schwarz_kind(check, x, y, delta, Delta, tol: float = DEFAULT_HYPOTHESIS_TOL):
-    """Corollary 2.5: y and (delta, Delta), then the frame, then x (which a
-    campaign draws in the frame) admitted under it. Float64 (delta, Delta)
-    mark an all-real batch of one, whose frame takes float64 rows."""
+    """Corollary 2.5: its frame (:func:`_schwarz_y`), then x admitted under it."""
+    return _schwarz_x(check, x, _schwarz_y(check, y, delta, Delta), tol)
+
+
+def _schwarz_y(check, y, delta, Delta) -> tuple:
+    """Corollary 2.5's first half: y and (delta, Delta), then the frame, in
+    which a campaign draws x. Returns y's slot, the family {y/||y||} as
+    (rows, gram residual) and its corridor (delta ||y||, Delta ||y||).
+    Float64 (delta, Delta) mark an all-real batch of one, whose frame takes
+    float64 rows."""
     ys = Slot(y, None, Corridors.build(delta[..., None], Delta[..., None]))
     with np.errstate(over="ignore"):
         ny2 = ys.nsq
@@ -272,9 +282,15 @@ def _schwarz_kind(check, x, y, delta, Delta, tol: float = DEFAULT_HYPOTHESIS_TOL
     check(*rule)
     corridor = Corridors.build(lo, hi)
     check(*corridor.nonfinite())
+    return ys, ((unit.real if delta.dtype.kind == "f" else unit), residual), corridor
+
+
+def _schwarz_x(check, x, frame: tuple, tol: float = DEFAULT_HYPOTHESIS_TOL):
+    """Corollary 2.5's second half: x admitted under the frame
+    :func:`_schwarz_y` returned."""
+    ys, fam, corridor = frame
     check(*_nonfinite(x))
-    frame = (unit.real if delta.dtype.kind == "f" else unit), residual
-    xs, reports = _x_kind(check, x, frame, corridor, tol)
+    xs, reports = _x_kind(check, x, fam, corridor, tol)
     return Pair(xs, ys), reports
 
 

@@ -4,7 +4,9 @@ A family is stored as an immutable (count x dim) matrix with its measured
 gram residual, the maximum deviation |<e_i, e_j> - delta_ij| over all pairs.
 Validation never trusts the caller: the residual is always recomputed with
 the same pairwise summation used by the inner product, so it can be
-re-asserted post hoc.
+re-asserted post hoc. The gram rule sums the Gram matrix in blocks of member
+rows, so validating a family of ``count`` members in ``dim`` coordinates
+takes O(count * dim) working memory, not a count x count x dim tensor.
 
 A basis embedded on a grid is embedded and validated once per process: the
 family of its first call is kept in a small memo with copies of the samples
@@ -59,6 +61,12 @@ def _identity(count: int) -> np.ndarray:
     return eye
 
 
+# Bytes of pairwise products the gram rule holds at once: 1 MiB. A
+# 200-bundle campaign chunk (4 members in 8 complex dimensions, 400 KiB of
+# products) is one block; a 16 x 2048 real basis (4 MiB) is four.
+_GRAM_BLOCK_BYTES = 1 << 20
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _gram_check(matrix: np.ndarray, tolerance: float) -> tuple:
     """The gram rule over families (..., count, dim), members as rows: each
@@ -67,17 +75,21 @@ def _gram_check(matrix: np.ndarray, tolerance: float) -> tuple:
     A NaN or Inf entry, or products that overflow, give an Inf or NaN
     residual, which fails quietly."""
     count = matrix.shape[-2]
-    # The product tensor is the rule's largest array, built for an embedded
-    # basis on its first call only (a later call with equal samples and grid
-    # masses hits the memo of _embedded_family); passed without a name,
-    # tree_sum frees it once its first level is summed. Summing only the
-    # upper triangle of a real family gives the same residual and worst pair,
-    # but changes which large temporaries are freed when, and glibc then
-    # trims the heap top on every call: a quadrature-large op (16 members x
-    # 2048 nodes, 2-vCPU Xeon, numpy 2.4.6) took 1,328 minor page faults and
-    # 4.9-5.4 ms that way, against 2.7-2.9 ms with the full tensor, which
-    # stays. With the float64 lane an op takes 0.016 faults, as before it.
-    gram = tree_sum(np.multiply(matrix[..., :, None, :], np.conj(matrix)[..., None, :, :]))
+    conj = np.conj(matrix)[..., None, :, :]
+    # The products of a block of member rows with every member, (..., rows,
+    # count, dim), hold at most _GRAM_BLOCK_BYTES (a block holds at least one
+    # row), so the rule's working memory is O(count * dim) beyond the
+    # (..., count, count) Gram. Products are elementwise and tree_sum sums
+    # each row on its own, so the Gram is the one-tensor Gram bit for bit. A
+    # family within the budget is one block: one call, and no copy. Passed
+    # without a name, a block's products are freed once their first level is
+    # summed.
+    rows = max(1, _GRAM_BLOCK_BYTES // max(1, conj.nbytes))
+    blocks = [
+        tree_sum(np.multiply(matrix[..., i:i + rows, None, :], conj))
+        for i in range(0, count, rows)
+    ]
+    gram = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=-2)
     deviation = np.abs(gram - _identity(count))
     flat = deviation.reshape(deviation.shape[:-2] + (-1,))
     residual = flat.max(axis=-1)

@@ -62,7 +62,7 @@ import numpy as np
 
 from . import bounds
 from .admissibility import DEFAULT_HYPOTHESIS_TOL, CorridorSpec, Corridors, _admissible_points
-from .bounds import Pair, Slot, _chain_holds, _chain_slacks
+from .bounds import Pair, _chain_holds, _chain_slacks
 from .catalog import SELECTORS, Selector, campaign_keys
 from .family import DEFAULT_TOLERANCE, _check_size, _gram_check, _orthonormal_rows
 from .space import _nonfinite
@@ -400,13 +400,16 @@ class _Evaluation:
         return self.build(live, bounds._companion_kind, xa, yb, self.fam, cz, lam=lam)
 
     def _schwarz(self):
-        """Corollary 2.5: y, its corridor (delta, Delta), and x admissible in y's frame."""
+        """Corollary 2.5: y and its corridor (delta, Delta), then x
+        admissible in the frame the builder's first half builds of them."""
         ends, live = self.corridor(self.live, *self.sites["c25"])
         y = self.vectors(*self.sites["yv"])
-        unit, lo, hi = bounds._schwarz_frame(Slot(y, None, ends))
+        check = partial(self.check, live)
+        frame = bounds._schwarz_y(check, y, ends.lo[..., 0], ends.hi[..., 0])
+        _, (unit, _), corridor = frame
         slack, w = self.sites["xs"]
-        x = _admissible_points(unit, Corridors.build(lo, hi), self.vectors(w), slack)
-        return self.build(live, bounds._schwarz_kind, x, y, ends.lo[..., 0], ends.hi[..., 0])
+        x = _admissible_points(unit, corridor, self.vectors(w), slack)
+        return live, bounds._schwarz_x(check, x, frame, DEFAULT_HYPOTHESIS_TOL)[0]
 
     def _single(self):
         """Corollary 3.3: a pair over a one-member family."""

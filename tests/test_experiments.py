@@ -9,7 +9,7 @@ from orthobound import (
     equality_cases,
     sharpness_sweep,
 )
-from orthobound import bounds
+from orthobound import admissibility, bounds
 from orthobound.experiments import sweep_rows_to_csv
 
 
@@ -72,6 +72,14 @@ def test_witnesses_found_both_directions():
     assert w1.refined_sqrt < w1.refined_midpoint
     assert w2.refined_midpoint < w2.refined_sqrt
     assert w1.margin > 0 and w2.margin > 0
+
+
+def test_witness_search_admits_each_pair_once(monkeypatch):
+    # thm1.1 and thm2 read one pair: one hypothesis kernel per (vector, corridor)
+    kernel, calls = admissibility._hypothesis, []
+    monkeypatch.setattr(admissibility, "_hypothesis", lambda *a: calls.append(a) or kernel(*a))
+    result = bound_comparison_search(seed=7, trials=10_000)
+    assert len(calls) == 2 * result.trials_used
 
 
 def test_witness_search_zero_trials():

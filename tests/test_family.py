@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -28,7 +29,7 @@ from orthobound.family import (
     legendre_samples,
     trig_samples,
 )
-from orthobound.space import grid_inner
+from orthobound.space import grid_inner, tree_sum
 from conftest import complex_twin
 
 
@@ -204,6 +205,124 @@ def test_real_gram_rule_matches_complex_on_embedded_families():
         fam = _embedded_family(fns, grid, QUADRATURE_TOLERANCE)
         _assert_real_gram_matches_complex(fam.matrix, 1e-8)
         assert fam.gram_residual == float(_gram_check(fam.matrix, 1e-8)[0])
+
+
+def _one_tensor_gram(matrix):
+    """The reference gram rule: the residuals and the flattened deviations
+    |G - I| of the Gram matrix summed from the whole (..., count, count, dim)
+    product tensor."""
+    count = matrix.shape[-2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = tree_sum(np.multiply(matrix[..., :, None, :], np.conj(matrix)[..., None, :, :]))
+        deviation = np.abs(gram - np.eye(count))
+    flat = deviation.reshape(deviation.shape[:-2] + (-1,))
+    return flat.max(axis=-1), flat
+
+
+def _assert_gram_rule_matches_one_tensor(monkeypatch, matrix, blocks, tolerance=1e-10):
+    """The gram rule sums ``matrix`` in ``blocks`` calls of tree_sum and gives
+    the reference's residual bytes, mask, and the error of every failing
+    family, whose worst pair is the first in row-major order."""
+    calls = []
+    monkeypatch.setattr(family, "tree_sum", lambda a: calls.append(a.shape) or tree_sum(a))
+    residual, failed, error = _gram_check(matrix, tolerance)
+    assert len(calls) == blocks
+    expected, flat = _one_tensor_gram(matrix)
+    assert _bits(residual) == _bits(expected)
+    assert np.array_equal(failed, ~(expected <= tolerance))
+    for row in map(tuple, np.argwhere(failed)):
+        pair = divmod(int(flat[row].argmax()), matrix.shape[-2])
+        reference = GramResidualExceeded(float(expected[row]), pair, tolerance)
+        assert str(error(row)) == str(reference)
+        assert error(row).pair == pair
+        assert _bits(error(row).residual) == _bits(reference.residual)
+
+
+def _random_rows(batch, count, dim, complex_input, seed=0):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(batch + (dim, count))
+    if complex_input:
+        a = a + 1j * rng.standard_normal(a.shape)
+    return _orthonormal_rows(a)
+
+
+# (batch, count, dim, complex, blocks): batches of one and campaign chunks,
+# then bases split into several blocks, one with a shorter last block
+_GRAM_CASES = [
+    ((), 4, 8, False, 1),
+    ((), 4, 8, True, 1),
+    ((), 8, 16, False, 1),
+    ((), 8, 16, True, 1),
+    ((200,), 4, 8, True, 1),
+    ((1024,), 4, 8, True, 2),
+    ((), 16, 2048, False, 4),
+    ((), 40, 4096, False, 40),
+    ((), 10, 2048, True, 4),  # blocks of 3, 3, 3 and 1 rows
+]
+
+
+@pytest.mark.parametrize("batch, count, dim, complex_input, blocks", _GRAM_CASES)
+def test_blocked_gram_rule_matches_the_one_tensor_rule(
+    monkeypatch, batch, count, dim, complex_input, blocks
+):
+    matrix = _random_rows(batch, count, dim, complex_input)
+    _assert_gram_rule_matches_one_tensor(monkeypatch, matrix, blocks)
+
+
+@pytest.mark.parametrize("fill", [-0.0, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "batch, count, dim, complex_input, blocks", [c for c in _GRAM_CASES if c[4] > 1]
+)
+def test_blocked_gram_rule_keeps_signed_zeros_and_nonfinite_entries(
+    monkeypatch, fill, batch, count, dim, complex_input, blocks
+):
+    # the last member, in the last block: a row of -0.0 fails with residual 1;
+    # a NaN or an Inf entry fails with a NaN or Inf residual; in a campaign
+    # chunk, only the families given the entry fail
+    matrix = _random_rows(batch, count, dim, complex_input, seed=1)
+    hit = (slice(None, None, 337),) if batch else ()
+    if fill == 0.0:
+        matrix[hit + (-1,)] = fill
+    else:
+        matrix[hit + (-1, 5)] = fill
+    _assert_gram_rule_matches_one_tensor(monkeypatch, matrix, blocks)
+
+
+def test_blocked_gram_rule_reports_a_worst_pair_in_a_later_block(monkeypatch):
+    matrix = _random_rows((), 16, 2048, False)
+    matrix[14] *= 1.0 + 1e-6  # blocks of 4 rows: member 14 is in the last
+    _assert_gram_rule_matches_one_tensor(monkeypatch, matrix, 4)
+    assert _gram_check(matrix, 1e-10)[2]().pair == (14, 14)
+
+
+@pytest.mark.parametrize("scale, pair", [(1.5, (1, 1)), (1.0, (1, 12))])
+def test_blocked_gram_rule_breaks_a_tie_across_blocks_in_row_major_order(
+    monkeypatch, scale, pair
+):
+    # members 1 and 12 lie in the first and last of four blocks: scaled
+    # alike, their diagonal deviations tie; sharing a coordinate, (1, 12)
+    # ties with (12, 1)
+    matrix = np.eye(16, 2048)
+    matrix[[1, 12]] *= scale
+    if scale == 1.0:
+        matrix[12, 1] = 0.25
+    _assert_gram_rule_matches_one_tensor(monkeypatch, matrix, 4)
+    assert _gram_check(matrix, 1e-10)[2]().pair == pair
+
+
+def test_gram_rule_memory_is_linear_in_members():
+    grid = gauss_legendre_grid(4096)
+    fns = legendre_samples(32, grid)
+    tracemalloc.start()
+    try:
+        fam = _embedded_family(fns, grid, QUADRATURE_TOLERANCE)  # a miss: the memo is cold
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # what the family keeps (its matrix, real rows and the memo's copies of
+    # its samples and masses) is about 4 MiB; the 32 x 32 x 4096 product
+    # tensor alone would be 32 MiB
+    assert peak < family._memo[fam].nbytes + 4 * 2**20
 
 
 def test_one_pass_embedding_matches_member_embeddings():

@@ -490,6 +490,14 @@ def test_planted_corollary_2_5_frame_raises_the_reference_error(monkeypatch, fau
     _same_first_error(FuzzConfig(seed=11, count=100, selectors=("cor2.5",)), expected)
 
 
+def test_a_chunk_builds_corollary_2_5_frame_once(monkeypatch):
+    # the campaign draws x in the frame its builder checks
+    frame, calls = bounds._schwarz_frame, []
+    monkeypatch.setattr(bounds, "_schwarz_frame", lambda y: calls.append(y) or frame(y))
+    run_fuzz(FuzzConfig(seed=11, count=100, selectors=("cor2.5",)))
+    assert len(calls) == 1
+
+
 def _planted_points(monkeypatch, plant):
     """Points drawn with slack above 0.97 become ``plant(points)``."""
     kernel = admissibility._admissible_points
