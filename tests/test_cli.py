@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import math
@@ -68,6 +69,32 @@ def inadmissible(tmp_path):
             "Phi": [[2.0, 0.0]],
         },
     )
+
+
+# The sha256 of the stdout of each command, run in-process: the outputs every
+# refactor of the evaluation path must leave byte for byte as they are.
+GOLDEN_STDOUTS = [
+    (("check", "--instance", str(DATA / "cor23_construction.json"), "--bound", "cor2.3"),
+     "f22f0ca22072c16aa7347fa9fa33192d951e779c46503cef9675ed3cfee7ee85"),
+    (("check", "--instance", str(DATA / "centered_instance.json"), "--bound", "cor2.3"),
+     "8fe8c150292a57a041af5c000512c5e13c3834fe7e11bc72041e9aac1bcf9b7e"),
+    (("fuzz", "--seed", "42", "--count", "30"),
+     "23f518f67acb157205440bf18ad41feec23e6eadc7d30262cbc5f9698d867988"),
+    (("integral-demo", "--family", "trig"),
+     "a133d2915633d456be647f42a487ecb673c924f0a96359361e0b8ce8a71bbec2"),
+    (("integral-demo", "--family", "legendre"),
+     "2d71ebb28104ebe27a3a47c186261e71f8a22ffcd812db5fd6fa8b1dcb3834ed"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", GOLDEN_STDOUTS,
+    ids=["check-cor23", "check-centered", "fuzz-42", "integral-trig", "integral-legendre"],
+)
+def test_golden_stdouts(capsys, argv, digest):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_check_shipped_plane_construction(capsys):
