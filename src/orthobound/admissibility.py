@@ -26,8 +26,8 @@ from typing import TYPE_CHECKING, NamedTuple, Union
 import numpy as np
 
 from .errors import DimensionMismatch, FloatRangeExceeded, IdentityViolation, NonfiniteCorridor
-from .family import OrthonormalFamily
-from .space import Vector, _real_dot, abs2, tree_sum
+from .family import OrthonormalFamily, _dims, _operands, _read
+from .space import Vector, _raise, _real_dot, abs2, tree_sum
 
 DEFAULT_HYPOTHESIS_TOL = 1e-10
 
@@ -120,9 +120,7 @@ class ScalarCorridor:
                 f"corridor sides must be nonempty and equal length, got {lo.size} and {hi.size}"
             )
         agg = Corridors.build(lo, hi)
-        failed, error = agg.nonfinite()
-        if failed:
-            raise error()
+        _raise(*agg.nonfinite())
         if self.real_mode:
             for name, arr in (("lo", lo), ("hi", hi)):
                 if arr.imag.any():
@@ -161,21 +159,30 @@ def check_hypothesis(
 ) -> HypothesisReport:
     """Evaluate the sign form and the ball form, asserting their identity.
 
-    ``holds`` is the non-strict sign test cond_i_value >= -tol * max(1, r^2),
-    so boundary instances (the extremal constructions) pass. Raises
+    The batch of one of :func:`_admit`, which raises a failed rule's error
+    (ValueError unless ``tol`` is positive and finite) and returns the report
+    where a bound raises :class:`HypothesisFailed`. ``holds`` is the
+    non-strict sign test cond_i_value >= -tol * max(1, r^2), so boundary
+    instances (the extremal constructions) pass. Raises
     :class:`IdentityViolation` when the two forms disagree beyond the
-    tolerance band, which signals a family too loose for ``tol``. Raises
-    ValueError unless ``tol`` is positive and finite.
+    tolerance band, which signals a family too loose for ``tol``.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    if corridor.size != fam.count:
-        raise DimensionMismatch(
-            f"corridor has {corridor.size} entries for a family of {fam.count}"
-        )
-    if x.dim != fam.dim:
-        raise DimensionMismatch(f"vector dim {x.dim} != family dim {fam.dim}")
-    return _hypothesis(*fam._operands(x, corridor), corridor, tol, fam.gram_residual)[2]()
+    return _admit(_raise, *_operands(x, fam, corridor), tol)[3]()
+
+
+def _admit(check, x, fam: tuple, corridor, tol: float) -> tuple:
+    """The rules of vectors x (..., dim) under a family (rows, gram residual)
+    and corridor, in order: through ``check``, the tolerance (positive and
+    finite), the corridor size and the vector dim; then :func:`_hypothesis`.
+    Returns x in the rows' dtype and what the kernel returns."""
+    rows, gram_residual = fam
+    x = _read(x, rows)
+    count, size = rows.shape[-2], corridor.hi.shape[-1]
+    check(not 0.0 < tol < math.inf, lambda row=(): ValueError("tol must be positive and finite"))
+    check(size != count, lambda row=(): DimensionMismatch(
+        f"corridor has {size} entries for a family of {count}"))
+    check(*_dims(x, rows))
+    return x, *_hypothesis(x, rows, corridor, tol, gram_residual)
 
 
 @np.errstate(over="ignore", invalid="ignore")

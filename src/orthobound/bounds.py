@@ -20,13 +20,16 @@ a ``_*_kind`` function: over any leading batch shape, it applies the
 owners' batched rules in order through the caller's ``check`` and returns a
 :class:`Slot` or a :class:`Pair` of slots with its reports. A campaign
 registers the rules on a chunk; the batch of one (:func:`_one`) raises the
-first failure. Corollary 2.5's builder runs in two halves, the frame
-(:func:`_schwarz_y`) and then x (:func:`_schwarz_x`), so that a campaign
-draws x in the frame the builder checks. Each chain is a :class:`Step` (its
+first failure, in the lane of :func:`orthobound.family._operands`. An x
+slot is checked by the rules whose batch of one is ``check_hypothesis``
+(:func:`orthobound.admissibility._admit`). Corollary 2.5's builder runs in
+two halves, the frame (:func:`_schwarz_y`, on the corridor (delta, Delta)
+its caller built) and then x (:func:`_schwarz_x`), so that a campaign draws
+x in the frame the builder checks. Each chain is a :class:`Step` (its
 checks after the build, its labels and its rank-polymorphic ``_*_values``
 kernel): a public function is its kind's batch of one followed by its step,
-which the catalog and an integral instance also run on the instances they
-hold.
+which the catalog and an integral instance (whose slots are the x kind's
+batch of one) also run on the instances they hold.
 """
 
 from __future__ import annotations
@@ -44,14 +47,13 @@ from .admissibility import DEFAULT_HYPOTHESIS_TOL, Corridors, HypothesisReport, 
 from .errors import (
     BadExponent,
     BadLambda,
-    DimensionMismatch,
     FloatRangeExceeded,
     HypothesisFailed,
     NonpositiveReSum,
     ZeroVector,
 )
-from .family import OrthonormalFamily, _coefficients, _gram_check
-from .space import Vector, _inner, _nonfinite, abs2, inner, tree_sum
+from .family import OrthonormalFamily, _coefficients, _gram_check, _operands, _read
+from .space import Vector, _inner, _nonfinite, _raise, abs2, inner, tree_sum
 
 # Single tolerance policy for every chain assertion.
 CHAIN_REL_TOL = 1e-9
@@ -128,13 +130,11 @@ class Slot:
     :class:`Corridors`. The kernels read their arguments from slots, and each
     argument is computed once however many chains read it."""
 
-    def __init__(self, coords, matrix, corridor=None, sign=None, a=None):
+    def __init__(self, coords, matrix, corridor=None, sign=None):
         self.coords = coords
         self.matrix = matrix
         self.corridor = corridor
         self.sign = sign
-        if a is not None:
-            self.a = a  # computed by a public call, which checks the dimensions
 
     @cached_property
     def a(self) -> np.ndarray:
@@ -166,12 +166,9 @@ class Pair:
     """Two slots over one family and their inner product <x, y>; ``z`` is
     Theorem 4.1's combination lam*x + (1-lam)*y where there is one."""
 
-    def __init__(self, x: Slot, y: Slot, p=None, z: Slot | None = None):
+    def __init__(self, x: Slot, y: Slot):
         self.x = x
         self.y = y
-        self.z = z
-        if p is not None:
-            self.p = p  # a public call's inner(x, y), exactly real when x is y
 
     @cached_property
     def p(self) -> np.ndarray:
@@ -218,27 +215,14 @@ def _positive(c) -> None:
         raise NonpositiveReSum(float(c.re_sum))
 
 
-def _read(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """A vector in the dtype of its family's rows: a builder's family comes as
-    its rows and gram residual, float64 rows for an all-real batch of one."""
-    return v.real if rows.dtype.kind == "f" else v
-
-
-def _x_kind(check, x, fam, corridor, tol: float = DEFAULT_HYPOTHESIS_TOL, which: str = "x"):
-    """x admitted under its family and corridor by the rules of
-    :func:`check_hypothesis`, in order, a failed sign test raising
-    :class:`HypothesisFailed` named ``which``; the slot and its report."""
-    rows, gram_residual = fam
-    x = _read(x, rows)
-    (count, dim), size = rows.shape[-2:], corridor.hi.shape[-1]
-    check(not 0.0 < tol < math.inf, lambda row=(): ValueError("tol must be positive and finite"))
-    check(size != count, lambda row=(): DimensionMismatch(
-        f"corridor has {size} entries for a family of {count}"))
-    check(x.shape[-1] != dim, lambda row=(): DimensionMismatch(
-        f"vector dim {x.shape[-1]} != family dim {dim}"))
-    sign, failed, report = admissibility._hypothesis(x, rows, corridor, tol, gram_residual)
-    check(failed, lambda row=(): HypothesisFailed(which, report(row)))
-    return Slot(x, rows, corridor, sign), {which: report}
+def _x_kind(check, x, fam, corridor, tol=DEFAULT_HYPOTHESIS_TOL, which="x", admit=True):
+    """x under its family and corridor by the rules of :func:`check_hypothesis`,
+    then, if ``admit``, a failed sign test raising :class:`HypothesisFailed`
+    named ``which``; the slot and its report."""
+    x, sign, failed, report = admissibility._admit(check, x, fam, corridor, tol)
+    if admit:
+        check(failed, lambda row=(): HypothesisFailed(which, report(row)))
+    return Slot(x, fam[0], corridor, sign), {which: report}
 
 
 def _pair_kind(check, x, y, fam, cx, cy, tol: float = DEFAULT_HYPOTHESIS_TOL):
@@ -259,17 +243,18 @@ def _companion_kind(check, x, y, fam, corridor, tol: float = DEFAULT_HYPOTHESIS_
 
 
 def _schwarz_kind(check, x, y, delta, Delta, tol: float = DEFAULT_HYPOTHESIS_TOL):
-    """Corollary 2.5: its frame (:func:`_schwarz_y`), then x admitted under it."""
-    return _schwarz_x(check, x, _schwarz_y(check, y, delta, Delta), tol)
+    """Corollary 2.5: the corridor (delta, Delta), its frame (float64 rows in
+    the lane, :func:`_schwarz_y`), then x admitted under it."""
+    ends = Corridors.build(delta[..., None], Delta[..., None])
+    return _schwarz_x(check, x, _schwarz_y(check, y, ends, delta.dtype.kind == "f"), tol)
 
 
-def _schwarz_y(check, y, delta, Delta) -> tuple:
-    """Corollary 2.5's first half: y and (delta, Delta), then the frame, in
-    which a campaign draws x. Returns y's slot, the family {y/||y||} as
-    (rows, gram residual) and its corridor (delta ||y||, Delta ||y||).
-    Float64 (delta, Delta) mark an all-real batch of one, whose frame takes
-    float64 rows."""
-    ys = Slot(y, None, Corridors.build(delta[..., None], Delta[..., None]))
+def _schwarz_y(check, y, ends: Corridors, real: bool = False) -> tuple:
+    """Corollary 2.5's first half: y and its corridor ``ends`` (delta, Delta),
+    then the frame, in which a campaign draws x. Returns y's slot, the family
+    {y/||y||} as (rows, float64 if ``real``, gram residual) and its corridor
+    (delta ||y||, Delta ||y||)."""
+    ys = Slot(y, None, ends)
     with np.errstate(over="ignore"):
         ny2 = ys.nsq
     check(ny2 == 0.0, lambda row=(): ZeroVector("y must be nonzero"))
@@ -282,7 +267,7 @@ def _schwarz_y(check, y, delta, Delta) -> tuple:
     check(*rule)
     corridor = Corridors.build(lo, hi)
     check(*corridor.nonfinite())
-    return ys, ((unit.real if delta.dtype.kind == "f" else unit), residual), corridor
+    return ys, ((unit.real if real else unit), residual), corridor
 
 
 def _schwarz_x(check, x, frame: tuple, tol: float = DEFAULT_HYPOTHESIS_TOL):
@@ -310,40 +295,18 @@ def _free_kind(check, x, y, fam, tol: float = DEFAULT_HYPOTHESIS_TOL):
 
 def _one(build, *fields, tol: float = DEFAULT_HYPOTHESIS_TOL, **params) -> tuple:
     """The batch of one of ``build`` on the fields the public functions take,
-    in the float64 lane (float64 family rows and scalars) if all are real: a
-    failed rule raises at once, and the slots' coefficients and <x, y> are
-    those of ``fam.coefficients`` and :func:`inner`. The instance, reports."""
-    real = all(f.real_mode if hasattr(f, "real_mode") else complex(f).imag == 0 for f in fields)
+    in their lane (:func:`family._operands`): a failed rule raises at once,
+    and the slots' coefficients and <x, y> are those of ``fam.coefficients``
+    and :func:`inner`, which check the dimensions. The instance, reports."""
     fam = next((f for f in fields if isinstance(f, OrthonormalFamily)), None)
     vectors = [f for f in fields if isinstance(f, Vector)]
-
-    def operand(f):
-        if isinstance(f, Vector):
-            return f.coords
-        if isinstance(f, OrthonormalFamily):
-            return (f.real_rows if real else f.matrix), f.gram_residual
-        if isinstance(f, ScalarCorridor):
-            return f
-        return np.asarray(complex(f).real if real else complex(f))
-
-    inst, reports = build(_raise, *map(operand, fields), tol, **params)
+    inst, reports = build(_raise, *_operands(*fields), tol, **params)
     if isinstance(inst, Pair):
         inst.p = inner(*vectors)
     if fam is not None:
         for slot, v in zip((inst,) if isinstance(inst, Slot) else (inst.x, inst.y), vectors):
             slot.a = fam.coefficients(v)
     return inst, {which: report() for which, report in reports.items()}
-
-
-def _raise(failed, error) -> None:  # the batch of one's check
-    if failed:
-        raise error()
-
-
-def _slot(x: Vector, fam: OrthonormalFamily, corridor=None, report=None) -> Slot:
-    """A slot of x under a report checked elsewhere."""
-    sign = None if report is None else report.cond_i_value
-    return Slot(*fam._operands(x), corridor, sign, fam.coefficients(x))
 
 
 # The chains: each public function and its kernel.
@@ -358,7 +321,10 @@ def _float_pow(base, exponent: float) -> np.ndarray:
 
 def bessel_defect(x: Vector, fam: OrthonormalFamily) -> float:
     """||x||^2 - sum_i |<x, e_i>|^2; nonnegative for any x, no corridor needed."""
-    return float(_slot(x, fam).defect)
+    coords, (rows, _) = _operands(x, fam)
+    slot = Slot(_read(coords, rows), rows)
+    slot.a = fam.coefficients(x)
+    return float(slot.defect)
 
 
 def gruss_defect(x: Vector, y: Vector, fam: OrthonormalFamily) -> complex:

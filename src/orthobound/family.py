@@ -39,6 +39,7 @@ from .space import (
     Vector,
     _embedded,
     _nonfinite,
+    _raise,
     _real_dot,
     _require_samples,
     tree_sum,
@@ -136,6 +137,40 @@ def _coefficients(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return tree_sum(np.multiply(np.conj(matrix), x[..., None, :]))
 
 
+def _real_lane(*fields) -> bool:
+    """The lane rule: an instance's kernels read float64 operands if all its
+    fields are real (in real mode, or scalars with no imaginary part)."""
+    return all(f.real_mode if hasattr(f, "real_mode") else complex(f).imag == 0 for f in fields)
+
+
+def _operands(*fields) -> list:
+    """Kernel operands of an instance's fields in their lane: vector coordinates
+    (see :func:`_read`), family rows and gram residual, corridors, 0-d scalars."""
+    real = _real_lane(*fields)
+
+    def operand(f):
+        if isinstance(f, Vector):
+            return f.coords
+        if isinstance(f, OrthonormalFamily):
+            return (f.real_rows if real else f.matrix), f.gram_residual
+        if hasattr(f, "real_mode"):  # a corridor
+            return f
+        return np.asarray(complex(f).real if real else complex(f))
+
+    return [operand(f) for f in fields]
+
+
+def _read(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Vectors in the dtype of their family's rows: float64 in the lane."""
+    return v.real if rows.dtype.kind == "f" else v
+
+
+def _dims(x: np.ndarray, rows: np.ndarray) -> tuple:
+    """The vector-dim rule of vectors (..., n) under family rows (..., dim)."""
+    n, dim = x.shape[-1], rows.shape[-1]
+    return n != dim, lambda row=(): DimensionMismatch(f"vector dim {n} != family dim {dim}")
+
+
 @dataclass(frozen=True, eq=False)
 class OrthonormalFamily:
     """Validated finite orthonormal family {e_i}, the rows of ``matrix``.
@@ -164,9 +199,8 @@ class OrthonormalFamily:
         # The complex products of a real family have zero imaginary parts and
         # the real products as real parts: its gram rule runs on its real rows.
         rows = np.array(m.real, dtype=np.float64, order="C") if self.real_mode else None
-        residual, failed, error = _gram_check(m if rows is None else rows, self.tolerance)
-        if failed:
-            raise error()
+        residual, *rule = _gram_check(m if rows is None else rows, self.tolerance)
+        _raise(*rule)
         m = np.array(m, dtype=np.complex128, copy=True)
         m.setflags(write=False)  # setflags costs a third of flags.writeable on a small family
         if rows is not None:
@@ -187,17 +221,11 @@ class OrthonormalFamily:
     def members(self) -> tuple[Vector, ...]:
         return tuple(Vector(row, self.real_mode) for row in self.matrix)
 
-    def _operands(self, x: Vector, corridor=None) -> tuple:
-        """(coords, rows) of x and the family, float64 for an all-real instance."""
-        if self.real_mode and x.real_mode and (corridor is None or corridor.real_mode):
-            return x.coords.real, self.real_rows
-        return x.coords, self.matrix
-
     def coefficients(self, x: Vector) -> np.ndarray:
-        """Per-member coefficients <x, e_i>, pairwise-summed."""
-        if x.dim != self.dim:
-            raise DimensionMismatch(f"vector dim {x.dim} != family dim {self.dim}")
-        return _coefficients(*self._operands(x)).astype(np.complex128, copy=False)
+        """Per-member coefficients <x, e_i>, pairwise-summed, in their lane."""
+        rows = self.real_rows if _real_lane(x, self) else self.matrix
+        _raise(*_dims(x.coords, rows))
+        return _coefficients(_read(x.coords, rows), rows).astype(np.complex128, copy=False)
 
     def combine(self, coeffs: Sequence[complex]) -> Vector:
         """Linear combination sum_i c_i e_i."""
@@ -243,7 +271,7 @@ def validate_family(
 # entries (sample copies, masses, matrix and real rows), and _MEMO_FAMILIES
 # of them so that tiny families cannot fill the budget with per-object
 # overhead. A hit is decided by the caller's samples and grid masses, byte
-# for byte; the embedding and finiteness rules run on a miss only.
+# for byte, read in place; the embedding and finiteness rules run on a miss.
 _MEMO_BYTES = 8 << 20
 _MEMO_FAMILIES = 64
 _memo: OrderedDict = OrderedDict()
@@ -265,16 +293,16 @@ class _Kept(NamedTuple):
 
 
 def _kept_family(
-    fns: Sequence[SampledFunction], masses: bytes, route: tuple
+    fns: Sequence[SampledFunction], grid: QuadratureGrid, route: tuple
 ) -> OrthonormalFamily | None:
     """The kept family whose route matches and whose masses and every
     member's samples equal the given ones byte for byte, or None."""
     with _memo_lock:
         kept = list(_memo.values())
     for entry in reversed(kept):  # most recently used first
-        if entry.route == route and entry.masses == masses and all(
-            f.values.tobytes() == s for f, s in zip(fns, entry.samples)
-        ):
+        # each C-contiguous input, read in place, against its kept bytes
+        pairs = zip((grid.point_mass, *(f.values for f in fns)), (entry.masses, *entry.samples))
+        if entry.route == route and all(len(b) == a.nbytes and b.startswith(a) for a, b in pairs):
             with _memo_lock:
                 if entry.family in _memo:
                     _memo.move_to_end(entry.family)
@@ -304,8 +332,7 @@ def _embedded_family(
     """
     route = (tolerance, tuple(f.real_mode for f in fns), grid.size)
     real_mode = all(route[1])
-    masses = grid.point_mass.tobytes()
-    fam = _kept_family(fns, masses, route)
+    fam = _kept_family(fns, grid, route)
     if fam is not None:
         return fam
     _require_members(fns)
@@ -314,10 +341,9 @@ def _embedded_family(
     values = np.stack([f.values for f in fns])
     matrix = _embedded(values, grid)
     failed, error = _nonfinite(matrix)
-    if failed.any():
-        raise error()
+    _raise(failed.any(), error)
     fam = OrthonormalFamily(matrix, tolerance, real_mode)
-    entry = _Kept(route, tuple(f.values.tobytes() for f in fns), masses, fam)
+    entry = _Kept(route, tuple(f.values.tobytes() for f in fns), grid.point_mass.tobytes(), fam)
     if entry.nbytes <= _MEMO_BYTES:
         with _memo_lock:
             _memo[fam] = entry

@@ -400,12 +400,12 @@ class _Evaluation:
         return self.build(live, bounds._companion_kind, xa, yb, self.fam, cz, lam=lam)
 
     def _schwarz(self):
-        """Corollary 2.5: y and its corridor (delta, Delta), then x
+        """Corollary 2.5: y and its corridor (delta, Delta), built once, then x
         admissible in the frame the builder's first half builds of them."""
         ends, live = self.corridor(self.live, *self.sites["c25"])
         y = self.vectors(*self.sites["yv"])
         check = partial(self.check, live)
-        frame = bounds._schwarz_y(check, y, ends.lo[..., 0], ends.hi[..., 0])
+        frame = bounds._schwarz_y(check, y, ends)
         _, (unit, _), corridor = frame
         slack, w = self.sites["xs"]
         x = _admissible_points(unit, corridor, self.vectors(w), slack)

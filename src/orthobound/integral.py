@@ -17,8 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .admissibility import HypothesisReport, ScalarCorridor, check_hypothesis
-from .bounds import _COUNTERPART, _GRUSS, _LINEAR, _QUADRATIC, BoundChain, Pair, Slot, _slot
+from .admissibility import HypothesisReport, ScalarCorridor
+from .bounds import _COUNTERPART, _GRUSS, _LINEAR, _QUADRATIC, BoundChain, Pair, Slot
+from .bounds import _one, _x_kind
 from .errors import DimensionMismatch, NonpositiveReSum, SandwichViolated
 from .family import OrthonormalFamily, QUADRATURE_TOLERANCE, _embedded_family, _require_members
 from .space import QuadratureGrid, SampledFunction, Vector, embed, inner
@@ -28,29 +29,21 @@ from .space import QuadratureGrid, SampledFunction, Vector, embed, inner
 class IntegralInstance:
     """Embedded weighted-space instance, ready for the coordinate bounds.
 
-    It keeps one slot for x, and one for y when there is a y, holding the
-    coefficients of one ``coefficients`` pass and its report's sign value.
-    Each chain method runs its public bound's step on those slots and the
-    instance's reports, which admits the reports and raises the public
-    bound's errors in its order, without checking the hypothesis again: it
-    is judged at the band :func:`integral_instance` checked the reports at.
+    :func:`integral_instance` builds x's slot and report, and y's when there
+    is a y, by the x kind's batch of one. Each chain method runs its public
+    bound's step on them, which admits the reports and raises the public
+    bound's errors in its order, without checking the hypothesis again.
     """
 
     family: OrthonormalFamily
     x: Vector
     cx: ScalarCorridor
     report_x: HypothesisReport
-    y: Vector | None = None
-    cy: ScalarCorridor | None = None
-    report_y: HypothesisReport | None = None
-    _x: Slot = field(init=False, repr=False, compare=False)
-    _y: Slot | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        fam = self.family
-        object.__setattr__(self, "_x", _slot(self.x, fam, self.cx, self.report_x))
-        y = None if self.y is None else _slot(self.y, fam, self.cy, self.report_y)
-        object.__setattr__(self, "_y", y)
+    y: Vector | None
+    cy: ScalarCorridor | None
+    report_y: HypothesisReport | None
+    _x: Slot = field(repr=False, compare=False)
+    _y: Slot | None = field(repr=False, compare=False)
 
     def linear_chain(self) -> BoundChain:
         return _LINEAR(self._x, {"x": self.report_x})
@@ -62,9 +55,10 @@ class IntegralInstance:
         return _COUNTERPART(self._x, {"x": self.report_x})
 
     def gruss_chain(self) -> BoundChain:
-        if self.y is None or self.cy is None or self.report_y is None:
+        if self.y is None:
             raise ValueError("instance has no second function")
-        pair = Pair(self._x, self._y, inner(self.x, self.y))
+        pair = Pair(self._x, self._y)
+        pair.p = inner(self.x, self.y)
         return _GRUSS(pair, {"x": self.report_x, "y": self.report_y})
 
 
@@ -80,24 +74,25 @@ def integral_instance(
 
     The discrete report is exactly the quadrature evaluation of the weighted
     admissibility conditions, since both run through the same embedded
-    arithmetic. Each report is checked once, at the band
-    max(1e-10, 10 * count * gram_residual), and the instance's chains are
-    judged under it.
+    arithmetic. Each function is checked once by the rules of
+    :func:`check_hypothesis`, at the band max(1e-10, 10 * count *
+    gram_residual), and the instance's chains are judged under it.
     """
     fam = _embedded_family(fam_fns, grid, QUADRATURE_TOLERANCE)
     # the identity band must dominate the family's orthonormality error
     tol = max(1e-10, 10.0 * fam.count * fam.gram_residual)
     x = embed(f, grid)
-    report_x = check_hypothesis(x, fam, cx, tol)
-    y = report_y = None
+    xs, reports = _one(_x_kind, x, fam, cx, tol=tol, admit=False)
+    y = ys = None
     if g is not None:
         if cy is None:
             raise ValueError("second function supplied without its corridor")
         y = embed(g, grid)
-        report_y = check_hypothesis(y, fam, cy, tol)
+        ys, more = _one(_x_kind, y, fam, cy, tol=tol, which="y", admit=False)
+        reports.update(more)
     elif cy is not None:
         raise ValueError("corridor supplied without its second function")
-    return IntegralInstance(fam, x, cx, report_x, y, cy, report_y)
+    return IntegralInstance(fam, x, cx, reports["x"], y, cy, reports.get("y"), xs, ys)
 
 
 @dataclass(frozen=True)

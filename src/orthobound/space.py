@@ -94,13 +94,17 @@ def _nonfinite(values: np.ndarray, name: str = "coords") -> tuple:
     return failed, lambda row=(): ValueError(f"{name} must be finite (no NaN/Inf)")
 
 
+def _raise(failed, error) -> None:
+    """The check of a batch of one: a failed rule raises its error at once."""
+    if failed:
+        raise error()
+
+
 def _frozen(values, *, name: str, dtype=np.complex128, nonnegative: bool = False) -> np.ndarray:
     arr = np.array(values, dtype=dtype, copy=True).reshape(-1)
     if arr.size == 0:
         raise ValueError(f"{name} must be nonempty")
-    failed, error = _nonfinite(arr, name)
-    if failed:
-        raise error()
+    _raise(*_nonfinite(arr, name))
     if nonnegative and np.any(arr < 0.0):
         raise ValueError(f"{name} must be nonnegative")
     arr.flags.writeable = False

@@ -39,7 +39,7 @@ from orthobound import (
 )
 from orthobound import OrthoboundError, admissibility, family
 from orthobound.family import OrthonormalFamily, legendre_samples, trig_samples
-from orthobound.integral import IntegralInstance, integral_instance, sandwich_check
+from orthobound.integral import integral_instance, sandwich_check
 from orthobound.space import SampledFunction, gauss_legendre_grid
 from conftest import admissible_instance, random_vector
 
@@ -581,9 +581,7 @@ _SPECIALS = _SMALL + (1e300, -1e300)
 
 def _complex_path(mp):
     """Every instance takes the complex128 operands, as all did before the lane."""
-    mp.setattr(
-        OrthonormalFamily, "_operands", lambda self, x, corridor=None: (x.coords, self.matrix)
-    )
+    mp.setattr(family, "_real_lane", lambda *fields: False)
 
 
 def _bits(values) -> bytes:
@@ -615,10 +613,11 @@ def _lane_outcomes(fam, x, cx, y, cy, tol=1e-10):
     rx, ry = _report_bits(fam, x, cx, tol), _report_bits(fam, y, cy, tol)
     out += [rx[:2], ry[:2]]
     if len(rx) == 3 and len(ry) == 3:
-        inst = IntegralInstance(fam, x, cx, rx[2], y, cy, ry[2])
-        for name in ("linear_chain", "quadratic_chain", "bessel_chain", "gruss_chain"):
-            chain = _outcome(getattr(inst, name))
+        for bound in (norm_bound_linear, norm_bound_quadratic, bessel_counterpart):
+            chain = _outcome(lambda: bound(x, fam, cx, tol=tol))
             out.append(_bits(chain.values) if isinstance(chain, BoundChain) else chain)
+        chain = _outcome(lambda: gruss_bound(x, y, fam, cx, cy, tol))
+        out.append(_bits(chain.values) if isinstance(chain, BoundChain) else chain)
     return out
 
 
@@ -777,3 +776,23 @@ def test_an_integral_instance_takes_the_lane_through_the_public_kernels(kernel_o
     inst = integral_instance(f, fns, grid, cf)
     assert inst.bessel_chain().all_hold
     assert kernel_operands == [("hypothesis", _F, _F), ("coefficients", _F, _F)]
+
+
+def test_the_complex_path_reaches_every_kernel(kernel_operands, monkeypatch):
+    rng = np.random.default_rng(5)
+    fam = random_family(6, 3, rng, real=True)
+    cx, cy = (CorridorSpec("real").sample(3, rng) for _ in range(2))
+    x, y = (admissible_point(fam, c, rng, 0.5) for c in (cx, cy))
+    grid = gauss_legendre_grid(64, 0.0, 2.0 * math.pi)
+    fns = trig_samples(5, grid)
+    f = SampledFunction(fns[0].values + 0.25 * fns[1].values, True)
+    cf = ScalarCorridor([0.5, 0.0, 0.0, 0.0, 0.0], [1.5, 0.5, 0.0, 0.0, 0.0], True)
+    _complex_path(monkeypatch)
+    assert norm_bound_linear(x, fam, cx).all_hold
+    assert gruss_bound(x, y, fam, cx, cy).all_hold
+    assert check_hypothesis(x, fam, cx).holds
+    inst = integral_instance(f, fns, grid, cf)
+    assert all(getattr(inst, c)().all_hold for c in ("bessel_chain", "linear_chain"))
+    h, c = "hypothesis", "coefficients"
+    assert [k for k, _, _ in kernel_operands] == [h, c, h, h, c, c, h, h, c]
+    assert {dtype for _, *dtypes in kernel_operands for dtype in dtypes} == {_C}

@@ -502,6 +502,28 @@ def test_samples_changed_in_place_are_a_miss(gram_checks):
     assert len(gram_checks) == 2
 
 
+def test_samples_holding_a_prefix_of_the_kept_bytes_are_a_miss(gram_checks):
+    grid, fns = _unit_basis()
+    _embedded_family(fns, grid, 1e-8)
+    short = [SampledFunction(fns[0].values[:2], True), fns[1]]
+    with pytest.raises(DimensionMismatch, match="function has 2 samples but grid has 3 nodes"):
+        _embedded_family(short, grid, 1e-8)
+    assert len(gram_checks) == 1
+
+
+def test_a_hit_reads_the_samples_and_masses_in_place():
+    grid = gauss_legendre_grid(2048, -1.0, 1.0)
+    fns = legendre_samples(16, grid)
+    fam = _embedded_family(fns, grid, QUADRATURE_TOLERANCE)
+    tracemalloc.start()
+    try:
+        assert _embedded_family(fns, grid, QUADRATURE_TOLERANCE) is fam
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2048 * 8  # less than one copy of a member's samples
+
+
 def test_samples_that_embed_to_the_same_bytes_are_kept_apart(gram_checks):
     # the first member differs only at a node of zero mass, where both embed to 0
     grid = QuadratureGrid([0.0, 1.0, 2.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0])

@@ -498,6 +498,19 @@ def test_a_chunk_builds_corollary_2_5_frame_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_a_chunk_builds_corollary_2_5_corridors_once_each(monkeypatch):
+    # (delta, Delta), drawn and checked by the chunk, then the frame's corridor
+    build, shapes = admissibility.Corridors.build.__func__, []
+
+    def spy(cls, lo, hi):
+        shapes.append(np.shape(lo))
+        return build(cls, lo, hi)
+
+    monkeypatch.setattr(admissibility.Corridors, "build", classmethod(spy))
+    run_fuzz(FuzzConfig(seed=11, count=100, selectors=("cor2.5",)))
+    assert shapes.count((100, 1)) == 2
+
+
 def _planted_points(monkeypatch, plant):
     """Points drawn with slack above 0.97 become ``plant(points)``."""
     kernel = admissibility._admissible_points
