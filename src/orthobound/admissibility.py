@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, NamedTuple, Union
 import numpy as np
 
 from .errors import DimensionMismatch, FloatRangeExceeded, IdentityViolation, NonfiniteCorridor
-from .family import OrthonormalFamily, _dims, _operands, _read
+from .family import OrthonormalFamily, _dims, _operands
 from .space import Vector, _raise, _real_dot, abs2, tree_sum
 
 DEFAULT_HYPOTHESIS_TOL = 1e-10
@@ -41,9 +41,9 @@ class Corridors(NamedTuple):
     The batched counterpart of :class:`ScalarCorridor`, with the same
     attribute names so the kernels accept either. ``sides`` (..., 3, count)
     holds hi, lo and the midpoints (lo + hi) / 2, written once in the order
-    the sign and ball forms read them; ``hi``, ``lo`` and ``midpoints`` are
-    read-only views of it. The aggregates ``re_sum`` and ``radius`` have the
-    leading shape.
+    the sign and ball forms read them, in the dtype of the sides (float64 or
+    complex128); ``hi``, ``lo`` and ``midpoints`` are read-only views of it.
+    The aggregates ``re_sum`` and ``radius`` have the leading shape.
     """
 
     sides: np.ndarray
@@ -68,14 +68,15 @@ class Corridors(NamedTuple):
         """The corridors with sides ``lo`` and ``hi``, of one shape; sides too
         large for the aggregates give non-finite ones quietly, which
         :meth:`nonfinite` reports."""
-        lo = np.asarray(lo, dtype=np.complex128)
-        hi = np.asarray(hi, dtype=np.complex128)
-        sides = np.empty(lo.shape[:-1] + (3,) + lo.shape[-1:], dtype=np.complex128)
+        dtype = np.result_type(lo, hi, np.float64)  # float64, or complex128 for complex sides
+        lo, hi = np.asarray(lo, dtype=dtype), np.asarray(hi, dtype=dtype)
+        sides = np.empty(lo.shape[:-1] + (3,) + lo.shape[-1:], dtype=dtype)
         sides[..., 0, :] = hi
         sides[..., 1, :] = lo
         np.multiply(0.5, lo + hi, out=sides[..., 2, :])
         sides.flags.writeable = False
-        re_sum = tree_sum(np.multiply(hi, np.conj(lo)).real)
+        real = dtype.kind == "f"
+        re_sum = _real_dot(hi, lo) if real else tree_sum(np.multiply(hi, np.conj(lo)).real)
         return cls(sides, re_sum, 0.5 * np.sqrt(tree_sum(abs2(hi - lo))))
 
     def nonfinite(self, sides: tuple[str, str] = ("lo", "hi")) -> tuple:
@@ -99,9 +100,10 @@ class ScalarCorridor:
     ``re_sum`` is sum_i Re(hi_i * conj(lo_i)); ``radius`` and ``midpoints``
     are the ball-form data. All three are recomputable from lo/hi, which the
     test suite uses as its oracle. It is the batch of one of
-    :class:`Corridors`: ``sides`` is its stacked (3, count) array, and
-    ``lo``, ``hi`` and ``midpoints`` are read-only views of it. Corridors
-    compare and hash by identity.
+    :class:`Corridors`: ``sides`` is its stacked (3, count) array, float64
+    in real mode (the real parts) and complex128 otherwise, and ``lo``,
+    ``hi`` and ``midpoints`` are read-only views of it. Corridors compare and
+    hash by identity.
     """
 
     lo: np.ndarray
@@ -113,24 +115,23 @@ class ScalarCorridor:
     sides: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=np.complex128).reshape(-1)
-        hi = np.asarray(self.hi, dtype=np.complex128).reshape(-1)
+        dtype = None if self.real_mode else np.complex128
+        lo, hi = np.asarray(self.lo, dtype).reshape(-1), np.asarray(self.hi, dtype).reshape(-1)
         if lo.size == 0 or lo.size != hi.size:
             raise ValueError(
                 f"corridor sides must be nonempty and equal length, got {lo.size} and {hi.size}"
             )
         agg = Corridors.build(lo, hi)
         _raise(*agg.nonfinite())
-        if self.real_mode:
-            for name, arr in (("lo", lo), ("hi", hi)):
+        if self.real_mode and agg.sides.dtype.kind == "c":
+            for name, arr in (("lo", agg.lo), ("hi", agg.hi)):
                 if arr.imag.any():
                     raise ValueError(f"real_mode corridor {name} has imaginary parts")
-        object.__setattr__(self, "sides", agg.sides)
-        object.__setattr__(self, "hi", agg.hi)
-        object.__setattr__(self, "lo", agg.lo)
-        object.__setattr__(self, "midpoints", agg.midpoints)
-        object.__setattr__(self, "re_sum", float(agg.re_sum))
-        object.__setattr__(self, "radius", float(agg.radius))
+            agg = Corridors.build(agg.lo.real, agg.hi.real)
+        self.__dict__.update(  # the frozen fields, set once
+            sides=agg.sides, hi=agg.hi, lo=agg.lo, midpoints=agg.midpoints,
+            re_sum=float(agg.re_sum), radius=float(agg.radius),
+        )
 
     @property
     def size(self) -> int:
@@ -167,22 +168,21 @@ def check_hypothesis(
     :class:`IdentityViolation` when the two forms disagree beyond the
     tolerance band, which signals a family too loose for ``tol``.
     """
-    return _admit(_raise, *_operands(x, fam, corridor), tol)[3]()
+    return _admit(_raise, *_operands(x, fam, corridor), tol)[2]()
 
 
 def _admit(check, x, fam: tuple, corridor, tol: float) -> tuple:
     """The rules of vectors x (..., dim) under a family (rows, gram residual)
     and corridor, in order: through ``check``, the tolerance (positive and
-    finite), the corridor size and the vector dim; then :func:`_hypothesis`.
-    Returns x in the rows' dtype and what the kernel returns."""
+    finite), the corridor size and the vector dim; then :func:`_hypothesis`,
+    whose results it returns."""
     rows, gram_residual = fam
-    x = _read(x, rows)
     count, size = rows.shape[-2], corridor.hi.shape[-1]
     check(not 0.0 < tol < math.inf, lambda row=(): ValueError("tol must be positive and finite"))
     check(size != count, lambda row=(): DimensionMismatch(
         f"corridor has {size} entries for a family of {count}"))
     check(*_dims(x, rows))
-    return x, *_hypothesis(x, rows, corridor, tol, gram_residual)
+    return _hypothesis(x, rows, corridor, tol, gram_residual)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -205,7 +205,7 @@ def _hypothesis(x, matrix, corridor, tol: float, gram_residual) -> tuple:
         cond_i = tree_sum(np.multiply(ends[..., 0, :] - x, np.conj(x - ends[..., 1, :])).real)
     else:  # as (matrix^T sides^T)^T, dgemm sums over the members in order as zgemm does;
         # as sides @ matrix it splits the sum at 16+ members (OpenBLAS 0.3.31, AVX-512)
-        ends = (matrix.swapaxes(-1, -2) @ corridor.sides.real.swapaxes(-1, -2)).swapaxes(-1, -2)
+        ends = (matrix.swapaxes(-1, -2) @ corridor.sides.swapaxes(-1, -2)).swapaxes(-1, -2)
         cond_i = _real_dot(ends[..., 0, :] - x, x - ends[..., 1, :])
     residual = np.sqrt(tree_sum(abs2(x - ends[..., 2, :])))
     r2 = corridor.radius * corridor.radius
@@ -318,7 +318,10 @@ def admissible_point(
 def _admissible_points(matrix, corridor, u, slack):
     """Kernel of :func:`admissible_point`: the corridor center plus the
     direction ``u`` (..., dim) rescaled to norm slack * radius."""
-    center = (corridor.midpoints[..., None, :] @ matrix)[..., 0, :]
+    # a real center too is the complex128 product's: dgemv sums in another order
+    center = np.matmul(corridor.midpoints[..., None, :], matrix, dtype=np.complex128)[..., 0, :]
+    if matrix.dtype.kind == corridor.midpoints.dtype.kind == "f":
+        center = center.real
     u_norm = np.sqrt(tree_sum(abs2(u)))
     radius = corridor.radius
     moves = (u_norm > 0.0) & (radius > 0.0)

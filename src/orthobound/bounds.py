@@ -52,8 +52,8 @@ from .errors import (
     NonpositiveReSum,
     ZeroVector,
 )
-from .family import OrthonormalFamily, _coefficients, _gram_check, _operands, _read
-from .space import Vector, _inner, _nonfinite, _raise, abs2, inner, tree_sum
+from .family import OrthonormalFamily, _coefficients, _gram_check, _operands
+from .space import Vector, _inner, _nonfinite, _quotient, _raise, abs2, inner, tree_sum
 
 # Single tolerance policy for every chain assertion.
 CHAIN_REL_TOL = 1e-9
@@ -177,7 +177,7 @@ class Pair:
     @cached_property
     def defect(self) -> np.ndarray:
         """<x, y> - sum_i <x, e_i><e_i, y>."""
-        return self.p - tree_sum(np.multiply(self.x.a, np.conj(self.y.a)))
+        return self.p - _inner(self.x.a, self.y.a)
 
 
 class Step(NamedTuple):
@@ -219,7 +219,7 @@ def _x_kind(check, x, fam, corridor, tol=DEFAULT_HYPOTHESIS_TOL, which="x", admi
     """x under its family and corridor by the rules of :func:`check_hypothesis`,
     then, if ``admit``, a failed sign test raising :class:`HypothesisFailed`
     named ``which``; the slot and its report."""
-    x, sign, failed, report = admissibility._admit(check, x, fam, corridor, tol)
+    sign, failed, report = admissibility._admit(check, x, fam, corridor, tol)
     if admit:
         check(failed, lambda row=(): HypothesisFailed(which, report(row)))
     return Slot(x, fam[0], corridor, sign), {which: report}
@@ -243,16 +243,16 @@ def _companion_kind(check, x, y, fam, corridor, tol: float = DEFAULT_HYPOTHESIS_
 
 
 def _schwarz_kind(check, x, y, delta, Delta, tol: float = DEFAULT_HYPOTHESIS_TOL):
-    """Corollary 2.5: the corridor (delta, Delta), its frame (float64 rows in
-    the lane, :func:`_schwarz_y`), then x admitted under it."""
+    """Corollary 2.5: the corridor (delta, Delta), its frame
+    (:func:`_schwarz_y`), then x admitted under it."""
     ends = Corridors.build(delta[..., None], Delta[..., None])
-    return _schwarz_x(check, x, _schwarz_y(check, y, ends, delta.dtype.kind == "f"), tol)
+    return _schwarz_x(check, x, _schwarz_y(check, y, ends), tol)
 
 
-def _schwarz_y(check, y, ends: Corridors, real: bool = False) -> tuple:
+def _schwarz_y(check, y, ends: Corridors) -> tuple:
     """Corollary 2.5's first half: y and its corridor ``ends`` (delta, Delta),
     then the frame, in which a campaign draws x. Returns y's slot, the family
-    {y/||y||} as (rows, float64 if ``real``, gram residual) and its corridor
+    {y/||y||} as (rows, gram residual), in the dtype of y, and its corridor
     (delta ||y||, Delta ||y||)."""
     ys = Slot(y, None, ends)
     with np.errstate(over="ignore"):
@@ -267,7 +267,7 @@ def _schwarz_y(check, y, ends: Corridors, real: bool = False) -> tuple:
     check(*rule)
     corridor = Corridors.build(lo, hi)
     check(*corridor.nonfinite())
-    return ys, ((unit.real if real else unit), residual), corridor
+    return ys, (unit, residual), corridor
 
 
 def _schwarz_x(check, x, frame: tuple, tol: float = DEFAULT_HYPOTHESIS_TOL):
@@ -284,13 +284,13 @@ def _schwarz_frame(y: Slot) -> tuple:
     from y and its corridor (delta, Delta): the member rows (..., 1, dim),
     then the two sides (..., 1)."""
     ny = np.sqrt(y.nsq)[..., None]
-    return (y.coords / ny)[..., None, :], y.corridor.lo * ny, y.corridor.hi * ny
+    return _quotient(y.coords, ny)[..., None, :], y.corridor.lo * ny, y.corridor.hi * ny
 
 
 def _free_kind(check, x, y, fam, tol: float = DEFAULT_HYPOTHESIS_TOL):
     """Two vectors under no corridor."""
     rows = fam[0]
-    return Pair(Slot(_read(x, rows), rows), Slot(_read(y, rows), rows)), {}
+    return Pair(Slot(x, rows), Slot(y, rows)), {}
 
 
 def _one(build, *fields, tol: float = DEFAULT_HYPOTHESIS_TOL, **params) -> tuple:
@@ -322,7 +322,7 @@ def _float_pow(base, exponent: float) -> np.ndarray:
 def bessel_defect(x: Vector, fam: OrthonormalFamily) -> float:
     """||x||^2 - sum_i |<x, e_i>|^2; nonnegative for any x, no corridor needed."""
     coords, (rows, _) = _operands(x, fam)
-    slot = Slot(_read(coords, rows), rows)
+    slot = Slot(coords, rows)
     slot.a = fam.coefficients(x)
     return float(slot.defect)
 
@@ -371,9 +371,7 @@ def norm_bound_linear(
 
 def _linear_values(x: Slot) -> tuple:
     c = x.corridor
-    numerator = tree_sum(
-        (np.multiply(c.hi, np.conj(x.a)) + np.multiply(np.conj(c.lo), x.a)).real
-    )
+    numerator = tree_sum((np.multiply(c.hi, np.conj(x.a)) + np.multiply(np.conj(c.lo), x.a)).real)
     return np.sqrt(x.nsq), 0.5 * numerator / np.sqrt(c.re_sum)
 
 
@@ -425,9 +423,7 @@ def _quadratic_values(x: Slot, variant: str = "cbs", p: float | None = None) -> 
         split = widths.max(axis=-1) * tree_sum(a_abs)
     elif variant == "holder":
         q = p / (p - 1.0)
-        split = _float_pow(tree_sum(widths**p), 1.0 / p) * _float_pow(
-            tree_sum(a_abs**q), 1.0 / q
-        )
+        split = _float_pow(tree_sum(widths**p), 1.0 / p) * _float_pow(tree_sum(a_abs**q), 1.0 / q)
     else:  # "sum_max"
         split = a_abs.max(axis=-1) * tree_sum(widths)
     return np.sqrt(x.nsq), 0.5 * split / np.sqrt(c.re_sum)
@@ -619,7 +615,8 @@ def _ratio_defined(pair: Pair) -> np.ndarray:
 
 
 def _ratio_values(pair: Pair) -> tuple:
-    return np.abs(np.divide(pair.p, _ratio_denominator(pair)) - 1.0), 0.25 * pair.x.m * pair.y.m
+    ratio = _quotient(pair.p, _ratio_denominator(pair))
+    return np.abs(ratio - 1.0), 0.25 * pair.x.m * pair.y.m
 
 
 def companion_bound(

@@ -1,7 +1,7 @@
 """Construction and validation of finite orthonormal families.
 
-A family is stored as an immutable (count x dim) matrix with its measured
-gram residual, the maximum deviation |<e_i, e_j> - delta_ij| over all pairs.
+A family is stored as an immutable (count x dim) matrix, float64 in real
+mode, with its measured gram residual, max |<e_i, e_j> - delta_ij|.
 Validation never trusts the caller: the residual is always recomputed with
 the same pairwise summation used by the inner product, so it can be
 re-asserted post hoc. The gram rule sums the Gram matrix in blocks of member
@@ -28,6 +28,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -140,29 +141,29 @@ def _coefficients(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
 def _real_lane(*fields) -> bool:
     """The lane rule: an instance's kernels read float64 operands if all its
     fields are real (in real mode, or scalars with no imaginary part)."""
-    return all(f.real_mode if hasattr(f, "real_mode") else complex(f).imag == 0 for f in fields)
+    for f in fields:
+        if not (f.real_mode if hasattr(f, "real_mode") else complex(f).imag == 0):
+            return False
+    return True
 
 
 def _operands(*fields) -> list:
-    """Kernel operands of an instance's fields in their lane: vector coordinates
-    (see :func:`_read`), family rows and gram residual, corridors, 0-d scalars."""
+    """Kernel operands of an instance's fields as stored: vector coordinates,
+    (family matrix, gram residual), corridors, 0-d scalars. Out of the lane
+    (:func:`_real_lane`), real ones are cast to complex128."""
     real = _real_lane(*fields)
-
-    def operand(f):
+    out = []
+    for f in fields:
         if isinstance(f, Vector):
-            return f.coords
-        if isinstance(f, OrthonormalFamily):
-            return (f.real_rows if real else f.matrix), f.gram_residual
-        if hasattr(f, "real_mode"):  # a corridor
-            return f
-        return np.asarray(complex(f).real if real else complex(f))
-
-    return [operand(f) for f in fields]
-
-
-def _read(v: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Vectors in the dtype of their family's rows: float64 in the lane."""
-    return v.real if rows.dtype.kind == "f" else v
+            out.append(f.coords if real else f.coords.astype(np.complex128, copy=False))
+        elif isinstance(f, OrthonormalFamily):
+            m = f.matrix if real else f.matrix.astype(np.complex128, copy=False)
+            out.append((m, f.gram_residual))
+        elif hasattr(f, "real_mode"):  # a corridor: a real one's complex-mode twin
+            out.append(f if real or not f.real_mode else type(f)(f.lo, f.hi))
+        else:
+            out.append(np.asarray(complex(f).real if real else complex(f)))
+    return out
 
 
 def _dims(x: np.ndarray, rows: np.ndarray) -> tuple:
@@ -177,16 +178,15 @@ class OrthonormalFamily:
 
     The constructor applies, in order, the tolerance rule (positive and
     finite), the shape rule, the real rule (no imaginary part in real mode)
-    and the gram rule, and stores the residual it measured and, in real mode,
-    its rows as read-only float64 ``real_rows`` (else None). Families compare
-    and hash by identity.
+    and the gram rule on its read-only copy of the matrix, float64 and
+    C-contiguous in real mode, else complex128, and stores both. Families
+    compare and hash by identity.
     """
 
     matrix: np.ndarray
     tolerance: float = DEFAULT_TOLERANCE
     real_mode: bool = False
     gram_residual: float = field(init=False)
-    real_rows: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.tolerance < math.inf:
@@ -196,18 +196,11 @@ class OrthonormalFamily:
             raise EmptyFamily("family matrix must be a nonempty 2-D array")
         if self.real_mode and np.iscomplexobj(m) and np.any(m.imag != 0.0):
             raise ValueError("real_mode family has a nonzero imaginary part")
-        # The complex products of a real family have zero imaginary parts and
-        # the real products as real parts: its gram rule runs on its real rows.
-        rows = np.array(m.real, dtype=np.float64, order="C") if self.real_mode else None
-        residual, *rule = _gram_check(m if rows is None else rows, self.tolerance)
+        m = np.array(m.real, np.float64, order="C") if self.real_mode else np.array(m, complex)
+        residual, *rule = _gram_check(m, self.tolerance)
         _raise(*rule)
-        m = np.array(m, dtype=np.complex128, copy=True)
         m.setflags(write=False)  # setflags costs a third of flags.writeable on a small family
-        if rows is not None:
-            rows.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "gram_residual", float(residual))
-        object.__setattr__(self, "real_rows", rows)
+        self.__dict__.update(matrix=m, gram_residual=float(residual))  # the frozen fields
 
     @property
     def count(self) -> int:
@@ -223,17 +216,15 @@ class OrthonormalFamily:
 
     def coefficients(self, x: Vector) -> np.ndarray:
         """Per-member coefficients <x, e_i>, pairwise-summed, in their lane."""
-        rows = self.real_rows if _real_lane(x, self) else self.matrix
-        _raise(*_dims(x.coords, rows))
-        return _coefficients(_read(x.coords, rows), rows).astype(np.complex128, copy=False)
+        coords, (rows, _) = _operands(x, self)
+        _raise(*_dims(coords, rows))
+        return _coefficients(coords, rows).astype(np.complex128, copy=False)
 
     def combine(self, coeffs: Sequence[complex]) -> Vector:
         """Linear combination sum_i c_i e_i."""
         c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
         if c.size != self.count:
-            raise DimensionMismatch(
-                f"{c.size} coefficients for a family of {self.count} vectors"
-            )
+            raise DimensionMismatch(f"{c.size} coefficients for a family of {self.count} vectors")
         out = c @ self.matrix
         return Vector(out, self.real_mode and not np.any(out.imag != 0.0))
 
@@ -268,7 +259,7 @@ def validate_family(
 # from, as bytes: each member's own samples, 8 bytes a node for a real-mode
 # function (float64) and 16 for a complex one, so a basis mixing the two is
 # compared as its members hold it. The memo holds at most _MEMO_BYTES of
-# entries (sample copies, masses, matrix and real rows), and _MEMO_FAMILIES
+# entries (sample copies, masses and matrix), and _MEMO_FAMILIES
 # of them so that tiny families cannot fill the budget with per-object
 # overhead. A hit is decided by the caller's samples and grid masses, byte
 # for byte, read in place; the embedding and finiteness rules run on a miss.
@@ -288,8 +279,7 @@ class _Kept(NamedTuple):
 
     @property
     def nbytes(self) -> int:
-        arrays = (a for a in (self.family.matrix, self.family.real_rows) if a is not None)
-        return sum(map(len, self.samples)) + len(self.masses) + sum(a.nbytes for a in arrays)
+        return sum(map(len, self.samples)) + len(self.masses) + self.family.matrix.nbytes
 
 
 def _kept_family(
@@ -299,10 +289,13 @@ def _kept_family(
     member's samples equal the given ones byte for byte, or None."""
     with _memo_lock:
         kept = list(_memo.values())
+    # each C-contiguous input, read in place, against its kept bytes
+    inputs = (grid.point_mass, *map(attrgetter("values"), fns))
+    sizes = list(map(attrgetter("nbytes"), inputs))
     for entry in reversed(kept):  # most recently used first
-        # each C-contiguous input, read in place, against its kept bytes
-        pairs = zip((grid.point_mass, *(f.values for f in fns)), (entry.masses, *entry.samples))
-        if entry.route == route and all(len(b) == a.nbytes and b.startswith(a) for a, b in pairs):
+        kept_bytes = (entry.masses, *entry.samples)
+        if (entry.route == route and list(map(len, kept_bytes)) == sizes
+                and all(map(bytes.startswith, kept_bytes, inputs))):
             with _memo_lock:
                 if entry.family in _memo:
                     _memo.move_to_end(entry.family)
@@ -330,7 +323,7 @@ def _embedded_family(
     hit runs neither. A miss runs the size, embedding, finiteness and gram
     rules in that order, and keeps the family with copies of its inputs.
     """
-    route = (tolerance, tuple(f.real_mode for f in fns), grid.size)
+    route = (tolerance, tuple(map(attrgetter("real_mode"), fns)), grid.size)
     real_mode = all(route[1])
     fam = _kept_family(fns, grid, route)
     if fam is not None:

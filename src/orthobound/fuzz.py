@@ -65,7 +65,7 @@ from .admissibility import DEFAULT_HYPOTHESIS_TOL, CorridorSpec, Corridors, _adm
 from .bounds import Pair, _chain_holds, _chain_slacks
 from .catalog import SELECTORS, Selector, campaign_keys
 from .family import DEFAULT_TOLERANCE, _check_size, _gram_check, _orthonormal_rows
-from .space import _nonfinite
+from .space import _nonfinite, _quotient
 
 # Every selector key a campaign can run, in the order a bundle records them.
 ALL_SELECTORS = tuple(key for key, _, _ in campaign_keys())
@@ -351,16 +351,16 @@ class _Evaluation:
         return self.instances[kind]
 
     def vectors(self, w: np.ndarray) -> np.ndarray:
-        """Random vectors or point directions from their normals, stored
-        complex as Vector stores them."""
+        """Random vectors or point directions from their normals, in the
+        dtype a Vector of the mode stores."""
         d = self.d
-        return w.astype(np.complex128) if self.real else w[..., :d] + 1j * w[..., d:]
+        return w if self.real else w[..., :d] + 1j * w[..., d:]
 
     def families(self, live: np.ndarray, raw: np.ndarray) -> tuple:
         mats = _orthonormal_rows(raw if self.real else raw[:, 0] + 1j * raw[:, 1])
         res, *rule = _gram_check(mats, DEFAULT_TOLERANCE)
         self.check(live, *rule)
-        return np.asarray(mats, dtype=np.complex128), res
+        return mats, res
 
     def corridor(self, live: np.ndarray, u: np.ndarray):
         """The corridors drawn as unit uniforms ``u``, checked and counted on
@@ -396,7 +396,7 @@ class _Evaluation:
         slack, w, xw = self.sites[f"z{tail}"]
         z = self.point(live, self.fam, cz, slack, w)
         xa = self.vectors(xw)
-        yb = self.finite(live, (z - lam * xa) / (1.0 - lam))
+        yb = self.finite(live, _quotient(z - lam * xa, 1.0 - lam))
         return self.build(live, bounds._companion_kind, xa, yb, self.fam, cz, lam=lam)
 
     def _schwarz(self):

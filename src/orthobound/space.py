@@ -1,9 +1,9 @@
 """Scalars, vectors, and the discrete weighted measure space.
 
 Scalars are plain ``complex`` values. Vectors wrap an immutable 1-D
-``complex128`` coordinate array together with a ``real_mode`` flag; the flag
-rejects nonzero imaginary parts at construction instead of introducing a
-separate real type hierarchy. Weighted function spaces are realized at desk
+coordinate array together with a ``real_mode`` flag; the flag rejects
+nonzero imaginary parts at construction instead of introducing a separate
+real type hierarchy. Weighted function spaces are realized at desk
 scale by a quadrature grid (nodes, weights, density) plus per-node samples;
 ``embed`` maps samples into an ordinary coordinate vector so every weighted
 inner product is, by construction, an ordinary one.
@@ -23,9 +23,9 @@ whatever the array length, and complex products are written
 the operator in place on a large temporary through a complex loop that
 rounds differently.
 
-The kernels take float64 operands for an all-real instance (family, vectors
-and corridors in real mode: the family's real rows, ``coords.real``,
-``sides.real``), else complex128, and give the complex path's bits and types.
+Real-mode values are stored once, as float64. The kernels read them so for
+an all-real instance, else as complex128, and give the complex path's bits
+(:func:`_real_dot`, :func:`_quotient`).
 """
 
 from __future__ import annotations
@@ -100,13 +100,32 @@ def _raise(failed, error) -> None:
         raise error()
 
 
-def _frozen(values, *, name: str, dtype=np.complex128, nonnegative: bool = False) -> np.ndarray:
-    arr = np.array(values, dtype=dtype, copy=True).reshape(-1)
+def _quotient(a: np.ndarray, b) -> np.ndarray:
+    """a / b, rounded as numpy's complex128 quotient is: float64 operands are
+    multiplied by the reciprocal, and a -0.0 numerator reads as +0.0."""
+    if np.result_type(a, b).kind == "f":
+        return np.multiply(a + 0.0, 1.0 / b)
+    return np.divide(a, b)
+
+
+def _frozen(values, *, name: str, dtype=np.complex128, nonnegative=False, real=None) -> np.ndarray:
+    """``values`` copied into a read-only, C-contiguous 1-D array by the
+    emptiness and finiteness rules. A real-mode value (``real`` names it) is
+    float64: complex values must have zero imaginary parts, and only their
+    real parts are kept (so the sign of a -0.0 imaginary part is not)."""
+    arr = np.asarray(values)
+    if real and arr.dtype.kind in "biuf":
+        dtype = np.float64
+    arr = np.array(arr.reshape(-1), dtype=dtype)  # a copy
     if arr.size == 0:
         raise ValueError(f"{name} must be nonempty")
     _raise(*_nonfinite(arr, name))
     if nonnegative and np.any(arr < 0.0):
         raise ValueError(f"{name} must be nonnegative")
+    if real and arr.dtype.kind == "c":
+        if np.any(arr.imag != 0.0):
+            raise ValueError(f"real_mode {real} has a nonzero imaginary part")
+        arr = np.array(arr.real)
     arr.flags.writeable = False
     return arr
 
@@ -115,36 +134,34 @@ def _frozen(values, *, name: str, dtype=np.complex128, nonnegative: bool = False
 class Vector:
     """Finite-dimensional vector over C, or over R when ``real_mode`` is set.
 
-    Coordinates are copied into an immutable ``complex128`` array; instances
-    are safe to share across threads, and compare and hash by identity.
+    Coordinates are copied into an immutable array, float64 in real mode
+    (see :func:`_frozen`) and complex128 otherwise; instances are safe to
+    share across threads, and compare and hash by identity.
     """
 
     coords: np.ndarray
     real_mode: bool = False
 
     def __post_init__(self):
-        arr = _frozen(self.coords, name="coords")
-        if self.real_mode and arr.imag.any():
-            raise ValueError("real_mode vector has a nonzero imaginary part")
-        object.__setattr__(self, "coords", arr)
+        real = self.real_mode and "vector"
+        object.__setattr__(self, "coords", _frozen(self.coords, name="coords", real=real))
 
     @property
     def dim(self) -> int:
         return self.coords.size
 
-    def __add__(self, other: "Vector") -> "Vector":
+    def _elementwise(self, other: "Vector", op) -> "Vector":
         if not isinstance(other, Vector):
             return NotImplemented
         if self.dim != other.dim:
             raise DimensionMismatch(f"dim {self.dim} != dim {other.dim}")
-        return Vector(self.coords + other.coords, self.real_mode and other.real_mode)
+        return Vector(op(self.coords, other.coords), self.real_mode and other.real_mode)
+
+    def __add__(self, other: "Vector") -> "Vector":
+        return self._elementwise(other, np.add)
 
     def __sub__(self, other: "Vector") -> "Vector":
-        if not isinstance(other, Vector):
-            return NotImplemented
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dim {self.dim} != dim {other.dim}")
-        return Vector(self.coords - other.coords, self.real_mode and other.real_mode)
+        return self._elementwise(other, np.subtract)
 
     def __rmul__(self, t: ScalarLike) -> "Vector":
         t = complex(t)
@@ -163,18 +180,22 @@ def inner(x: Vector, y: Vector) -> complex:
     if x.dim != y.dim:
         raise DimensionMismatch(f"dim {x.dim} != dim {y.dim}")
     if x is y:
-        return complex(float(tree_sum(abs2(x.coords))))
-    return complex(_inner(x.coords, y.coords))
+        return complex(norm_sq(x))
+    # in complex128 whatever the modes, which decides the sign of a zero imaginary part
+    return complex(_inner(x.coords, y.coords.astype(np.complex128, copy=False)))
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Kernel of :func:`inner` over coordinate arrays (..., dim)."""
+    """Kernel of :func:`inner` over coordinate arrays (..., dim), float64 by :func:`_real_dot`."""
+    if x.dtype.kind == y.dtype.kind == "f":
+        return _real_dot(x, y)
     return tree_sum(np.multiply(x, np.conj(y)))
 
 
 def norm_sq(x: Vector) -> float:
     """||x||^2 as a sum of squared component magnitudes; exactly >= 0."""
-    return float(tree_sum(abs2(x.coords)))
+    c = x.coords
+    return float(tree_sum(np.square(c) if c.dtype.kind == "f" else abs2(c)))
 
 
 def norm(x: Vector) -> float:
@@ -212,12 +233,10 @@ class QuadratureGrid:
         root_mass = np.sqrt(mass)
         for arr in (mass, root_mass, active):
             arr.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "density", density)
-        object.__setattr__(self, "point_mass", mass)
-        object.__setattr__(self, "root_mass", root_mass)
-        object.__setattr__(self, "active", active)
+        self.__dict__.update(  # the frozen fields, set once
+            nodes=nodes, weights=weights, density=density,
+            point_mass=mass, root_mass=root_mass, active=active,
+        )
 
     @property
     def size(self) -> int:
@@ -228,23 +247,17 @@ class QuadratureGrid:
 class SampledFunction:
     """Function values sampled at the nodes of some grid, one value per node.
 
-    The samples are copied into one read-only, C-contiguous array: float64 in
-    real mode, where complex samples must have zero imaginary parts and only
-    their real parts are kept (so the sign of a -0.0 imaginary part is not),
-    else complex128. Sampled functions compare and hash by identity.
+    The samples are copied into a read-only array, float64 in real mode (see
+    :func:`_frozen`) and complex128 otherwise. Sampled functions compare and
+    hash by identity.
     """
 
     values: np.ndarray
     real_mode: bool = False
 
     def __post_init__(self):
-        arr = _frozen(self.values, name="values")
-        if self.real_mode:
-            if np.any(arr.imag != 0.0):
-                raise ValueError("real_mode function has a nonzero imaginary part")
-            arr = np.array(arr.real)
-            arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        real = self.real_mode and "function"
+        object.__setattr__(self, "values", _frozen(self.values, name="values", real=real))
 
     @property
     def size(self) -> int:
@@ -268,9 +281,7 @@ def embed(f: SampledFunction, grid: QuadratureGrid) -> Vector:
 def _require_samples(f: SampledFunction, grid: QuadratureGrid) -> None:
     """The size rule of the embedding: one sample per node."""
     if f.size != grid.size:
-        raise DimensionMismatch(
-            f"function has {f.size} samples but grid has {grid.size} nodes"
-        )
+        raise DimensionMismatch(f"function has {f.size} samples but grid has {grid.size} nodes")
 
 
 def _embedded(values: np.ndarray, grid: QuadratureGrid) -> np.ndarray:

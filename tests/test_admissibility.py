@@ -51,6 +51,39 @@ def test_corridor_sides_are_read_only_views_of_one_stack(rng):
     assert _bits(c.sides) == _bits(np.stack([hi, lo, 0.5 * (lo + hi)]))
 
 
+def test_a_real_corridor_holds_its_sides_once_in_float64(rng):
+    lo = rng.standard_normal(5)
+    lo[:2] = 0.0, -0.0
+    hi = lo + rng.uniform(0.0, 1.0, 5)
+    for given in ((lo, hi), (lo.astype(complex), hi.astype(complex)), (list(lo), hi)):
+        c = ScalarCorridor(*given, real_mode=True)
+        assert c.sides.dtype == np.float64 and c.sides.shape == (3, 5)
+        assert c.sides.flags.c_contiguous and not c.sides.flags.writeable
+        assert c.sides.base is None  # the one array; lo, hi and midpoints are views of it
+        for view in (c.hi, c.lo, c.midpoints):
+            assert view.base is c.sides and view.dtype == np.float64
+        # the aggregates and sides are the complex corridor's, bit for bit
+        twin = ScalarCorridor(lo.astype(complex), hi.astype(complex))
+        assert twin.sides.dtype == np.complex128
+        assert _bits(c.sides) == _bits(twin.sides.real)
+        assert (_bits(c.re_sum), _bits(c.radius)) == (_bits(twin.re_sum), _bits(twin.radius))
+    assert ScalarCorridor(lo, hi).sides.dtype == np.complex128
+
+
+def test_a_real_corridor_drops_the_sign_of_a_negative_zero_imaginary_part():
+    lo = np.array([complex(1.0, -0.0), complex(-0.0, -0.0)])
+    c = ScalarCorridor(lo, lo + 1.0, real_mode=True)
+    assert _bits(c.lo) == _bits(np.array([1.0, -0.0]))
+    assert np.signbit(ScalarCorridor(lo, lo + 1.0).lo.imag).all()
+
+
+def test_a_real_corridor_applies_the_finiteness_rule_before_the_real_rule():
+    with pytest.raises(ValueError, match="^corridor hi must be finite$"):
+        ScalarCorridor([1.0, 1j], [1.0, complex(math.inf, 1.0)], real_mode=True)
+    with pytest.raises(ValueError, match="^real_mode corridor lo has imaginary parts$"):
+        ScalarCorridor([1.0, 1j], [1.0, 2.0], real_mode=True)
+
+
 @pytest.mark.parametrize("mode", ["real", "complex"])
 def test_batched_corridor_rows_equal_scalar_corridors(mode):
     # row k of a batched build is the ScalarCorridor of row k, bit for bit
@@ -245,7 +278,7 @@ def test_overflowing_forms_raise_typed_error():
 def test_overflowing_forms_flagged_in_batches():
     # the batched rule flags the overflowing row only, and reports the others
     fam = validate_family([Vector([1.0], True)])
-    x = np.array([[1.5], [1e200], [1e150]], dtype=np.complex128)
+    x = np.array([[1.5], [1e200], [1e150]])  # the float64 lane of the real family
     corridors = Corridors.build(np.ones((3, 1)), np.full((3, 1), 2.0))
     mats = np.broadcast_to(fam.matrix, (3, 1, 1))
     _, failed, report = _hypothesis(x, mats, corridors, 1e-10, np.zeros(3))
@@ -292,8 +325,9 @@ def test_sample_keeps_the_uniform_stream(mode, ranges):
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got = spec.sample(count, rng)
             lo, hi = _sample_reference(spec, count, ref_rng)
-            assert got.lo.tobytes() == np.asarray(lo, dtype=complex).tobytes()
-            assert got.hi.tobytes() == np.asarray(hi, dtype=complex).tobytes()
+            dtype = float if mode == "real" else complex
+            assert got.lo.tobytes() == np.asarray(lo, dtype=dtype).tobytes()
+            assert got.hi.tobytes() == np.asarray(hi, dtype=dtype).tobytes()
             assert rng.random() == ref_rng.random()  # the same number of draws
 
 

@@ -37,7 +37,7 @@ from orthobound import (
     single_vector_ratio_chain,
     validate_family,
 )
-from orthobound import OrthoboundError, admissibility, family
+from orthobound import HypothesisReport, OrthoboundError, admissibility, family
 from orthobound.family import OrthonormalFamily, legendre_samples, trig_samples
 from orthobound.integral import integral_instance, sandwich_check
 from orthobound.space import SampledFunction, gauss_legendre_grid
@@ -648,7 +648,7 @@ def _real_vector(rng, fam, corridor, kind):
     if kind == "admissible":
         return admissible_point(fam, corridor, rng, rng.uniform())
     if kind == "corner":  # sum_i hi_i e_i, where the sign form is zero
-        return Vector(corridor.hi.real @ fam.real_rows, True)
+        return Vector(corridor.hi @ fam.matrix, True)
     return Vector(_with_specials(rng, rng.standard_normal(fam.dim)), True)
 
 
@@ -796,3 +796,74 @@ def test_the_complex_path_reaches_every_kernel(kernel_operands, monkeypatch):
     h, c = "hypothesis", "coefficients"
     assert [k for k, _, _ in kernel_operands] == [h, c, h, h, c, c, h, h, c]
     assert {dtype for _, *dtypes in kernel_operands for dtype in dtypes} == {_C}
+
+
+# ---------------------------------------------------------------------------
+# mixed real and complex instances: the real values cast to complex128
+
+
+def _twin(value):
+    """The complex-mode twin of a real-mode value: its array cast to complex128."""
+    if isinstance(value, Vector):
+        return Vector(value.coords.astype(np.complex128))
+    if isinstance(value, OrthonormalFamily):
+        return OrthonormalFamily(value.matrix.astype(np.complex128), value.tolerance)
+    if isinstance(value, ScalarCorridor):
+        return ScalarCorridor(value.lo.astype(np.complex128), value.hi.astype(np.complex128))
+    return value
+
+
+def _encoded(out):
+    """Every bit of what a public function returned, or its error."""
+    if isinstance(out, BoundChain):
+        return out.labels, _bits(out.values), tuple(map(_encoded, out.reports))
+    if isinstance(out, HypothesisReport):
+        return _bits([out.cond_i_value, out.cond_ii_residual, out.radius]), out.holds
+    if isinstance(out, tuple):  # an error, as _outcome gives it
+        return out
+    return np.asarray(out, dtype=np.complex128).tobytes()
+
+
+def _mixed_outcomes(fam, x, cx, y, cy):
+    calls = [
+        lambda: fam.coefficients(x),
+        lambda: inner(x, y),
+        lambda: check_hypothesis(x, fam, cx, 1e6),
+        lambda: norm_bound_linear(x, fam, cx, tol=1e6),
+        lambda: norm_bound_quadratic(x, fam, cx, "holder", 3.0, tol=1e6),
+        lambda: bessel_counterpart(x, fam, cx, tol=1e6),
+        lambda: gruss_bound(x, y, fam, cx, cy, tol=1e6),
+        lambda: gruss_refined_sqrt(x, y, fam, cx, cy, tol=1e6),
+        lambda: gruss_refined_midpoint(x, y, fam, cx, cy, tol=1e6),
+        lambda: companion_bound(x, y, fam, cx, 0.5, tol=1e6),
+        lambda: bessel_defect(x, fam),
+        lambda: gruss_defect(x, y, fam),
+        lambda: schwarz_step(x, y, fam),
+    ]
+    return [_encoded(_outcome(call)) for call in calls]
+
+
+def _mixed_instance(rng, real_family, x_real, corridor_real):
+    dim = int(rng.integers(1, 9))
+    count = int(rng.integers(1, dim + 1))
+    fam = random_family(dim, count, rng, real=real_family)
+    spec = CorridorSpec("real" if corridor_real else "complex")
+    cx, cy = spec.sample(count, rng), spec.sample(count, rng)
+    x, y = (admissible_point(_twin(fam), _twin(c), rng, rng.uniform()) for c in (cx, cy))
+    if x_real:  # the real parts of points of the complex twins, zeros of both signs
+        x, y = (Vector(_with_specials(rng, v.coords.real, _SMALL), True) for v in (x, y))
+    return fam, x, cx, y, cy
+
+
+@pytest.mark.parametrize(
+    "real_family, x_real, corridor_real",
+    [(True, False, True), (False, True, False), (False, False, True), (False, True, True)],
+    ids=["real-family-complex-x", "complex-family-real-x", "real-corridor-complex-family",
+         "complex-family-only"],
+)
+def test_a_mixed_instance_gives_the_bits_of_its_complex_twin(real_family, x_real, corridor_real):
+    rng = np.random.default_rng(27)
+    for _ in range(40):
+        fam, x, cx, y, cy = _mixed_instance(rng, real_family, x_real, corridor_real)
+        mixed = _mixed_outcomes(fam, x, cx, y, cy)
+        assert mixed == _mixed_outcomes(*map(_twin, (fam, x, cx, y, cy)))

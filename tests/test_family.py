@@ -122,7 +122,7 @@ def test_family_type_applies_its_rules_in_order():
     with pytest.raises(ValueError, match="real_mode family has a nonzero imaginary part"):
         OrthonormalFamily(np.array([[2.0, 1e-300j]]), 1e-10, True)  # before the gram rule
     fam = OrthonormalFamily(np.array([[1.0, 0.0j]]), 1e-10, True)
-    assert fam.real_mode and fam.matrix.dtype == np.complex128
+    assert fam.real_mode and fam.matrix.dtype == np.float64
 
 
 def test_random_family_validates(rng):
@@ -547,21 +547,23 @@ def test_a_different_tolerance_or_real_flag_is_a_miss(gram_checks):
     not_real = _embedded_family(complex_fns, grid, 1e-8)
     assert len({id(fam), id(looser), id(not_real)}) == 3
     assert (looser.tolerance, not_real.real_mode) == (1e-6, False)
-    assert _bits(not_real.matrix) == _bits(fam.matrix)
+    assert _bits(not_real.matrix.real) == _bits(fam.matrix)
     assert len(gram_checks) == 3
 
 
-def test_a_real_family_keeps_its_real_rows_and_a_memo_entry_counts_them():
+def test_a_real_family_keeps_its_float64_matrix_once_and_a_memo_entry_counts_it():
     rows = _orthonormal_rows(np.random.default_rng(3).standard_normal((8, 4)))
     fam = OrthonormalFamily(rows, 1e-10, True)
-    assert fam.real_rows is not rows and fam.real_rows.flags.c_contiguous
-    assert not fam.real_rows.flags.writeable
-    assert _bits(fam.real_rows) == _bits(fam.matrix.real)
-    assert OrthonormalFamily(rows.astype(complex), 1e-10).real_rows is None
+    assert fam.matrix is not rows and fam.matrix.dtype == np.float64
+    assert fam.matrix.flags.c_contiguous and not fam.matrix.flags.writeable
+    assert fam.matrix.base is None  # the one copy, which the gram rule ran on
+    assert _bits(fam.matrix) == _bits(rows)
+    assert not hasattr(fam, "real_rows")
+    assert OrthonormalFamily(rows.astype(complex), 1e-10).matrix.dtype == np.complex128
     grid, fns = _unit_basis()
     entry = family._memo[_embedded_family(fns, grid, 1e-8)]
-    # float64 samples and masses, then the complex128 matrix and float64 rows
-    assert entry.nbytes == 2 * 3 * 8 + 3 * 8 + 2 * 3 * (16 + 8)
+    # float64 samples, masses and matrix
+    assert entry.nbytes == 2 * 3 * 8 + 3 * 8 + 2 * 3 * 8
 
 
 def test_a_basis_mixing_real_and_complex_members_is_kept_by_their_own_bytes(gram_checks):
@@ -616,14 +618,14 @@ def test_real_samples_embed_as_their_complex_twins_do():
         fam = _embedded_family(fns, grid, QUADRATURE_TOLERANCE)
         ref = _embedded_family(twins, grid, QUADRATURE_TOLERANCE)
         assert fam.real_mode and not ref.real_mode
-        assert _bits(fam.real_rows) == _bits(ref.matrix.real)
-        assert _bits(fam.matrix) == _bits(ref.matrix)
+        assert _bits(fam.matrix) == _bits(ref.matrix.real)
+        assert not ref.matrix.imag.any()
         assert fam.gram_residual == ref.gram_residual
         assert [len(s) for s in family._memo[fam].samples] == [grid.size * 8] * len(fns)
 
 
 def test_a_family_over_the_byte_budget_is_not_kept(gram_checks):
-    nodes = family._MEMO_BYTES // 32 + 1  # two complex128 members just over the budget
+    nodes = family._MEMO_BYTES // 16 + 1  # two float64 members just over the budget
     grid = QuadratureGrid(np.arange(float(nodes)), np.ones(nodes), np.ones(nodes))
     fns = [SampledFunction(np.eye(1, nodes, k)[0], True) for k in (0, 1)]
     fam = _embedded_family(fns, grid, 1e-10)

@@ -196,8 +196,9 @@ def reference_fuzz(config, chains=None):
                 continue
             z = point(f"z{lam}", fam, corr_z)
             xa = vector(f"xa{lam}")
+            # a real campaign rounds this quotient as the complex128 one
             yb = Vector(
-                (z.coords - lam * xa.coords) / (1.0 - lam),
+                np.divide(z.coords - lam * xa.coords, 1.0 - lam, dtype=complex),
                 real_mode=z.real_mode and xa.real_mode,
             )
             record(key, companion_bound(xa, yb, fam, corr_z, lam), trial)
@@ -207,7 +208,8 @@ def reference_fuzz(config, chains=None):
             corr1 = corridor("c25", 1)
             if corr1 is not None:
                 ny = norm(yv)
-                unit = Vector(yv.coords / ny, real_mode=yv.real_mode)
+                # the frame's quotient, rounded as the complex128 one
+                unit = Vector(np.divide(yv.coords, ny, dtype=complex), real_mode=yv.real_mode)
                 fam1 = validate_family([unit], tolerance=1e-12)
                 delta = complex(corr1.lo[0])
                 big_delta = complex(corr1.hi[0])
@@ -509,6 +511,19 @@ def test_a_chunk_builds_corollary_2_5_corridors_once_each(monkeypatch):
     monkeypatch.setattr(admissibility.Corridors, "build", classmethod(spy))
     run_fuzz(FuzzConfig(seed=11, count=100, selectors=("cor2.5",)))
     assert shapes.count((100, 1)) == 2
+
+
+def test_a_real_campaign_runs_the_float64_lane(monkeypatch):
+    # every kernel operand of a real campaign is float64, as its draws are
+    hypothesis, seen = admissibility._hypothesis, set()
+
+    def spy(x, matrix, corridor, *args):
+        seen.add((x.dtype, matrix.dtype, corridor.sides.dtype))
+        return hypothesis(x, matrix, corridor, *args)
+
+    monkeypatch.setattr(admissibility, "_hypothesis", spy)
+    run_fuzz(FuzzConfig(seed=1, count=50, mode="real"))
+    assert seen == {(np.dtype(np.float64),) * 3}
 
 
 def _planted_points(monkeypatch, plant):

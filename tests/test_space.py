@@ -195,6 +195,37 @@ def test_real_mode_drops_the_sign_of_a_negative_zero_imaginary_part():
     assert np.signbit(SampledFunction(given).values.imag).all()
 
 
+def test_a_real_vector_holds_one_contiguous_float64_array():
+    strided = np.arange(8.0)[::2]  # not contiguous
+    for given in (strided, strided.astype(complex), [0.0, 2.0, 4.0, 6.0], [0, 2, 4, 6]):
+        v = Vector(given, True)
+        assert v.coords.dtype == np.float64
+        assert v.coords.flags.c_contiguous and not v.coords.flags.writeable
+        assert v.coords.base is None  # held once: its own array, not a view of a copy
+        assert v.coords.tobytes() == strided.tobytes()
+    assert not np.shares_memory(Vector(strided, True).coords, strided)
+    assert Vector(strided).coords.dtype == np.complex128
+    # elementwise operations stay in the mode of their operands
+    x, y = Vector([1.0, -2.0], True), Vector([0.5, 3.0], True)
+    for v in (x + y, x - y, 2.0 * x, (1 + 0j) * x):
+        assert v.real_mode and v.coords.dtype == np.float64
+    assert (x + Vector([1j, 0.0])).coords.dtype == np.complex128
+    assert ((1 + 1j) * x).coords.dtype == np.complex128
+
+
+def test_a_real_vector_drops_the_sign_of_a_negative_zero_imaginary_part():
+    # a real-mode vector keeps only the real parts of complex coordinates,
+    # so a -0.0 imaginary part leaves no trace; a complex vector keeps it
+    given = np.array([complex(1.0, -0.0), complex(-2.0, -0.0), complex(-0.0, -0.0)])
+    assert Vector(given, True).coords.tobytes() == np.array([1.0, -2.0, -0.0]).tobytes()
+    assert np.signbit(Vector(given).coords.imag).all()
+    # its inner products are the complex128 ones of its +0.0-imaginary twin
+    y = Vector([3.0, -1.0, 0.5], True)
+    twin = Vector(given.real.astype(complex))
+    assert np.complex128(inner(Vector(given, True), y)).tobytes() == np.complex128(
+        inner(twin, Vector(y.coords.astype(complex)))).tobytes()
+
+
 def test_embed_zero_function():
     grid = QuadratureGrid([0.0, 1.0], [1.0, 2.0], [1.0, 1.0])
     v = embed(SampledFunction([0.0, 0.0], True), grid)
