@@ -254,15 +254,10 @@ def validate_family(
     return OrthonormalFamily(matrix, tolerance, all(v.real_mode for v in members))
 
 
-# Validated embedded families, least recently used first, each keyed by the
-# family it keeps and holding the samples and grid masses it was embedded
-# from, as bytes: each member's own samples, 8 bytes a node for a real-mode
-# function (float64) and 16 for a complex one, so a basis mixing the two is
-# compared as its members hold it. The memo holds at most _MEMO_BYTES of
-# entries (sample copies, masses and matrix), and _MEMO_FAMILIES
-# of them so that tiny families cannot fill the budget with per-object
-# overhead. A hit is decided by the caller's samples and grid masses, byte
-# for byte, read in place; the embedding and finiteness rules run on a miss.
+# Validated embedded families (see _embedded_family), least recently used
+# first, keyed by the family: at most _MEMO_BYTES of entries (each member's
+# samples as it holds them, grid masses and matrix), and _MEMO_FAMILIES of
+# them so that tiny families cannot fill the budget with per-object overhead.
 _MEMO_BYTES = 8 << 20
 _MEMO_FAMILIES = 64
 _memo: OrderedDict = OrderedDict()
@@ -324,7 +319,6 @@ def _embedded_family(
     rules in that order, and keeps the family with copies of its inputs.
     """
     route = (tolerance, tuple(map(attrgetter("real_mode"), fns)), grid.size)
-    real_mode = all(route[1])
     fam = _kept_family(fns, grid, route)
     if fam is not None:
         return fam
@@ -335,7 +329,7 @@ def _embedded_family(
     matrix = _embedded(values, grid)
     failed, error = _nonfinite(matrix)
     _raise(failed.any(), error)
-    fam = OrthonormalFamily(matrix, tolerance, real_mode)
+    fam = OrthonormalFamily(matrix, tolerance, all(route[1]))
     entry = _Kept(route, tuple(f.values.tobytes() for f in fns), grid.point_mass.tobytes(), fam)
     if entry.nbytes <= _MEMO_BYTES:
         with _memo_lock:

@@ -103,12 +103,10 @@ def _raise(failed, error) -> None:
 def _quotient(a: np.ndarray, b) -> np.ndarray:
     """a / b, rounded as numpy's complex128 quotient is: float64 operands are
     multiplied by the reciprocal, and a -0.0 numerator reads as +0.0."""
-    if np.result_type(a, b).kind == "f":
-        return np.multiply(a + 0.0, 1.0 / b)
-    return np.divide(a, b)
+    return np.multiply(a + 0.0, 1.0 / b) if np.result_type(a, b).kind == "f" else np.divide(a, b)
 
 
-def _frozen(values, *, name: str, dtype=np.complex128, nonnegative=False, real=None) -> np.ndarray:
+def _frozen(values, name: str, real=None, *, dtype=np.complex128, nonnegative=False) -> np.ndarray:
     """``values`` copied into a read-only, C-contiguous 1-D array by the
     emptiness and finiteness rules. A real-mode value (``real`` names it) is
     float64: complex values must have zero imaginary parts, and only their
@@ -143,8 +141,7 @@ class Vector:
     real_mode: bool = False
 
     def __post_init__(self):
-        real = self.real_mode and "vector"
-        object.__setattr__(self, "coords", _frozen(self.coords, name="coords", real=real))
+        self.__dict__["coords"] = _frozen(self.coords, "coords", self.real_mode and "vector")
 
     @property
     def dim(self) -> int:
@@ -256,8 +253,7 @@ class SampledFunction:
     real_mode: bool = False
 
     def __post_init__(self):
-        real = self.real_mode and "function"
-        object.__setattr__(self, "values", _frozen(self.values, name="values", real=real))
+        self.__dict__["values"] = _frozen(self.values, "values", self.real_mode and "function")
 
     @property
     def size(self) -> int:
