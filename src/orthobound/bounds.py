@@ -8,7 +8,7 @@ the largest magnitude in the chain with an absolute floor of 1e-12.
 Conditional bounds admit their instance first and raise
 :class:`HypothesisFailed` otherwise; evaluating them on inadmissible inputs
 is a caller bug. Each chain keeps the hypothesis reports it was admitted
-under.
+under. The free forms raise :class:`FloatRangeExceeded` where they overflow.
 
 The corridor width factor M implemented by :func:`m_factor` uses the
 difference form (|hi| - |lo|)^2 in its numerator; this is the form for which
@@ -319,17 +319,28 @@ def _float_pow(base, exponent: float) -> np.ndarray:
     return np.array([v**exponent for v in b.ravel().tolist()]).reshape(b.shape)
 
 
+def _in_range(what: str, value):
+    """``value`` (a number or a chain) if it is finite, else the
+    :class:`FloatRangeExceeded` naming ``what``; its caller ignores overflow."""
+    values = getattr(value, "values", value)
+    if not np.isfinite(values).all():
+        raise FloatRangeExceeded(f"{what} overflows the float range: {values!r}")
+    return value
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def bessel_defect(x: Vector, fam: OrthonormalFamily) -> float:
     """||x||^2 - sum_i |<x, e_i>|^2; nonnegative for any x, no corridor needed."""
     coords, (rows, _) = _operands(x, fam)
     slot = Slot(coords, rows)
     slot.a = fam.coefficients(x)
-    return float(slot.defect)
+    return _in_range("the projection defect", float(slot.defect))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gruss_defect(x: Vector, y: Vector, fam: OrthonormalFamily) -> complex:
     """<x, y> - sum_i <x, e_i><e_i, y>, the truncated-expansion defect."""
-    return complex(_one(_free_kind, x, y, fam)[0].defect)
+    return _in_range("the defect", complex(_one(_free_kind, x, y, fam)[0].defect))
 
 
 def m_factor(corridor: ScalarCorridor) -> MFactor:
@@ -559,9 +570,10 @@ def _refined_midpoint_values(pair: Pair) -> tuple:
     return np.abs(pair.defect), outer - correction, outer
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def schwarz_step(x: Vector, y: Vector, fam: OrthonormalFamily) -> BoundChain:
     """|defect(x, y)|^2 <= defect(x, x) * defect(y, y), valid for any inputs."""
-    return _SCHWARZ_STEP(*_one(_free_kind, x, y, fam))
+    return _in_range("the Schwarz step", _SCHWARZ_STEP(*_one(_free_kind, x, y, fam)))
 
 
 def _schwarz_step_values(pair: Pair) -> tuple:

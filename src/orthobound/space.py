@@ -82,9 +82,7 @@ def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def abs2(z: np.ndarray) -> np.ndarray:
     """|z|^2 computed as re^2 + im^2, avoiding the square root of ``abs``."""
     z = np.asarray(z)
-    if z.dtype.kind == "c":
-        return np.square(z.real) + np.square(z.imag)
-    return z * z
+    return np.square(z.real) + np.square(z.imag) if z.dtype.kind == "c" else np.square(z)
 
 
 def _nonfinite(values: np.ndarray, name: str = "coords") -> tuple:
@@ -191,8 +189,7 @@ def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def norm_sq(x: Vector) -> float:
     """||x||^2 as a sum of squared component magnitudes; exactly >= 0."""
-    c = x.coords
-    return float(tree_sum(np.square(c) if c.dtype.kind == "f" else abs2(c)))
+    return float(tree_sum(abs2(x.coords)))
 
 
 def norm(x: Vector) -> float:

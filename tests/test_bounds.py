@@ -867,3 +867,20 @@ def test_a_mixed_instance_gives_the_bits_of_its_complex_twin(real_family, x_real
         fam, x, cx, y, cy = _mixed_instance(rng, real_family, x_real, corridor_real)
         mixed = _mixed_outcomes(fam, x, cx, y, cy)
         assert mixed == _mixed_outcomes(*map(_twin, (fam, x, cx, y, cy)))
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_free_forms_that_overflow_raise_a_typed_error(real):
+    # finite vectors near 1e200: ||x||^2 and <x, y> overflow; under the
+    # suite's warning filter an escaped RuntimeWarning would fail this test
+    rng = np.random.default_rng(3)
+    fam = random_family(3, 2, rng, real=real)
+    huge = random_vector(3, rng, real=real, scale=1e200)
+    small = random_vector(3, rng, real=real)
+    calls = (lambda: bessel_defect(huge, fam), lambda: gruss_defect(huge, huge, fam),
+             lambda: schwarz_step(huge, small, fam), lambda: schwarz_step(small, huge, fam))
+    for call in calls:
+        with pytest.raises(FloatRangeExceeded, match="overflows the float range"):
+            call()
+    assert math.isfinite(bessel_defect(small, fam))
+    assert schwarz_step(small, small, fam).all_hold
