@@ -382,7 +382,9 @@ def norm_bound_linear(
 
 def _linear_values(x: Slot) -> tuple:
     c = x.corridor
-    numerator = tree_sum((np.multiply(c.hi, np.conj(x.a)) + np.multiply(np.conj(c.lo), x.a)).real)
+    numerator = tree_sum(
+        (np.multiply(c.hi, np.conj(x.a)) + np.multiply(np.conj(c.lo), x.a)).real
+    )
     return np.sqrt(x.nsq), 0.5 * numerator / np.sqrt(c.re_sum)
 
 
@@ -434,7 +436,9 @@ def _quadratic_values(x: Slot, variant: str = "cbs", p: float | None = None) -> 
         split = widths.max(axis=-1) * tree_sum(a_abs)
     elif variant == "holder":
         q = p / (p - 1.0)
-        split = _float_pow(tree_sum(widths**p), 1.0 / p) * _float_pow(tree_sum(a_abs**q), 1.0 / q)
+        split = _float_pow(tree_sum(widths**p), 1.0 / p) * _float_pow(
+            tree_sum(a_abs**q), 1.0 / q
+        )
     else:  # "sum_max"
         split = a_abs.max(axis=-1) * tree_sum(widths)
     return np.sqrt(x.nsq), 0.5 * split / np.sqrt(c.re_sum)
@@ -627,8 +631,7 @@ def _ratio_defined(pair: Pair) -> np.ndarray:
 
 
 def _ratio_values(pair: Pair) -> tuple:
-    ratio = _quotient(pair.p, _ratio_denominator(pair))
-    return np.abs(ratio - 1.0), 0.25 * pair.x.m * pair.y.m
+    return np.abs(_quotient(pair.p, _ratio_denominator(pair)) - 1.0), 0.25 * pair.x.m * pair.y.m
 
 
 def companion_bound(

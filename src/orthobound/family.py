@@ -224,7 +224,9 @@ class OrthonormalFamily:
         """Linear combination sum_i c_i e_i."""
         c = np.asarray(coeffs, dtype=np.complex128).reshape(-1)
         if c.size != self.count:
-            raise DimensionMismatch(f"{c.size} coefficients for a family of {self.count} vectors")
+            raise DimensionMismatch(
+                f"{c.size} coefficients for a family of {self.count} vectors"
+            )
         out = c @ self.matrix
         return Vector(out, self.real_mode and not np.any(out.imag != 0.0))
 

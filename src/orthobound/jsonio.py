@@ -57,9 +57,8 @@ def vector_from_json(data: Any, path: str) -> Vector:
     """The :class:`Vector` of the scalars at ``path``, real when no scalar
     has an imaginary part; a ValueError it raises is reported at ``path``."""
     arr = np.array(scalars_from_json(data, path), dtype=np.complex128)
-    real = not np.any(arr.imag != 0.0)
     try:
-        return Vector(arr.real if real else arr, real_mode=real)
+        return Vector(arr, real_mode=not np.any(arr.imag != 0.0))
     except ValueError as exc:
         raise InstanceFormatError(path, str(exc)) from exc
 
@@ -84,7 +83,9 @@ def family_from_json(data: Any, path: str = "family") -> OrthonormalFamily:
     raw = data["members"]
     if not isinstance(raw, list) or not raw:
         raise InstanceFormatError(f"{path}.members", "expected a nonempty list")
-    members = [vector_from_json(m, f"{path}.members[{k}]") for k, m in enumerate(raw)]
+    members = [
+        vector_from_json(m, f"{path}.members[{k}]") for k, m in enumerate(raw)
+    ]
     tolerance = data.get("tolerance", DEFAULT_TOLERANCE)
     try:
         tolerance = float(tolerance) if _is_number(tolerance) else math.nan
@@ -99,7 +100,10 @@ def family_from_json(data: Any, path: str = "family") -> OrthonormalFamily:
 
 
 def corridor_to_json(c: ScalarCorridor, lo_key: str = "phi", hi_key: str = "Phi") -> dict:
-    return {lo_key: [scalar_to_json(z) for z in c.lo], hi_key: [scalar_to_json(z) for z in c.hi]}
+    return {
+        lo_key: [scalar_to_json(z) for z in c.lo],
+        hi_key: [scalar_to_json(z) for z in c.hi],
+    }
 
 
 def corridor_from_json(

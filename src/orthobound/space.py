@@ -82,7 +82,9 @@ def _real_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def abs2(z: np.ndarray) -> np.ndarray:
     """|z|^2 computed as re^2 + im^2, avoiding the square root of ``abs``."""
     z = np.asarray(z)
-    return np.square(z.real) + np.square(z.imag) if z.dtype.kind == "c" else np.square(z)
+    if z.dtype.kind == "c":
+        return np.square(z.real) + np.square(z.imag)
+    return z * z
 
 
 def _nonfinite(values: np.ndarray, name: str = "coords") -> tuple:
@@ -227,10 +229,12 @@ class QuadratureGrid:
         root_mass = np.sqrt(mass)
         for arr in (mass, root_mass, active):
             arr.flags.writeable = False
-        self.__dict__.update(  # the frozen fields, set once
-            nodes=nodes, weights=weights, density=density,
-            point_mass=mass, root_mass=root_mass, active=active,
-        )
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "density", density)
+        object.__setattr__(self, "point_mass", mass)
+        object.__setattr__(self, "root_mass", root_mass)
+        object.__setattr__(self, "active", active)
 
     @property
     def size(self) -> int:
@@ -274,7 +278,9 @@ def embed(f: SampledFunction, grid: QuadratureGrid) -> Vector:
 def _require_samples(f: SampledFunction, grid: QuadratureGrid) -> None:
     """The size rule of the embedding: one sample per node."""
     if f.size != grid.size:
-        raise DimensionMismatch(f"function has {f.size} samples but grid has {grid.size} nodes")
+        raise DimensionMismatch(
+            f"function has {f.size} samples but grid has {grid.size} nodes"
+        )
 
 
 def _embedded(values: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
