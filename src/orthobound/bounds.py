@@ -47,6 +47,7 @@ from .admissibility import DEFAULT_HYPOTHESIS_TOL, Corridors, HypothesisReport, 
 from .errors import (
     BadExponent,
     BadLambda,
+    DimensionMismatch,
     FloatRangeExceeded,
     HypothesisFailed,
     NonpositiveReSum,
@@ -232,9 +233,12 @@ def _pair_kind(check, x, y, fam, cx, cy, tol: float = DEFAULT_HYPOTHESIS_TOL):
 
 
 def _companion_kind(check, x, y, fam, corridor, tol: float = DEFAULT_HYPOTHESIS_TOL, *, lam):
-    """Theorem 4.1: lam in (0, 1), and z = lam*x + (1-lam)*y finite and admitted."""
+    """Theorem 4.1: lam in (0, 1), x and y of one dim, and z = lam*x + (1-lam)*y
+    finite and admitted."""
     check(not 0.0 < lam < 1.0, lambda row=(): BadLambda(
         f"lambda must lie strictly in (0, 1), got {lam}"))
+    nx, ny = x.shape[-1], y.shape[-1]
+    check(nx != ny, lambda row=(): DimensionMismatch(f"dim {nx} != dim {ny}"))
     z = lam * x + (1.0 - lam) * y
     check(*_nonfinite(z))
     pair = _free_kind(check, x, y, fam)[0]

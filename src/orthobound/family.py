@@ -8,12 +8,12 @@ re-asserted post hoc. The gram rule sums the Gram matrix in blocks of member
 rows, so validating a family of ``count`` members in ``dim`` coordinates
 takes O(count * dim) working memory, not a count x count x dim tensor.
 
-A basis embedded on a grid is embedded and validated once per process: the
-family of its first call is kept in a small memo with copies of the samples
-and grid masses it came from. A later call at the same tolerance and real
-flag whose samples and point masses equal those copies byte for byte returns
-that same immutable family; the embedding, finiteness and gram rules run on
-a miss only.
+A basis embedded on a grid is embedded and validated once per process: an
+``lru_cache`` of the last 64 families keys each on its tolerance and the
+immutable bytes it was embedded from, each member's samples with its real
+flag and the grid's root masses. A later call whose bytes equal those
+returns that same immutable family; the embedding, finiteness and gram rules
+run on a miss only.
 
 Tolerance guidance: exact-arithmetic constructions validate at 1e-10,
 quadrature-assembled families at 1e-8. Inequality checks downstream should
@@ -24,12 +24,9 @@ check surfaces families that are too loose for a requested tolerance.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import attrgetter
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -150,7 +147,9 @@ def _real_lane(*fields) -> bool:
 def _operands(*fields) -> list:
     """Kernel operands of an instance's fields as stored: vector coordinates,
     (family matrix, gram residual), corridors, 0-d scalars. Out of the lane
-    (:func:`_real_lane`), real ones are cast to complex128."""
+    (:func:`_real_lane`), real ones are cast to complex128; a real corridor
+    becomes the :class:`~orthobound.admissibility.Corridors` of its sides so
+    cast, with its aggregates, which its complex-mode twin has bit for bit."""
     real = _real_lane(*fields)
     out = []
     for f in fields:
@@ -159,8 +158,12 @@ def _operands(*fields) -> list:
         elif isinstance(f, OrthonormalFamily):
             m = f.matrix if real else f.matrix.astype(np.complex128, copy=False)
             out.append((m, f.gram_residual))
-        elif hasattr(f, "real_mode"):  # a corridor: a real one's complex-mode twin
-            out.append(f if real or not f.real_mode else type(f)(f.lo, f.hi))
+        elif hasattr(f, "real_mode"):  # a corridor
+            if f.real_mode and not real:
+                from .admissibility import Corridors  # which imports this module
+
+                f = Corridors(f.sides.astype(np.complex128), f.re_sum, f.radius)
+            out.append(f)
         else:
             out.append(np.asarray(complex(f).real if real else complex(f)))
     return out
@@ -256,48 +259,21 @@ def validate_family(
     return OrthonormalFamily(matrix, tolerance, all(v.real_mode for v in members))
 
 
-# Validated embedded families (see _embedded_family), least recently used
-# first, keyed by the family: at most _MEMO_BYTES of entries (each member's
-# samples as it holds them, grid masses and matrix), and _MEMO_FAMILIES of
-# them so that tiny families cannot fill the budget with per-object overhead.
-_MEMO_BYTES = 8 << 20
-_MEMO_FAMILIES = 64
-_memo: OrderedDict = OrderedDict()
-_memo_lock = threading.Lock()
+# Validated embedded families kept by _validated_family, the least recently
+# used evicted first.
+_FAMILIES_KEPT = 64
 
 
-class _Kept(NamedTuple):
-    """A validated embedded family and the inputs it was embedded from."""
-
-    route: tuple  # tolerance, each member's real flag and grid size
-    samples: tuple  # each member's samples, as bytes
-    masses: bytes  # the grid's point masses
-    family: OrthonormalFamily
-
-    @property
-    def nbytes(self) -> int:
-        return sum(map(len, self.samples)) + len(self.masses) + self.family.matrix.nbytes
-
-
-def _kept_family(
-    fns: Sequence[SampledFunction], grid: QuadratureGrid, route: tuple
-) -> OrthonormalFamily | None:
-    """The kept family whose route matches and whose masses and every
-    member's samples equal the given ones byte for byte, or None."""
-    with _memo_lock:
-        kept = list(_memo.values())
-    # each C-contiguous input, read in place, against its kept bytes
-    inputs = (grid.point_mass, *map(attrgetter("values"), fns))
-    sizes = list(map(attrgetter("nbytes"), inputs))
-    for entry in reversed(kept):  # most recently used first
-        kept_bytes = (entry.masses, *entry.samples)
-        if (entry.route == route and list(map(len, kept_bytes)) == sizes
-                and all(map(bytes.startswith, kept_bytes, inputs))):
-            with _memo_lock:
-                if entry.family in _memo:
-                    _memo.move_to_end(entry.family)
-            return entry.family
-    return None
+@lru_cache(maxsize=_FAMILIES_KEPT)
+def _validated_family(samples: tuple, root_mass: bytes, tolerance: float) -> OrthonormalFamily:
+    """The family of members given as (sample bytes, real flag) embedded by
+    the root masses ``root_mass``: the embedding, finiteness and gram rules
+    in that order."""
+    values = np.stack([np.frombuffer(b, np.float64 if real else complex) for b, real in samples])
+    matrix = _embedded(values, np.frombuffer(root_mass))
+    failed, error = _nonfinite(matrix)
+    _raise(failed.any(), error)
+    return OrthonormalFamily(matrix, tolerance, all(real for _, real in samples))
 
 
 def _embedded_family(
@@ -310,37 +286,20 @@ def _embedded_family(
     those vectors, except that every size mismatch is reported before any
     non-finite embedding.
 
-    A basis is looked up before it is embedded. The tolerance, each member's
-    real flag (which fixes its sample dtype, so equal bytes are equal sample
-    counts) and the grid size route the lookup; a hit needs every member's
-    samples and the grid's point masses to equal, byte for byte (so -0.0 is
-    not 0.0), the copies kept when the family was validated, and returns
-    that same family after one read of the inputs. Equal samples and masses
-    embed to equal bytes, which passed the finiteness and gram rules, so a
-    hit runs neither. A miss runs the size, embedding, finiteness and gram
-    rules in that order, and keeps the family with copies of its inputs.
+    The empty and size rules run here; the rest runs in
+    :func:`_validated_family`, which keeps the family it builds keyed by the
+    tolerance and the bytes the embedding reads: each member's samples with
+    its real flag (which fixes their dtype) and the grid's root masses.
+    Those arrays are views of immutable ``bytes`` (see ``SampledFunction``
+    and ``QuadratureGrid``), so equal bytes, compared exactly (-0.0 is not
+    0.0), return the same immutable family without embedding, finiteness or
+    gram rule. A family that fails a rule raises and is not kept.
     """
-    route = (tolerance, tuple(map(attrgetter("real_mode"), fns)), grid.size)
-    fam = _kept_family(fns, grid, route)
-    if fam is not None:
-        return fam
     _require_members(fns)
     for f in fns:
         _require_samples(f, grid)
-    values = np.stack([f.values for f in fns])
-    matrix = _embedded(values, grid)
-    failed, error = _nonfinite(matrix)
-    _raise(failed.any(), error)
-    fam = OrthonormalFamily(matrix, tolerance, all(route[1]))
-    entry = _Kept(route, tuple(f.values.tobytes() for f in fns), grid.point_mass.tobytes(), fam)
-    if entry.nbytes <= _MEMO_BYTES:
-        with _memo_lock:
-            _memo[fam] = entry
-            while len(_memo) > _MEMO_FAMILIES or (
-                sum(e.nbytes for e in _memo.values()) > _MEMO_BYTES
-            ):
-                _memo.popitem(last=False)
-    return fam
+    samples = tuple((f.values.base, f.real_mode) for f in fns)
+    return _validated_family(samples, grid.root_mass.base, tolerance)
 
 
 def _check_size(dim: int, count: int) -> None:

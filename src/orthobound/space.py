@@ -128,6 +128,12 @@ def _frozen(values, name: str, real=None, *, dtype=np.complex128, nonnegative=Fa
     return arr
 
 
+def _sealed(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as a view of an immutable ``bytes`` copy, its ``base``: no flag
+    makes it writeable again, so a cache can key on those bytes."""
+    return np.frombuffer(arr.tobytes(), arr.dtype)
+
+
 @dataclass(frozen=True, eq=False)
 class Vector:
     """Finite-dimensional vector over C, or over R when ``real_mode`` is set.
@@ -210,7 +216,7 @@ class QuadratureGrid:
     weights: np.ndarray
     density: np.ndarray
     point_mass: np.ndarray = field(init=False, repr=False)  # per-node measure w_j * rho_j
-    root_mass: np.ndarray = field(init=False, repr=False)  # sqrt(w_j * rho_j), for embed
+    root_mass: np.ndarray = field(init=False, repr=False)  # sqrt(w_j * rho_j) for embed, sealed
     active: np.ndarray = field(init=False, repr=False)  # the j with w_j * rho_j > 0
 
     def __post_init__(self):
@@ -226,8 +232,8 @@ class QuadratureGrid:
         active = np.flatnonzero(mass > 0.0)
         if active.size == 0:
             raise ValueError("all products w_j * rho_j vanish")
-        root_mass = np.sqrt(mass)
-        for arr in (mass, root_mass, active):
+        root_mass = _sealed(np.sqrt(mass))
+        for arr in (mass, active):
             arr.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
@@ -245,16 +251,17 @@ class QuadratureGrid:
 class SampledFunction:
     """Function values sampled at the nodes of some grid, one value per node.
 
-    The samples are copied into a read-only array, float64 in real mode (see
-    :func:`_frozen`) and complex128 otherwise. Sampled functions compare and
-    hash by identity.
+    The samples are copied into an immutable array, float64 in real mode (see
+    :func:`_frozen`) and complex128 otherwise, a view of a ``bytes`` copy
+    (:func:`_sealed`). Sampled functions compare and hash by identity.
     """
 
     values: np.ndarray
     real_mode: bool = False
 
     def __post_init__(self):
-        self.__dict__["values"] = _frozen(self.values, "values", self.real_mode and "function")
+        values = _frozen(self.values, "values", self.real_mode and "function")
+        self.__dict__["values"] = _sealed(values)
 
     @property
     def size(self) -> int:
@@ -272,7 +279,7 @@ def embed(f: SampledFunction, grid: QuadratureGrid) -> Vector:
     ``embed`` bit for bit.
     """
     _require_samples(f, grid)
-    return Vector(_embedded(f.values, grid), real_mode=f.real_mode)
+    return Vector(_embedded(f.values, grid.root_mass), real_mode=f.real_mode)
 
 
 def _require_samples(f: SampledFunction, grid: QuadratureGrid) -> None:
@@ -283,13 +290,14 @@ def _require_samples(f: SampledFunction, grid: QuadratureGrid) -> None:
         )
 
 
-def _embedded(values: np.ndarray, grid: QuadratureGrid) -> np.ndarray:
-    """Kernel of :func:`embed` over sample arrays (..., grid.size), float64
-    or complex128: float64 samples give the real parts of the products of
-    their complex128 casts bit for bit. A product beyond the float range
-    overflows quietly: the finiteness rule of the caller reports it."""
+def _embedded(values: np.ndarray, root_mass: np.ndarray) -> np.ndarray:
+    """Kernel of :func:`embed` over sample arrays (..., nodes), float64 or
+    complex128, by a grid's ``root_mass``: float64 samples give the real
+    parts of the products of their complex128 casts bit for bit. A product
+    beyond the float range overflows quietly: the finiteness rule of the
+    caller reports it."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.multiply(values, grid.root_mass)
+        return np.multiply(values, root_mass)
 
 
 def grid_inner(f: SampledFunction, g: SampledFunction, grid: QuadratureGrid) -> complex:

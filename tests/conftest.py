@@ -15,7 +15,7 @@ from orthobound import (
 def cold_family_memo():
     """Each test starts with no validated embedded family kept, so a test
     that counts gram checks does not depend on the tests before it."""
-    family._memo.clear()
+    family._validated_family.cache_clear()
 
 
 @pytest.fixture

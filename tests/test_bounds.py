@@ -10,6 +10,7 @@ from orthobound import (
     BadLambda,
     BoundChain,
     CorridorSpec,
+    DimensionMismatch,
     FloatRangeExceeded,
     HypothesisFailed,
     NonpositiveReSum,
@@ -38,6 +39,7 @@ from orthobound import (
     validate_family,
 )
 from orthobound import HypothesisReport, OrthoboundError, admissibility, family
+from orthobound.admissibility import Corridors
 from orthobound.family import OrthonormalFamily, legendre_samples, trig_samples
 from orthobound.integral import integral_instance, sandwich_check
 from orthobound.space import SampledFunction, gauss_legendre_grid
@@ -551,6 +553,21 @@ def test_companion_bad_lambda(rng):
             companion_bound(x, x, fam, corr, lam)
 
 
+def test_companion_of_vectors_of_two_dims_raises_dimension_mismatch(rng):
+    # after the lambda rule, before z = lam*x + (1-lam)*y is formed; the
+    # message gruss_defect gives
+    fam, corr, x = admissible_instance(rng)
+    y = random_vector(7, rng)
+    with pytest.raises(BadLambda):
+        companion_bound(x, y, fam, corr, 1.0)
+    with pytest.raises(DimensionMismatch) as ref:
+        gruss_defect(x, y, fam)
+    for first, second, dims in ((x, y, "dim 6 != dim 7"), (y, x, "dim 7 != dim 6")):
+        with pytest.raises(DimensionMismatch, match=f"^{dims}$"):
+            companion_bound(first, second, fam, corr, 0.5)
+    assert str(ref.value) == "dim 6 != dim 7"
+
+
 # ---------------------------------------------------------------------------
 # chain plumbing
 
@@ -867,6 +884,29 @@ def test_a_mixed_instance_gives_the_bits_of_its_complex_twin(real_family, x_real
         fam, x, cx, y, cy = _mixed_instance(rng, real_family, x_real, corridor_real)
         mixed = _mixed_outcomes(fam, x, cx, y, cy)
         assert mixed == _mixed_outcomes(*map(_twin, (fam, x, cx, y, cy)))
+
+
+def test_a_mixed_instance_casts_its_real_corridor_and_builds_none(monkeypatch):
+    # out of the lane a real corridor's sides are cast to complex128 and its
+    # aggregates kept: no corridor is built, and the bits are the twin's
+    rng = np.random.default_rng(8)
+    fam = random_family(8, 4, rng, real=True)
+    cx, cy = CorridorSpec("real").sample(4, rng), CorridorSpec("real").sample(4, rng)
+    x, y = (Vector(admissible_point(fam, c, rng, 0.5).coords + 1e-3j) for c in (cx, cy))
+    expected = _mixed_outcomes(*map(_twin, (fam, x, cx, y, cy)))
+    built = []
+    post_init, build = ScalarCorridor.__post_init__, Corridors.build
+
+    def spy(self):
+        built.append("ScalarCorridor")
+        post_init(self)
+
+    monkeypatch.setattr(ScalarCorridor, "__post_init__", spy)
+    monkeypatch.setattr(
+        Corridors, "build", staticmethod(lambda lo, hi: built.append("build") or build(lo, hi))
+    )
+    assert _mixed_outcomes(fam, x, cx, y, cy) == expected
+    assert built == []
 
 
 @pytest.mark.parametrize("real", [True, False])

@@ -197,6 +197,23 @@ def test_check_refinement_selectors(capsys, tmp_path):
     assert "ratio_form" in json.loads(out)["chains"]
 
 
+def test_check_companion_of_vectors_of_two_dims_is_a_typed_error(capsys, tmp_path):
+    c = 1 / math.sqrt(2)
+    path = write_instance(
+        tmp_path,
+        {
+            "family": {"members": [[[c, 0.0], [c, 0.0]]]},
+            "x": [[1.0 * c, 0.0], [3.0 * c, 0.0]],
+            "y": [[2.0 * c, 0.0], [2.0 * c, 0.0], [1.0, 0.0]],
+            "phi": [[1.0, 0.0]],
+            "Phi": [[3.0, 0.0]],
+        },
+    )
+    assert run(capsys, "check", "--instance", path, "--bound", "thm4.1:0.5") == (
+        1, "", "error: dim 2 != dim 3\n"
+    )
+
+
 def test_check_schwarz_selector(capsys, tmp_path):
     path = write_instance(
         tmp_path,

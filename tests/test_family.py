@@ -315,14 +315,16 @@ def test_gram_rule_memory_is_linear_in_members():
     fns = legendre_samples(32, grid)
     tracemalloc.start()
     try:
-        fam = _embedded_family(fns, grid, QUADRATURE_TOLERANCE)  # a miss: the memo is cold
-        _, peak = tracemalloc.get_traced_memory()
+        fam = _embedded_family(fns, grid, QUADRATURE_TOLERANCE)  # a miss: the cache is cold
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # what the family keeps (its matrix, real rows and the memo's copies of
-    # its samples and masses) is about 4 MiB; the 32 x 32 x 4096 product
-    # tensor alone would be 32 MiB
-    assert peak < family._memo[fam].nbytes + 4 * 2**20
+    # the stacked samples and the matrix are 1 MiB each; the 32 x 32 x 4096
+    # product tensor alone would be 32 MiB
+    assert peak < 2 * fam.matrix.nbytes + 4 * 2**20
+    # the cache keeps the matrix, and no copy of the samples or root masses
+    # its key holds
+    assert kept < fam.matrix.nbytes + grid.root_mass.nbytes
 
 
 def test_one_pass_embedding_matches_member_embeddings():
@@ -417,7 +419,7 @@ def test_a_failure_flagged_by_the_qr_gufunc_raises_linalgerror(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the memo of validated embedded families
+# the cache of validated embedded families
 
 
 def _unit_basis(*values):
@@ -458,14 +460,14 @@ def test_a_sample_changed_in_its_bits_is_a_miss(gram_checks, values):
 
 
 def test_a_lookup_key_shared_by_other_bytes_is_a_miss(gram_checks):
-    # the first member's samples permuted: the same route (tolerance, each
-    # member's real flag, grid size), other bytes
+    # the first member's samples permuted: the same tolerance, real flags
+    # and sizes, other bytes
     grid, fns = _unit_basis()
     _, permuted_fns = _unit_basis(0.0, 0.0, 1.0)
     fam = _embedded_family(fns, grid, 1e-8)
     permuted = _embedded_family(permuted_fns, grid, 1e-8)
     assert permuted is not fam
-    assert [kept.route for kept in family._memo.values()] == [(1e-8, (True, True), 3)] * 2
+    assert family._validated_family.cache_info().currsize == 2
     assert _bits(permuted.matrix) == _bits(np.stack([embed(f, grid).coords for f in permuted_fns]))
     # both are kept, each hit by its own bytes
     assert _embedded_family(permuted_fns, grid, 1e-8) is permuted
@@ -490,15 +492,27 @@ def test_a_hit_runs_no_embedding_finiteness_or_gram_rule(monkeypatch, gram_check
     assert (calls, len(gram_checks)) == (["_embedded", "_nonfinite"], 1)
 
 
-def test_samples_changed_in_place_are_a_miss(gram_checks):
-    # the bytes decide, not which array holds them
+def test_samples_and_root_masses_refuse_to_be_made_writeable():
+    # the cache keys on the bytes these arrays view, so they cannot change in place
+    grid, fns = _unit_basis()
+    for arr in (fns[0].values, SampledFunction([1j, 0.0, 0.0]).values, grid.root_mass):
+        assert isinstance(arr.base, bytes) and arr.base == arr.tobytes()
+        with pytest.raises(ValueError):
+            arr.flags.writeable = True
+        with pytest.raises(ValueError):
+            arr[0] = 2.0
+
+
+def test_a_grid_is_read_by_the_bytes_of_its_root_masses(gram_checks):
     grid, fns = _unit_basis()
     fam = _embedded_family(fns, grid, 1e-8)
-    fns[0].values.flags.writeable = True
-    fns[0].values[:] = [0.0, 0.0, 1.0]
-    changed = _embedded_family(fns, grid, 1e-8)
-    assert changed is not fam
-    assert _bits(changed.matrix) == _bits(np.stack([embed(f, grid).coords for f in fns]))
+    # other nodes, weights and density, the same root masses: a hit
+    same = QuadratureGrid([5.0, 6.0, 7.0], [0.5, 1.0, 0.25], [2.0, 1.0, 4.0])
+    assert _embedded_family(fns, same, 1e-8) is fam
+    # another mass at the node where both members vanish: the same embedding, a miss
+    other = QuadratureGrid([0.0, 1.0, 2.0], [1.0, 1.0, 2.0], [1.0, 1.0, 1.0])
+    changed = _embedded_family(fns, other, 1e-8)
+    assert changed is not fam and _bits(changed.matrix) == _bits(fam.matrix)
     assert len(gram_checks) == 2
 
 
@@ -533,7 +547,7 @@ def test_samples_that_embed_to_the_same_bytes_are_kept_apart(gram_checks):
     other = _embedded_family(others, grid, 1e-8)
     assert other is not fam
     assert _bits(other.matrix) == _bits(fam.matrix)
-    assert len(family._memo) == 2
+    assert family._validated_family.cache_info().currsize == 2
     assert _embedded_family(others, grid, 1e-8) is other
     assert _embedded_family(fns, grid, 1e-8) is fam
     assert len(gram_checks) == 2
@@ -551,7 +565,7 @@ def test_a_different_tolerance_or_real_flag_is_a_miss(gram_checks):
     assert len(gram_checks) == 3
 
 
-def test_a_real_family_keeps_its_float64_matrix_once_and_a_memo_entry_counts_it():
+def test_a_real_family_keeps_its_float64_matrix_once():
     rows = _orthonormal_rows(np.random.default_rng(3).standard_normal((8, 4)))
     fam = OrthonormalFamily(rows, 1e-10, True)
     assert fam.matrix is not rows and fam.matrix.dtype == np.float64
@@ -560,10 +574,6 @@ def test_a_real_family_keeps_its_float64_matrix_once_and_a_memo_entry_counts_it(
     assert _bits(fam.matrix) == _bits(rows)
     assert not hasattr(fam, "real_rows")
     assert OrthonormalFamily(rows.astype(complex), 1e-10).matrix.dtype == np.complex128
-    grid, fns = _unit_basis()
-    entry = family._memo[_embedded_family(fns, grid, 1e-8)]
-    # float64 samples, masses and matrix
-    assert entry.nbytes == 2 * 3 * 8 + 3 * 8 + 2 * 3 * 8
 
 
 def test_a_basis_mixing_real_and_complex_members_is_kept_by_their_own_bytes(gram_checks):
@@ -572,7 +582,7 @@ def test_a_basis_mixing_real_and_complex_members_is_kept_by_their_own_bytes(gram
     fam = _embedded_family(mixed, grid, 1e-8)
     copies = [SampledFunction(f.values.copy(), f.real_mode) for f in mixed]
     assert _embedded_family(copies, grid, 1e-8) is fam
-    assert [len(s) for s in family._memo[fam].samples] == [3 * 8, 3 * 16]
+    assert [len(f.values.base) for f in mixed] == [3 * 8, 3 * 16]  # the bytes of its key
     assert len(gram_checks) == 1
 
 
@@ -621,41 +631,26 @@ def test_real_samples_embed_as_their_complex_twins_do():
         assert _bits(fam.matrix) == _bits(ref.matrix.real)
         assert not ref.matrix.imag.any()
         assert fam.gram_residual == ref.gram_residual
-        assert [len(s) for s in family._memo[fam].samples] == [grid.size * 8] * len(fns)
+        assert [len(f.values.base) for f in fns] == [grid.size * 8] * len(fns)
 
 
-def test_a_family_over_the_byte_budget_is_not_kept(gram_checks):
-    nodes = family._MEMO_BYTES // 16 + 1  # two float64 members just over the budget
-    grid = QuadratureGrid(np.arange(float(nodes)), np.ones(nodes), np.ones(nodes))
-    fns = [SampledFunction(np.eye(1, nodes, k)[0], True) for k in (0, 1)]
-    fam = _embedded_family(fns, grid, 1e-10)
-    assert fam.matrix.nbytes > family._MEMO_BYTES
-    assert not family._memo
-    assert _embedded_family(fns, grid, 1e-10) is not fam
-    assert len(gram_checks) == 2
-
-
-@pytest.mark.parametrize("limit", ["_MEMO_FAMILIES", "_MEMO_BYTES"])
-def test_the_least_recently_used_family_is_evicted(monkeypatch, gram_checks, limit):
+def test_the_least_recently_used_family_is_evicted(gram_checks):
     grid, fns = _unit_basis()
-    first = _embedded_family(fns, grid, 1e-8)
-    # room for two entries, each holding its samples, masses and matrix
-    room = 2 if limit == "_MEMO_FAMILIES" else 2 * family._memo[first].nbytes
-    monkeypatch.setattr(family, limit, room)
-    second = _embedded_family(fns, grid, 1e-7)
-    assert _embedded_family(fns, grid, 1e-8) is first  # now the most recent
-    _embedded_family(fns, grid, 1e-6)  # evicts second
-    assert len(family._memo) == 2
-    assert _embedded_family(fns, grid, 1e-8) is first
-    assert _embedded_family(fns, grid, 1e-7) is not second
-    assert len(gram_checks) == 4
+    tolerances = [1e-8 * (k + 1) for k in range(family._FAMILIES_KEPT + 1)]
+    first, second, *_ = [_embedded_family(fns, grid, t) for t in tolerances[:-1]]  # full
+    assert _embedded_family(fns, grid, tolerances[0]) is first  # now the most recent
+    _embedded_family(fns, grid, tolerances[-1])  # evicts second
+    assert family._validated_family.cache_info().currsize == family._FAMILIES_KEPT
+    assert _embedded_family(fns, grid, tolerances[0]) is first
+    assert _embedded_family(fns, grid, tolerances[1]) is not second
+    assert len(gram_checks) == family._FAMILIES_KEPT + 2
 
 
-def test_threads_racing_on_eviction_each_get_their_own_family(monkeypatch):
-    # three tolerances cycling through a memo of two: every insert evicts
+def test_threads_racing_on_eviction_each_get_their_own_family():
+    # one tolerance more than the cache keeps, cycled by every thread: inserts
+    # evict while other threads look up and insert the same keys
     grid, fns = _unit_basis()
-    monkeypatch.setattr(family, "_MEMO_FAMILIES", 2)
-    tolerances = (1e-8, 1e-7, 1e-6)
+    tolerances = [1e-8 * (k + 1) for k in range(family._FAMILIES_KEPT + 1)]
     expected = _bits(_embedded_family(fns, grid, 1e-8).matrix)
     workers, calls = 4, 300  # more threads than a small runner has cores
     start = threading.Barrier(workers)
@@ -664,7 +659,7 @@ def test_threads_racing_on_eviction_each_get_their_own_family(monkeypatch):
         start.wait(timeout=30)
         wrong = 0
         for i in range(calls):
-            tolerance = tolerances[(k + i) % 3]
+            tolerance = tolerances[(k + i) % len(tolerances)]
             fam = _embedded_family(fns, grid, tolerance)
             wrong += fam.tolerance != tolerance or _bits(fam.matrix) != expected
         return wrong
@@ -677,4 +672,4 @@ def test_threads_racing_on_eviction_each_get_their_own_family(monkeypatch):
             assert [run.result(timeout=60) for run in runs] == [0] * workers
     finally:
         sys.setswitchinterval(switch)
-    assert len(family._memo) == 2
+    assert family._validated_family.cache_info().currsize == family._FAMILIES_KEPT

@@ -293,7 +293,7 @@ def test_family_errors_are_never_kept():
         for case in FAMILY_ERRORS:
             test_family_errors_match_member_embeddings(*case)
         test_coarse_grid_rejected()
-    assert not family._memo
+    assert family._validated_family.cache_info().currsize == 0
 
 
 def test_family_size_errors_come_before_nonfinite_embeddings():
@@ -487,7 +487,7 @@ def test_chain_values_are_the_same_bits_with_the_memo_cold_and_warm(trig_setup, 
     records = []
     for cold in (True, False, True):
         if cold:
-            family._memo.clear()
+            family._validated_family.cache_clear()
         records.append(chain_record(integral_instance(f, fns, grid, cx, g, cy)))
     assert records[0] == records[1] == records[2]
 
@@ -496,7 +496,7 @@ def test_threads_building_instances_at_once_get_the_same_bits(trig_setup, rng):
     grid, fns = trig_setup
     f, cx, g, cy = noisy_pair(fns, grid, rng)
     expected = chain_record(integral_instance(f, fns, grid, cx, g, cy))
-    family._memo.clear()
+    family._validated_family.cache_clear()
     workers, calls = 4, 10  # more threads than a small runner has cores
     start = threading.Barrier(workers)
 
