@@ -8,7 +8,8 @@ the largest magnitude in the chain with an absolute floor of 1e-12.
 Conditional bounds admit their instance first and raise
 :class:`HypothesisFailed` otherwise; evaluating them on inadmissible inputs
 is a caller bug. Each chain keeps the hypothesis reports it was admitted
-under. The free forms raise :class:`FloatRangeExceeded` where they overflow.
+under. A chain's values are finite: a chain, or a free form, that overflows
+the float range raises :class:`FloatRangeExceeded`.
 
 The corridor width factor M implemented by :func:`m_factor` uses the
 difference form (|hi| - |lo|)^2 in its numerator; this is the form for which
@@ -53,8 +54,8 @@ from .errors import (
     NonpositiveReSum,
     ZeroVector,
 )
-from .family import OrthonormalFamily, _coefficients, _gram_check, _operands
-from .space import Vector, _inner, _nonfinite, _quotient, _raise, abs2, inner, tree_sum
+from .family import OrthonormalFamily, _coefficients, _dims, _gram_check, _operands
+from .space import Vector, _inner, _nonfinite, _quotient, _raise, _same_dims, abs2, tree_sum
 
 # Single tolerance policy for every chain assertion.
 CHAIN_REL_TOL = 1e-9
@@ -84,7 +85,8 @@ def _chain_holds(values: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class BoundChain:
     """Ordered labeled inequality chain; holds iff values are nondecreasing.
-    ``reports`` are the hypothesis reports it was admitted under, in order."""
+    ``reports`` are the hypothesis reports it was admitted under, in order.
+    Its values are finite: a value that is not raises :class:`FloatRangeExceeded`."""
 
     labels: tuple[str, ...]
     values: tuple[float, ...]
@@ -95,6 +97,7 @@ class BoundChain:
         values = tuple(float(v) for v in self.values)
         if len(labels) != len(values) or len(values) < 2:
             raise ValueError("chain needs equally many labels and values, at least two")
+        _in_range(f"the chain {' <= '.join(labels)}", values)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "values", values)
 
@@ -173,6 +176,10 @@ class Pair:
 
     @cached_property
     def p(self) -> np.ndarray:
+        """<x, y>; where both slots hold one coordinate array, ||x||^2, which
+        is exactly real, as :func:`inner` makes <x, x>."""
+        if self.x.coords is self.y.coords:
+            return self.x.nsq
         return _inner(self.x.coords, self.y.coords)
 
     @cached_property
@@ -186,8 +193,10 @@ class Step(NamedTuple):
     reports (by :class:`HypothesisFailed` name) and the selector's parameters,
     it admits the reports, requires ``defined`` and a positive Re-sum of the
     corridors at the attribute paths ``positive``, makes the labels
-    (``labels(**params)`` raises a bad variant) and runs the kernel ``values``;
-    Corollary 2.5's labels, values and chains are by name."""
+    (``labels(**params)`` raises a bad variant) and runs the kernel ``values``
+    with overflow ignored, whose chains raise :class:`FloatRangeExceeded`
+    unless their values are finite; Corollary 2.5's labels, values and
+    chains are by name."""
 
     labels: tuple | dict | Callable
     values: Callable
@@ -203,7 +212,8 @@ class Step(NamedTuple):
         for path in self.positive:
             _positive(attrgetter(path)(inst))
         labels = self.labels(**params) if callable(self.labels) else self.labels
-        values = self.values(inst, **params)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = self.values(inst, **params)
         admitted = tuple(reports.values())
         if isinstance(labels, dict):
             return {name: BoundChain(labels[name], values[name], admitted) for name in labels}
@@ -237,11 +247,10 @@ def _companion_kind(check, x, y, fam, corridor, tol: float = DEFAULT_HYPOTHESIS_
     finite and admitted."""
     check(not 0.0 < lam < 1.0, lambda row=(): BadLambda(
         f"lambda must lie strictly in (0, 1), got {lam}"))
-    nx, ny = x.shape[-1], y.shape[-1]
-    check(nx != ny, lambda row=(): DimensionMismatch(f"dim {nx} != dim {ny}"))
+    check(*_same_dims(x, y))
     z = lam * x + (1.0 - lam) * y
     check(*_nonfinite(z))
-    pair = _free_kind(check, x, y, fam)[0]
+    pair = Pair(Slot(x, fam[0]), Slot(y, fam[0]))
     pair.z, reports = _x_kind(check, z, fam, corridor, tol, "lam*x + (1-lam)*y")
     return pair, reports
 
@@ -292,24 +301,20 @@ def _schwarz_frame(y: Slot) -> tuple:
 
 
 def _free_kind(check, x, y, fam, tol: float = DEFAULT_HYPOTHESIS_TOL):
-    """Two vectors under no corridor."""
+    """Two vectors under no corridor, by the dim rule of :func:`inner` and
+    then the vector-dim rule."""
     rows = fam[0]
+    check(*_same_dims(x, y))
+    check(*_dims(x, rows))
     return Pair(Slot(x, rows), Slot(y, rows)), {}
 
 
 def _one(build, *fields, tol: float = DEFAULT_HYPOTHESIS_TOL, **params) -> tuple:
     """The batch of one of ``build`` on the fields the public functions take,
-    in their lane (:func:`family._operands`): a failed rule raises at once,
-    and the slots' coefficients and <x, y> are those of ``fam.coefficients``
-    and :func:`inner`, which check the dimensions. The instance, reports."""
-    fam = next((f for f in fields if isinstance(f, OrthonormalFamily)), None)
-    vectors = [f for f in fields if isinstance(f, Vector)]
+    in their lane (:func:`family._operands`): a failed rule raises at once.
+    The instance, whose slots compute the coefficients and <x, y> its chains
+    read, as a campaign chunk's do, and its reports."""
     inst, reports = build(_raise, *_operands(*fields), tol, **params)
-    if isinstance(inst, Pair):
-        inst.p = inner(*vectors)
-    if fam is not None:
-        for slot, v in zip((inst,) if isinstance(inst, Slot) else (inst.x, inst.y), vectors):
-            slot.a = fam.coefficients(v)
     return inst, {which: report() for which, report in reports.items()}
 
 
@@ -324,21 +329,17 @@ def _float_pow(base, exponent: float) -> np.ndarray:
 
 
 def _in_range(what: str, value):
-    """``value`` (a number or a chain) if it is finite, else the
+    """``value`` (a number or numbers) if it is finite, else the
     :class:`FloatRangeExceeded` naming ``what``; its caller ignores overflow."""
-    values = getattr(value, "values", value)
-    if not np.isfinite(values).all():
-        raise FloatRangeExceeded(f"{what} overflows the float range: {values!r}")
+    if not np.isfinite(value).all():
+        raise FloatRangeExceeded(f"{what} overflows the float range: {value!r}")
     return value
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def bessel_defect(x: Vector, fam: OrthonormalFamily) -> float:
     """||x||^2 - sum_i |<x, e_i>|^2; nonnegative for any x, no corridor needed."""
-    coords, (rows, _) = _operands(x, fam)
-    slot = Slot(coords, rows)
-    slot.a = fam.coefficients(x)
-    return _in_range("the projection defect", float(slot.defect))
+    return _in_range("the projection defect", float(_one(_free_kind, x, x, fam)[0].x.defect))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -578,10 +579,9 @@ def _refined_midpoint_values(pair: Pair) -> tuple:
     return np.abs(pair.defect), outer - correction, outer
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def schwarz_step(x: Vector, y: Vector, fam: OrthonormalFamily) -> BoundChain:
     """|defect(x, y)|^2 <= defect(x, x) * defect(y, y), valid for any inputs."""
-    return _in_range("the Schwarz step", _SCHWARZ_STEP(*_one(_free_kind, x, y, fam)))
+    return _SCHWARZ_STEP(*_one(_free_kind, x, y, fam))
 
 
 def _schwarz_step_values(pair: Pair) -> tuple:

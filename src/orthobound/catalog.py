@@ -29,13 +29,12 @@ class Chain(NamedTuple):
     ``step`` names its :class:`~orthobound.bounds.Step`, looked up at call
     time, so a patched step takes effect; ``name`` is its JSON name in
     ``check``'s output (None when its step gives named chains); a campaign
-    records its kernel under the selector key, plus ``:suffix`` if any.
-    ``when``, given the built instance, holds where the chain is defined."""
+    records its kernel under the selector key, plus ``:suffix`` if any. The
+    chain is run on the instances where its step's ``defined`` holds."""
 
     step: str
     name: str | None = "main"
     suffix: str = ""
-    when: Callable | None = None
 
 
 class Kind(NamedTuple):
@@ -120,7 +119,7 @@ SELECTORS: dict[str, Selector] = {
     "cor2.5": Selector("schwarz", (Chain("_SCHWARZ", None),)),
     "cor3.3": Selector("single", (
         Chain("_GRUSS"),
-        Chain("_RATIO", "ratio_form", "ratio", bounds._ratio_defined),
+        Chain("_RATIO", "ratio_form", "ratio"),
     )),
     "bessel-defect": Selector("free", (Chain("_PROJECTION_FLOOR"),)),
     "schwarz-step": Selector("free", (Chain("_SCHWARZ_STEP"),)),
@@ -149,7 +148,7 @@ def evaluate(
 ) -> dict[str, bounds.BoundChain]:
     """The chains of ``selector`` on the instance whose fields are keyed by
     their instance-file names, by JSON name in catalog order, all on one
-    build; a chain is left out where its ``when`` does not hold. A field the
+    build; a chain is left out where its step's ``defined`` does not hold. A field the
     selector's kind reads that ``fields`` lacks (or gives as None) raises
     :class:`InstanceFormatError`, naming every such field in decode order."""
     return evaluate_many((selector,), fields, tol)[selector]
@@ -177,8 +176,9 @@ def evaluate_many(
         inst, reports = builds[key]
         chains: dict[str, bounds.BoundChain] = {}
         for chain in entry.chains:
-            if chain.when is None or chain.when(inst):
-                result = getattr(bounds, chain.step)(inst, reports, **params)
+            step = getattr(bounds, chain.step)
+            if step.defined is None or step.defined(inst):
+                result = step(inst, reports, **params)
                 chains.update(result if chain.name is None else {chain.name: result})
         out[selector] = chains
     return out

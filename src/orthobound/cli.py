@@ -46,7 +46,8 @@ def _tolerance(cli_value: float | None) -> float:
 
 
 def _emit(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write ``payload`` as strict JSON: a NaN or an Infinity raises."""
+    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _fail(message: str) -> int:
@@ -85,8 +86,9 @@ def cmd_check(args) -> int:
     payload["chains"] = {}
     for chain_name, chain in chains.items():
         encoded = jsonio.chain_to_json(chain)
-        if chain.values[-1] != 0.0:
-            encoded["ratio"] = chain.values[-2] / chain.values[-1]
+        ratio = chain.values[-2] / chain.values[-1] if chain.values[-1] != 0.0 else math.inf
+        if math.isfinite(ratio):
+            encoded["ratio"] = ratio
         payload["chains"][chain_name] = encoded
     chains_hold = all(c.all_hold for c in chains.values())
     payload["holds"] = chains_hold

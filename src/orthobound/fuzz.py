@@ -331,9 +331,10 @@ class _Evaluation:
         if not live.any():
             return
         for chain in entry.chains:
-            values = getattr(bounds, chain.step).values(inst, **params)
+            step = getattr(bounds, chain.step)
+            values = step.values(inst, **params)
             named = values if chain.name is None else {chain.suffix: values}
-            keep = live if chain.when is None else live & chain.when(inst)
+            keep = live if step.defined is None else live & step.defined(inst)
             for suffix, v in named.items():
                 stacked = np.stack(np.broadcast_arrays(*v), axis=-1)
                 record_key = f"{key}:{suffix}" if suffix else key

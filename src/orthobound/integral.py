@@ -22,7 +22,7 @@ from .bounds import _COUNTERPART, _GRUSS, _LINEAR, _QUADRATIC, BoundChain, Pair,
 from .bounds import _one, _x_kind
 from .errors import DimensionMismatch, NonpositiveReSum, SandwichViolated
 from .family import OrthonormalFamily, QUADRATURE_TOLERANCE, _embedded_family, _require_members
-from .space import QuadratureGrid, SampledFunction, Vector, embed, inner
+from .space import QuadratureGrid, SampledFunction, Vector, embed
 
 
 @dataclass(frozen=True)
@@ -57,9 +57,7 @@ class IntegralInstance:
     def gruss_chain(self) -> BoundChain:
         if self.y is None:
             raise ValueError("instance has no second function")
-        pair = Pair(self._x, self._y)
-        pair.p = inner(self.x, self.y)
-        return _GRUSS(pair, {"x": self.report_x, "y": self.report_y})
+        return _GRUSS(Pair(self._x, self._y), {"x": self.report_x, "y": self.report_y})
 
 
 def integral_instance(

@@ -94,6 +94,12 @@ def _nonfinite(values: np.ndarray, name: str = "coords") -> tuple:
     return failed, lambda row=(): ValueError(f"{name} must be finite (no NaN/Inf)")
 
 
+def _same_dims(x: np.ndarray, y: np.ndarray) -> tuple:
+    """The dim rule of vectors x (..., nx) and y (..., ny)."""
+    nx, ny = x.shape[-1], y.shape[-1]
+    return nx != ny, lambda row=(): DimensionMismatch(f"dim {nx} != dim {ny}")
+
+
 def _raise(failed, error) -> None:
     """The check of a batch of one: a failed rule raises its error at once."""
     if failed:
@@ -156,8 +162,7 @@ class Vector:
     def _elementwise(self, other: "Vector", op) -> "Vector":
         if not isinstance(other, Vector):
             return NotImplemented
-        if self.dim != other.dim:
-            raise DimensionMismatch(f"dim {self.dim} != dim {other.dim}")
+        _raise(*_same_dims(self.coords, other.coords))
         return Vector(op(self.coords, other.coords), self.real_mode and other.real_mode)
 
     def __add__(self, other: "Vector") -> "Vector":
@@ -180,8 +185,7 @@ def inner(x: Vector, y: Vector) -> complex:
     ``inner(x, x)`` is exactly real and nonnegative (hardware FMA contraction
     would otherwise leave dust in the imaginary part).
     """
-    if x.dim != y.dim:
-        raise DimensionMismatch(f"dim {x.dim} != dim {y.dim}")
+    _raise(*_same_dims(x.coords, y.coords))
     if x is y:
         return complex(norm_sq(x))
     # in complex128 whatever the modes, which decides the sign of a zero imaginary part

@@ -38,7 +38,7 @@ from orthobound import (
     single_vector_ratio_chain,
     validate_family,
 )
-from orthobound import HypothesisReport, OrthoboundError, admissibility, family
+from orthobound import HypothesisReport, OrthoboundError, admissibility, bounds, family
 from orthobound.admissibility import Corridors
 from orthobound.family import OrthonormalFamily, legendre_samples, trig_samples
 from orthobound.integral import integral_instance, sandwich_check
@@ -739,9 +739,10 @@ def test_the_lane_gives_the_complex_paths_bits_on_a_2048_node_instance(kind):
 
 @pytest.fixture
 def kernel_operands(monkeypatch):
-    """The dtypes of the (vector, family rows) each kernel call reads, by kernel."""
+    """The dtypes of the (vector, family rows) each kernel call reads, by
+    kernel: the hypothesis, and the coefficients a slot computes."""
     seen = []
-    coefficients, hypothesis = family._coefficients, admissibility._hypothesis
+    coefficients, hypothesis = bounds._coefficients, admissibility._hypothesis
 
     def spy_coefficients(x, matrix):
         seen.append(("coefficients", x.dtype, matrix.dtype))
@@ -751,7 +752,7 @@ def kernel_operands(monkeypatch):
         seen.append(("hypothesis", x.dtype, matrix.dtype))
         return hypothesis(x, matrix, *args)
 
-    monkeypatch.setattr(family, "_coefficients", spy_coefficients)
+    monkeypatch.setattr(bounds, "_coefficients", spy_coefficients)
     monkeypatch.setattr(admissibility, "_hypothesis", spy_hypothesis)
     return seen
 
@@ -760,16 +761,16 @@ _F, _C = np.dtype(np.float64), np.dtype(np.complex128)
 
 
 @pytest.mark.parametrize(
-    "x_real, corridor_mode, hypothesis_dtype, coefficients_dtype",
+    "x_real, corridor_mode, dtype",
     [
-        (True, "real", _F, _F),
-        (False, "real", _C, _C),
-        (True, "complex", _C, _F),  # the coefficients read no corridor
+        (True, "real", _F),
+        (False, "real", _C),
+        (True, "complex", _C),  # one lane per instance, though the coefficients read no corridor
     ],
     ids=["all-real", "complex-x", "complex-corridor"],
 )
 def test_only_an_all_real_instance_reaches_the_kernels_in_float64(
-    kernel_operands, x_real, corridor_mode, hypothesis_dtype, coefficients_dtype
+    kernel_operands, x_real, corridor_mode, dtype
 ):
     rng = np.random.default_rng(5)
     fam = random_family(6, 3, rng, real=True)
@@ -779,10 +780,7 @@ def test_only_an_all_real_instance_reaches_the_kernels_in_float64(
     # x is drawn for another corridor: a tolerance this wide admits it, so
     # both kernels run (an instance that fails admission computes no coefficients)
     _outcome(lambda: norm_bound_linear(x, fam, corridor, tol=1e6))
-    assert kernel_operands == [
-        ("hypothesis", hypothesis_dtype, hypothesis_dtype),
-        ("coefficients", coefficients_dtype, coefficients_dtype),
-    ]
+    assert kernel_operands == [("hypothesis", dtype, dtype), ("coefficients", dtype, dtype)]
 
 
 def test_an_integral_instance_takes_the_lane_through_the_public_kernels(kernel_operands):
@@ -924,3 +922,20 @@ def test_free_forms_that_overflow_raise_a_typed_error(real):
             call()
     assert math.isfinite(bessel_defect(small, fam))
     assert schwarz_step(small, small, fam).all_hold
+
+
+@pytest.mark.parametrize("real_family", [True, False])
+def test_the_self_defect_reads_x_x_as_the_squared_norm(real_family):
+    # <x, x> is ||x||^2, exactly real, as inner(x, x) is: the imaginary part
+    # of gruss_defect(x, x, fam) is the coefficient term's alone
+    rng = np.random.default_rng(12)
+    fam = random_family(5, 3, rng, real=real_family)
+    x = random_vector(5, rng, real=False)
+    a = fam.coefficients(x)
+    expected = norm_sq(x) - inner(Vector(a), Vector(a.copy()))
+    assert np.complex128(gruss_defect(x, x, fam)).tobytes() == np.complex128(expected).tobytes()
+    # where the coefficient products are exact, so is the defect: 13 + 0j
+    units = OrthonormalFamily(np.eye(4)[:2].astype(complex))
+    exact = Vector([1 + 2j, 0.5 - 1j, 3j, -2.0])
+    defect = gruss_defect(exact, exact, units)
+    assert (defect.real, defect.imag, math.copysign(1.0, defect.imag)) == (13.0, 0.0, 1.0)

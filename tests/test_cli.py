@@ -15,8 +15,8 @@ import pytest
 
 import orthobound
 from orthobound import (
-    BoundChain,
     CorridorSpec,
+    FloatRangeExceeded,
     FuzzConfig,
     HypothesisFailed,
     ScalarCorridor,
@@ -38,7 +38,7 @@ from orthobound import (
     single_vector_ratio_chain,
     validate_family,
 )
-from orthobound import admissibility, bounds, catalog, experiments, fuzz
+from orthobound import admissibility, bounds, catalog, cli, experiments, fuzz
 from orthobound.catalog import KINDS, SELECTORS, SWEEP_TARGETS
 from orthobound.cli import SWEEP_EPS, main
 
@@ -582,12 +582,11 @@ def _nudged_sqrt(monkeypatch):
     relative; the unpatched step."""
     original = bounds._REFINED_SQRT
 
-    def nudged(*args, **kw):
-        chain = original(*args, **kw)
-        lhs, refined, outer = chain.values
-        return BoundChain(chain.labels, (lhs, refined * (1 + 2**-20), outer), chain.reports)
+    def nudged(pair):
+        lhs, refined, outer = original.values(pair)
+        return lhs, refined * (1 + 2**-20), outer
 
-    monkeypatch.setattr(bounds, "_REFINED_SQRT", nudged)
+    monkeypatch.setattr(bounds, "_REFINED_SQRT", original._replace(values=nudged))
     return original
 
 
@@ -888,6 +887,54 @@ def test_an_inadmissible_instance_exits_two_whatever_its_re_sum(capsys, tmp_path
     payload = json.loads(out)
     assert (rc, err, payload["report"]["holds"]) == (2, "", False)
     assert payload["hypothesis_failed"] == _WHICH["combined" if bound == "thm4.1:0.5" else "x"]
+
+
+# Admissible instances whose chains overflow: ||x||^2 ||y||^2 = 1e400 in
+# Corollary 2.5's squared chains, and 16 lam (1 - lam) = 1.6e-309 under
+# Theorem 4.1's bound on the plane
+_OVERFLOWS = {
+    "cor2.5": ({"x": [1e100, 0.0], "y": [1e100, 0.0], "delta": 0.5, "Delta": 2.0},
+               "||x||^2 ||y||^2 <= squared corridor bound", "(inf, inf)"),
+    "thm4.1:1e-310": (_plane_instance(), "Re(defect) <= companion bound",
+                      "(8.881784197001252e-16, inf)"),
+}
+
+
+@pytest.mark.parametrize("bound", sorted(_OVERFLOWS))
+def test_a_chain_that_overflows_is_a_typed_error(capsys, tmp_path, bound):
+    data, labels, values = _OVERFLOWS[bound]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run(capsys, "check", "--instance", write_instance(tmp_path, data),
+                           "--bound", bound)
+    message = f"the chain {labels} overflows the float range: {values}"
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+    assert [str(w.message) for w in caught] == []
+    v = _decode({**_plane_instance(), **data})  # the public API raises the same error
+    with pytest.raises(FloatRangeExceeded) as exc:
+        if bound == "cor2.5":
+            schwarz_counterparts(v.x, v.y, v.delta, v.Delta)
+        else:
+            companion_bound(v.x, v.y, v.fam, v.cx, 1e-310)
+    assert str(exc.value) == message
+
+
+def _strict(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_a_ratio_beyond_the_float_range_is_left_out(capsys, tmp_path):
+    # finite values, the defect 8.8e-13 over the bound 2.8e-321: their ratio
+    # overflows, and stdout stays strict JSON
+    data = {"family": {"members": [[1.0, 0.0]]}, "x": [1.5e-160, 9.4e-7],
+            "phi": [1e-160], "Phi": [2e-160]}
+    rc, out, _ = run(capsys, "check", "--instance", write_instance(tmp_path, data),
+                     "--bound", "cor2.3")
+    chain = json.loads(out, parse_constant=_strict)["chains"]["main"]
+    assert rc == 0 and "ratio" not in chain
+    assert chain["values"][1] / chain["values"][2] == math.inf
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._emit({"ratio": math.inf})
 
 
 def test_the_shipped_construction_is_the_sweeps_plane():

@@ -61,7 +61,7 @@ SWEEP_SHA256 = {
     "norm_bound_linear": "8b6044435a73962a73f21a5629c49a4a5fb180f90d258329cfa2809d22d7a0df",
     "norm_bound_quadratic": "54496444f8171152ed7d540daa84d8df0e0b3c6668b40a4439a965bfbc75b857",
     "schwarz_counterparts": "75a03c32aeb46ccdc6e323a30d7ee70d43d315226df4959a6882c37f052ee860",
-    "schwarz_step": "495ac615a5e224cbf5176308264ab7fc6519d4ec5ddd4919f8f0594de254d5c2",
+    "schwarz_step": "24882b665bf13d9f2673f97aeaae6c700b21dbbe4bbacce21ffecdf0be8b3f56",
     "single_vector_ratio_chain": "bc224f24d1d797dc9fdd1f00c65046fb52567faf2f4c7ffeb714396a1eb34c46",
 }
 

@@ -115,8 +115,12 @@ _SWEPT_STEPS = {
 def test_sweep_raises_on_failing_chain(monkeypatch, target, step):
     # a raised error, not an assert, so the check survives python -O
     failing = BoundChain(("lhs", "bound"), (2.0, 1.0))
-    # the catalog looks each chain's step up at call time
-    monkeypatch.setattr(bounds, step, lambda *args, **kw: failing)
+    # the catalog looks each chain's step up at call time, and reads its ``defined``
+    def failing_step(*args, **kw):
+        return failing
+
+    failing_step.defined = None
+    monkeypatch.setattr(bounds, step, failing_step)
     with pytest.raises(ChainViolated) as exc:
         sharpness_sweep(target, [0.1])
     assert exc.value.chain is failing

@@ -13,7 +13,6 @@ from orthobound import (
     GramResidualExceeded,
     HypothesisFailed,
     NonpositiveReSum,
-    OrthonormalFamily,
     QuadratureGrid,
     SampledFunction,
     SandwichViolated,
@@ -196,26 +195,26 @@ def test_instance_chain_equals_its_public_bound(trig_setup, rng, method, args):
 def test_instance_chains_check_each_function_once(trig_setup, rng, monkeypatch):
     grid, fns = trig_setup
     checks, passes = [], []
-    coefficients, hypothesis = OrthonormalFamily.coefficients, admissibility._hypothesis
+    coefficients, hypothesis = orthobound.bounds._coefficients, admissibility._hypothesis
 
     def counting_check(x, *args):
         checks.append(x)
         return hypothesis(x, *args)
 
-    def counting_coefficients(self, x):
+    def counting_coefficients(x, matrix):  # the kernel of a slot's coefficients
         passes.append(x)
-        return coefficients(self, x)
+        return coefficients(x, matrix)
 
     monkeypatch.setattr(admissibility, "_hypothesis", counting_check)
-    monkeypatch.setattr(OrthonormalFamily, "coefficients", counting_coefficients)
+    monkeypatch.setattr(orthobound.bounds, "_coefficients", counting_coefficients)
     cx, cy = real_corridor(rng, len(fns)), real_corridor(rng, len(fns))
     inst = integral_instance(centered(fns, cx), fns, grid, cx, centered(fns, cy), cy)
     for method, args in (("bessel_chain", ()), ("quadratic_chain", ()),
                          ("quadratic_chain", ("holder", 3.0)), ("linear_chain", ()),
                          ("gruss_chain", ())):
         assert getattr(inst, method)(*args).all_hold
-    assert passes == [inst.x, inst.y]
-    assert [c.tobytes() for c in checks] == [v.coords.real.tobytes() for v in passes]
+    coords = [v.coords.tobytes() for v in (inst.x, inst.y)]
+    assert [c.tobytes() for c in checks] == [a.tobytes() for a in passes] == coords
 
 
 # The corridor (-1, 1) per member has re_sum -count.
@@ -453,6 +452,22 @@ def test_real_samples_certify_as_their_complex_twins_do(rng, basis, nodes, count
     for method in ("bessel_chain", "quadratic_chain", "linear_chain", "gruss_chain"):
         got, want = getattr(inst, method)(), getattr(ref, method)()
         assert [v.hex() for v in got.values] == [v.hex() for v in want.values], method
+
+
+def test_a_real_f_and_a_complex_g_give_the_gruss_chain_of_their_complex_twins(rng):
+    # each slot is built in its own lane, f's in float64 and g's in
+    # complex128, and the chain reads their <x, y> and coefficients as built
+    grid = gauss_legendre_grid(64, 0.0, 2.0 * math.pi)
+    fns = trig_samples(5, grid)
+    (f, m, big_m), (g, gm, big_gm) = _sandwiched(fns, rng), _sandwiched(fns, rng)
+    cx = sandwich_check(f, fns, grid, m, big_m).corridor
+    cy = sandwich_check(g, fns, grid, gm, big_gm).corridor
+    mixed = integral_instance(f, fns, grid, cx, complex_twin(g), cy)
+    twins = [complex_twin(fi) for fi in fns]
+    ref = integral_instance(complex_twin(f), twins, grid, cx, complex_twin(g), cy)
+    assert (mixed._x.a.dtype, mixed._y.a.dtype) == (np.float64, np.complex128)
+    got, want = mixed.gruss_chain(), ref.gruss_chain()
+    assert [v.hex() for v in got.values] == [v.hex() for v in want.values]
 
 
 # ---------------------------------------------------------------------------
