@@ -97,7 +97,10 @@ class BoundChain:
         values = tuple(float(v) for v in self.values)
         if len(labels) != len(values) or len(values) < 2:
             raise ValueError("chain needs equally many labels and values, at least two")
-        _in_range(f"the chain {' <= '.join(labels)}", values)
+        if not all(map(math.isfinite, values)):
+            raise FloatRangeExceeded(
+                f"the chain {' <= '.join(labels)} overflows the float range: {values!r}"
+            )
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "values", values)
 

@@ -13,7 +13,10 @@ A basis embedded on a grid is embedded and validated once per process: an
 immutable bytes it was embedded from, each member's samples with its real
 flag and the grid's root masses. A later call whose bytes equal those
 returns that same immutable family; the embedding, finiteness and gram rules
-run on a miss only.
+run on a miss only. The members' samples are stacked once too: a second
+``lru_cache`` of 64 read-only tables keys each on the samples alone, so a miss
+on a basis already stacked (another grid or tolerance) and every
+:func:`~orthobound.integral.sandwich_check` on it read that table.
 
 Tolerance guidance: exact-arithmetic constructions validate at 1e-10,
 quadrature-assembled families at 1e-8. Inequality checks downstream should
@@ -40,6 +43,7 @@ from .space import (
     _raise,
     _real_dot,
     _require_samples,
+    _sealed,
     tree_sum,
 )
 
@@ -259,18 +263,27 @@ def validate_family(
     return OrthonormalFamily(matrix, tolerance, all(v.real_mode for v in members))
 
 
-# Validated embedded families kept by _validated_family, the least recently
-# used evicted first.
+# Validated embedded families kept by _validated_family, and stacked sample
+# tables kept by _stacked_samples, the least recently used evicted first.
 _FAMILIES_KEPT = 64
+
+
+@lru_cache(maxsize=_FAMILIES_KEPT)
+def _stacked_samples(samples: tuple) -> np.ndarray:
+    """The (count, nodes) table of members given as (sample bytes, real
+    flag), float64 rows if every member is real, else complex128: a view of
+    an immutable ``bytes`` copy, so no flag makes it writeable. A basis is
+    stacked once however many families and sandwiches read it."""
+    table = np.stack([np.frombuffer(b, np.float64 if real else complex) for b, real in samples])
+    return _sealed(table).reshape(table.shape)
 
 
 @lru_cache(maxsize=_FAMILIES_KEPT)
 def _validated_family(samples: tuple, root_mass: bytes, tolerance: float) -> OrthonormalFamily:
     """The family of members given as (sample bytes, real flag) embedded by
     the root masses ``root_mass``: the embedding, finiteness and gram rules
-    in that order."""
-    values = np.stack([np.frombuffer(b, np.float64 if real else complex) for b, real in samples])
-    matrix = _embedded(values, np.frombuffer(root_mass))
+    in that order, on the members' table from :func:`_stacked_samples`."""
+    matrix = _embedded(_stacked_samples(samples), np.frombuffer(root_mass))
     failed, error = _nonfinite(matrix)
     _raise(failed.any(), error)
     return OrthonormalFamily(matrix, tolerance, all(real for _, real in samples))
@@ -293,13 +306,19 @@ def _embedded_family(
     Those arrays are views of immutable ``bytes`` (see ``SampledFunction``
     and ``QuadratureGrid``), so equal bytes, compared exactly (-0.0 is not
     0.0), return the same immutable family without embedding, finiteness or
-    gram rule. A family that fails a rule raises and is not kept.
+    gram rule. A family that fails a rule raises and is not kept; its
+    members' stacked table (:func:`_stacked_samples`) is.
     """
     _require_members(fns)
     for f in fns:
         _require_samples(f, grid)
-    samples = tuple((f.values.base, f.real_mode) for f in fns)
-    return _validated_family(samples, grid.root_mass.base, tolerance)
+    return _validated_family(_samples_key(fns), grid.root_mass.base, tolerance)
+
+
+def _samples_key(fns: Sequence[SampledFunction]) -> tuple:
+    """The cache key of members' samples: each one's immutable sample bytes
+    with its real flag, which fixes their dtype."""
+    return tuple((f.values.base, f.real_mode) for f in fns)
 
 
 def _check_size(dim: int, count: int) -> None:

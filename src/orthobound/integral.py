@@ -21,7 +21,14 @@ from .admissibility import HypothesisReport, ScalarCorridor
 from .bounds import _COUNTERPART, _GRUSS, _LINEAR, _QUADRATIC, BoundChain, Pair, Slot
 from .bounds import _one, _x_kind
 from .errors import DimensionMismatch, NonpositiveReSum, SandwichViolated
-from .family import OrthonormalFamily, QUADRATURE_TOLERANCE, _embedded_family, _require_members
+from .family import (
+    OrthonormalFamily,
+    QUADRATURE_TOLERANCE,
+    _embedded_family,
+    _require_members,
+    _samples_key,
+    _stacked_samples,
+)
 from .space import QuadratureGrid, SampledFunction, Vector, embed
 
 
@@ -123,6 +130,12 @@ def sandwich_check(
 
     Raises :class:`SandwichViolated` with the worst node and margin when the
     bracketing fails.
+
+    The envelopes read the basis's samples as one table, stacked once per
+    basis and kept with the embedded families (see
+    :func:`orthobound.family._stacked_samples`). On a grid whose every node
+    has positive mass the margins are read over all nodes, without a gather;
+    the worst nodes are grid node indices either way.
     """
     _require_members(fam_fns)
     if not f.real_mode or not all(fi.real_mode for fi in fam_fns):
@@ -142,13 +155,12 @@ def sandwich_check(
     if f.size != grid.size or any(fi.size != grid.size for fi in fam_fns):
         raise DimensionMismatch("function samples do not match the grid")
 
-    table = np.stack([fi.values for fi in fam_fns])  # real mode: float64 rows
-    lower_env = m @ table
-    upper_env = big_m @ table
+    table = _stacked_samples(_samples_key(fam_fns))  # real mode: float64 rows
+    lower_margins = f.values - m @ table
+    upper_margins = big_m @ table - f.values
     active = grid.active
-    fv = f.values
-    lower_margins = fv[active] - lower_env[active]
-    upper_margins = upper_env[active] - fv[active]
+    if active.size < grid.size:  # the margins at the positive-mass nodes
+        lower_margins, upper_margins = lower_margins[active], upper_margins[active]
     i_lo = int(np.argmin(lower_margins))
     i_up = int(np.argmin(upper_margins))
     report = SandwichReport(

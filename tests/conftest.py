@@ -13,9 +13,11 @@ from orthobound import (
 
 @pytest.fixture(autouse=True)
 def cold_family_memo():
-    """Each test starts with no validated embedded family kept, so a test
-    that counts gram checks does not depend on the tests before it."""
+    """Each test starts with no validated embedded family and no stacked
+    sample table kept, so a test that counts gram checks or stacks does not
+    depend on the tests before it."""
     family._validated_family.cache_clear()
+    family._stacked_samples.cache_clear()
 
 
 @pytest.fixture

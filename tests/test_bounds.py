@@ -587,6 +587,20 @@ def test_chain_requires_labels():
         BoundChain(("a",), (1.0, 2.0))
 
 
+@pytest.mark.parametrize(
+    "values, shown",
+    [
+        ((1.0, math.nan, 2.0), "(1.0, nan, 2.0)"),
+        ((1.0, 2.0, math.inf), "(1.0, 2.0, inf)"),
+        ((-math.inf, 1.0, 2.0), "(-inf, 1.0, 2.0)"),
+    ],
+)
+def test_a_chain_with_a_value_beyond_the_float_range_is_refused(values, shown):
+    with pytest.raises(FloatRangeExceeded) as exc:
+        BoundChain(("a", "b", "c"), values)
+    assert str(exc.value) == f"the chain a <= b <= c overflows the float range: {shown}"
+
+
 # ---------------------------------------------------------------------------
 # the float64 lane of all-real instances: the complex path's bits
 

@@ -26,6 +26,7 @@ from orthobound.family import (
     _embedded_family,
     _gram_check,
     _orthonormal_rows,
+    _samples_key,
     legendre_samples,
     trig_samples,
 )
@@ -322,9 +323,10 @@ def test_gram_rule_memory_is_linear_in_members():
     # the stacked samples and the matrix are 1 MiB each; the 32 x 32 x 4096
     # product tensor alone would be 32 MiB
     assert peak < 2 * fam.matrix.nbytes + 4 * 2**20
-    # the cache keeps the matrix, and no copy of the samples or root masses
-    # its key holds
-    assert kept < fam.matrix.nbytes + grid.root_mass.nbytes
+    # the caches keep the matrix and one stacked table of the samples, and no
+    # other copy of the samples or root masses their keys hold
+    table = family._stacked_samples(_samples_key(fns))
+    assert kept < fam.matrix.nbytes + table.nbytes + grid.root_mass.nbytes
 
 
 def test_one_pass_embedding_matches_member_embeddings():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 import threading
@@ -35,6 +36,7 @@ from orthobound import (
 from orthobound.family import (
     QUADRATURE_TOLERANCE,
     _embedded_family,
+    _samples_key,
     legendre_samples,
     trig_samples,
 )
@@ -353,6 +355,39 @@ def test_sandwich_ignores_zero_mass_nodes():
     assert report.passed
 
 
+def test_worst_nodes_are_grid_node_indices_with_zero_mass_nodes_before_them(rng):
+    # the margins dip lowest at nodes 2 and 5; give them zero mass and the
+    # worst positive-mass nodes, 7 and 11, are reported by their grid index
+    full = gauss_legendre_grid(64, 0.0, 2.0 * math.pi)
+    fns = trig_samples(5, full)
+    table = np.stack([fi.values for fi in fns])
+    m = rng.uniform(0.1, 1.0, len(fns))
+    big_m = m.copy()
+    big_m[0] += 0.5
+    share = rng.uniform(0.2, 0.8, full.size)  # of the width (M - m) @ table = 0.5 f_0
+    share[[2, 5, 7, 11]] = 0.001, 0.999, 0.01, 0.99
+    f = SampledFunction(m @ table + share * 0.5 * table[0], True)
+    weights = full.weights.copy()
+    weights[[0, 2, 3, 5]] = 0.0
+    gathered = QuadratureGrid(full.nodes, weights, full.density)
+    for grid, worst in ((full, (2, 5)), (gathered, (7, 11))):
+        report = sandwich_check(f, fns, grid, m, big_m)
+        active = np.flatnonzero(grid.point_mass > 0.0)
+        lower = f.values[active] - (m @ table)[active]
+        upper = (big_m @ table)[active] - f.values[active]
+        assert (report.min_lower_margin, report.worst_lower_node) == (
+            float(lower.min()), int(active[lower.argmin()]))
+        assert (report.min_upper_margin, report.worst_upper_node) == (
+            float(upper.min()), int(active[upper.argmin()]))
+        assert (report.worst_lower_node, report.worst_upper_node) == worst
+    # a violation at a positive-mass node after zero-mass ones names its grid index
+    share[7] = -0.5
+    with pytest.raises(SandwichViolated) as exc:
+        sandwich_check(SampledFunction(m @ table + share * 0.5 * table[0], True),
+                       fns, gathered, m, big_m)
+    assert (exc.value.side, exc.value.node) == ("lower", 7)
+
+
 def test_sandwich_requires_real_mode():
     grid, fns = normalized_constant_setup()
     f = SampledFunction([1.0 + 0j, 1.0 + 1e-3j])
@@ -468,6 +503,86 @@ def test_a_real_f_and_a_complex_g_give_the_gruss_chain_of_their_complex_twins(rn
     assert (mixed._x.a.dtype, mixed._y.a.dtype) == (np.float64, np.complex128)
     got, want = mixed.gruss_chain(), ref.gruss_chain()
     assert [v.hex() for v in got.values] == [v.hex() for v in want.values]
+
+
+def test_benchmark_shaped_ops_are_pinned(rng):
+    # the quadrature benchmark's op: a sandwich, its instance and three chains
+    # on 16 x 2048 real bases, f built as the benchmark builds it. Every
+    # figure the op yields is in the digest, so a moved bit fails here.
+    digest = hashlib.sha256()
+    for grid, basis in ((gauss_legendre_grid(2048, 0.0, 2.0 * math.pi), trig_samples),
+                        (gauss_legendre_grid(2048), legendre_samples)):
+        fns = basis(16, grid)
+        for _ in range(3):
+            f, m, big_m = _sandwiched(fns, rng)
+            s = sandwich_check(f, fns, grid, m, big_m)
+            inst = integral_instance(f, fns, grid, s.corridor)
+            chains = (inst.bessel_chain(), inst.quadratic_chain(), inst.linear_chain())
+            digest.update(repr((
+                s.min_lower_margin, s.min_upper_margin, s.worst_lower_node, s.worst_upper_node,
+                s.corridor.sides.tobytes(), s.corridor.re_sum, s.corridor.radius,
+                inst.family.gram_residual, inst.report_x, [c.values for c in chains],
+            )).encode())
+    assert digest.hexdigest() == "429fa53ab284b0c46a6ebc6e31e0e0799cfe8bc03f9c9ab6b66ee0f59efb0259"
+
+
+# ---------------------------------------------------------------------------
+# one stacked sample table per basis
+
+
+@pytest.fixture
+def stacks(monkeypatch):
+    """The arrays np.stack is called on, in order."""
+    seen = []
+    stack = np.stack
+
+    def counting(arrays, *args, **kwargs):
+        seen.append(arrays)
+        return stack(arrays, *args, **kwargs)
+
+    monkeypatch.setattr(np, "stack", counting)
+    return seen
+
+
+def test_a_basis_is_stacked_once_for_its_sandwiches_and_families(rng, stacks):
+    grid = gauss_legendre_grid(64, 0.0, 2.0 * math.pi)
+    fns = trig_samples(5, grid)
+    f, m, big_m = _sandwiched(fns, rng)
+    stacks.clear()
+    first = sandwich_check(f, fns, grid, m, big_m)
+    assert len(stacks) == 1
+    # a second sandwich, and a family miss on the stacked basis, stack nothing
+    second = sandwich_check(f, fns, grid, m, big_m)
+    assert (second.min_lower_margin, second.min_upper_margin) == (
+        first.min_lower_margin, first.min_upper_margin)
+    integral_instance(f, fns, grid, first.corridor)
+    assert family._validated_family.cache_info().misses == 1
+    assert len(stacks) == 1
+    info = family._stacked_samples.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+
+def test_the_stacked_table_is_read_only_and_read_by_its_sample_bytes(rng):
+    grid = gauss_legendre_grid(64, 0.0, 2.0 * math.pi)
+    fns = trig_samples(5, grid)
+    table = family._stacked_samples(_samples_key(fns))
+    assert table.dtype == np.float64 and table.shape == (5, 64)
+    assert table.tobytes() == np.stack([fi.values for fi in fns]).tobytes()
+    with pytest.raises(ValueError):
+        table.flags.writeable = True
+    with pytest.raises(ValueError):
+        table[0, 0] = 2.0
+    # samples copied into new objects: the same table, for a sandwich and a family
+    copies = [SampledFunction(fi.values.copy(), True) for fi in fns]
+    assert family._stacked_samples(_samples_key(copies)) is table
+    f, m, big_m = _sandwiched(copies, rng)
+    sandwich_check(f, copies, grid, m, big_m)
+    _embedded_family(copies, grid, QUADRATURE_TOLERANCE)
+    info = family._stacked_samples.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    # a complex member makes a complex128 table of the same values
+    mixed = family._stacked_samples(_samples_key([fns[0], complex_twin(fns[1])]))
+    assert mixed.dtype == np.complex128 and mixed.tobytes() == table[:2].astype(complex).tobytes()
 
 
 # ---------------------------------------------------------------------------
