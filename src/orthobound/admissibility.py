@@ -14,6 +14,11 @@ orthonormal family the two quantities are linked by the algebraic identity
 which this module asserts on every evaluation; a violation beyond the
 tolerance band means the family's gram residual is too large for the
 requested tolerance.
+
+Corridors have one type, :class:`ScalarCorridor`: its constructor checks
+one corridor, and :meth:`ScalarCorridor.build` makes them over any leading
+batch shape without checks. The sign form, like a corridor's Re-sum, is the
+real part of :func:`~orthobound.space._inner`.
 """
 
 from __future__ import annotations
@@ -21,76 +26,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple, Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
 from .errors import DimensionMismatch, FloatRangeExceeded, IdentityViolation, NonfiniteCorridor
 from .family import OrthonormalFamily, _dims, _operands
-from .space import Vector, _raise, _real_dot, abs2, tree_sum
+from .space import Vector, _inner, _raise, abs2, tree_sum
 
 DEFAULT_HYPOTHESIS_TOL = 1e-10
 
 if TYPE_CHECKING:  # naming np.random here would load it into every process
     RngLike = Union[np.random.Generator, int, None]
-
-
-class Corridors(NamedTuple):
-    """Corridor sides and their aggregates along leading batch axes.
-
-    The batched counterpart of :class:`ScalarCorridor`, with the same
-    attribute names so the kernels accept either. ``sides`` (..., 3, count)
-    holds hi, lo and the midpoints (lo + hi) / 2, written once in the order
-    the sign and ball forms read them, in the dtype of the sides (float64 or
-    complex128); ``hi``, ``lo`` and ``midpoints`` are read-only views of it.
-    The aggregates ``re_sum`` and ``radius`` have the leading shape.
-    """
-
-    sides: np.ndarray
-    re_sum: np.ndarray
-    radius: np.ndarray
-
-    @property
-    def hi(self) -> np.ndarray:
-        return self.sides[..., 0, :]
-
-    @property
-    def lo(self) -> np.ndarray:
-        return self.sides[..., 1, :]
-
-    @property
-    def midpoints(self) -> np.ndarray:
-        return self.sides[..., 2, :]
-
-    @classmethod
-    @np.errstate(over="ignore", invalid="ignore")
-    def build(cls, lo, hi) -> "Corridors":
-        """The corridors with sides ``lo`` and ``hi``, of one shape; sides too
-        large for the aggregates give non-finite ones quietly, which
-        :meth:`nonfinite` reports."""
-        dtype = np.result_type(lo, hi, np.float64)  # float64, or complex128 for complex sides
-        lo, hi = np.asarray(lo, dtype=dtype), np.asarray(hi, dtype=dtype)
-        sides = np.empty(lo.shape[:-1] + (3,) + lo.shape[-1:], dtype=dtype)
-        sides[..., 0, :] = hi
-        sides[..., 1, :] = lo
-        np.multiply(0.5, lo + hi, out=sides[..., 2, :])
-        sides.flags.writeable = False
-        real = dtype.kind == "f"
-        re_sum = _real_dot(hi, lo) if real else tree_sum(np.multiply(hi, np.conj(lo)).real)
-        return cls(sides, re_sum, 0.5 * np.sqrt(tree_sum(abs2(hi - lo))))
-
-    def nonfinite(self, sides: tuple[str, str] = ("lo", "hi")) -> tuple:
-        """The finiteness rule: the mask of corridors whose re_sum or radius is
-        not finite, as they are whenever a side is not, and ``error(row)``,
-        the error of one, which names the first non-finite side by ``sides``."""
-
-        def error(row=()):
-            for name, side in zip(sides, (self.lo[row], self.hi[row])):
-                if not np.isfinite(side).all():
-                    return ValueError(f"corridor {name} must be finite")
-            return NonfiniteCorridor(float(self.re_sum[row]), float(self.radius[row]))
-
-        return ~(np.isfinite(self.re_sum) & np.isfinite(self.radius)), error
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,11 +46,16 @@ class ScalarCorridor:
 
     ``re_sum`` is sum_i Re(hi_i * conj(lo_i)); ``radius`` and ``midpoints``
     are the ball-form data. All three are recomputable from lo/hi, which the
-    test suite uses as its oracle. It is the batch of one of
-    :class:`Corridors`: ``sides`` is its stacked (3, count) array, float64
-    in real mode (the real parts) and complex128 otherwise, and ``lo``,
-    ``hi`` and ``midpoints`` are read-only views of it. Corridors compare and
-    hash by identity.
+    test suite uses as its oracle. ``sides`` is the stacked (3, count) array
+    of hi, lo and the midpoints (lo + hi) / 2, in the order the sign and ball
+    forms read them, float64 in real mode (the real parts) and complex128
+    otherwise; ``hi``, ``lo`` and ``midpoints`` are read-only views of it.
+    Corridors compare and hash by identity.
+
+    The constructor checks one corridor. :meth:`build` makes corridors over
+    any leading batch shape without checks, whose aggregates are arrays of
+    that shape, and :meth:`nonfinite` is their finiteness rule; the kernels
+    read either.
     """
 
     lo: np.ndarray
@@ -121,17 +73,62 @@ class ScalarCorridor:
             raise ValueError(
                 f"corridor sides must be nonempty and equal length, got {lo.size} and {hi.size}"
             )
-        agg = Corridors.build(lo, hi)
+        agg = self.build(lo, hi)
         _raise(*agg.nonfinite())
-        if self.real_mode and agg.sides.dtype.kind == "c":
+        if self.real_mode and not agg.real_mode:
             for name, arr in (("lo", agg.lo), ("hi", agg.hi)):
                 if arr.imag.any():
                     raise ValueError(f"real_mode corridor {name} has imaginary parts")
-            agg = Corridors.build(agg.lo.real, agg.hi.real)
+            agg = self.build(agg.lo.real, agg.hi.real)
         self.__dict__.update(  # the frozen fields, set once
-            sides=agg.sides, hi=agg.hi, lo=agg.lo, midpoints=agg.midpoints,
+            agg.__dict__, real_mode=self.real_mode,
             re_sum=float(agg.re_sum), radius=float(agg.radius),
         )
+
+    @classmethod
+    @np.errstate(over="ignore", invalid="ignore")
+    def build(cls, lo, hi) -> "ScalarCorridor":
+        """The corridors with sides ``lo`` and ``hi``, of one shape (..., count),
+        unchecked: sides too large for the aggregates give non-finite ones
+        quietly, which :meth:`nonfinite` reports. Real sides give real-mode
+        corridors, complex ones complex-mode corridors."""
+        dtype = np.result_type(lo, hi, np.float64)  # float64, or complex128 for complex sides
+        lo, hi = np.asarray(lo, dtype=dtype), np.asarray(hi, dtype=dtype)
+        sides = np.empty(lo.shape[:-1] + (3,) + lo.shape[-1:], dtype=dtype)
+        sides[..., 0, :] = hi
+        sides[..., 1, :] = lo
+        np.multiply(0.5, lo + hi, out=sides[..., 2, :])
+        sides.flags.writeable = False
+        return cls._of(sides, _inner(hi, lo).real, 0.5 * np.sqrt(tree_sum(abs2(hi - lo))))
+
+    @classmethod
+    def _of(cls, sides: np.ndarray, re_sum, radius) -> "ScalarCorridor":
+        """The corridor of stacked ``sides`` with the aggregates given, unchecked."""
+        c = object.__new__(cls)
+        c.__dict__.update(
+            lo=sides[..., 1, :], hi=sides[..., 0, :], real_mode=sides.dtype.kind == "f",
+            re_sum=re_sum, radius=radius, midpoints=sides[..., 2, :], sides=sides,
+        )
+        return c
+
+    def complex_twin(self) -> "ScalarCorridor":
+        """This corridor with its sides cast to complex128 and its aggregates
+        kept, which its complex-mode twin has bit for bit."""
+        return self._of(self.sides.astype(np.complex128), self.re_sum, self.radius)
+
+    def nonfinite(self, sides: tuple[str, str] = ("lo", "hi")) -> tuple:
+        """The finiteness rule of built corridors: the mask of those whose
+        re_sum or radius is not finite, as they are whenever a side is not,
+        and ``error(row)``, the error of one, which names the first
+        non-finite side by ``sides``."""
+
+        def error(row=()):
+            for name, side in zip(sides, (self.lo[row], self.hi[row])):
+                if not np.isfinite(side).all():
+                    return ValueError(f"corridor {name} must be finite")
+            return NonfiniteCorridor(float(self.re_sum[row]), float(self.radius[row]))
+
+        return ~(np.isfinite(self.re_sum) & np.isfinite(self.radius)), error
 
     @property
     def size(self) -> int:
@@ -189,7 +186,7 @@ def _admit(check, x, fam: tuple, corridor, tol: float) -> tuple:
 def _hypothesis(x, matrix, corridor, tol: float, gram_residual) -> tuple:
     """Kernel of :func:`check_hypothesis` for vectors (..., dim), families
     (..., count, dim) with their gram residuals, under ``corridor`` (a
-    :class:`ScalarCorridor` or :class:`Corridors`).
+    :class:`ScalarCorridor`, checked or built).
 
     Both tests use the band tol * max(1, r^2): the identity gap between the
     two forms must lie within it, and the sign form must not fall below it.
@@ -202,11 +199,10 @@ def _hypothesis(x, matrix, corridor, tol: float, gram_residual) -> tuple:
     """
     if matrix.dtype.kind == "c":
         ends = corridor.sides @ matrix
-        cond_i = tree_sum(np.multiply(ends[..., 0, :] - x, np.conj(x - ends[..., 1, :])).real)
     else:  # as (matrix^T sides^T)^T, dgemm sums over the members in order as zgemm does;
         # as sides @ matrix it splits the sum at 16+ members (OpenBLAS 0.3.31, AVX-512)
         ends = (matrix.swapaxes(-1, -2) @ corridor.sides.swapaxes(-1, -2)).swapaxes(-1, -2)
-        cond_i = _real_dot(ends[..., 0, :] - x, x - ends[..., 1, :])
+    cond_i = _inner(ends[..., 0, :] - x, x - ends[..., 1, :]).real
     residual = np.sqrt(tree_sum(abs2(x - ends[..., 2, :])))
     r2 = corridor.radius * corridor.radius
     gap = cond_i - (r2 - residual * residual)

@@ -44,7 +44,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import admissibility
-from .admissibility import DEFAULT_HYPOTHESIS_TOL, Corridors, HypothesisReport, ScalarCorridor
+from .admissibility import DEFAULT_HYPOTHESIS_TOL, HypothesisReport, ScalarCorridor
 from .errors import (
     BadExponent,
     BadLambda,
@@ -133,9 +133,9 @@ class MFactor:
 class Slot:
     """A vector with the family and the corridor it is checked under, and its
     sign-form value, over any leading batch shape: coordinates (..., dim),
-    family rows (..., count, dim), a :class:`ScalarCorridor` or
-    :class:`Corridors`. The kernels read their arguments from slots, and each
-    argument is computed once however many chains read it."""
+    family rows (..., count, dim), a :class:`ScalarCorridor`, checked or
+    built over the batch shape. The kernels read their arguments from slots,
+    and each argument is computed once however many chains read it."""
 
     def __init__(self, coords, matrix, corridor=None, sign=None):
         self.coords = coords
@@ -261,11 +261,11 @@ def _companion_kind(check, x, y, fam, corridor, tol: float = DEFAULT_HYPOTHESIS_
 def _schwarz_kind(check, x, y, delta, Delta, tol: float = DEFAULT_HYPOTHESIS_TOL):
     """Corollary 2.5: the corridor (delta, Delta), its frame
     (:func:`_schwarz_y`), then x admitted under it."""
-    ends = Corridors.build(delta[..., None], Delta[..., None])
+    ends = ScalarCorridor.build(delta[..., None], Delta[..., None])
     return _schwarz_x(check, x, _schwarz_y(check, y, ends), tol)
 
 
-def _schwarz_y(check, y, ends: Corridors) -> tuple:
+def _schwarz_y(check, y, ends: ScalarCorridor) -> tuple:
     """Corollary 2.5's first half: y and its corridor ``ends`` (delta, Delta),
     then the frame, in which a campaign draws x. Returns y's slot, the family
     {y/||y||} as (rows, gram residual), in the dtype of y, and its corridor
@@ -281,7 +281,7 @@ def _schwarz_y(check, y, ends: Corridors) -> tuple:
     check(*_nonfinite(unit[..., 0, :]))
     residual, *rule = _gram_check(unit, UNIT_TOLERANCE)
     check(*rule)
-    corridor = Corridors.build(lo, hi)
+    corridor = ScalarCorridor.build(lo, hi)
     check(*corridor.nonfinite())
     return ys, (unit, residual), corridor
 

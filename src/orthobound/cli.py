@@ -21,6 +21,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from typing import Sequence
 
 import numpy as np
@@ -112,17 +113,7 @@ def cmd_fuzz(args) -> int:
         corridor=spec,
     )
     summary = run_fuzz(config)
-    _emit(
-        {
-            "seed": args.seed,
-            "count": args.count,
-            "evaluated": summary.evaluated,
-            "rejected": summary.rejected,
-            "violations": summary.violations,
-            "min_slack": {k: summary.min_slack[k] for k in sorted(summary.min_slack)},
-            "checked": {k: summary.checked[k] for k in sorted(summary.checked)},
-        }
-    )
+    _emit({"seed": args.seed, "count": args.count, **asdict(summary)})
     return 0 if summary.ok else 1
 
 

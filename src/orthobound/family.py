@@ -39,9 +39,9 @@ from .space import (
     SampledFunction,
     Vector,
     _embedded,
+    _inner,
     _nonfinite,
     _raise,
-    _real_dot,
     _require_samples,
     _sealed,
     tree_sum,
@@ -133,10 +133,11 @@ def _orthonormal_rows(a: np.ndarray) -> np.ndarray:
 
 
 def _coefficients(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """<x, e_i> for every row e_i of ``matrix`` (..., count, dim), pairwise-summed."""
-    if matrix.dtype.kind == "f":
-        return _real_dot(matrix, x[..., None, :])
-    return tree_sum(np.multiply(np.conj(matrix), x[..., None, :]))
+    """<x, e_i> for every row e_i of ``matrix`` (..., count, dim), pairwise-summed:
+    conj(<e_i, x>), summed as <conj(e_i), conj(x)>, whose products conj(e_ik) x_k
+    keep the sign of a zero imaginary part that conjugating the sum would flip
+    (``ndarray.conj`` of a float64 array is the array itself)."""
+    return _inner(matrix.conj(), x.conj()[..., None, :])
 
 
 def _real_lane(*fields) -> bool:
@@ -151,9 +152,8 @@ def _real_lane(*fields) -> bool:
 def _operands(*fields) -> list:
     """Kernel operands of an instance's fields as stored: vector coordinates,
     (family matrix, gram residual), corridors, 0-d scalars. Out of the lane
-    (:func:`_real_lane`), real ones are cast to complex128; a real corridor
-    becomes the :class:`~orthobound.admissibility.Corridors` of its sides so
-    cast, with its aggregates, which its complex-mode twin has bit for bit."""
+    (:func:`_real_lane`), real ones are cast to complex128, a real corridor
+    by its ``complex_twin``, which keeps its aggregates."""
     real = _real_lane(*fields)
     out = []
     for f in fields:
@@ -163,11 +163,7 @@ def _operands(*fields) -> list:
             m = f.matrix if real else f.matrix.astype(np.complex128, copy=False)
             out.append((m, f.gram_residual))
         elif hasattr(f, "real_mode"):  # a corridor
-            if f.real_mode and not real:
-                from .admissibility import Corridors  # which imports this module
-
-                f = Corridors(f.sides.astype(np.complex128), f.re_sum, f.radius)
-            out.append(f)
+            out.append(f.complex_twin() if f.real_mode and not real else f)
         else:
             out.append(np.asarray(complex(f).real if real else complex(f)))
     return out

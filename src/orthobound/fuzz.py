@@ -61,7 +61,7 @@ from functools import partial
 import numpy as np
 
 from . import bounds
-from .admissibility import DEFAULT_HYPOTHESIS_TOL, CorridorSpec, Corridors, _admissible_points
+from .admissibility import DEFAULT_HYPOTHESIS_TOL, CorridorSpec, ScalarCorridor, _admissible_points
 from .bounds import Pair, _chain_holds, _chain_slacks
 from .catalog import SELECTORS, Selector, campaign_keys
 from .family import DEFAULT_TOLERANCE, _check_size, _gram_check, _orthonormal_rows
@@ -367,7 +367,7 @@ class _Evaluation:
         """The corridors drawn as unit uniforms ``u``, checked and counted on
         the ``live`` rows, with the mask of those that stay live: accepted,
         or with an aggregate that is NaN, which the finiteness rule reports."""
-        c = Corridors.build(*self.spec._sides(u))
+        c = ScalarCorridor.build(*self.spec._sides(u))
         self.check(live, *c.nonfinite())
         rejected = live & (c.re_sum <= 0.0)
         self.rejected += int(rejected.sum())

@@ -19,8 +19,8 @@ import numpy as np
 
 from .admissibility import HypothesisReport, ScalarCorridor
 from .bounds import _COUNTERPART, _GRUSS, _LINEAR, _QUADRATIC, BoundChain, Pair, Slot
-from .bounds import _one, _x_kind
-from .errors import DimensionMismatch, NonpositiveReSum, SandwichViolated
+from .bounds import _one, _positive, _x_kind
+from .errors import DimensionMismatch, SandwichViolated
 from .family import (
     OrthonormalFamily,
     QUADRATURE_TOLERANCE,
@@ -29,7 +29,7 @@ from .family import (
     _samples_key,
     _stacked_samples,
 )
-from .space import QuadratureGrid, SampledFunction, Vector, embed
+from .space import QuadratureGrid, SampledFunction, Vector, _require_samples, embed
 
 
 @dataclass(frozen=True)
@@ -150,10 +150,9 @@ def sandwich_check(
     corridor = ScalarCorridor(m, big_m, real_mode=True)
     if np.any(m < 0.0) or np.any(big_m < 0.0):
         raise ValueError("sandwich coefficients must be nonnegative")
-    if not corridor.re_sum > 0.0:
-        raise NonpositiveReSum(corridor.re_sum)
-    if f.size != grid.size or any(fi.size != grid.size for fi in fam_fns):
-        raise DimensionMismatch("function samples do not match the grid")
+    _positive(corridor)
+    for fi in (f, *fam_fns):
+        _require_samples(fi, grid)
 
     table = _stacked_samples(_samples_key(fam_fns))  # real mode: float64 rows
     lower_margins = f.values - m @ table

@@ -8,6 +8,7 @@ field. The instance-file format is written once, in :data:`_FIELDS`.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Any, Callable, Mapping
 
@@ -172,12 +173,7 @@ def instance_to_json(fields: Mapping) -> dict:
 
 
 def report_to_json(report: HypothesisReport) -> dict:
-    return {
-        "cond_i_value": report.cond_i_value,
-        "cond_ii_residual": report.cond_ii_residual,
-        "radius": report.radius,
-        "holds": report.holds,
-    }
+    return dataclasses.asdict(report)
 
 
 def chain_to_json(chain: BoundChain) -> dict:

@@ -25,7 +25,10 @@ rounds differently.
 
 Real-mode values are stored once, as float64. The kernels read them so for
 an all-real instance, else as complex128, and give the complex path's bits
-(:func:`_real_dot`, :func:`_quotient`).
+(:func:`_real_dot`, :func:`_quotient`). :func:`_inner` is the package's one
+sum of a_k conj(b_k), in either lane: inner products, coefficients, a
+corridor's Re-sum and the sign form call it, the last two as its real part,
+which equals the pairwise sum of the real parts bit for bit.
 """
 
 from __future__ import annotations
@@ -193,7 +196,8 @@ def inner(x: Vector, y: Vector) -> complex:
 
 
 def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Kernel of :func:`inner` over coordinate arrays (..., dim), float64 by :func:`_real_dot`."""
+    """sum_k x_k conj(y_k) over arrays (..., dim), pairwise: the kernel of
+    :func:`inner`, float64 operands by :func:`_real_dot`."""
     if x.dtype.kind == y.dtype.kind == "f":
         return _real_dot(x, y)
     return tree_sum(np.multiply(x, np.conj(y)))

@@ -6,6 +6,7 @@ from orthobound import (
     SampledFunction,
     Vector,
     admissible_point,
+    bounds,
     family,
     random_family,
 )
@@ -32,6 +33,18 @@ def gram_checks(monkeypatch):
 
     monkeypatch.setattr(family, "_gram_check", counting)
     return seen
+
+
+@pytest.fixture
+def halved_counterpart(monkeypatch):
+    """A planted violation: Corollary 2.3's bound at half its value, in the
+    public function and in campaigns alike."""
+
+    def halved(x):
+        floor, defect, bound = bounds._counterpart_values(x)
+        return floor, defect, 0.5 * bound
+
+    monkeypatch.setattr(bounds, "_COUNTERPART", bounds._COUNTERPART._replace(values=halved))
 
 
 @pytest.fixture

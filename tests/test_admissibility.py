@@ -18,7 +18,7 @@ from orthobound import (
     random_family,
     validate_family,
 )
-from orthobound.admissibility import Corridors, _hypothesis
+from orthobound.admissibility import _hypothesis
 from conftest import random_vector
 
 
@@ -90,7 +90,7 @@ def test_batched_corridor_rows_equal_scalar_corridors(mode):
     spec = CorridorSpec(mode)
     for count in (1, 3, 4, 7):
         u = np.random.default_rng(count).random((50, spec._parts, count))
-        batch = Corridors.build(*spec._sides(u))
+        batch = ScalarCorridor.build(*spec._sides(u))
         assert batch.sides.shape == (50, 3, count) and not batch.sides.flags.writeable
         for k in range(50):
             one = ScalarCorridor(*spec._sides(u[k]), real_mode=mode == "real")
@@ -279,7 +279,7 @@ def test_overflowing_forms_flagged_in_batches():
     # the batched rule flags the overflowing row only, and reports the others
     fam = validate_family([Vector([1.0], True)])
     x = np.array([[1.5], [1e200], [1e150]])  # the float64 lane of the real family
-    corridors = Corridors.build(np.ones((3, 1)), np.full((3, 1), 2.0))
+    corridors = ScalarCorridor.build(np.ones((3, 1)), np.full((3, 1), 2.0))
     mats = np.broadcast_to(fam.matrix, (3, 1, 1))
     _, failed, report = _hypothesis(x, mats, corridors, 1e-10, np.zeros(3))
     assert failed.tolist() == [False, True, True]  # row 2 is finite but fails the sign test

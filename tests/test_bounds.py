@@ -39,7 +39,6 @@ from orthobound import (
     validate_family,
 )
 from orthobound import HypothesisReport, OrthoboundError, admissibility, bounds, family
-from orthobound.admissibility import Corridors
 from orthobound.family import OrthonormalFamily, legendre_samples, trig_samples
 from orthobound.integral import integral_instance, sandwich_check
 from orthobound.space import SampledFunction, gauss_legendre_grid
@@ -907,7 +906,7 @@ def test_a_mixed_instance_casts_its_real_corridor_and_builds_none(monkeypatch):
     x, y = (Vector(admissible_point(fam, c, rng, 0.5).coords + 1e-3j) for c in (cx, cy))
     expected = _mixed_outcomes(*map(_twin, (fam, x, cx, y, cy)))
     built = []
-    post_init, build = ScalarCorridor.__post_init__, Corridors.build
+    post_init, build = ScalarCorridor.__post_init__, ScalarCorridor.build
 
     def spy(self):
         built.append("ScalarCorridor")
@@ -915,7 +914,7 @@ def test_a_mixed_instance_casts_its_real_corridor_and_builds_none(monkeypatch):
 
     monkeypatch.setattr(ScalarCorridor, "__post_init__", spy)
     monkeypatch.setattr(
-        Corridors, "build", staticmethod(lambda lo, hi: built.append("build") or build(lo, hi))
+        ScalarCorridor, "build", staticmethod(lambda lo, hi: built.append("build") or build(lo, hi))
     )
     assert _mixed_outcomes(fam, x, cx, y, cy) == expected
     assert built == []

@@ -38,7 +38,7 @@ from orthobound import (
     single_vector_ratio_chain,
     validate_family,
 )
-from orthobound import admissibility, bounds, catalog, cli, experiments, fuzz
+from orthobound import admissibility, bounds, catalog, cli, experiments, fuzz, integral
 from orthobound.catalog import KINDS, SELECTORS, SWEEP_TARGETS
 from orthobound.cli import SWEEP_EPS, main
 
@@ -145,6 +145,18 @@ def test_check_unknown_selector(capsys, inadmissible):
     rc, _, err = run(capsys, "check", "--instance", inadmissible, "--bound", "thm9.9")
     assert rc == 1
     assert "selector" in err
+
+
+@pytest.mark.parametrize("bound, message", [
+    ("eq2.11:holder:x", "bad holder exponent in 'eq2.11:holder:x'"),
+    ("eq2.11:bogus", "unknown eq2.11 variant 'eq2.11:bogus'"),
+    ("thm4.1:x", "bad lambda in 'thm4.1:x'"),
+])
+def test_check_bad_selector_parameter_fails_before_reading_the_file(capsys, tmp_path, bound,
+                                                                    message):
+    missing = str(tmp_path / "nope.json")
+    rc, out, err = run(capsys, "check", "--instance", missing, "--bound", bound)
+    assert (rc, out, err) == (1, "", f"error: --bound: {message}\n")
 
 
 def test_check_missing_fields_reported(capsys, tmp_path):
@@ -367,6 +379,16 @@ def test_fuzz_exit_zero(capsys):
     assert all(v > -1e-9 for v in summary["min_slack"].values())
 
 
+@pytest.mark.usefixtures("halved_counterpart")
+def test_fuzz_with_violations_exits_one_and_lists_them(capsys):
+    rc, out, err = run(capsys, "fuzz", "--mode", "real", "--seed", "202", "--count", "200")
+    assert (rc, err) == (1, "")
+    summary = json.loads(out)
+    assert [v["trial"] for v in summary["violations"]][:3] == [5, 6, 18]
+    expected = fuzz.run_fuzz(fuzz.FuzzConfig(seed=202, count=200, mode="real"))
+    assert summary["violations"] == expected.violations
+
+
 def test_fuzz_count_zero(capsys):
     rc, out, _ = run(capsys, "fuzz", "--seed", "1", "--count", "0")
     assert rc == 0
@@ -495,6 +517,20 @@ def test_integral_demo_benchmark_scale(capsys, family):
     assert report["gram_residual"] <= 1e-8
     assert report["hypothesis"]["holds"]
     assert all(c["all_hold"] for c in report["chains"].values())
+
+
+def test_an_inadmissible_integral_demo_exits_two(capsys, monkeypatch):
+    # the demo's instance under the zero-width corridor at m, which its f
+    # (lifted above m on the constant member) leaves
+    build = integral.integral_instance
+
+    def at_m(f, fns, grid, cx, *rest):
+        return build(f, fns, grid, ScalarCorridor(cx.lo, cx.lo, real_mode=True), *rest)
+
+    monkeypatch.setattr(integral, "integral_instance", at_m)
+    rc, out, err = run(capsys, "integral-demo", "--family", "trig")
+    assert (rc, out) == (2, "")
+    assert err.startswith("inadmissible: ")
 
 
 def test_integral_demo_coarse_grid_fails(capsys):

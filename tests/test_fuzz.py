@@ -502,13 +502,13 @@ def test_a_chunk_builds_corollary_2_5_frame_once(monkeypatch):
 
 def test_a_chunk_builds_corollary_2_5_corridors_once_each(monkeypatch):
     # (delta, Delta), drawn and checked by the chunk, then the frame's corridor
-    build, shapes = admissibility.Corridors.build.__func__, []
+    build, shapes = admissibility.ScalarCorridor.build.__func__, []
 
     def spy(cls, lo, hi):
         shapes.append(np.shape(lo))
         return build(cls, lo, hi)
 
-    monkeypatch.setattr(admissibility.Corridors, "build", classmethod(spy))
+    monkeypatch.setattr(admissibility.ScalarCorridor, "build", classmethod(spy))
     run_fuzz(FuzzConfig(seed=11, count=100, selectors=("cor2.5",)))
     assert shapes.count((100, 1)) == 2
 
@@ -624,3 +624,16 @@ def test_campaign_that_evaluated_nothing_is_not_ok():
     assert (summary.evaluated, summary.violations) == (0, [])
     assert summary.rejected > 0 and not summary.ok
     assert run_fuzz(FuzzConfig(count=0)).ok
+
+
+@pytest.mark.usefixtures("halved_counterpart")
+def test_a_campaign_reports_violations_across_chunks_as_the_reference(monkeypatch):
+    # violations in one chunk (trials 5 and 6) and in later chunks of 16
+    monkeypatch.setattr(fuzz, "CHUNK", 16)
+    config = FuzzConfig(seed=202, count=300, mode="real")
+    summary = run_fuzz(config)
+    assert _summary_bits(summary) == _summary_bits(reference_fuzz(config))
+    assert not summary.ok
+    trials = [v["trial"] for v in summary.violations]
+    assert trials[:3] == [5, 6, 18] and len({t // fuzz.CHUNK for t in trials}) > 10
+    assert {v["selector"] for v in summary.violations} == {"cor2.3"}

@@ -419,6 +419,43 @@ def test_sandwich_rejects_nonfinite_coefficients(m, big_m, message):
         sandwich_check(f, fns, grid, m, big_m)
 
 
+@pytest.mark.parametrize("m, big_m, message", [
+    ([1.0, 1.0], [2.0], "2/1 corridor entries for 1 functions"),
+    ([1.0], [], "1/0 corridor entries for 1 functions"),
+])
+def test_sandwich_rejects_coefficients_of_another_length(m, big_m, message):
+    grid, fns = normalized_constant_setup()
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        sandwich_check(SampledFunction([1.5, 1.5], True), fns, grid, m, big_m)
+
+
+def test_sandwich_rejects_a_negative_coefficient():
+    grid, fns = normalized_constant_setup()
+    with pytest.raises(ValueError, match="^sandwich coefficients must be nonnegative$"):
+        sandwich_check(SampledFunction([1.5, 1.5], True), fns, grid, [1.0], [-2.0])
+
+
+@pytest.mark.parametrize("f_samples, member_samples, message", [
+    ([1.5, 1.5, 1.5], [1.0], "function has 3 samples but grid has 2 nodes"),
+    ([1.5, 1.5], [1.0], "function has 1 samples but grid has 2 nodes"),
+])
+def test_sandwich_rejects_samples_that_do_not_match_the_grid(f_samples, member_samples, message):
+    # the embedding's size rule, for f and then each member
+    grid, _ = normalized_constant_setup()
+    f, one = SampledFunction(f_samples, True), SampledFunction(member_samples, True)
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+        sandwich_check(f, [one], grid, [1.0], [2.0])
+
+
+def test_sandwich_violation_of_the_upper_envelope_names_its_grid_node():
+    # node 0 has zero mass, so the violating node 2 is the second positive-mass one
+    grid = QuadratureGrid([0.0, 1.0, 2.0], [0.0, 0.5, 0.5], [1.0, 1.0, 1.0])
+    one = SampledFunction([1.0, 1.0, 1.0], True)
+    with pytest.raises(SandwichViolated) as exc:
+        sandwich_check(SampledFunction([9.0, 1.5, 2.5], True), [one], grid, [1.0], [2.0])
+    assert (exc.value.side, exc.value.node, exc.value.margin) == ("upper", 2, -0.5)
+
+
 def test_sandwich_and_instance_reject_an_empty_family_alike():
     grid, _ = normalized_constant_setup()
     f = SampledFunction([1.5, 1.5], True)
