@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -70,16 +70,35 @@ def _chain_slacks(values: np.ndarray) -> np.ndarray:
     return values[..., 1:] - values[..., :-1]
 
 
-def _chain_tolerance(values: np.ndarray) -> np.ndarray:
-    """The tolerance policy for each chain (..., length)."""
-    return np.maximum(CHAIN_ABS_TOL, CHAIN_REL_TOL * np.abs(values).max(axis=-1))
+def _chain_tolerance(values: np.ndarray, starts=(0,)) -> np.ndarray:
+    """The tolerance policy for each chain of ``values`` (..., links), whose
+    last axis holds chains side by side: chain j is the segment of links
+    from ``starts[j]`` to the next start, or to the end. Returns (..., chains)."""
+    top = reduce(np.maximum, _by_chain(np.abs(values), starts, values.shape[-1]))
+    return np.maximum(CHAIN_ABS_TOL, CHAIN_REL_TOL * top)
 
 
-def _chain_holds(values: np.ndarray) -> np.ndarray:
-    """Whether each chain (..., length) holds at the tolerance policy."""
-    tol = _chain_tolerance(values)
-    slacks = _chain_slacks(values)
-    return np.all(slacks >= -tol[..., None], axis=-1)
+def _chain_holds(values: np.ndarray, starts=(0,)) -> np.ndarray:
+    """Whether each chain of ``values`` (..., links), segmented by ``starts``
+    as for :func:`_chain_tolerance`, holds at the tolerance policy: every
+    slack within it is at least -tolerance. The slack between the last link
+    of one chain and the first of the next is no slack of either and is
+    ignored. Returns (..., chains)."""
+    floor = -_chain_tolerance(values, starts)
+    slacks = _by_chain(_chain_slacks(values), starts, values.shape[-1], 1)
+    return reduce(np.logical_and, (s >= floor for s in slacks))
+
+
+def _by_chain(table: np.ndarray, starts, links: int, skip: int = 0):
+    """The entries of each chain in ``table`` (..., columns), the links or,
+    with ``skip`` 1, the slacks of chains segmented by ``starts`` in a table
+    of ``links`` links: for k = 0, 1, ... up to the longest chain, the
+    (..., chains) array of each chain's k-th entry, its last one repeated
+    past its end."""
+    starts = np.asarray(starts, dtype=np.intp)
+    last = np.append(starts[1:], links) - starts - (skip + 1)
+    for k in range(last.max() + 1):
+        yield table[..., starts + np.minimum(k, last)]
 
 
 @dataclass(frozen=True)
@@ -106,7 +125,7 @@ class BoundChain:
 
     @property
     def tolerance(self) -> float:
-        return float(_chain_tolerance(np.array(self.values)))
+        return float(_chain_tolerance(np.array(self.values))[0])
 
     @property
     def slacks(self) -> tuple[float, ...]:
@@ -114,7 +133,7 @@ class BoundChain:
 
     @property
     def all_hold(self) -> bool:
-        return bool(_chain_holds(np.array(self.values)))
+        return bool(_chain_holds(np.array(self.values))[0])
 
     @property
     def min_slack(self) -> float:
@@ -214,13 +233,17 @@ class Step(NamedTuple):
             raise ZeroVector("coefficients <x,e>, <y,e> must be nonzero")
         for path in self.positive:
             _positive(attrgetter(path)(inst))
-        labels = self.labels(**params) if callable(self.labels) else self.labels
+        labels = self.chain_labels(**params)
         with np.errstate(over="ignore", invalid="ignore"):
             values = self.values(inst, **params)
         admitted = tuple(reports.values())
         if isinstance(labels, dict):
             return {name: BoundChain(labels[name], values[name], admitted) for name in labels}
         return BoundChain(labels, values, admitted)
+
+    def chain_labels(self, **params) -> tuple | dict:
+        """The labels of its chain, or of its chains by name, at ``params``."""
+        return self.labels(**params) if callable(self.labels) else self.labels
 
 
 def _positive(c) -> None:

@@ -35,7 +35,11 @@ A campaign runs in chunks of ``CHUNK`` bundles, each in two phases:
   batch of one, admits its instance from them once per bundle, and each
   selected chain's kernel runs on it. Every array keeps one row per bundle;
   a mask per instance picks the bundles whose corridors were accepted,
-  which alone are checked, counted and recorded.
+  which alone are checked, counted and recorded. The kernels write their
+  chains side by side into one value table of the chunk, a row per bundle
+  and a column per link (:class:`_ChainTable`), whose finiteness rule and
+  verdicts (:func:`orthobound.bounds._chain_holds`) then each take one pass
+  over it; :func:`_fold` reads a row only where a chain fails.
 
 Contract: a fixed seed fixes every draw, every chain value (bitwise equal
 to what the public scalar functions give on the same instance) and the
@@ -45,8 +49,10 @@ campaign that fails raises the error that evaluating its bundles one at a
 time, in order, would raise first. This holds by construction: a draw is
 checked by the batched rules of the modules that own its types, and an
 instance by its kind's builder, which the public functions run on a batch of
-one; the chunk only registers each rule, in bundle order, and raises its
-first failure through that rule's own error builder. The bits hold within
+one, and a chain by the finiteness rule of
+:class:`~orthobound.bounds.BoundChain`; the chunk only registers each rule,
+in bundle order, and raises its first failure through that rule's own error
+builder. The bits hold within
 one numpy build and CPU dispatch:
 Box-Muller uses numpy's SIMD ``log1p``, ``cos`` and ``sin``, which may round
 differently on another instruction set.
@@ -62,7 +68,7 @@ import numpy as np
 
 from . import bounds
 from .admissibility import DEFAULT_HYPOTHESIS_TOL, CorridorSpec, ScalarCorridor, _admissible_points
-from .bounds import Pair, _chain_holds, _chain_slacks
+from .bounds import BoundChain, Pair, _chain_holds, _chain_slacks
 from .catalog import SELECTORS, Selector, campaign_keys
 from .family import DEFAULT_TOLERANCE, _check_size, _gram_check, _orthonormal_rows
 from .space import _nonfinite, _quotient
@@ -149,32 +155,39 @@ def _chunk(config: FuzzConfig, rng: np.random.Generator, trials: range):
         return evaluate(config, trials, draw(config, rng, len(trials)))
 
 
-def _fold(summary: FuzzSummary, evaluated: int, rejected: int, records: list) -> None:
+def _fold(summary: FuzzSummary, evaluated: int, rejected: int, table: _ChainTable) -> None:
     """Add one chunk to the summary in the order of evaluating its bundles one
-    at a time: trial by trial, and within a trial in record order."""
+    at a time: trial by trial, and within a trial in record order. Every
+    verdict comes from one pass of the tolerance policy over the chunk's
+    table; a record's least slack is the first least one of its kept rows."""
     summary.evaluated += evaluated
     summary.rejected += rejected
-    new_keys = []
-    violations = []
-    for pos, (key, trials, values) in enumerate(records):
-        if not trials.size:
-            continue
+    if not table.keys:
+        return
+    values, kept = table.values, table.kept
+    with np.errstate(over="ignore", invalid="ignore"):  # rows not kept hold anything
         slacks = _chain_slacks(values)
-        least = float(slacks.flat[np.argmin(slacks)])
+        holds = _chain_holds(values, table.starts)
+    counts = kept.sum(axis=0).tolist()
+    new_keys = []
+    for pos, (key, (a, b), count) in enumerate(zip(table.keys, table.segments, counts)):
+        if not count:
+            continue
+        rows = slice(None) if count == len(kept) else kept[:, pos]
+        least = slacks[rows, a : b - 1]
+        least = float(least.flat[np.argmin(least)])
         if key not in summary.checked:
-            new_keys.append((int(trials[0]), pos, key, least))
+            new_keys.append((int(table.trials[kept[:, pos].argmax()]), pos, key, least))
         elif least < summary.min_slack[key]:
             summary.min_slack[key] = least
-        summary.checked[key] = summary.checked.get(key, 0) + int(trials.size)
-        for row in np.flatnonzero(~_chain_holds(values)):
-            violations.append(
-                (int(trials[row]), pos, {"selector": key, "trial": int(trials[row]),
-                                         "values": [float(v) for v in values[row]]})
-            )
+        summary.checked[key] = summary.checked.get(key, 0) + count
     for _, _, key, least in sorted(new_keys):
         summary.checked[key] = summary.checked.pop(key)
         summary.min_slack[key] = least
-    summary.violations.extend(v for _, _, v in sorted(violations, key=lambda t: t[:2]))
+    for row, pos in zip(*np.nonzero(kept & ~holds)):  # row-major: by trial, then in record order
+        a, b = table.segments[pos]
+        summary.violations.append({"selector": table.keys[pos], "trial": int(table.trials[row]),
+                                   "values": values[row, a:b].tolist()})
 
 
 def _sites(config: FuzzConfig):
@@ -265,37 +278,106 @@ def evaluate(config: FuzzConfig, trials: range, sites: dict):
 
     Each instance comes with the mask ``live`` of the bundles that would
     evaluate it alone; the kernels are row-independent, so the other rows
-    are computed and ignored. Returns (evaluated, rejected, records) with
-    one record (key, trials, values) per recorded chain, in the order a
-    bundle records them. A corridor counts as rejected where a bundle
+    are computed and ignored. Returns (evaluated, rejected, table): the
+    :class:`_ChainTable` of the chunk, which iterates as one record
+    (key, trials, values) per recorded chain, in the order a bundle records
+    them. A corridor counts as rejected where a bundle
     evaluated alone would draw it: the x and y corridors always, the others
     of the selected chains only when those two are accepted. Raises the
     chunk's first error.
     """
-    e = _Evaluation(config, np.asarray(trials), sites)
+    plan = _plan(config)
+    e = _Evaluation(config, np.asarray(trials), sites, plan)
     every = np.ones(len(e.trials), dtype=bool)
     e.fam = e.families(every, *sites["fam"])
     (cx, x_ok), (cy, y_ok) = (e.corridor(every, *sites[c]) for c in ("cx", "cy"))
     e.live = x_ok & y_ok
     e.xy = [(e.point(e.live, e.fam, c, *sites[v]), c) for v, c in (("x", cx), ("y", cy))]
-    want = set(config.selectors)
-    for key, entry, tail in campaign_keys():
-        if key in want:
-            e.run(key, entry, tail)
+    for selected in plan:
+        e.run(*selected)
+    e.table.close()
+    e.overflow()
     if e.first is not None:
         _, error, row = e.first
         raise error(row)
-    return int(e.live.sum()), e.rejected, e.records
+    return int(e.live.sum()), e.rejected, e.table
+
+
+def _plan(config: FuzzConfig) -> list:
+    """The selected keys in record order, each as (key, entry, tail,
+    params, chains), with a (chain, step, labels) per chain of the entry:
+    its labels by record suffix."""
+    plan = []
+    for key, entry, tail in campaign_keys():
+        if key in config.selectors:
+            params = entry.params(key, tail) if tail else {}
+            chains = []
+            for chain in entry.chains:
+                step = getattr(bounds, chain.step)
+                labels = step.chain_labels(**params)
+                chains.append((chain, step, labels if chain.name is None else {chain.suffix: labels}))
+            plan.append((key, entry, tail, params, chains))
+    return plan
+
+
+class _ChainTable:
+    """A chunk's chain records side by side. ``values`` is one float64 table,
+    a row per bundle, in which record j holds the columns ``segments[j]``,
+    one per link of its chain, starting at ``starts[j]``; ``kept`` has a
+    column per record, the rows it records (the live ones where its step is
+    defined). Per record it keeps its key, labels and the step at which its
+    finiteness rule is registered. Iterates as the records
+    (key, trials, values) of the kept rows."""
+
+    def __init__(self, trials: np.ndarray, plan: list):
+        """An empty table with room for every chain of ``plan``."""
+        named = [labels for *_, chains in plan for *_, labels in chains]
+        self.trials = trials
+        self.values = np.empty((len(trials), sum(len(c) for n in named for c in n.values())))
+        self.kept = np.empty((len(trials), sum(map(len, named))), dtype=bool)
+        self.keys: list = []
+        self.labels: list = []
+        self.steps: list = []
+        self.segments: list = []
+        self.width = 0
+
+    def add(self, key: str, keep: np.ndarray, labels: tuple, values: tuple, step: int) -> None:
+        """Write a chain's values, a column each, and the rows it keeps."""
+        a = self.width
+        self.width += len(values)
+        for col, v in enumerate(values, a):
+            self.values[:, col] = v
+        self.kept[:, len(self.keys)] = keep
+        self.keys.append(key)
+        self.labels.append(labels)
+        self.steps.append(step)
+        self.segments.append((a, self.width))
+
+    def close(self) -> None:
+        """Trim the table to the records written."""
+        self.values = self.values[:, : self.width]
+        self.kept = self.kept[:, : len(self.keys)]
+        self.starts = np.array([a for a, _ in self.segments], dtype=np.intp)
+
+    def chain(self, pos: int, row: int) -> BoundChain:
+        """Record ``pos``'s chain on ``row``; raises unless its values are finite."""
+        a, b = self.segments[pos]
+        return BoundChain(self.labels[pos], self.values[row, a:b])
+
+    def __iter__(self):
+        for key, (a, b), keep in zip(self.keys, self.segments, self.kept.T):
+            yield key, self.trials[keep], self.values[keep, a:b]
 
 
 class _Evaluation:
     """What the evaluation of one chunk shares: its trials and draws, the
     family and admissible pair of each bundle with the mask ``live`` of
     those whose x and y corridors were accepted, the instances built from
-    them, its rejected corridors, its chain records, and its first failed
-    check in bundle order (by trial, then by the order of registration)."""
+    them, its rejected corridors, the table of its records of the chains of
+    ``plan``, and its first failed check in bundle order (by trial, then by
+    the order of registration)."""
 
-    def __init__(self, config: FuzzConfig, trials: np.ndarray, sites: dict):
+    def __init__(self, config: FuzzConfig, trials: np.ndarray, sites: dict, plan: list):
         self.spec = config.spec()
         self.d = config.dim
         self.real = config.mode == "real"
@@ -303,7 +385,7 @@ class _Evaluation:
         self.sites = sites
         self.instances: dict = {}
         self.rejected = 0
-        self.records: list = []
+        self.table = _ChainTable(trials, plan)
         self.step = 0
         self.first = None
 
@@ -316,29 +398,47 @@ class _Evaluation:
             return
         rows = np.flatnonzero(failed & live)
         if rows.size:
-            key = (int(self.trials[rows[0]]), self.step)
-            if self.first is None or key < self.first[0]:
-                self.first = (key, error, rows[0])
+            self.fail(rows[0], self.step, error)
+
+    def fail(self, row: int, step: int, error) -> None:
+        """Keep ``error`` of ``row`` if it is the chunk's first failure."""
+        key = (int(self.trials[row]), step)
+        if self.first is None or key < self.first[0]:
+            self.first = (key, error, row)
+
+    def overflow(self) -> None:
+        """The finiteness rule of :class:`BoundChain` on every record, at the
+        step each was written, in one pass over the table."""
+        table = self.table
+        if not table.keys:
+            return
+        finite = np.isfinite(table.values)
+        if finite.all():
+            return
+        finite = np.logical_and.reduceat(finite, table.starts, axis=-1)
+        rows, pos = np.nonzero(table.kept & ~finite)
+        if rows.size:
+            self.fail(rows[0], table.steps[pos[0]], partial(table.chain, pos[0]))
 
     def build(self, live: np.ndarray, build, *fields, **params):
         """(live, instance): a builder's instance of fields drawn for ``live``."""
         return live, build(partial(self.check, live), *fields, DEFAULT_HYPOTHESIS_TOL, **params)[0]
 
-    def run(self, key: str, entry: Selector, tail: str | None) -> None:
-        """Record the chains of selector ``key`` on the live rows of its instance."""
-        params = entry.params(key, tail) if tail else {}
+    def run(self, key: str, entry: Selector, tail: str | None, params: dict, chains: list) -> None:
+        """Write the chains of selector ``key`` into the table, each with its
+        finiteness rule at its position, on the live rows of its instance."""
         live, inst = self.drawn(entry.kind, tail, params)
         if not live.any():
             return
-        for chain in entry.chains:
-            step = getattr(bounds, chain.step)
+        for chain, step, labels in chains:
             values = step.values(inst, **params)
-            named = values if chain.name is None else {chain.suffix: values}
+            if chain.name is not None:
+                values = {chain.suffix: values}
             keep = live if step.defined is None else live & step.defined(inst)
-            for suffix, v in named.items():
-                stacked = np.stack(np.broadcast_arrays(*v), axis=-1)
+            for suffix, v in values.items():
+                self.step += 1
                 record_key = f"{key}:{suffix}" if suffix else key
-                self.records.append((record_key, self.trials[keep], stacked[keep]))
+                self.table.add(record_key, keep, labels[suffix], v, self.step)
 
     def drawn(self, kind: str, tail: str | None = None, params: dict | None = None):
         """The instance ``kind`` of the chunk as (live, instance). It is

@@ -581,6 +581,25 @@ def test_chain_tolerance_policy():
     assert chain3.all_hold  # absolute floor
 
 
+def test_chains_side_by_side_get_the_verdicts_they_get_alone():
+    # the slacks across chain boundaries (3 -> -5 in the first row, 2 ->
+    # -1e-13 and 0 -> -5 in the second, which holds the table reversed) are
+    # no slacks of either chain
+    chains = [(1.0, 2.0, 3.0), (-5.0, -5.0 - 1e-8), (0.0, -1e-13), (2.0, 1.0, 3.0)]
+    table = np.array([v for c in chains for v in c])
+    starts, ends = [0, 3, 5, 7], [3, 5, 7, 10]
+    batch = np.stack([table, table[::-1]])
+    holds = bounds._chain_holds(batch, starts)
+    tolerance = bounds._chain_tolerance(batch, starts)
+    for row, expected in zip(batch, ([True, False, True, False], [False, True, True, False])):
+        alone = [BoundChain(("a",) * (b - a), row[a:b]) for a, b in zip(starts, ends)]
+        assert [c.all_hold for c in alone] == expected
+    for got_holds, got_tolerance, row in zip(holds, tolerance, batch):
+        alone = [BoundChain(("a",) * (b - a), row[a:b]) for a, b in zip(starts, ends)]
+        assert got_holds.tolist() == [c.all_hold for c in alone]
+        assert got_tolerance.tolist() == [c.tolerance for c in alone]
+
+
 def test_chain_requires_labels():
     with pytest.raises(ValueError):
         BoundChain(("a",), (1.0, 2.0))

@@ -427,6 +427,14 @@ def test_fuzz_real_mode_negative_spec_counts_rejects(capsys):
     assert summary["rejected"] > 0
 
 
+def test_fuzz_with_an_overflowing_chain_exits_one_naming_it(capsys):
+    rc, out, err = run(capsys, "fuzz", "--center-range=1e150,2e150", "--width", "9e149",
+                       "--count", "3", "--seed", "3")
+    assert (rc, out) == (1, "")
+    assert err.startswith(
+        "error: the chain ||x|| <= corridor bound (holder p=3) overflows the float range: (")
+
+
 def test_fuzz_determinism(capsys):
     rc1, out1, _ = run(capsys, "fuzz", "--seed", "11", "--count", "20")
     rc2, out2, _ = run(capsys, "fuzz", "--seed", "11", "--count", "20")

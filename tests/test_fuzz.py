@@ -11,6 +11,7 @@ included), same first error.
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -231,7 +232,7 @@ def reference_fuzz(config, chains=None):
                 record("cor3.3", gruss_bound(xs, ys, fam_single, c1, c2), trial)
                 a = fam_single.coefficients(xs)[0]
                 b = fam_single.coefficients(ys)[0]
-                if a * b.conjugate() != 0.0:  # where the ratio form is defined
+                if _ratio_defined(a, b):
                     record(
                         "cor3.3:ratio",
                         single_vector_ratio_chain(xs, ys, fam_single, c1, c2),
@@ -251,6 +252,11 @@ def reference_fuzz(config, chains=None):
                 record("schwarz-step", schwarz_step(xr, yr, fam), trial)
 
     return summary
+
+
+def _ratio_defined(a, b):
+    """Where the reference records the ratio form: <x,e> conj(<y,e>) nonzero."""
+    return a * b.conjugate() != 0.0
 
 
 def _bits(values):
@@ -637,3 +643,78 @@ def test_a_campaign_reports_violations_across_chunks_as_the_reference(monkeypatc
     trials = [v["trial"] for v in summary.violations]
     assert trials[:3] == [5, 6, 18] and len({t // fuzz.CHUNK for t in trials}) > 10
     assert {v["selector"] for v in summary.violations} == {"cor2.3"}
+
+
+@pytest.mark.parametrize("mode", ["complex", "real"])
+@pytest.mark.parametrize("lo, chain", [
+    (1e150, "||x|| <= corridor bound (holder p=3)"),
+    (1e-160, "|<x,y>/(<x,e><e,y>) - 1| <= corridor width bound"),
+])
+def test_a_chain_that_overflows_raises_the_reference_error(mode, lo, chain):
+    # a chunk checks its chain values by the finiteness rule of BoundChain,
+    # so an infinite value cannot widen its own tolerance and hold
+    config = FuzzConfig(seed=3, count=5, mode=mode, corridor=CorridorSpec(mode, lo, 2 * lo, 0.9 * lo))
+    error = _same_first_error(config, FloatRangeExceeded)
+    assert str(error).startswith(f"the chain {chain} overflows the float range: (")
+
+
+def _same_campaign(config):
+    """The campaign, in chunks of 16, and the reference give the same summary
+    and chain values, bit for bit; returns the summary."""
+    chains = []
+    reference = reference_fuzz(config, chains)
+    summary = run_fuzz(config)
+    assert _summary_bits(summary) == _summary_bits(reference)
+    assert _batched_chains(config) == {(k, t): _bits(v) for k, t, v in chains}
+    return summary
+
+
+def test_rows_a_defined_mask_drops_are_neither_checked_nor_recorded(monkeypatch):
+    # the ratio form planted as undefined where Re<x,e> < Re<y,e>, in the
+    # campaign's step and in the reference alike
+    monkeypatch.setattr(fuzz, "CHUNK", 16)
+    defined = bounds._RATIO.defined
+
+    def planted(pair):
+        return defined(pair) & (pair.x.a[..., 0].real >= pair.y.a[..., 0].real)
+
+    monkeypatch.setattr(bounds, "_RATIO", bounds._RATIO._replace(defined=planted))
+    monkeypatch.setattr(sys.modules[__name__], "_ratio_defined",
+                        lambda a, b: a * b.conjugate() != 0.0 and a.real >= b.real)
+    summary = _same_campaign(FuzzConfig(seed=12, count=100, selectors=("cor3.3",)))
+    assert 0 < summary.checked["cor3.3:ratio"] < summary.checked["cor3.3"] == 100
+    kept = [len(trials) for _, _, table in fuzz._chunks(FuzzConfig(seed=12, count=100))
+            for key, trials, _ in table if key == "cor3.3:ratio"]
+    # dropped in part in every chunk of 16, and in whole in the last, of 4
+    assert 0 < min(kept[:-1]) and max(kept) < 16 and kept[-1] == 0
+
+
+def test_a_least_slack_that_ties_zeros_of_both_signs_is_the_first(monkeypatch):
+    # schwarz-step planted as (0, +-0), the sign of Re x_0: its least slack
+    # is a zero in every row, and the first one of the campaign wins
+    monkeypatch.setattr(fuzz, "CHUNK", 16)
+
+    def planted(pair):
+        return 0.0, np.copysign(0.0, pair.x.coords[..., 0].real)
+
+    monkeypatch.setattr(bounds, "_SCHWARZ_STEP", bounds._SCHWARZ_STEP._replace(values=planted))
+    config = FuzzConfig(seed=1, count=40, selectors=("schwarz-step",))
+    summary = _same_campaign(config)
+    signs = [math.copysign(1.0, v[1]) for _, _, table in fuzz._chunks(config)
+             for _, _, values in table for v in values]
+    assert set(signs[:16]) == {1.0, -1.0}
+    assert math.copysign(1.0, summary.min_slack["schwarz-step"]) == signs[0]
+
+
+def test_a_selector_first_live_in_a_later_chunk_keeps_its_place(monkeypatch):
+    # one-member corridors about 0 are mostly rejected: cor3.3 has no live
+    # row in the first chunks of 16, one chunk none at all, and a later
+    # chunk has some
+    monkeypatch.setattr(fuzz, "CHUNK", 16)
+    config = FuzzConfig(seed=8, count=160, family_size=1, mode="real",
+                        corridor=CorridorSpec("real", -0.5, 0.5))
+    keys = [[key for key, _, _ in table] for _, _, table in fuzz._chunks(config)]
+    assert "thm2.1" in keys[0] and "cor3.3" not in keys[0] and [] in keys
+    assert any("cor3.3" in k for k in keys)
+    summary = _same_campaign(config)
+    assert list(summary.checked).index("cor3.3") > list(summary.checked).index("thm2.1")
