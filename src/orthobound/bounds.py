@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
@@ -73,8 +73,10 @@ def _chain_slacks(values: np.ndarray) -> np.ndarray:
 def _chain_tolerance(values: np.ndarray, starts=(0,)) -> np.ndarray:
     """The tolerance policy for each chain of ``values`` (..., links), whose
     last axis holds chains side by side: chain j is the segment of links
-    from ``starts[j]`` to the next start, or to the end. Returns (..., chains)."""
-    top = reduce(np.maximum, _by_chain(np.abs(values), starts, values.shape[-1]))
+    from ``starts[j]`` to the next start, or to the end, and its tolerance
+    is the policy on the largest magnitude in that segment alone (NaN if it
+    holds a NaN). Returns (..., chains)."""
+    top = np.maximum.reduceat(np.abs(values), starts, axis=-1)
     return np.maximum(CHAIN_ABS_TOL, CHAIN_REL_TOL * top)
 
 
@@ -84,21 +86,13 @@ def _chain_holds(values: np.ndarray, starts=(0,)) -> np.ndarray:
     slack within it is at least -tolerance. The slack between the last link
     of one chain and the first of the next is no slack of either and is
     ignored. Returns (..., chains)."""
-    floor = -_chain_tolerance(values, starts)
-    slacks = _by_chain(_chain_slacks(values), starts, values.shape[-1], 1)
-    return reduce(np.logical_and, (s >= floor for s in slacks))
-
-
-def _by_chain(table: np.ndarray, starts, links: int, skip: int = 0):
-    """The entries of each chain in ``table`` (..., columns), the links or,
-    with ``skip`` 1, the slacks of chains segmented by ``starts`` in a table
-    of ``links`` links: for k = 0, 1, ... up to the longest chain, the
-    (..., chains) array of each chain's k-th entry, its last one repeated
-    past its end."""
     starts = np.asarray(starts, dtype=np.intp)
-    last = np.append(starts[1:], links) - starts - (skip + 1)
-    for k in range(last.max() + 1):
-        yield table[..., starts + np.minimum(k, last)]
+    floor = -_chain_tolerance(values, starts)
+    lengths = np.diff(starts, append=values.shape[-1])
+    ok = np.ones(values.shape, dtype=bool)  # ok[..., k]: the slack into link k holds
+    ok[..., 1:] = _chain_slacks(values) >= np.repeat(floor, lengths, axis=-1)[..., 1:]
+    ok[..., starts] = True  # the slack into a chain's first link is none of its own
+    return np.logical_and.reduceat(ok, starts, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -213,12 +207,14 @@ class Pair:
 class Step(NamedTuple):
     """A chain after its instance is built. Called on the instance, its
     reports (by :class:`HypothesisFailed` name) and the selector's parameters,
-    it admits the reports, requires ``defined`` and a positive Re-sum of the
-    corridors at the attribute paths ``positive``, makes the labels
-    (``labels(**params)`` raises a bad variant) and runs the kernel ``values``
-    with overflow ignored, whose chains raise :class:`FloatRangeExceeded`
-    unless their values are finite; Corollary 2.5's labels, values and
-    chains are by name."""
+    it admits the reports, requires a positive Re-sum of the corridors at
+    the attribute paths ``positive``, makes the labels (``labels(**params)``
+    raises a bad variant) and runs the kernel ``values`` with overflow
+    ignored, whose chains raise :class:`FloatRangeExceeded` unless their
+    values are finite; Corollary 2.5's labels, values and chains are by name.
+    ``defined``, where given, is the mask of the instances the chain is
+    recorded on: :func:`orthobound.catalog.evaluate` leaves the chain out
+    elsewhere, and a campaign chunk masks the other rows."""
 
     labels: tuple | dict | Callable
     values: Callable
@@ -229,8 +225,6 @@ class Step(NamedTuple):
         for which, report in reports.items():
             if not report.holds:
                 raise HypothesisFailed(which, report)
-        if self.defined is not None and not self.defined(inst):
-            raise ZeroVector("coefficients <x,e>, <y,e> must be nonzero")
         for path in self.positive:
             _positive(attrgetter(path)(inst))
         labels = self.chain_labels(**params)
@@ -646,7 +640,10 @@ def single_vector_ratio_chain(
     """
     if fam.count != 1:
         raise ValueError("ratio form needs a single-member family")
-    return _RATIO(*_one(_pair_kind, x, y, fam, cx, cy, tol=tol))
+    pair, reports = _one(_pair_kind, x, y, fam, cx, cy, tol=tol)
+    if not _ratio_defined(pair):
+        raise ZeroVector("coefficients <x,e>, <y,e> must be nonzero")
+    return _RATIO(pair, reports)
 
 
 def _ratio_denominator(pair: Pair) -> np.ndarray:

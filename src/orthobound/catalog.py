@@ -8,14 +8,14 @@ entry gives the parser of a ``name:tail`` parameter, the tails a campaign
 runs and, for each chain, its JSON name and its step in
 :mod:`orthobound.bounds`. :func:`evaluate`, the one way to run a selector on
 one instance, builds the instance once, as a batch of one, and runs every
-chain's step on it; :func:`evaluate_many` runs several selectors on one
-instance, with one build per builder. A campaign builds the kind over a
-chunk and runs each step's kernel (see :mod:`orthobound.fuzz`).
+chain's step on it; a caller that runs several selectors on one instance
+calls it once per selector, each with its own build. A campaign builds the
+kind over a chunk and runs each step's kernel (see :mod:`orthobound.fuzz`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from . import bounds, jsonio
 from .admissibility import DEFAULT_HYPOTHESIS_TOL
@@ -151,37 +151,21 @@ def evaluate(
     build; a chain is left out where its step's ``defined`` does not hold. A field the
     selector's kind reads that ``fields`` lacks (or gives as None) raises
     :class:`InstanceFormatError`, naming every such field in decode order."""
-    return evaluate_many((selector,), fields, tol)[selector]
-
-
-def evaluate_many(
-    selectors: Iterable[str], fields: Mapping, tol: float = DEFAULT_HYPOTHESIS_TOL
-) -> dict[str, dict[str, bounds.BoundChain]]:
-    """:func:`evaluate` of each of ``selectors`` in turn on one instance, by
-    selector: selectors whose kinds have one builder, given the same builder
-    parameters, share one build of the instance."""
-    builds: dict = {}
-    out = {}
-    for selector in selectors:
-        name, entry, params = parse_selector(selector)
-        kind = KINDS[entry.kind]
-        reads = kind.fields
-        missing = [f for f in jsonio._FIELDS if f in reads and fields.get(f) is None]
-        if missing:
-            raise InstanceFormatError(",".join(missing), f"required by bound selector {name!r}")
-        built = {k: params[k] for k in kind.params}  # the parameters the builder reads
-        key = (kind.build, tuple(built.items()))
-        if key not in builds:
-            builds[key] = bounds._one(kind.build, *(fields[f] for f in reads), tol=tol, **built)
-        inst, reports = builds[key]
-        chains: dict[str, bounds.BoundChain] = {}
-        for chain in entry.chains:
-            step = getattr(bounds, chain.step)
-            if step.defined is None or step.defined(inst):
-                result = step(inst, reports, **params)
-                chains.update(result if chain.name is None else {chain.name: result})
-        out[selector] = chains
-    return out
+    name, entry, params = parse_selector(selector)
+    kind = KINDS[entry.kind]
+    reads = kind.fields
+    missing = [f for f in jsonio._FIELDS if f in reads and fields.get(f) is None]
+    if missing:
+        raise InstanceFormatError(",".join(missing), f"required by bound selector {name!r}")
+    built = {k: params[k] for k in kind.params}  # the parameters the builder reads
+    inst, reports = bounds._one(kind.build, *(fields[f] for f in reads), tol=tol, **built)
+    chains: dict[str, bounds.BoundChain] = {}
+    for chain in entry.chains:
+        step = getattr(bounds, chain.step)
+        if step.defined is None or step.defined(inst):
+            result = step(inst, reports, **params)
+            chains.update(result if chain.name is None else {chain.name: result})
+    return chains
 
 
 def campaign_keys() -> Iterator[tuple[str, Selector, str | None]]:

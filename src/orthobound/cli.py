@@ -133,14 +133,7 @@ def cmd_sweep(args) -> int:
 def _witness_to_json(w) -> dict:
     """A :class:`~orthobound.experiments.ComparisonWitness` with its instance
     in the instance-file format that ``check`` reads."""
-    return {
-        "direction": w.direction,
-        "trial": w.trial,
-        "refined_sqrt": w.refined_sqrt,
-        "refined_midpoint": w.refined_midpoint,
-        "margin": w.margin,
-        "instance": jsonio.instance_to_json(w.instance),
-    }
+    return {**vars(w), "instance": jsonio.instance_to_json(w.instance)}
 
 
 def cmd_witnesses(args) -> int:

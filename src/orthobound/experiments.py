@@ -21,7 +21,7 @@ import numpy as np
 
 from .admissibility import CorridorSpec, ScalarCorridor, admissible_point
 from .bounds import bessel_defect
-from .catalog import SWEEP_TARGETS, evaluate, evaluate_many
+from .catalog import SWEEP_TARGETS, evaluate
 from .errors import BadEpsilon, ChainViolated, WitnessNotFound
 from .family import random_family, validate_family
 from .jsonio import FAMILY, X, X_CORRIDOR, Y, Y_CORRIDOR
@@ -87,8 +87,7 @@ def sharpness_sweep(target: str, eps_grid: Sequence[float]) -> list[SweepRow]:
         if lo == hi and target != "thm21":
             raise BadEpsilon(f"eps={eps!r} gives the {target} corridor zero width in floats")
         inst = _construction(target, lo, hi)
-        results = evaluate_many(SWEEP_TARGETS[target], inst)
-        chains = [results[selector]["main"] for selector in SWEEP_TARGETS[target]]
+        chains = [evaluate(selector, inst)["main"] for selector in SWEEP_TARGETS[target]]
         for chain in chains:
             if not chain.all_hold:
                 raise ChainViolated(f"the {target} construction at eps={eps!r}", chain)
@@ -160,9 +159,8 @@ def bound_comparison_search(seed: int, trials: int) -> ComparisonResult:
         x = admissible_point(fam, cx, rng, slack_x)
         y = admissible_point(fam, cy, rng, slack_y)
         inst = {FAMILY: fam, X: x, X_CORRIDOR: cx, Y: y, Y_CORRIDOR: cy}
-        chains = evaluate_many(("thm1.1", "thm2"), inst)  # one build of the pair
-        v_sqrt = chains["thm1.1"]["main"].values[1]
-        v_mid = chains["thm2"]["main"].values[1]
+        v_sqrt = evaluate("thm1.1", inst)["main"].values[1]
+        v_mid = evaluate("thm2", inst)["main"].values[1]
         scale = max(1.0, abs(v_sqrt), abs(v_mid))
         if v_sqrt < v_mid - _WITNESS_MARGIN * scale and "sqrt_tighter" not in found:
             found["sqrt_tighter"] = ComparisonWitness(

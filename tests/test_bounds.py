@@ -1,4 +1,6 @@
+import itertools
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -38,9 +40,10 @@ from orthobound import (
     single_vector_ratio_chain,
     validate_family,
 )
-from orthobound import HypothesisReport, OrthoboundError, admissibility, bounds, family
+from orthobound import HypothesisReport, OrthoboundError, admissibility, bounds, catalog, family
 from orthobound.family import OrthonormalFamily, legendre_samples, trig_samples
 from orthobound.integral import integral_instance, sandwich_check
+from orthobound.jsonio import FAMILY, X, X_CORRIDOR, Y, Y_CORRIDOR
 from orthobound.space import SampledFunction, gauss_legendre_grid
 from conftest import admissible_instance, random_vector
 
@@ -494,6 +497,25 @@ def test_gruss_bound_single_member_matches_ratio_form(rng):
             )
 
 
+@pytest.mark.parametrize("scale", [1.0, 2.0**-400, 2.0**400])
+def test_ratio_chain_on_a_zero_coefficient(scale):
+    # <x,e> = 0 with sign form scale^2 under (-1, 1) * scale, whose Re-sum is
+    # -scale^2: the public ratio function finds the zero coefficient before
+    # any corridor, while the catalog leaves the ratio chain out and the
+    # Gruss chain, run first, finds the Re-sum
+    fam = validate_family([Vector([1.0, 0.0])])
+    x, y = Vector([0.0, 0.0]), Vector([1.5 * scale, 0.0])
+    cx = ScalarCorridor([-scale], [scale])
+    cy = ScalarCorridor([scale], [2.0 * scale])
+    assert check_hypothesis(x, fam, cx).cond_i_value == scale * scale
+    with pytest.raises(ZeroVector, match=r"^coefficients <x,e>, <y,e> must be nonzero$"):
+        single_vector_ratio_chain(x, y, fam, cx, cy)
+    fields = {FAMILY: fam, X: x, X_CORRIDOR: cx, Y: y, Y_CORRIDOR: cy}
+    with pytest.raises(NonpositiveReSum) as exc:
+        catalog.evaluate("cor3.3", fields)
+    assert exc.value.value == -scale * scale
+
+
 def test_gruss_bound_real_single_vector_factor():
     # real corridors a<A, b<B on one member: bound factor (A-a)(B-b)/(4 sqrt(abAB))
     fam = validate_family([Vector([1.0, 0.0], True)])
@@ -598,6 +620,58 @@ def test_chains_side_by_side_get_the_verdicts_they_get_alone():
         alone = [BoundChain(("a",) * (b - a), row[a:b]) for a, b in zip(starts, ends)]
         assert got_holds.tolist() == [c.all_hold for c in alone]
         assert got_tolerance.tolist() == [c.tolerance for c in alone]
+
+
+_SEGMENT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan]),
+    st.floats(1e-12, 1.0 - 1e-12).map(statistics.NormalDist().inv_cdf),  # N(0, 1)
+)
+
+
+@st.composite
+def _segmented_tables(draw):
+    """A table of 1-3 rows and 2-30 links, cut into chains of 2-4 links:
+    (table, starts, ends)."""
+    lengths = draw(st.lists(st.integers(2, 4), min_size=1, max_size=15))
+    ends = [e for e in itertools.accumulate(lengths) if e <= 30]
+    starts = [0] + ends[:-1]
+    rows = draw(st.integers(1, 3))
+    values = draw(st.lists(_SEGMENT_VALUES, min_size=rows * ends[-1], max_size=rows * ends[-1]))
+    return np.array(values).reshape(rows, ends[-1]), starts, ends
+
+
+def _policy_alone(chain) -> tuple[float, bool]:
+    """The tolerance policy applied to one chain alone, in Python floats: its
+    tolerance max(1e-12, 1e-9 max|v|), NaN if it holds a NaN, and whether
+    every slack is at least -tolerance."""
+    tol = math.nan if any(map(math.isnan, chain)) else max(1e-12, 1e-9 * max(map(abs, chain)))
+    return tol, all(b - a >= -tol for a, b in zip(chain, chain[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_segmented_tables(), st.data())
+def test_chain_segments_are_judged_as_each_chain_alone(segmented, data):
+    table, starts, ends = segmented
+    with np.errstate(invalid="ignore", over="ignore"):
+        holds = bounds._chain_holds(table, starts)
+        tolerance = bounds._chain_tolerance(table, starts)
+    for row, got_holds, got_tolerance in zip(table.tolist(), holds, tolerance):
+        alone = [_policy_alone(row[a:b]) for a, b in zip(starts, ends)]
+        np.testing.assert_array_equal(got_tolerance, [tol for tol, _ in alone])
+        assert got_holds.tolist() == [ok for _, ok in alone]
+    # a NaN or an inf planted in one chain leaves every other verdict as it was
+    j = data.draw(st.integers(0, len(starts) - 1))
+    link = data.draw(st.integers(starts[j], ends[j] - 1))
+    planted = table.copy()
+    planted[data.draw(st.integers(0, len(table) - 1)), link] = data.draw(
+        st.sampled_from([math.nan, math.inf, -math.inf])
+    )
+    with np.errstate(invalid="ignore", over="ignore"):
+        again = bounds._chain_holds(planted, starts)
+        again_tolerance = bounds._chain_tolerance(planted, starts)
+    others = [k for k in range(len(starts)) if k != j]
+    assert (again[:, others] == holds[:, others]).all()
+    np.testing.assert_array_equal(again_tolerance[:, others], tolerance[:, others])
 
 
 def test_chain_requires_labels():

@@ -75,11 +75,12 @@ def test_witnesses_found_both_directions():
 
 
 def test_witness_search_admits_each_pair_once(monkeypatch):
-    # thm1.1 and thm2 read one pair: one hypothesis kernel per (vector, corridor)
+    # thm1.1 and thm2 each build the trial's pair once: one hypothesis kernel
+    # per (vector, corridor) per selector, so 2 per selector per trial
     kernel, calls = admissibility._hypothesis, []
     monkeypatch.setattr(admissibility, "_hypothesis", lambda *a: calls.append(a) or kernel(*a))
     result = bound_comparison_search(seed=7, trials=10_000)
-    assert len(calls) == 2 * result.trials_used
+    assert len(calls) == 2 * 2 * result.trials_used
 
 
 def test_witness_search_zero_trials():
